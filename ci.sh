@@ -136,4 +136,14 @@ test -s BENCH_batch.json || { echo "BENCH_batch.json baseline missing"; exit 1; 
 grep -q '"bench":"batch"' BENCH_batch.json \
     || { echo "BENCH_batch.json baseline malformed"; exit 1; }
 
+echo "==> link-layer floor (sliced CRC-32 and frame round trip >= 4x the byte-wise path)"
+CRITERION_STUB_BUDGET_MS=50 cargo bench -q -p spoofwatch-bench --bench codecs > /dev/null
+
+echo "==> end-to-end benchmark package (builds against the workspace's public API, --quick smoke)"
+# benchmark/ is a package of its own outside the workspace, so nothing
+# above notices when a public signature it uses changes. Its test runs
+# every workload at 1/20 size with all output checks and compares the
+# emitted metric names, units and bounds with BENCHMARK.json (~1 min).
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> CI green"

@@ -681,12 +681,12 @@ impl<'a> StudyRunner<'a> {
                     worker_loop(rx, tx, classify, cfg, detect_enabled, restarts, rm, obs)
                 });
             }
-            if cfg.stall_timeout_ms > 0 {
+            let watchdog = (cfg.stall_timeout_ms > 0).then(|| {
                 let (committed, done, stalls) = (&committed, &done, &stalls);
                 let timeout = cfg.stall_timeout_ms;
                 let rm = &rm;
-                s.spawn(move || watchdog_loop(committed, done, stalls, timeout, rm, obs));
-            }
+                s.spawn(move || watchdog_loop(committed, done, stalls, timeout, rm, obs))
+            });
 
             let mut cobs = CommitObs {
                 rm: &rm,
@@ -786,6 +786,11 @@ impl<'a> StudyRunner<'a> {
             };
             let result = feed();
             done.store(true, Ordering::Relaxed);
+            // Wake the watchdog out of its slice: the scope joins it, and
+            // every run would otherwise end by waiting out a sleep.
+            if let Some(watchdog) = &watchdog {
+                watchdog.thread().unpark();
+            }
             drop(chunk_tx); // close the queue so workers drain and exit
             result
         });
@@ -1137,11 +1142,12 @@ fn watchdog_loop(
     let clock: &dyn Clock = obs.clock.as_ref();
     let tracer: &Tracer = obs.tracer.as_ref();
     let tick = Duration::from_millis((timeout_ms / 4).max(1));
-    // The tick governs the stall-check schedule, but the sleep itself
+    // The tick governs the stall-check schedule, but the wait itself
     // happens in short slices polling `done`: `run()` joins this thread
-    // via `thread::scope`, and a single uninterruptible tick sleep
-    // (7.5 s at the default 30 s timeout) would stall every completed
-    // run by up to one tick.
+    // via `thread::scope` and unparks it on completion, so under the
+    // real clock a finished run does not wait out even one slice; the
+    // slices keep the manual clock's schedule and bound the wait should
+    // an unpark ever be consumed elsewhere.
     let slice = tick.min(Duration::from_millis(25));
     let timeout_ns = timeout_ms.saturating_mul(1_000_000);
     let mut last_seen = committed.load(Ordering::Relaxed);
@@ -1150,7 +1156,7 @@ fn watchdog_loop(
     while !done.load(Ordering::Relaxed) {
         let tick_start = clock.now_ns();
         while clock.since_ns(tick_start) < tick.as_nanos() as u64 {
-            clock.sleep(slice);
+            clock.park_for(slice);
             if done.load(Ordering::Relaxed) {
                 return;
             }
@@ -1228,6 +1234,53 @@ mod tests {
         assert_eq!(t.ok_records, 2);
         assert_eq!(t.resyncs, 2);
         assert!(t.reconciles());
+    }
+
+    /// `run` joins the watchdog; it must wake it instead of waiting out
+    /// its 25 ms slice, or every run in every mode ends with a sleep.
+    #[test]
+    fn finished_run_does_not_wait_out_the_watchdog_slice() {
+        use crate::pipeline::Classifier;
+        use spoofwatch_asgraph::As2Org;
+        use spoofwatch_bgp::{Announcement, AsPath};
+        let ann = Announcement::new("20.0.0.0/8".parse().unwrap(), AsPath::from(vec![3]));
+        let classifier = Classifier::build(&[ann], &As2Org::new());
+        let flows: Vec<FlowRecord> = (0..10u32)
+            .map(|i| FlowRecord {
+                ts: i,
+                src: 0x1400_0000 + i,
+                dst: 0x0A00_0001,
+                proto: spoofwatch_net::Proto::Udp,
+                sport: 1000,
+                dport: 53,
+                packets: 1,
+                bytes: 60,
+                pkt_size: 60,
+                member: Asn(3),
+                ttl: 60,
+            })
+            .collect();
+        let bytes = spoofwatch_ixp::ipfix::encode(&flows);
+        let cfg = RunnerConfig::default();
+        assert_eq!(cfg.stall_timeout_ms, 30_000, "the watchdog is on by default");
+        let runner = StudyRunner::new(&classifier, cfg);
+        // The best of a few runs: one slow fsync or a descheduled thread
+        // is noise, a slept-out slice is at least 25 ms every time.
+        let mut best = Duration::MAX;
+        for attempt in 0..5 {
+            let dir = std::env::temp_dir().join(format!(
+                "spoofwatch-watchdog-join-{}-{attempt}",
+                std::process::id()
+            ));
+            let store = CheckpointStore::open(&dir).expect("open store");
+            let mut source = ChunkedIpfixReader::new(&bytes, 10);
+            let t0 = std::time::Instant::now();
+            let report = runner.run(&mut source, &store).expect("run completes");
+            best = best.min(t0.elapsed());
+            assert_eq!(report.health.chunks.processed, 1);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert!(best < Duration::from_millis(10), "1-chunk run took {best:?}");
     }
 
     #[test]

@@ -55,16 +55,18 @@ mod proto;
 use super::checkpoint::CheckpointStore;
 use super::rollup::{read_ring, RollupConfig, WindowAccum};
 use super::{
-    fnv, ChunkSource, FlowAccounting, IngestTotals, RunnerConfig, RunnerError, RunnerObs,
-    StudyRunner,
+    fnv, ChunkSource, FlowAccounting, IngestTotals, RunReport, RunnerConfig, RunnerError,
+    RunnerObs, StudyRunner,
 };
 use crate::pipeline::Classifier;
 use crate::provenance::DisagreementMatrix;
 use crate::stats::MemberBreakdown;
-use proto::{Msg, ReportMsg, WireChunk, WireHealth, FATAL_IDENTITY, FATAL_INTERNAL, PROTO_VERSION};
+use proto::{
+    report_window_batches, Msg, ReportMsg, WireChunk, FATAL_IDENTITY, FATAL_INTERNAL, PROTO_VERSION,
+};
 use spoofwatch_ixp::chunked::{ChunkedIpfixReader, FlowChunk};
 use spoofwatch_net::wire::{ShardEndpoint, ShardRx, ShardTransport, ShardTx};
-use spoofwatch_net::FlowRecord;
+use spoofwatch_net::{FlowRecord, IngestHealth};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -360,9 +362,9 @@ fn sub_chunk(chunk: &FlowChunk, plan: &ShardPlan, shard_id: u32) -> WireChunk {
         .copied()
         .collect();
     let health = if chunk.seq % plan.shards as u64 == shard_id as u64 {
-        WireHealth::from_health(&chunk.health)
+        chunk.health.scalars()
     } else {
-        WireHealth::zero()
+        IngestHealth::default()
     };
     WireChunk {
         seq: chunk.seq,
@@ -748,6 +750,10 @@ impl<'a> ShardCoordinator<'a> {
         // coordinator never runs far enough ahead to block on a full
         // link.
         let mut acked_seq: u64 = 0;
+        // Ring windows from `ReportWindows` batches, complete once the
+        // `Report` confirms their count. They live and die with this
+        // connection: a respawned worker re-sends the whole ring.
+        let mut windows: Vec<WindowAccum> = Vec::new();
         let mut last_frame_ns = clock.now_ns();
         let liveness_ns = self.cfg.liveness_timeout_ms.saturating_mul(1_000_000);
         loop {
@@ -785,9 +791,25 @@ impl<'a> ShardCoordinator<'a> {
                             acked_seq = acked_seq.max(acked);
                             g.lag.set(next_seq.saturating_sub(acked_seq) as i64);
                         }
-                        Some(Msg::Report(report)) => {
-                            status.committed_chunks = report.checkpoint.committed_chunks;
-                            return ConnOutcome::Done(report);
+                        Some(Msg::ReportWindows(batch)) => windows.extend(batch),
+                        Some(Msg::Report {
+                            shard_id: reported_id,
+                            checkpoint,
+                            window_count,
+                        }) => {
+                            if windows.len() != window_count as usize {
+                                // A batch was lost to a corrupt frame;
+                                // the worker is gone by now, so recover
+                                // the way any dead link does.
+                                g.protocol_faults.inc();
+                                return ConnOutcome::Dead;
+                            }
+                            status.committed_chunks = checkpoint.committed_chunks;
+                            return ConnOutcome::Done(Box::new(ReportMsg {
+                                shard_id: reported_id,
+                                checkpoint: *checkpoint,
+                                windows,
+                            }));
                         }
                         Some(Msg::Fatal { code, detail }) => {
                             if code == FATAL_IDENTITY {
@@ -1113,11 +1135,11 @@ fn heartbeat_loop(
         let mut dead = false;
         if let Some((byte_cursor, seq)) = pending {
             let msg = Msg::Resume { byte_cursor, seq };
-            dead = send_locked(tx, &msg).is_err();
+            dead = send_locked(tx, &msg.encode()).is_err();
         }
         if !dead {
             let msg = Msg::Heartbeat { next_seq };
-            dead = send_locked(tx, &msg).is_err();
+            dead = send_locked(tx, &msg.encode()).is_err();
         }
         if dead {
             shared.link_down.store(true, Ordering::Relaxed);
@@ -1129,9 +1151,9 @@ fn heartbeat_loop(
     }
 }
 
-fn send_locked(tx: &Mutex<Box<dyn ShardTx>>, msg: &Msg) -> io::Result<()> {
+fn send_locked(tx: &Mutex<Box<dyn ShardTx>>, payload: &[u8]) -> io::Result<()> {
     let mut guard = tx.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    guard.send(&msg.encode())
+    guard.send(payload)
 }
 
 /// The worker-side [`ChunkSource`]: receives partitioned chunks over
@@ -1213,7 +1235,7 @@ impl ChunkSource for TransportChunkSource<'_> {
                                 byte_start: wc.byte_start,
                                 byte_end: wc.byte_end,
                                 flows: wc.flows,
-                                health: wc.health.into_health(),
+                                health: wc.health,
                             });
                         } else if wc.seq > self.next_seq {
                             // A frame was dropped or corrupted: ask to
@@ -1274,7 +1296,7 @@ pub fn serve_shard(
         proto_version: PROTO_VERSION,
         shard_id: cfg.shard_id,
     };
-    send_locked(&tx, &hello).map_err(|_| ShardWorkerError::Disconnected)?;
+    send_locked(&tx, &hello.encode()).map_err(|_| ShardWorkerError::Disconnected)?;
 
     // Wait for Welcome.
     let handshake = Duration::from_millis(cfg.handshake_timeout_ms.max(1));
@@ -1317,7 +1339,7 @@ pub fn serve_shard(
     };
     let heartbeat = Duration::from_millis(cfg.heartbeat_ms.max(1));
     let clock = Arc::clone(&cfg.obs.clock);
-    let (result, link_dead) = thread::scope(|s| {
+    thread::scope(|s| {
         let tx_ref = &tx;
         let shared_ref = &shared;
         let clock_ref = &clock;
@@ -1335,10 +1357,26 @@ pub fn serve_shard(
             last_request: None,
         };
         let result = runner.run(&mut source, store);
+        // The heartbeat keeps vouching for this worker while it reads,
+        // encodes and sends its ring: after a long study that is
+        // seconds of otherwise silent work, and silence past the
+        // liveness timeout is a death.
+        let delivered = deliver_outcome(result, source.dead, cfg, store, &tx);
         shared.stop.store(true, Ordering::Relaxed);
-        (result, source.dead)
-    });
+        delivered
+    })
+}
 
+/// Turn a finished run into what the coordinator hears: the ring and
+/// the terminal report, a `Fatal`, or (on a planned or link death)
+/// nothing.
+fn deliver_outcome(
+    result: Result<RunReport, RunnerError>,
+    link_dead: bool,
+    cfg: &ShardWorkerConfig,
+    store: &CheckpointStore,
+    tx: &Mutex<Box<dyn ShardTx>>,
+) -> Result<(), ShardWorkerError> {
     match result {
         Ok(_) => {
             if link_dead {
@@ -1357,12 +1395,20 @@ pub fn serve_shard(
                 Some(rollup) => read_ring(&rollup.dir)?.0,
                 None => Vec::new(),
             };
-            let report = Msg::Report(Box::new(ReportMsg {
-                shard_id: cfg.shard_id,
-                checkpoint,
-                windows,
-            }));
-            send_locked(&tx, &report).map_err(|_| ShardWorkerError::Disconnected)?;
+            // The ring travels in bounded batches: one frame holding a
+            // few hundred windows would pass the link's frame cap.
+            let mut payloads = report_window_batches(&windows);
+            payloads.push(
+                Msg::Report {
+                    shard_id: cfg.shard_id,
+                    checkpoint: Box::new(checkpoint),
+                    window_count: windows.len() as u32,
+                }
+                .encode(),
+            );
+            for payload in &payloads {
+                send_locked(tx, payload).map_err(|_| ShardWorkerError::Disconnected)?;
+            }
             Ok(())
         }
         Err(RunnerError::Interrupted { .. }) => {
@@ -1378,13 +1424,11 @@ pub fn serve_shard(
             } else {
                 FATAL_INTERNAL
             };
-            let _ = send_locked(
-                &tx,
-                &Msg::Fatal {
-                    code,
-                    detail: e.to_string(),
-                },
-            );
+            let fatal = Msg::Fatal {
+                code,
+                detail: e.to_string(),
+            };
+            let _ = send_locked(tx, &fatal.encode());
             Err(ShardWorkerError::Runner(e))
         }
     }
@@ -1393,7 +1437,7 @@ pub fn serve_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spoofwatch_net::{Asn, IngestHealth, Proto};
+    use spoofwatch_net::{Asn, Proto};
 
     fn flow(i: u32) -> FlowRecord {
         FlowRecord {
@@ -1502,8 +1546,8 @@ mod tests {
         );
         // Health lands on shard seq % shards == 1 only.
         assert_eq!(subs[1].health.input_len, 4096);
-        assert_eq!(subs[0].health, WireHealth::zero());
-        assert_eq!(subs[2].health, WireHealth::zero());
+        assert_eq!(subs[0].health, IngestHealth::default());
+        assert_eq!(subs[2].health, IngestHealth::default());
         // Geometry is preserved on every sub-chunk.
         for s in &subs {
             assert_eq!((s.seq, s.byte_start, s.byte_end), (7, 0, 4096));

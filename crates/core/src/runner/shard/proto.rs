@@ -13,18 +13,25 @@
 
 use super::super::checkpoint::Checkpoint;
 use super::super::rollup::WindowAccum;
-use spoofwatch_net::{Asn, FlowRecord, IngestHealth, Proto};
+use spoofwatch_net::codec::{self, put_u16, put_u32, put_u64, WireReader};
+use spoofwatch_net::{FlowRecord, IngestHealth};
 
 /// Frame magic for shard-link messages.
 pub(crate) const SHARD_MAGIC: [u8; 4] = *b"SWSD";
-/// Shard protocol version, negotiated in `Hello`.
-pub(crate) const PROTO_VERSION: u16 = 1;
+/// Shard protocol version, negotiated in `Hello`. Version 2 moved the
+/// rollup windows out of `Report` into bounded `ReportWindows` batches.
+pub(crate) const PROTO_VERSION: u16 = 2;
 
 /// `Fatal` code: the worker refused the study identity (checkpoint
 /// bound to a different config, trace, or shard plan).
 pub(crate) const FATAL_IDENTITY: u16 = 1;
 /// `Fatal` code: unrecoverable worker-side error.
 pub(crate) const FATAL_INTERNAL: u16 = 2;
+
+/// Soft cap on one `ReportWindows` payload. A shard's ring grows with
+/// the trace; one frame holding all of it would pass
+/// `net::wire::DEFAULT_MAX_FRAME` (4 MiB) after a few hundred windows.
+pub(crate) const REPORT_BATCH_BYTES: usize = 1 << 20;
 
 const MSG_HELLO: u8 = 1;
 const MSG_WELCOME: u8 = 2;
@@ -34,79 +41,27 @@ const MSG_FINISH: u8 = 5;
 const MSG_HEARTBEAT: u8 = 6;
 const MSG_REPORT: u8 = 7;
 const MSG_FATAL: u8 = 8;
-
-/// The scalar subset of [`IngestHealth`] that travels with a chunk.
-/// Itemized quarantine events stay on the coordinator; the runner only
-/// consumes the scalars.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct WireHealth {
-    pub input_len: u64,
-    pub ok_records: u64,
-    pub ok_bytes: u64,
-    pub resyncs: u64,
-    pub quarantined_bytes: u64,
-    pub fault_counts: [u64; 5],
-    pub unrecoverable: bool,
-}
-
-impl WireHealth {
-    pub fn from_health(h: &IngestHealth) -> WireHealth {
-        WireHealth {
-            input_len: h.input_len,
-            ok_records: h.ok_records,
-            ok_bytes: h.ok_bytes,
-            resyncs: h.resyncs,
-            quarantined_bytes: h.quarantined_bytes,
-            fault_counts: h.fault_counts,
-            unrecoverable: h.unrecoverable,
-        }
-    }
-
-    /// An all-zero health block for the shards that do not own a
-    /// chunk's decode accounting.
-    pub fn zero() -> WireHealth {
-        WireHealth {
-            input_len: 0,
-            ok_records: 0,
-            ok_bytes: 0,
-            resyncs: 0,
-            quarantined_bytes: 0,
-            fault_counts: [0; 5],
-            unrecoverable: false,
-        }
-    }
-
-    pub fn into_health(self) -> IngestHealth {
-        IngestHealth {
-            input_len: self.input_len,
-            ok_records: self.ok_records,
-            ok_bytes: self.ok_bytes,
-            resyncs: self.resyncs,
-            quarantined_bytes: self.quarantined_bytes,
-            events: Vec::new(),
-            events_dropped: 0,
-            fault_counts: self.fault_counts,
-            unrecoverable: self.unrecoverable,
-        }
-    }
-}
+const MSG_REPORT_WINDOWS: u8 = 9;
 
 /// One shard's view of one trace chunk: the original sequence number
 /// and byte span (so worker checkpoints stay in trace coordinates) with
-/// only the flows this shard owns.
+/// only the flows this shard owns. `health` carries scalars only —
+/// itemized quarantine events stay on the coordinator — and is all
+/// zero on the shards that do not own the chunk's decode accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct WireChunk {
     pub seq: u64,
     pub byte_start: u64,
     pub byte_end: u64,
-    pub health: WireHealth,
+    pub health: IngestHealth,
     pub flows: Vec<FlowRecord>,
 }
 
-/// A completed shard's result: its terminal checkpoint (encoded with
-/// the checkpoint codec, which already carries the per-member
-/// breakdown, both accounting levels, ingest totals, and the
-/// disagreement matrix) plus its rollup window ring.
+/// A completed shard's result as the coordinator assembles it: the
+/// terminal checkpoint (which already carries the per-member breakdown,
+/// both accounting levels, ingest totals, and the disagreement matrix)
+/// plus the rollup window ring gathered from the `ReportWindows`
+/// batches that preceded the `Report`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ReportMsg {
     pub shard_id: u32,
@@ -140,133 +95,44 @@ pub(crate) enum Msg {
     /// sequence the worker expects — the acknowledgment that paces the
     /// coordinator's sliding send window.
     Heartbeat { next_seq: u64 },
-    /// Worker → coordinator: terminal result.
-    Report(Box<ReportMsg>),
+    /// Worker → coordinator: the next run of closed rollup windows, in
+    /// ring order, ahead of the terminal `Report`.
+    ReportWindows(Vec<WindowAccum>),
+    /// Worker → coordinator: terminal result. `window_count` is the
+    /// number of windows the preceding `ReportWindows` batches carried,
+    /// so a batch lost to a corrupt frame cannot pass for a short ring.
+    Report {
+        shard_id: u32,
+        checkpoint: Box<Checkpoint>,
+        window_count: u32,
+    },
     /// Worker → coordinator: unrecoverable failure (`FATAL_*` code).
     Fatal { code: u16, detail: String },
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
+/// Encode a ring as `ReportWindows` payloads of at most about
+/// [`REPORT_BATCH_BYTES`] each (a single larger window still travels
+/// alone). An empty ring needs no batch.
+pub(crate) fn report_window_batches(windows: &[WindowAccum]) -> Vec<Vec<u8>> {
+    let mut batches: Vec<Vec<u8>> = Vec::new();
+    let mut in_batch = 0u32;
+    let mut one = Vec::new();
+    for w in windows {
+        one.clear();
+        w.encode_into(&mut one);
+        let fits = batches
+            .last()
+            .is_some_and(|b| b.len() + one.len() <= REPORT_BATCH_BYTES);
+        if !fits {
+            batches.push(vec![MSG_REPORT_WINDOWS, 0, 0, 0, 0]);
+            in_batch = 0;
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
+        in_batch += 1;
+        let batch = batches.last_mut().expect("a batch is open");
+        batch[1..5].copy_from_slice(&in_batch.to_be_bytes());
+        batch.extend_from_slice(&one);
     }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| u16::from_be_bytes([s[0], s[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| {
-            u64::from_be_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]])
-        })
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_flow(out: &mut Vec<u8>, f: &FlowRecord) {
-    put_u32(out, f.ts);
-    put_u32(out, f.src);
-    put_u32(out, f.dst);
-    out.push(f.proto.number());
-    put_u16(out, f.sport);
-    put_u16(out, f.dport);
-    put_u32(out, f.packets);
-    put_u64(out, f.bytes);
-    put_u16(out, f.pkt_size);
-    put_u32(out, f.member.0);
-    out.push(f.ttl);
-}
-
-fn get_flow(r: &mut Reader<'_>) -> Option<FlowRecord> {
-    Some(FlowRecord {
-        ts: r.u32()?,
-        src: r.u32()?,
-        dst: r.u32()?,
-        proto: Proto::from_number(r.u8()?),
-        sport: r.u16()?,
-        dport: r.u16()?,
-        packets: r.u32()?,
-        bytes: r.u64()?,
-        pkt_size: r.u16()?,
-        member: Asn(r.u32()?),
-        ttl: r.u8()?,
-    })
-}
-
-fn put_health(out: &mut Vec<u8>, h: &WireHealth) {
-    put_u64(out, h.input_len);
-    put_u64(out, h.ok_records);
-    put_u64(out, h.ok_bytes);
-    put_u64(out, h.resyncs);
-    put_u64(out, h.quarantined_bytes);
-    for c in h.fault_counts {
-        put_u64(out, c);
-    }
-    out.push(h.unrecoverable as u8);
-}
-
-fn get_health(r: &mut Reader<'_>) -> Option<WireHealth> {
-    let input_len = r.u64()?;
-    let ok_records = r.u64()?;
-    let ok_bytes = r.u64()?;
-    let resyncs = r.u64()?;
-    let quarantined_bytes = r.u64()?;
-    let mut fault_counts = [0u64; 5];
-    for c in &mut fault_counts {
-        *c = r.u64()?;
-    }
-    let unrecoverable = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    Some(WireHealth {
-        input_len,
-        ok_records,
-        ok_bytes,
-        resyncs,
-        quarantined_bytes,
-        fault_counts,
-        unrecoverable,
-    })
+    batches
 }
 
 impl Msg {
@@ -296,17 +162,15 @@ impl Msg {
                 put_u64(&mut out, *byte_cursor);
                 put_u64(&mut out, *seq);
             }
-            Msg::Chunk(wc) => {
-                out.push(MSG_CHUNK);
-                put_u64(&mut out, wc.seq);
-                put_u64(&mut out, wc.byte_start);
-                put_u64(&mut out, wc.byte_end);
-                put_health(&mut out, &wc.health);
-                put_u32(&mut out, wc.flows.len() as u32);
-                for f in &wc.flows {
-                    put_flow(&mut out, f);
-                }
-            }
+            Msg::Chunk(wc) => codec::put_chunk(
+                &mut out,
+                MSG_CHUNK,
+                wc.seq,
+                wc.byte_start,
+                wc.byte_end,
+                &wc.health,
+                &wc.flows,
+            ),
             Msg::Finish { next_seq } => {
                 out.push(MSG_FINISH);
                 put_u64(&mut out, *next_seq);
@@ -315,16 +179,24 @@ impl Msg {
                 out.push(MSG_HEARTBEAT);
                 put_u64(&mut out, *next_seq);
             }
-            Msg::Report(r) => {
-                out.push(MSG_REPORT);
-                put_u32(&mut out, r.shard_id);
-                let cp = r.checkpoint.encode();
-                put_u32(&mut out, cp.len() as u32);
-                out.extend_from_slice(&cp);
-                put_u32(&mut out, r.windows.len() as u32);
-                for w in &r.windows {
+            Msg::ReportWindows(windows) => {
+                out.push(MSG_REPORT_WINDOWS);
+                put_u32(&mut out, windows.len() as u32);
+                for w in windows {
                     w.encode_into(&mut out);
                 }
+            }
+            Msg::Report {
+                shard_id,
+                checkpoint,
+                window_count,
+            } => {
+                out.push(MSG_REPORT);
+                put_u32(&mut out, *shard_id);
+                let cp = checkpoint.encode();
+                put_u32(&mut out, cp.len() as u32);
+                out.extend_from_slice(&cp);
+                put_u32(&mut out, *window_count);
             }
             Msg::Fatal { code, detail } => {
                 out.push(MSG_FATAL);
@@ -339,7 +211,7 @@ impl Msg {
 
     /// Decode a frame payload; `None` on any structural damage.
     pub fn decode(payload: &[u8]) -> Option<Msg> {
-        let mut r = Reader::new(payload);
+        let mut r = WireReader::new(payload);
         let msg = match r.u8()? {
             MSG_HELLO => Msg::Hello {
                 proto_version: r.u16()?,
@@ -354,46 +226,35 @@ impl Msg {
                 byte_cursor: r.u64()?,
                 seq: r.u64()?,
             },
-            MSG_CHUNK => {
-                let seq = r.u64()?;
-                let byte_start = r.u64()?;
-                let byte_end = r.u64()?;
-                let health = get_health(&mut r)?;
-                let n = r.u32()? as usize;
-                // Cap pre-allocation against nonsense counts.
-                let mut flows = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    flows.push(get_flow(&mut r)?);
-                }
-                Msg::Chunk(WireChunk {
-                    seq,
-                    byte_start,
-                    byte_end,
-                    health,
-                    flows,
-                })
-            }
+            MSG_CHUNK => Msg::Chunk(WireChunk {
+                seq: r.u64()?,
+                byte_start: r.u64()?,
+                byte_end: r.u64()?,
+                health: codec::get_health(&mut r)?,
+                flows: codec::get_flows(&mut r)?,
+            }),
             MSG_FINISH => Msg::Finish { next_seq: r.u64()? },
             MSG_HEARTBEAT => Msg::Heartbeat {
                 next_seq: r.u64()?,
             },
+            MSG_REPORT_WINDOWS => {
+                let n = r.u32()? as usize;
+                // Cap pre-allocation against nonsense counts.
+                let mut windows = Vec::with_capacity(n.min(1 << 12));
+                for _ in 0..n {
+                    windows.push(r.nested(WindowAccum::decode_from)?);
+                }
+                Msg::ReportWindows(windows)
+            }
             MSG_REPORT => {
                 let shard_id = r.u32()?;
                 let cp_len = r.u32()? as usize;
-                let cp_bytes = r.take(cp_len)?;
-                let checkpoint = Checkpoint::decode(cp_bytes).ok()?;
-                let n = r.u32()? as usize;
-                let mut windows = Vec::with_capacity(n.min(1 << 12));
-                let mut pos = r.pos;
-                for _ in 0..n {
-                    windows.push(WindowAccum::decode_from(r.buf, &mut pos)?);
-                }
-                r.pos = pos;
-                Msg::Report(Box::new(ReportMsg {
+                let checkpoint = Box::new(Checkpoint::decode(r.take(cp_len)?).ok()?);
+                Msg::Report {
                     shard_id,
                     checkpoint,
-                    windows,
-                }))
+                    window_count: r.u32()?,
+                }
             }
             MSG_FATAL => {
                 let code = r.u16()?;
@@ -415,8 +276,11 @@ impl Msg {
 
 #[cfg(test)]
 mod tests {
+    use super::super::super::rollup::decode_window;
     use super::super::super::{FlowAccounting, IngestTotals};
     use super::*;
+    use spoofwatch_net::wire::{frame_encode, FrameReader};
+    use spoofwatch_net::{Asn, Proto};
     use std::collections::BTreeMap;
 
     fn sample_flow(i: u32) -> FlowRecord {
@@ -433,6 +297,39 @@ mod tests {
             member: Asn(64_500 + i),
             ttl: 0,
         }
+    }
+
+    fn sample_checkpoint() -> Checkpoint {
+        let mut per_member = BTreeMap::new();
+        per_member.insert(Asn(64_500), Default::default());
+        Checkpoint {
+            config_hash: 0x1234,
+            committed_chunks: 7,
+            byte_cursor: 7000,
+            records: FlowAccounting {
+                offered: 70,
+                processed: 70,
+                shed: 0,
+                quarantined: 0,
+            },
+            chunks: FlowAccounting {
+                offered: 7,
+                processed: 7,
+                shed: 0,
+                quarantined: 0,
+            },
+            ingest: IngestTotals::default(),
+            per_member,
+            disagreement: None,
+            rollup_accum: None,
+        }
+    }
+
+    fn sample_window(index: u64) -> WindowAccum {
+        let mut w = WindowAccum::start(index, index * 4);
+        w.chunks = 4;
+        w.class_flows = [10, 2, 3, 25];
+        w
     }
 
     fn roundtrip(msg: Msg) {
@@ -467,13 +364,15 @@ mod tests {
 
     #[test]
     fn chunk_roundtrips_with_flows_and_health() {
-        let mut health = WireHealth::zero();
-        health.input_len = 4096;
-        health.ok_records = 40;
-        health.ok_bytes = 4000;
-        health.resyncs = 2;
-        health.quarantined_bytes = 96;
-        health.fault_counts = [1, 0, 2, 0, 1];
+        let health = IngestHealth {
+            input_len: 4096,
+            ok_records: 40,
+            ok_bytes: 4000,
+            resyncs: 2,
+            quarantined_bytes: 96,
+            fault_counts: [1, 0, 2, 0, 1],
+            ..IngestHealth::default()
+        };
         roundtrip(Msg::Chunk(WireChunk {
             seq: 9,
             byte_start: 36_864,
@@ -487,44 +386,48 @@ mod tests {
             seq: 10,
             byte_start: 40_960,
             byte_end: 45_056,
-            health: WireHealth::zero(),
+            health: IngestHealth::default(),
             flows: Vec::new(),
         }));
     }
 
     #[test]
     fn report_roundtrips() {
-        let mut per_member = BTreeMap::new();
-        per_member.insert(Asn(64_500), Default::default());
-        let checkpoint = Checkpoint {
-            config_hash: 0x1234,
-            committed_chunks: 7,
-            byte_cursor: 7000,
-            records: FlowAccounting {
-                offered: 70,
-                processed: 70,
-                shed: 0,
-                quarantined: 0,
-            },
-            chunks: FlowAccounting {
-                offered: 7,
-                processed: 7,
-                shed: 0,
-                quarantined: 0,
-            },
-            ingest: IngestTotals::default(),
-            per_member,
-            disagreement: None,
-            rollup_accum: None,
-        };
-        let mut w = WindowAccum::start(0, 0);
-        w.chunks = 4;
-        w.class_flows = [10, 2, 3, 25];
-        roundtrip(Msg::Report(Box::new(ReportMsg {
+        roundtrip(Msg::ReportWindows(vec![sample_window(0), sample_window(1)]));
+        roundtrip(Msg::ReportWindows(Vec::new()));
+        roundtrip(Msg::Report {
             shard_id: 1,
-            checkpoint,
-            windows: vec![w],
-        })));
+            checkpoint: Box::new(sample_checkpoint()),
+            window_count: 2,
+        });
+    }
+
+    /// Batches stay under the cap, tile the ring in order, and decode
+    /// as ordinary `ReportWindows` messages.
+    #[test]
+    fn report_window_batches_are_bounded_and_tile_the_ring() {
+        assert!(report_window_batches(&[]).is_empty());
+        // ~190 bytes a window: 20 000 of them need several batches.
+        let ring: Vec<WindowAccum> = (0..20_000).map(sample_window).collect();
+        let batches = report_window_batches(&ring);
+        assert!(batches.len() >= 3, "{} batches", batches.len());
+        let mut back = Vec::new();
+        for payload in &batches {
+            assert!(payload.len() <= REPORT_BATCH_BYTES, "{} bytes", payload.len());
+            match Msg::decode(payload) {
+                Some(Msg::ReportWindows(ws)) => {
+                    assert!(!ws.is_empty());
+                    back.extend(ws);
+                }
+                other => panic!("expected ReportWindows, got {other:?}"),
+            }
+        }
+        assert_eq!(back, ring);
+        // A short ring is one batch, identical to the message encoding.
+        assert_eq!(
+            report_window_batches(&ring[..2]),
+            vec![Msg::ReportWindows(ring[..2].to_vec()).encode()]
+        );
     }
 
     #[test]
@@ -536,17 +439,159 @@ mod tests {
         let mut ok = Msg::Finish { next_seq: 1 }.encode();
         ok.push(0);
         assert_eq!(Msg::decode(&ok), None);
-        // Truncations of every message never panic.
+        // Truncated and over-long chunk blocks decode to `None`.
         let full = Msg::Chunk(WireChunk {
             seq: 1,
             byte_start: 0,
             byte_end: 100,
-            health: WireHealth::zero(),
-            flows: vec![sample_flow(1)],
+            health: IngestHealth::default(),
+            flows: vec![sample_flow(1), sample_flow(2)],
         })
         .encode();
         for cut in 0..full.len() {
-            let _ = Msg::decode(&full[..cut]);
+            assert_eq!(Msg::decode(&full[..cut]), None, "cut {cut}");
         }
+        let mut long = full;
+        long.extend_from_slice(&[0; 36]);
+        assert_eq!(Msg::decode(&long), None);
+        // Truncations of the report messages never panic.
+        for msg in [
+            Msg::ReportWindows(vec![sample_window(3)]),
+            Msg::Report {
+                shard_id: 0,
+                checkpoint: Box::new(sample_checkpoint()),
+                window_count: 1,
+            },
+        ] {
+            let full = msg.encode();
+            for cut in 0..full.len() {
+                assert_eq!(Msg::decode(&full[..cut]), None, "cut {cut}");
+            }
+        }
+    }
+
+    /// `Msg::Chunk` payload of a two-flow chunk as the parent commit's
+    /// per-field `put_flow`/`put_health` codec wrote it (byte for byte
+    /// what `ixp::live::Msg::Chunk` wrote for the same chunk).
+    const PARENT_CHUNK_PAYLOAD: [u8; 182] = [
+        0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x90, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x0f, 0xa0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x60, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
+        0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x03, 0xe9, 0x0a, 0x00, 0x00, 0x01, 0xc0, 0xa8,
+        0x01, 0x01, 0x06, 0x9c, 0x41, 0x00, 0x35, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0xb4, 0x00, 0x3c, 0x00, 0x00, 0xfb, 0xf5, 0x33, 0x00, 0x00, 0x03, 0xea,
+        0x0a, 0x00, 0x00, 0x02, 0xc0, 0xa8, 0x01, 0x02, 0x11, 0x9c, 0x42, 0x00, 0x6a, 0x00, 0x00,
+        0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x68, 0x00, 0x3c, 0x00, 0x00, 0xfb,
+        0xf6, 0x34,
+    ];
+    /// CRC-32 trailer the parent's byte-wise table walk put on that
+    /// payload inside an `SWSD` frame.
+    const PARENT_CHUNK_FRAME_CRC: [u8; 4] = [0xca, 0xfc, 0x48, 0x37];
+
+    fn pinned_chunk() -> WireChunk {
+        WireChunk {
+            seq: 9,
+            byte_start: 36_864,
+            byte_end: 40_960,
+            health: IngestHealth {
+                input_len: 4096,
+                ok_records: 2,
+                ok_bytes: 4000,
+                resyncs: 1,
+                quarantined_bytes: 96,
+                fault_counts: [1, 0, 2, 0, 3],
+                ..IngestHealth::default()
+            },
+            flows: (1..=2u32)
+                .map(|i| FlowRecord {
+                    ts: 1000 + i,
+                    src: 0x0A00_0000 + i,
+                    dst: 0xC0A8_0100 + i,
+                    proto: Proto::from_number(if i == 1 { 6 } else { 17 }),
+                    sport: (40_000 + i) as u16,
+                    dport: (53 * i) as u16,
+                    packets: 3 * i,
+                    bytes: 180 * i as u64,
+                    pkt_size: 60,
+                    member: Asn(64_500 + i),
+                    ttl: (50 + i) as u8,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn chunk_encoding_is_byte_identical_to_the_parent_commit() {
+        let encoded = Msg::Chunk(pinned_chunk()).encode();
+        assert_eq!(encoded, PARENT_CHUNK_PAYLOAD);
+        assert_eq!(Msg::decode(&PARENT_CHUNK_PAYLOAD), Some(Msg::Chunk(pinned_chunk())));
+    }
+
+    /// A shard frame, a checkpoint and a ring window written by the
+    /// parent commit (byte-wise CRC) verify and decode under the sliced
+    /// CRC, and re-encode to the same bytes.
+    #[test]
+    fn artefacts_written_by_the_parent_commit_still_verify() {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(b"SWSD\x00\x01\x00\x00\x00\xb6");
+        frame.extend_from_slice(&PARENT_CHUNK_PAYLOAD);
+        frame.extend_from_slice(&PARENT_CHUNK_FRAME_CRC);
+        assert_eq!(frame_encode(&SHARD_MAGIC, &PARENT_CHUNK_PAYLOAD), frame);
+        let mut reader = FrameReader::new(SHARD_MAGIC);
+        reader.push(&frame);
+        assert_eq!(reader.next_frame().as_deref(), Some(&PARENT_CHUNK_PAYLOAD[..]));
+        assert_eq!(reader.faults(), 0);
+
+        const CHECKPOINT: [u8; 246] = [
+            0x53, 0x57, 0x43, 0x50, 0x00, 0x01, 0x00, 0x00, 0x00, 0xe8, 0x12, 0x34, 0x56, 0x78,
+            0x9a, 0xbc, 0xde, 0xf0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x1b, 0x58, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x46,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x46, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1b, 0x58, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x46, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1b, 0x58, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x01, 0x00, 0x00, 0xfb, 0xf4, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x46, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd2, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x31, 0x38, 0x1b, 0x4b, 0xa9, 0x1e,
+        ];
+        let cp = Checkpoint::decode(&CHECKPOINT).expect("parent checkpoint verifies");
+        assert_eq!(cp.config_hash, 0x1234_5678_9ABC_DEF0);
+        assert_eq!(cp.committed_chunks, 7);
+        assert_eq!(cp.per_member[&Asn(64_500)][3].bytes, 12_600);
+        assert_eq!(cp.encode(), CHECKPOINT);
+
+        const RING_WINDOW: [u8; 215] = [
+            0x53, 0x57, 0x52, 0x57, 0x00, 0x01, 0x00, 0x00, 0x00, 0xc9, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0c, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x19, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x28, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0xc9, 0x09, 0xe5, 0x68,
+        ];
+        let w = decode_window(&RING_WINDOW).expect("parent ring window verifies");
+        assert_eq!((w.window_index, w.start_chunk, w.chunks), (3, 12, 4));
+        assert_eq!(w.class_flows, [10, 2, 3, 25]);
     }
 }

@@ -473,6 +473,155 @@ fn wire_corruption_recovers_via_resync_and_retransmission() {
     );
 }
 
+/// A shard that closes a few hundred windows used to put its whole
+/// ring into the one `Report` frame; past the link's 4 MiB frame cap
+/// the coordinator could never receive it and the study lost every
+/// record. The ring now travels in bounded `ReportWindows` batches.
+#[test]
+fn ring_larger_than_one_frame_reports_in_batches() {
+    use spoofwatch_core::DetectConfig;
+    use spoofwatch_net::wire::DEFAULT_MAX_FRAME;
+    use spoofwatch_net::{Asn, FlowRecord, Proto};
+
+    const WINDOWS: u32 = 310;
+    // One chunk per window, every record from a different member: the
+    // detection payload's per-member table makes each window ~15 KB on
+    // a shard that owns half the flows.
+    const MEMBERS: u32 = 720;
+    let w = world(67);
+    let c = Arc::new(Classifier::build(&w.net.announcements, &w.net.orgs_dataset));
+    let flows: Vec<FlowRecord> = (0..WINDOWS * MEMBERS)
+        .map(|i| FlowRecord {
+            ts: i / MEMBERS,
+            src: i.wrapping_mul(2_654_435_761),
+            dst: 0xC0A8_0001,
+            proto: Proto::Udp,
+            sport: (i % 50_000) as u16,
+            dport: 53,
+            packets: 1,
+            bytes: 60,
+            pkt_size: 60,
+            member: Asn(100_000 + i % MEMBERS),
+            ttl: 57,
+        })
+        .collect();
+    let bytes = ipfix::encode(&flows);
+    let chunk_records = MEMBERS as usize;
+    // Few checkpoints and one classify variant: the ring is the subject.
+    let runner = || RunnerConfig {
+        checkpoint_every: 64,
+        track_disagreement: false,
+        ..runner_config()
+    };
+    let rollup = |dir: PathBuf| {
+        let mut r = RollupConfig::new(dir, 1);
+        r.detect = Some(DetectConfig::default());
+        r
+    };
+
+    let scratch = Scratch::new("big-ring");
+    let store = CheckpointStore::open(scratch.path("single-ckpt")).expect("open store");
+    let single = StudyRunner::new(&c, runner())
+        .with_rollups(rollup(scratch.path("single-ring")))
+        .run(&mut ChunkedIpfixReader::new(&bytes, chunk_records), &store)
+        .expect("single-node run");
+    let (single_windows, faults) = read_ring(&scratch.path("single-ring")).expect("read ring");
+    assert!(faults.is_empty());
+    assert_eq!(single_windows.len(), WINDOWS as usize);
+
+    let shards = 2u32;
+    let hub = Arc::new(InProcHub::new(SHARD_WIRE_MAGIC, 8));
+    let spawn_hub = Arc::clone(&hub);
+    let spawn_c = Arc::clone(&c);
+    let ckpt_dirs: Vec<PathBuf> = (0..shards).map(|k| scratch.path(&format!("s{k}-ckpt"))).collect();
+    let ring_dirs: Vec<PathBuf> = (0..shards).map(|k| scratch.path(&format!("s{k}-ring"))).collect();
+    let spawn_rings = ring_dirs.clone();
+    let mut cfg = ShardConfig::new(ShardPlan::new(shards, 0x5eed), chunk_records);
+    cfg.retry_budget = 0;
+    let merged = ShardCoordinator::new(&bytes, cfg)
+        .run(hub.as_ref(), &move |k| {
+            let transport = spawn_hub.connect().expect("hub connect");
+            let mut worker = ShardWorkerConfig::new(k, runner());
+            worker.rollup = Some(rollup(spawn_rings[k as usize].clone()));
+            let store = CheckpointStore::open(&ckpt_dirs[k as usize]).expect("open store");
+            let c = Arc::clone(&spawn_c);
+            std::thread::spawn(move || {
+                spoofwatch_core::serve_shard(&c, &worker, &store, transport).expect("shard serves")
+            });
+        })
+        .expect("sharded run");
+
+    // The premise: each shard's ring would not have fit one frame.
+    for dir in &ring_dirs {
+        let (ring, _) = read_ring(dir).expect("read shard ring");
+        assert!(ring.len() >= 300, "{} windows", ring.len());
+        let ring_bytes: usize = window_bytes(&ring).values().map(Vec::len).sum();
+        assert!(ring_bytes > DEFAULT_MAX_FRAME, "shard ring is only {ring_bytes} bytes");
+    }
+    for s in &merged.shards {
+        assert!(s.completed && !s.lost, "{s:?}");
+        assert_eq!((s.deaths, s.wire_faults), (0, 0), "{s:?}");
+    }
+    assert_bit_identical(&merged, &single, &single_windows);
+}
+
+/// A `ReportWindows` batch lost on the way leaves the coordinator with
+/// a partial ring. It must not merge it: the count in `Report` exposes
+/// the gap, the connection is declared dead, and the respawned worker
+/// re-sends the whole ring from its terminal checkpoint.
+#[test]
+fn partial_window_set_is_discarded_and_resent() {
+    use spoofwatch_net::wire::ShardTx;
+
+    /// Swallows the first `ReportWindows` payload (message tag 9).
+    struct DropOneWindowBatch {
+        inner: Box<dyn ShardTx>,
+        dropped: Arc<AtomicU64>,
+    }
+    impl ShardTx for DropOneWindowBatch {
+        fn send(&mut self, payload: &[u8]) -> io::Result<()> {
+            if payload.first() == Some(&9) && self.dropped.fetch_add(1, Ordering::Relaxed) == 0 {
+                return Ok(());
+            }
+            self.inner.send(payload)
+        }
+    }
+
+    let w = world(68);
+    let c = Arc::new(Classifier::build(&w.net.announcements, &w.net.orgs_dataset));
+    let scratch = Scratch::new("partial-ring");
+    let (single, single_windows) = single_node(&w, &c, &scratch);
+
+    let shards = 2u32;
+    let workers = WorkerWorld::new(Arc::clone(&c), &scratch, shards);
+    let hub = Arc::new(InProcHub::new(SHARD_WIRE_MAGIC, 8));
+    let spawn_hub = Arc::clone(&hub);
+    let spawn_workers = Arc::clone(&workers);
+    let dropped = Arc::new(AtomicU64::new(0));
+    let spawn_dropped = Arc::clone(&dropped);
+    let merged = ShardCoordinator::new(&w.bytes, shard_config(shards))
+        .run(hub.as_ref(), &move |k| {
+            let mut transport = spawn_hub.connect().expect("hub connect");
+            if k == 0 {
+                let (tx, rx) = transport.split();
+                transport = ShardTransport::from_halves(
+                    Box::new(DropOneWindowBatch {
+                        inner: tx,
+                        dropped: Arc::clone(&spawn_dropped),
+                    }),
+                    rx,
+                );
+            }
+            spawn_workers.launch(k, transport, None);
+        })
+        .expect("sharded run");
+    assert!(dropped.load(Ordering::Relaxed) >= 2, "a batch was dropped, then re-sent");
+    assert_eq!(merged.shards[0].deaths, 1, "the partial set killed the connection");
+    assert_eq!(merged.shards[1].deaths, 0);
+    assert!(merged.shards.iter().all(|s| s.completed && s.wire_faults == 0));
+    assert_bit_identical(&merged, &single, &single_windows);
+}
+
 #[test]
 fn lost_shard_degrades_gracefully_with_exact_accounting() {
     let w = world(66);

@@ -30,7 +30,8 @@
 //! never a panic.
 
 use crate::chunked::{ChunkedIpfixReader, FlowChunk};
-use spoofwatch_net::{Asn, FlowRecord, IngestHealth, Proto, ShardTransport};
+use spoofwatch_net::codec::{self, put_u16, put_u32, put_u64, WireReader};
+use spoofwatch_net::{FlowRecord, IngestHealth, ShardTransport};
 use std::io;
 use std::time::{Duration, Instant};
 
@@ -76,14 +77,11 @@ impl LiveChunk {
     /// Wire view of a decoded chunk (drops itemized health events —
     /// only scalars travel).
     pub fn from_chunk(c: &FlowChunk) -> LiveChunk {
-        let mut health = c.health.clone();
-        health.events = Vec::new();
-        health.events_dropped = 0;
         LiveChunk {
             seq: c.seq,
             byte_start: c.byte_start,
             byte_end: c.byte_end,
-            health,
+            health: c.health.scalars(),
             flows: c.flows.clone(),
         }
     }
@@ -163,129 +161,21 @@ pub enum Msg {
     },
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| u16::from_be_bytes([s[0], s[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| {
-            u64::from_be_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]])
-        })
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_flow(out: &mut Vec<u8>, f: &FlowRecord) {
-    put_u32(out, f.ts);
-    put_u32(out, f.src);
-    put_u32(out, f.dst);
-    out.push(f.proto.number());
-    put_u16(out, f.sport);
-    put_u16(out, f.dport);
-    put_u32(out, f.packets);
-    put_u64(out, f.bytes);
-    put_u16(out, f.pkt_size);
-    put_u32(out, f.member.0);
-    out.push(f.ttl);
-}
-
-fn get_flow(r: &mut Reader<'_>) -> Option<FlowRecord> {
-    Some(FlowRecord {
-        ts: r.u32()?,
-        src: r.u32()?,
-        dst: r.u32()?,
-        proto: Proto::from_number(r.u8()?),
-        sport: r.u16()?,
-        dport: r.u16()?,
-        packets: r.u32()?,
-        bytes: r.u64()?,
-        pkt_size: r.u16()?,
-        member: Asn(r.u32()?),
-        ttl: r.u8()?,
-    })
-}
-
-fn put_health(out: &mut Vec<u8>, h: &IngestHealth) {
-    put_u64(out, h.input_len);
-    put_u64(out, h.ok_records);
-    put_u64(out, h.ok_bytes);
-    put_u64(out, h.resyncs);
-    put_u64(out, h.quarantined_bytes);
-    for c in h.fault_counts {
-        put_u64(out, c);
-    }
-    out.push(h.unrecoverable as u8);
-}
-
-fn get_health(r: &mut Reader<'_>) -> Option<IngestHealth> {
-    let input_len = r.u64()?;
-    let ok_records = r.u64()?;
-    let ok_bytes = r.u64()?;
-    let resyncs = r.u64()?;
-    let quarantined_bytes = r.u64()?;
-    let mut fault_counts = [0u64; 5];
-    for c in &mut fault_counts {
-        *c = r.u64()?;
-    }
-    let unrecoverable = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    Some(IngestHealth {
-        input_len,
-        ok_records,
-        ok_bytes,
-        resyncs,
-        quarantined_bytes,
-        events: Vec::new(),
-        events_dropped: 0,
-        fault_counts,
-        unrecoverable,
-    })
+/// The `Chunk` message for a decoded chunk, encoded straight from the
+/// borrowed records: what `Msg::Chunk(LiveChunk::from_chunk(c)).encode()`
+/// yields, without cloning the record vector first.
+fn encode_chunk(c: &FlowChunk) -> Vec<u8> {
+    let mut out = Vec::new();
+    codec::put_chunk(
+        &mut out,
+        MSG_CHUNK,
+        c.seq,
+        c.byte_start,
+        c.byte_end,
+        &c.health,
+        &c.flows,
+    );
+    out
 }
 
 impl Msg {
@@ -313,17 +203,15 @@ impl Msg {
                 out.push(MSG_CREDIT);
                 put_u64(&mut out, *up_to_seq);
             }
-            Msg::Chunk(c) => {
-                out.push(MSG_CHUNK);
-                put_u64(&mut out, c.seq);
-                put_u64(&mut out, c.byte_start);
-                put_u64(&mut out, c.byte_end);
-                put_health(&mut out, &c.health);
-                put_u32(&mut out, c.flows.len() as u32);
-                for f in &c.flows {
-                    put_flow(&mut out, f);
-                }
-            }
+            Msg::Chunk(c) => codec::put_chunk(
+                &mut out,
+                MSG_CHUNK,
+                c.seq,
+                c.byte_start,
+                c.byte_end,
+                &c.health,
+                &c.flows,
+            ),
             Msg::Finish { next_seq } => {
                 out.push(MSG_FINISH);
                 put_u64(&mut out, *next_seq);
@@ -348,7 +236,7 @@ impl Msg {
 
     /// Decode a frame payload; `None` on any structural damage.
     pub fn decode(payload: &[u8]) -> Option<Msg> {
-        let mut r = Reader::new(payload);
+        let mut r = WireReader::new(payload);
         let msg = match r.u8()? {
             MSG_HELLO => Msg::Hello {
                 proto_version: r.u16()?,
@@ -358,25 +246,13 @@ impl Msg {
             },
             MSG_WELCOME => Msg::Welcome { window: r.u32()? },
             MSG_CREDIT => Msg::Credit { up_to_seq: r.u64()? },
-            MSG_CHUNK => {
-                let seq = r.u64()?;
-                let byte_start = r.u64()?;
-                let byte_end = r.u64()?;
-                let health = get_health(&mut r)?;
-                let n = r.u32()? as usize;
-                // Cap pre-allocation against nonsense counts.
-                let mut flows = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    flows.push(get_flow(&mut r)?);
-                }
-                Msg::Chunk(LiveChunk {
-                    seq,
-                    byte_start,
-                    byte_end,
-                    health,
-                    flows,
-                })
-            }
+            MSG_CHUNK => Msg::Chunk(LiveChunk {
+                seq: r.u64()?,
+                byte_start: r.u64()?,
+                byte_end: r.u64()?,
+                health: codec::get_health(&mut r)?,
+                flows: codec::get_flows(&mut r)?,
+            }),
             MSG_FINISH => Msg::Finish { next_seq: r.u64()? },
             MSG_RESUME => Msg::Resume {
                 byte_cursor: r.u64()?,
@@ -694,13 +570,12 @@ pub fn run_live_producer(
                     std::thread::sleep(Duration::from_millis(pause_ms));
                     stats.pauses_taken += 1;
                 }
-                let wire = LiveChunk::from_chunk(&chunk);
                 send_seq = chunk.seq + 1;
                 stats.chunks_sent += 1;
-                stats.records_sent += wire.flows.len() as u64;
+                stats.records_sent += chunk.flows.len() as u64;
                 paced_chunks += 1;
                 last_progress = Instant::now();
-                transport.send(&Msg::Chunk(wire).encode())?;
+                transport.send(&encode_chunk(&chunk))?;
             }
             None => {
                 transport.send(&Msg::Finish { next_seq: send_seq }.encode())?;
@@ -715,6 +590,7 @@ pub fn run_live_producer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spoofwatch_net::{Asn, Proto};
 
     fn sample_flow(i: u32) -> FlowRecord {
         FlowRecord {
@@ -797,18 +673,86 @@ mod tests {
         let mut stop = Msg::Stop.encode();
         stop.push(7);
         assert_eq!(Msg::decode(&stop), None);
-        // Truncations of every cut of a chunk never panic.
+        // Truncated and over-long chunk blocks decode to `None`.
         let full = Msg::Chunk(LiveChunk {
             seq: 1,
             byte_start: 0,
             byte_end: 100,
             health: IngestHealth::default(),
-            flows: vec![sample_flow(1)],
+            flows: vec![sample_flow(1), sample_flow(2)],
         })
         .encode();
         for cut in 0..full.len() {
-            let _ = Msg::decode(&full[..cut]);
+            assert_eq!(Msg::decode(&full[..cut]), None, "cut {cut}");
         }
+        let mut long = full;
+        long.extend_from_slice(&[0; 36]);
+        assert_eq!(Msg::decode(&long), None);
+    }
+
+    /// `Msg::Chunk` payload of a two-flow chunk as the parent commit's
+    /// per-field `put_flow`/`put_health` codec wrote it (byte for byte
+    /// what the shard link's `Msg::Chunk` wrote for the same chunk; the
+    /// same literal is pinned in `spoofwatch-core`'s shard protocol
+    /// tests).
+    const PARENT_CHUNK_PAYLOAD: [u8; 182] = [
+        0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x90, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x0f, 0xa0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x60, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
+        0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x03, 0xe9, 0x0a, 0x00, 0x00, 0x01, 0xc0, 0xa8,
+        0x01, 0x01, 0x06, 0x9c, 0x41, 0x00, 0x35, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0xb4, 0x00, 0x3c, 0x00, 0x00, 0xfb, 0xf5, 0x33, 0x00, 0x00, 0x03, 0xea,
+        0x0a, 0x00, 0x00, 0x02, 0xc0, 0xa8, 0x01, 0x02, 0x11, 0x9c, 0x42, 0x00, 0x6a, 0x00, 0x00,
+        0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x68, 0x00, 0x3c, 0x00, 0x00, 0xfb,
+        0xf6, 0x34,
+    ];
+
+    #[test]
+    fn chunk_encoding_is_byte_identical_to_the_parent_commit() {
+        let mut health = IngestHealth {
+            input_len: 4096,
+            ok_records: 2,
+            ok_bytes: 4000,
+            resyncs: 1,
+            fault_counts: [1, 0, 2, 0, 3],
+            ..IngestHealth::default()
+        };
+        // Itemized events stay behind; only the scalars travel.
+        health.quarantine(4000, 96, spoofwatch_net::FaultKind::Implausible);
+        health.fault_counts = [1, 0, 2, 0, 3];
+        let chunk = FlowChunk {
+            seq: 9,
+            byte_start: 36_864,
+            byte_end: 40_960,
+            flows: (1..=2u32)
+                .map(|i| FlowRecord {
+                    ts: 1000 + i,
+                    src: 0x0A00_0000 + i,
+                    dst: 0xC0A8_0100 + i,
+                    proto: Proto::from_number(if i == 1 { 6 } else { 17 }),
+                    sport: (40_000 + i) as u16,
+                    dport: (53 * i) as u16,
+                    packets: 3 * i,
+                    bytes: 180 * i as u64,
+                    pkt_size: 60,
+                    member: Asn(64_500 + i),
+                    ttl: (50 + i) as u8,
+                })
+                .collect(),
+            health,
+        };
+        assert!(!chunk.health.events.is_empty());
+        let wire = LiveChunk::from_chunk(&chunk);
+        assert!(wire.health.events.is_empty());
+        // The owned message and the producer's borrowed encoding agree
+        // with each other and with the parent's bytes.
+        assert_eq!(Msg::Chunk(wire.clone()).encode(), PARENT_CHUNK_PAYLOAD);
+        assert_eq!(encode_chunk(&chunk), PARENT_CHUNK_PAYLOAD);
+        assert_eq!(Msg::decode(&PARENT_CHUNK_PAYLOAD), Some(Msg::Chunk(wire)));
     }
 
     #[test]

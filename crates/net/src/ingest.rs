@@ -160,6 +160,16 @@ impl IngestHealth {
         }
     }
 
+    /// The scalar counters without the itemized events — the part of a
+    /// chunk's health that travels on a link (see [`crate::codec`]).
+    pub fn scalars(&self) -> IngestHealth {
+        IngestHealth {
+            events: Vec::new(),
+            events_dropped: 0,
+            ..*self
+        }
+    }
+
     /// Credit a cleanly decoded span (header or record).
     pub fn credit_ok(&mut self, nbytes: u64) {
         self.ok_bytes += nbytes;

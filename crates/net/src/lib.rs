@@ -29,6 +29,7 @@ pub mod addr;
 pub mod asn;
 pub mod batch;
 pub mod class;
+pub mod codec;
 pub mod crc32;
 pub mod error;
 pub mod faults;

@@ -23,6 +23,16 @@ pub trait Clock: Send + Sync {
     /// Wait for `d` of this clock's time.
     fn sleep(&self, d: Duration);
 
+    /// Wait for `d` like [`Clock::sleep`], but return early if the
+    /// calling thread is unparked ([`std::thread::Thread::unpark`]) —
+    /// for a background loop its owner wants to stop without waiting
+    /// out the sleep. May also return early spuriously: callers
+    /// re-check their condition. Clocks that never block (the manual
+    /// clock) have nothing to cut short and just sleep.
+    fn park_for(&self, d: Duration) {
+        self.sleep(d);
+    }
+
     /// Convenience: the elapsed time since an earlier `now_ns` reading.
     fn since_ns(&self, earlier_ns: u64) -> u64 {
         self.now_ns().saturating_sub(earlier_ns)
@@ -59,6 +69,10 @@ impl Clock for RealClock {
 
     fn sleep(&self, d: Duration) {
         std::thread::sleep(d);
+    }
+
+    fn park_for(&self, d: Duration) {
+        std::thread::park_timeout(d);
     }
 }
 
@@ -136,6 +150,16 @@ mod tests {
     }
 
     #[test]
+    fn real_clock_park_returns_on_unpark() {
+        let c = RealClock::new();
+        // A token left before parking makes the park return at once.
+        std::thread::current().unpark();
+        let t0 = c.now_ns();
+        c.park_for(Duration::from_secs(30));
+        assert!(c.since_ns(t0) < 5_000_000_000);
+    }
+
+    #[test]
     fn manual_clock_advances_only_on_demand() {
         let c = ManualClock::new();
         assert_eq!(c.now_ns(), 0);
@@ -145,6 +169,8 @@ mod tests {
         c.sleep(Duration::from_millis(250));
         assert_eq!(c.now_ns(), 1_250_000_000, "sleep advances instantly");
         assert_eq!(c.since_ns(1_000_000_000), 250_000_000);
+        c.park_for(Duration::from_millis(250));
+        assert_eq!(c.now_ns(), 1_500_000_000, "parking is sleeping");
     }
 
     #[test]
