@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # CI gate: build, full test suite, lint policy for decode hot paths,
-# and a fault-injection smoke test.
+# the self-verifying examples, the contract benches, and the end-to-end
+# benchmark package's smoke test.
 #
-# Note: the root manifest is both the workspace and a package, so a bare
-# `cargo test` only runs the root package's tests — always pass
-# --workspace here.
+# Note: the root manifest is both the workspace and a package;
+# `default-members` names the full workspace, so `--workspace` below is
+# only the explicit form of the bare command. Every test suite runs once,
+# in the workspace step — the sections after it add only what that step
+# does not run.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -22,18 +25,13 @@ cargo clippy -q -p spoofwatch-net -p spoofwatch-bgp -p spoofwatch-ixp \
     -p spoofwatch-packet -p spoofwatch-core -p spoofwatch-analysis \
     -p spoofwatch-obs -- -D clippy::unwrap_used
 
-echo "==> fault-injection smoke test (1% corruption acceptance)"
-cargo test -q -p spoofwatch-ixp    ipfix_one_percent_corruption_recovers_unaffected_records
-cargo test -q -p spoofwatch-bgp    mrt_one_percent_corruption_recovers_unaffected_records
-cargo test -q -p spoofwatch-packet pcap_one_percent_corruption_recovers_unaffected_records
+echo "==> fault-injection smoke (dirty ingest walkthrough)"
 cargo run -q --release --example dirty_ingest > /dev/null
 
-echo "==> crash-recovery smoke test (run, interrupt, tear, resume, compare)"
-cargo test -q -p spoofwatch-core --test crash_recovery torn_checkpoint
+echo "==> crash-recovery smoke (run, interrupt, tear, resume, compare)"
 cargo run -q --release --example resumable_study > /dev/null
 
-echo "==> observability smoke test (metrics endpoint, reconciliation, flight recorder)"
-cargo test -q -p spoofwatch-core --test telemetry
+echo "==> observability smoke (metrics endpoint, reconciliation, flight recorder)"
 snapshot="$(mktemp)"
 SPOOFWATCH_METRICS_ADDR=127.0.0.1:0 SPOOFWATCH_METRICS_SNAPSHOT="$snapshot" \
     cargo run -q --release --example ixp_study > /dev/null
@@ -43,8 +41,7 @@ grep -q '^spoofwatch_classified_flows_total' "$snapshot" \
 rm -f "$snapshot"
 cargo run -q --release --example telemetry_study > /dev/null 2>&1
 
-echo "==> rollup smoke test (windowed ring: generate, crash, resume, query, reconcile)"
-cargo test -q -p spoofwatch-core --test rollups
+echo "==> rollup smoke (windowed ring: generate, crash, resume, query, reconcile)"
 # --demo asserts the window count tiles the committed chunks, that the
 # ring's sums reconcile with the run report, and that the resumed ring
 # is bit-identical to an uninterrupted run's.
@@ -61,46 +58,21 @@ test -s BENCH_lpm.json || { echo "BENCH_lpm.json baseline missing"; exit 1; }
 grep -q '"bench":"lpm"' BENCH_lpm.json \
     || { echo "BENCH_lpm.json baseline malformed"; exit 1; }
 
-echo "==> sharded study smoke test (bit-identity, chaos recovery, shard-loss accounting)"
-cargo test -q -p spoofwatch-core --test shard_study
+echo "==> sharded study smoke (bit-identity, shard-loss accounting)"
 # The example proves a 3-shard UDS run bit-identical to single-node,
 # then kills a shard past its retry budget and checks the degraded
 # accounting invariant and report caveats. It exits nonzero on any
 # mismatch.
 cargo run -q --release --example sharded_study > /dev/null
-# The shard bench asserts clean runs at 1/2/4 shards, shard-count-
-# independent merges, and a bounded shard-layer tax, and refreshes the
-# tracked BENCH_shard.json baseline.
-CRITERION_STUB_BUDGET_MS=50 cargo bench -q -p spoofwatch-bench --bench shard > /dev/null
-test -s BENCH_shard.json || { echo "BENCH_shard.json baseline missing"; exit 1; }
-grep -q '"bench":"shard"' BENCH_shard.json \
-    || { echo "BENCH_shard.json baseline malformed"; exit 1; }
 
-echo "==> live-soak smoke test (chaos soak above capacity, graceful drain, overload recovery)"
-# The seeded chaos soak streams through a corrupting link into an
-# underprovisioned consumer with kill+resume mid-stream; it asserts the
-# exact accounting invariant at record and chunk level, a bounded
-# buffer, at least one Shed->Normal recovery, and a clean drain.
-cargo test -q -p spoofwatch-core --test live_study live_chaos_soak
+echo "==> live study smoke (line rate, overload recovery, graceful drain)"
 # The example proves a line-rate live session bit-identical to file
 # replay, forces the ladder through Shed and back, demonstrates a
 # graceful Stop drain, and renders the report's live-session block. It
 # exits nonzero on any mismatch.
 cargo run -q --release --example live_study > /dev/null
-# The live bench asserts a bounded live-layer tax over file replay and
-# exact reconciliation under overload, and refreshes the tracked
-# BENCH_live.json baseline.
-CRITERION_STUB_BUDGET_MS=50 cargo bench -q -p spoofwatch-bench --bench live > /dev/null
-test -s BENCH_live.json || { echo "BENCH_live.json baseline missing"; exit 1; }
-grep -q '"bench":"live"' BENCH_live.json \
-    || { echo "BENCH_live.json baseline malformed"; exit 1; }
 
-echo "==> online detection smoke test (cross-mode incident identity, upgrade path, forensics)"
-# The detect_study suite proves the incident log byte-identical across a
-# file run, kill+resume at and inside window boundaries, a 3-shard run,
-# and a live session, and that pre-detection rings and checkpoints
-# resume cleanly with detection switched on mid-study.
-cargo test -q -p spoofwatch-core --test detect_study
+echo "==> online detection smoke (forensics walkthrough, accumulation and commit-path contracts)"
 # The forensics example replays a scripted pulse-wave attack (a seeded
 # random->selective spoofing flip) through the streaming runner's online
 # detectors and exits nonzero unless both spoof modes are discriminated
@@ -116,19 +88,7 @@ test -s BENCH_detect.json || { echo "BENCH_detect.json baseline missing"; exit 1
 grep -q '"bench":"detect"' BENCH_detect.json \
     || { echo "BENCH_detect.json baseline malformed"; exit 1; }
 
-echo "==> batch classify contract (>=3x over scalar, zero steady-state allocations, byte-identity)"
-# The differential suite pins the batch path to the scalar one: per
-# flow across all five method variants (including proptest probes),
-# columnar decode against the resilient decoder under fault injection,
-# and the whole runner artifact chain (report, rollup ring, incident
-# log) against a scalar run_with closure.
-cargo test -q -p spoofwatch-ixp  --test columnar_diff
-cargo test -q -p spoofwatch-core --test batch_diff
-# Batch-mode smoke: the runner now classifies through the batch path in
-# every mode, so re-run the sharded bit-identity and live chaos-soak
-# gates explicitly against it.
-cargo test -q -p spoofwatch-core --test shard_study in_proc_sharding_is_bit_identical_for_1_2_4_shards
-cargo test -q -p spoofwatch-core --test live_study live_chaos_soak
+echo "==> batch classify contract (>=3x over scalar, zero steady-state allocations)"
 # The bench asserts the >=3x floor and the zero-allocation contract
 # itself, and refreshes the tracked BENCH_batch.json baseline.
 CRITERION_STUB_BUDGET_MS=50 cargo bench -q -p spoofwatch-bench --bench batch > /dev/null

@@ -13,15 +13,8 @@
 //!   bench fixture itself;
 //! * a 64-flow batch still plans exactly one worker under the
 //!   re-derived [`spoofwatch_core::PARALLEL_CUTOFF`].
-//!
-//! The prefetch on/off delta of the columnar LPM probe is measured on
-//! a uniform-random corpus (worst case for the 64 MiB level-1 array)
-//! and recorded; it is machine-dependent, so it is reported rather
-//! than asserted.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use spoofwatch_core::{planned_classify_workers, BatchScratch, Classifier, PARALLEL_CUTOFF};
 use spoofwatch_internet::{Internet, InternetConfig};
 use spoofwatch_ixp::{ipfix, Trace, TrafficConfig};
@@ -73,9 +66,6 @@ struct BatchBaseline {
     classify_batch_ns: f64,
     classify_speedup: f64,
     sizes: Vec<SizeResult>,
-    prefetch_on_ns: f64,
-    prefetch_off_ns: f64,
-    prefetch_speedup: f64,
     decode_records: usize,
     decode_resilient_ns: f64,
     decode_columnar_ns: f64,
@@ -224,27 +214,6 @@ fn bench_batch(c: &mut Criterion) {
     );
     println!("steady-state heap ops across 5 batches: {steady_state_heap_ops}");
 
-    // ---- prefetch on/off on a uniform-random corpus ----
-    let mut rng = StdRng::seed_from_u64(0xBA7C);
-    let probes: Vec<u32> = (0..1_000_000).map(|_| rng.random()).collect();
-    let mut codes = Vec::with_capacity(probes.len());
-    let prefetch_on_ns = per_record_ns(probes.len(), || {
-        classifier
-            .compiled()
-            .classify_codes_into(black_box(&probes), &mut codes, true);
-        codes.len()
-    });
-    let prefetch_off_ns = per_record_ns(probes.len(), || {
-        classifier
-            .compiled()
-            .classify_codes_into(black_box(&probes), &mut codes, false);
-        codes.len()
-    });
-    println!(
-        "prefetch: on {prefetch_on_ns:.1} ns/probe, off {prefetch_off_ns:.1} ns/probe, {:.2}x",
-        prefetch_off_ns / prefetch_on_ns
-    );
-
     // ---- the re-derived inline cutoff contract ----
     for threads in [1, 2, 8, 64] {
         assert_eq!(
@@ -263,9 +232,6 @@ fn bench_batch(c: &mut Criterion) {
         classify_batch_ns: batch_ns,
         classify_speedup: speedup,
         sizes,
-        prefetch_on_ns,
-        prefetch_off_ns,
-        prefetch_speedup: prefetch_off_ns / prefetch_on_ns,
         decode_records: flows.len(),
         decode_resilient_ns,
         decode_columnar_ns,

@@ -8,9 +8,9 @@
 //!
 //! * **Columnar probes** — [`Classifier::classify_batch_into`] walks
 //!   the [`FlowBatch`]'s `src` column through
-//!   `CompiledClassifier::classify_codes_into`, which keeps up to
-//!   [`spoofwatch_trie::FrozenLpm::PREFETCH_DEPTH`] level-1 misses in
-//!   flight instead of serializing them.
+//!   `CompiledClassifier::leaf_codes_into`: a dense loop of
+//!   independent probes whose level-1 misses the core overlaps instead
+//!   of serializing them behind per-record work.
 //! * **Memoized verdicts** — routed codes are interned info-arena
 //!   indices, so the cone verdict is a pure function of
 //!   `(member, info index, variant)`. [`VerdictMemo`] is a direct-mapped
@@ -26,7 +26,7 @@
 //!
 //! The batch path is byte-for-byte equal to the scalar one, by
 //! construction at each step: the code column is exactly what
-//! per-address `lookup` calls decide (`prefetch` is only a cache hint);
+//! per-address `lookup` calls decide;
 //! the memo key `(member, info index)` plus the classifier's build
 //! `uid` captures every input of `valid_under_parts`, which is pure; and
 //! class assembly is the same Bogon → Unrouted → Invalid/Valid ladder.
@@ -199,7 +199,7 @@ impl Classifier {
         let v = MethodVariant::index_of(method, org);
         let variant = METHOD_VARIANTS[v];
         let compiled = self.compiled();
-        compiled.leaf_codes_into(&batch.src, &mut scratch.codes, true);
+        compiled.leaf_codes_into(&batch.src, &mut scratch.codes);
         scratch.memo.ensure(self.uid());
         let memo = &mut scratch.memo;
         out.clear();
@@ -239,7 +239,7 @@ impl Classifier {
     ) {
         debug_assert!(batch.columns_aligned());
         let compiled = self.compiled();
-        compiled.leaf_codes_into(&batch.src, &mut scratch.codes, true);
+        compiled.leaf_codes_into(&batch.src, &mut scratch.codes);
         scratch.memo.ensure(self.uid());
         let memo = &mut scratch.memo;
         out.clear();

@@ -215,15 +215,11 @@ impl CompiledClassifier {
     /// The fused lookup for a whole column of source addresses,
     /// replacing `out` with one **batch code** per probe:
     /// [`BATCH_UNROUTED`], [`BATCH_BOGON`], or an info-arena index for
-    /// [`CompiledClassifier::info_at`]. With `prefetch`, the underlying
-    /// frozen-table probes run with [`FrozenLpm::lookup_codes_into`]'s
-    /// software-prefetch pipeline (up to
-    /// [`FrozenLpm::PREFETCH_DEPTH`] level-1 misses in flight). The
-    /// codes are exactly what per-address [`CompiledClassifier::lookup`]
-    /// calls would decide; `prefetch` never changes results.
-    pub fn classify_codes_into(&self, srcs: &[u32], out: &mut Vec<u32>, prefetch: bool) {
+    /// [`CompiledClassifier::info_at`]. The codes are exactly what
+    /// per-address [`CompiledClassifier::lookup`] calls would decide.
+    pub fn classify_codes_into(&self, srcs: &[u32], out: &mut Vec<u32>) {
         out.clear();
-        self.lpm.lookup_codes_into(srcs, out, prefetch);
+        self.lpm.lookup_codes_into(srcs, out);
         // Second, cache-hot pass: leaf codes → batch codes. The map is
         // dense and orders of magnitude smaller than the level-1 array.
         for code in out.iter_mut() {
@@ -241,9 +237,9 @@ impl CompiledClassifier {
     /// Raw frozen-table leaf codes for a probe column, without the
     /// batch-code mapping — `crate::batch` fuses that mapping into its
     /// class-assembly pass instead of paying a separate sweep.
-    pub(crate) fn leaf_codes_into(&self, srcs: &[u32], out: &mut Vec<u32>, prefetch: bool) {
+    pub(crate) fn leaf_codes_into(&self, srcs: &[u32], out: &mut Vec<u32>) {
         out.clear();
-        self.lpm.lookup_codes_into(srcs, out, prefetch);
+        self.lpm.lookup_codes_into(srcs, out);
     }
 
     /// The batch code a raw leaf code resolves to.

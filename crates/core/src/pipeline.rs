@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 /// Batches smaller than this classify inline on the calling thread.
 ///
 /// Re-derived for the batched path (`benches/batch.rs`): the vectorized
-/// classify costs ~9 ns per record (prefetched code lookup + memoized
+/// classify costs ~9 ns per record (columnar code lookup + memoized
 /// cone verdict), so per-item work is ~3× cheaper than the old
 /// record-at-a-time ~30 ns and the spawn-vs-inline crossover moves out
 /// by the same factor. At the cutoff a batch is ~110 µs of inline work

@@ -1,8 +1,9 @@
 //! Socket-fed live study mode with overload control and graceful drain.
 //!
-//! [`serve_live`] is the consuming half of the live protocol defined in
-//! [`spoofwatch_ixp::live`]: an `ixp` producer streams paced IPFIX
-//! chunks over a [`ShardTransport`] frame link, and this side feeds
+//! [`serve_live`] is the consuming shell of the chunk-link protocol
+//! ([`spoofwatch_ixp::live`], [`spoofwatch_ixp::link`]): an `ixp`
+//! producer streams paced IPFIX chunks over a [`ShardTransport`] frame
+//! link, a [`ChunkReceiver`] admits them in order, and this side feeds
 //! them through the supervised [`StudyRunner`] — checkpoints, rollups,
 //! worker supervision, and the accounting invariant all unchanged from
 //! file replay. Two mechanisms make live ingest survivable when offered
@@ -40,7 +41,8 @@ use super::{
 use crate::pipeline::Classifier;
 use serde::Serialize;
 use spoofwatch_ixp::chunked::FlowChunk;
-use spoofwatch_ixp::live::{Msg, LIVE_FATAL_IDENTITY, LIVE_PROTO_VERSION};
+use spoofwatch_ixp::link::{ChunkReceiver, Received};
+use spoofwatch_ixp::live::{self, Msg};
 use spoofwatch_net::{FlowRecord, ShardTransport, TrafficClass};
 use spoofwatch_obs::{Clock, Counter, Gauge, MetricsRegistry, Tracer};
 use std::collections::VecDeque;
@@ -49,7 +51,7 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use spoofwatch_ixp::live::LIVE_WIRE_MAGIC;
 
@@ -189,7 +191,7 @@ pub struct LiveServerConfig {
     pub window: usize,
     /// Overload thresholds; `None` derives [`LiveLadder::for_window`].
     pub ladder: Option<LiveLadder>,
-    /// How long to wait for the producer's `Hello`.
+    /// How long to wait for the producer's `Welcome`.
     pub handshake_timeout_ms: u64,
     /// Producer-stall watchdog: a producer holding unspent credit (or
     /// owing a `Finish` during drain) that stays silent this long is
@@ -341,7 +343,8 @@ pub struct LiveStudy {
 /// Why a live session failed.
 #[derive(Debug)]
 pub enum LiveError {
-    /// No valid `Hello` (or an incompatible one) within the timeout.
+    /// No `Welcome` within the timeout, or the producer refused the
+    /// session.
     Handshake(String),
     /// The wrapped runner failed; `Interrupted` here means the
     /// simulated-kill knob fired — checkpoints survive and a new
@@ -694,10 +697,9 @@ fn serve_live_inner(
     classifier: &Classifier,
     cfg: &LiveServerConfig,
     store: &CheckpointStore,
-    transport: ShardTransport,
+    mut transport: ShardTransport,
     classify: Option<ClassifyFn<'_>>,
 ) -> Result<LiveStudy, LiveError> {
-    let (mut tx_half, mut rx_half) = transport.split();
     let window = cfg.window.max(1);
     let ladder = cfg
         .ladder
@@ -707,53 +709,10 @@ fn serve_live_inner(
     let clock = Arc::clone(&cfg.obs.clock);
     let tracer = Arc::clone(&cfg.obs.tracer);
 
-    // Handshake: wait for Hello, validate, reply Welcome.
-    let deadline = Instant::now() + Duration::from_millis(cfg.handshake_timeout_ms.max(1));
-    let mut handshake_protocol_faults = 0u64;
-    let (fingerprint, chunk_records, target_rps) = loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(LiveError::Handshake("no Hello before timeout".into()));
-        }
-        match rx_half.recv(remaining) {
-            Ok(Some(payload)) => match Msg::decode(&payload) {
-                Some(Msg::Hello {
-                    proto_version,
-                    fingerprint,
-                    chunk_records,
-                    target_rps,
-                }) => {
-                    if proto_version != LIVE_PROTO_VERSION {
-                        let _ = tx_half.send(
-                            &Msg::Fatal {
-                                code: LIVE_FATAL_IDENTITY,
-                                detail: format!(
-                                    "unsupported live protocol version {proto_version}"
-                                ),
-                            }
-                            .encode(),
-                        );
-                        return Err(LiveError::Handshake(format!(
-                            "producer speaks protocol v{proto_version}, this side v{LIVE_PROTO_VERSION}"
-                        )));
-                    }
-                    break (fingerprint, chunk_records, target_rps);
-                }
-                Some(_) => {}
-                None => handshake_protocol_faults += 1,
-            },
-            Ok(None) => {}
-            Err(e) => return Err(LiveError::Handshake(format!("link died in handshake: {e}"))),
-        }
-    };
-    tx_half
-        .send(
-            &Msg::Welcome {
-                window: window as u32,
-            }
-            .encode(),
-        )
-        .map_err(LiveError::Io)?;
+    let handshake = Duration::from_millis(cfg.handshake_timeout_ms.max(1));
+    let (fingerprint, chunk_records, target_rps) = live::open_stream(&mut transport, 0, handshake)
+        .map_err(|e| LiveError::Handshake(e.to_string()))?;
+    let (mut tx_half, mut rx_half) = transport.split();
     tracer.event(
         "live_session_start",
         &[
@@ -797,52 +756,32 @@ fn serve_live_inner(
         let tx = &mut tx_half;
         let rx = &mut rx_half;
         let control = s.spawn(move || {
-            let mut out = ControlOutcome {
-                protocol_faults: handshake_protocol_faults,
-                ..ControlOutcome::default()
-            };
+            let mut out = ControlOutcome::default();
             let start_ns = clock_ref.now_ns();
             let mut ladder_ctl = LadderCtl {
                 ladder: ladder_ref,
                 state: OverloadState::Normal,
                 state_since: start_ns,
             };
-            let mut expected: Option<u64> = None;
-            let mut cursor = 0u64;
-            let mut last_granted = 0u64;
+            let throttle_ns = cfg.resume_throttle_ms.max(1).saturating_mul(1_000_000);
+            let mut receiver = ChunkReceiver::new(window as u64, throttle_ns);
             let mut admitted = 0u64;
             let mut stop_sent = false;
             let mut last_frame_ns = start_ns;
-            let mut last_resume_ns: Option<u64> = None;
-            let throttle_ns = cfg.resume_throttle_ms.max(1).saturating_mul(1_000_000);
             let producer_stall_ns = cfg.producer_stall_ms.max(1).saturating_mul(1_000_000);
             let consumer_stall_ns = cfg.consumer_stall_ms.max(1).saturating_mul(1_000_000);
             let mut last_consumed = shared_ref.consumed.load(Ordering::Relaxed);
             let mut consumed_since = start_ns;
             let mut consumer_stall_flagged = false;
             lm_ref.overload_state.set(0);
-
-            // Throttled go-back-N request from the current admission
-            // position.
-            macro_rules! request_resume {
-                () => {
-                    if let Some(exp) = expected {
-                        let now = clock_ref.now_ns();
-                        if last_resume_ns.is_none_or(|t| now.saturating_sub(t) >= throttle_ns) {
-                            last_resume_ns = Some(now);
-                            if tx
-                                .send(&Msg::Resume { byte_cursor: cursor, seq: exp }.encode())
-                                .is_ok()
-                            {
-                                out.resumes_sent += 1;
-                                lm_ref.resumes.inc();
-                            } else {
-                                mark_lost(shared_ref, tracer_ref, "send failed");
-                            }
-                        }
-                    }
-                };
-            }
+            // A failed send means the producer is gone.
+            let mut send = |msg: Msg| {
+                let sent = tx.send(&msg.encode()).is_ok();
+                if !sent {
+                    mark_lost(shared_ref, tracer_ref, "send failed");
+                }
+                sent
+            };
 
             loop {
                 // Reposition request from the runner (startup resume, or
@@ -854,20 +793,14 @@ fn serve_live_inner(
                         .unwrap_or_else(|poisoned| poisoned.into_inner());
                     cell.take()
                 };
-                if let Some((c, q)) = seek {
-                    cursor = c;
-                    expected = Some(q);
-                    last_granted = last_granted.max(q);
-                    last_resume_ns = Some(clock_ref.now_ns());
-                    if tx
-                        .send(&Msg::Resume { byte_cursor: c, seq: q }.encode())
-                        .is_ok()
-                    {
-                        out.resumes_sent += 1;
-                        lm_ref.resumes.inc();
-                    } else {
-                        mark_lost(shared_ref, tracer_ref, "send failed");
-                    }
+                if let Some((byte_cursor, seq)) = seek {
+                    receiver.seek(byte_cursor, seq, clock_ref.now_ns());
+                }
+                // Go-back-N requests the receiver queued: that seek, or
+                // a gap, a damaged frame or the silence nudge last pass.
+                if receiver.take_resume().is_some_and(&mut send) {
+                    out.resumes_sent += 1;
+                    lm_ref.resumes.inc();
                 }
 
                 if shared_ref.done.load(Ordering::Relaxed) {
@@ -880,16 +813,14 @@ fn serve_live_inner(
                     .as_ref()
                     .is_some_and(|f| f.load(Ordering::Relaxed))
                     || cfg.stop_after_chunks.is_some_and(|n| admitted >= n);
-                if stop_due && !stop_sent && expected.is_some() {
+                if stop_due && !stop_sent && receiver.positioned() {
                     stop_sent = true;
                     out.stop_requested = true;
                     tracer_ref.event(
                         "live_stop_requested",
                         &[("admitted_chunks", admitted.into())],
                     );
-                    if tx.send(&Msg::Stop.encode()).is_err() {
-                        mark_lost(shared_ref, tracer_ref, "send failed");
-                    }
+                    send(Msg::Stop);
                 }
 
                 // Drain the link.
@@ -900,47 +831,32 @@ fn serve_live_inner(
                     match rx.recv(POLL) {
                         Ok(Some(payload)) => {
                             last_frame_ns = clock_ref.now_ns();
-                            match Msg::decode(&payload) {
-                                Some(Msg::Chunk(lc)) => {
-                                    if expected == Some(lc.seq) {
-                                        cursor = lc.byte_end;
-                                        expected = Some(lc.seq + 1);
-                                        admitted += 1;
-                                        lm_ref.admitted.inc();
-                                        let mut buf = shared_ref
-                                            .buffer
-                                            .lock()
-                                            .unwrap_or_else(|p| p.into_inner());
-                                        buf.push_back(lc.into_chunk());
-                                        // Escalate before the runner can
-                                        // pop what was just admitted.
-                                        ladder_ctl.observe(
-                                            buf.len(),
-                                            &mut out,
-                                            lm_ref,
-                                            tracer_ref,
-                                            &**clock_ref,
-                                            shared_ref,
-                                        );
-                                        shared_ref.available.notify_all();
-                                    } else if expected.is_some_and(|e| lc.seq > e) {
-                                        // Gap: frames were dropped or
-                                        // corrupted upstream.
-                                        request_resume!();
-                                    }
-                                    // Duplicate (seq < expected): drop.
+                            match receiver.on_frame(&payload, last_frame_ns) {
+                                Received::Chunk(chunk) => {
+                                    admitted += 1;
+                                    lm_ref.admitted.inc();
+                                    let mut buf = shared_ref
+                                        .buffer
+                                        .lock()
+                                        .unwrap_or_else(|p| p.into_inner());
+                                    buf.push_back(chunk);
+                                    // Escalate before the runner can
+                                    // pop what was just admitted.
+                                    ladder_ctl.observe(
+                                        buf.len(),
+                                        &mut out,
+                                        lm_ref,
+                                        tracer_ref,
+                                        &**clock_ref,
+                                        shared_ref,
+                                    );
+                                    shared_ref.available.notify_all();
                                 }
-                                Some(Msg::Finish { next_seq }) => {
-                                    if expected == Some(next_seq) {
-                                        shared_ref.finished.store(true, Ordering::Relaxed);
-                                        shared_ref.notify();
-                                    } else if expected.is_some_and(|e| next_seq > e) {
-                                        // The stream ended upstream but
-                                        // we missed frames.
-                                        request_resume!();
-                                    }
+                                Received::Finished => {
+                                    shared_ref.finished.store(true, Ordering::Relaxed);
+                                    shared_ref.notify();
                                 }
-                                Some(Msg::Fatal { code, detail }) => {
+                                Received::Other(Msg::Fatal { code, detail }) => {
                                     tracer_ref.event(
                                         "live_producer_fatal",
                                         &[("code", (code as u64).into())],
@@ -949,12 +865,11 @@ fn serve_live_inner(
                                         .trigger_dump(&format!("producer fatal {code}: {detail}"));
                                     mark_lost(shared_ref, tracer_ref, "producer fatal");
                                 }
-                                Some(_) => {} // duplicate Hello etc.
-                                None => {
+                                Received::Undecodable => {
                                     out.protocol_faults += 1;
                                     lm_ref.protocol_faults.inc();
-                                    request_resume!();
                                 }
+                                Received::Other(_) | Received::Dropped => {}
                             }
                         }
                         Ok(None) => {}
@@ -974,32 +889,21 @@ fn serve_live_inner(
                 let finished = shared_ref.finished.load(Ordering::Relaxed);
                 let lost = shared_ref.producer_lost.load(Ordering::Relaxed);
 
-                // Credit grants: only while the session is open, below
-                // Refuse, and the grant is fresh.
-                if let Some(_exp) = expected {
-                    if !stop_sent && !finished && !lost && ladder_ctl.state < OverloadState::Refuse
-                    {
-                        let desired =
-                            shared_ref.consumed.load(Ordering::Relaxed) + window as u64;
-                        if desired > last_granted {
-                            if tx
-                                .send(&Msg::Credit { up_to_seq: desired }.encode())
-                                .is_ok()
-                            {
-                                last_granted = desired;
-                                out.credits_granted += 1;
-                                lm_ref.credits.inc();
-                            } else {
-                                mark_lost(shared_ref, tracer_ref, "send failed");
-                            }
-                        }
+                // Credit grants: only while the session is open and
+                // below Refuse, and only when the runner's progress
+                // moves the grant.
+                if !stop_sent && !finished && !lost && ladder_ctl.state < OverloadState::Refuse {
+                    let consumed = shared_ref.consumed.load(Ordering::Relaxed);
+                    if receiver.credit(consumed, false).is_some_and(&mut send) {
+                        out.credits_granted += 1;
+                        lm_ref.credits.inc();
                     }
                 }
 
                 // Producer-stall watchdog: silence while chunks (or a
                 // drain Finish) are owed.
-                if expected.is_some() && !finished && !lost {
-                    let owed = expected.is_some_and(|e| last_granted > e) || stop_sent;
+                if receiver.positioned() && !finished && !lost {
+                    let owed = receiver.owed() || stop_sent;
                     let silent_ns = clock_ref.now_ns().saturating_sub(last_frame_ns);
                     if owed && silent_ns > producer_stall_ns {
                         out.producer_stalls += 1;
@@ -1014,7 +918,7 @@ fn serve_live_inner(
                         // Nudge before the watchdog: the producer may
                         // have missed our Resume or sent into a lossy
                         // link.
-                        request_resume!();
+                        receiver.on_silence(clock_ref.now_ns());
                     }
                 }
 

@@ -565,7 +565,7 @@ impl<'a> StudyRunner<'a> {
             let primary = MethodVariant::index_of(method, org);
             self.run_inner(source, store, move |flows: &[FlowRecord]| {
                 source_of.with(|classifier| {
-                    // Batched: one prefetched code probe per flow serves
+                    // Batched: one code probe per flow serves
                     // all five variants (worker-side transpose into the
                     // thread-local scratch — see `crate::batch`).
                     let mut matrix = DisagreementMatrix::new();

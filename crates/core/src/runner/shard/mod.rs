@@ -27,12 +27,11 @@
 //!
 //! The control plane assumes a hostile link and mortal workers:
 //!
-//! * every message rides a CRC-framed wire envelope; torn or corrupt
-//!   frames are dropped and recovered by resynchronization (the worker
-//!   detects the sequence gap and requests retransmission — go-back-N
-//!   from its own cursor);
-//! * workers heartbeat; the coordinator declares a silent shard dead
-//!   after [`ShardConfig::liveness_timeout_ms`] and respawns it with
+//! * the link is the chunk-link protocol of [`spoofwatch_ixp::live`]:
+//!   CRC-framed, go-back-N from the worker's cursor after any loss, the
+//!   worker's credit grant re-sent every heartbeat period as its beacon;
+//! * the coordinator declares a silent shard dead after
+//!   [`ShardConfig::liveness_timeout_ms`] and respawns it with
 //!   seeded-jitter bounded exponential backoff (mirroring
 //!   `RibFreshness`);
 //! * a respawned worker resumes idempotently from its last checkpoint —
@@ -61,23 +60,30 @@ use super::{
 use crate::pipeline::Classifier;
 use crate::provenance::DisagreementMatrix;
 use crate::stats::MemberBreakdown;
-use proto::{
-    report_window_batches, Msg, ReportMsg, WireChunk, FATAL_IDENTITY, FATAL_INTERNAL, PROTO_VERSION,
-};
+use proto::{encode_report, report_window_batches, ReportMsg, ShardReport};
 use spoofwatch_ixp::chunked::{ChunkedIpfixReader, FlowChunk};
+use spoofwatch_ixp::link::{ChunkReceiver, ChunkSender, Received};
+use spoofwatch_ixp::live::{self, Msg, FATAL_IDENTITY, FATAL_INTERNAL};
 use spoofwatch_net::wire::{ShardEndpoint, ShardRx, ShardTransport, ShardTx};
 use spoofwatch_net::{FlowRecord, IngestHealth};
+use spoofwatch_obs::Clock;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::{self, Thread};
+use std::time::Duration;
 
 /// Frame magic every shard-link transport must be built with.
 pub const SHARD_WIRE_MAGIC: [u8; 4] = proto::SHARD_MAGIC;
+
+/// Credit window a worker grants: how many chunks the coordinator may
+/// run ahead of the worker's position. Bounds how much a torn frame
+/// costs in retransmission and keeps the coordinator from ever blocking
+/// on a full link.
+const SHARD_WINDOW: u64 = 16;
 
 /// How the trace is partitioned: `shards` workers, flows assigned by a
 /// salted hash of the member/flow key. The plan is part of the study's
@@ -186,11 +192,6 @@ pub struct ShardConfig {
     /// How many times a dead shard is respawned before it is declared
     /// lost. Zero means the first death is final.
     pub retry_budget: u32,
-    /// Sliding send window: chunks in flight past the worker's last
-    /// acknowledged position (carried on heartbeats). Bounds how much a
-    /// torn frame costs in retransmission and keeps the coordinator
-    /// from ever blocking on a full link. Minimum 1.
-    pub window: u64,
     /// Seed for backoff jitter (deterministic per shard and attempt).
     pub seed: u64,
 }
@@ -207,7 +208,6 @@ impl ShardConfig {
             backoff_base_ms: 50,
             backoff_max_ms: 1_000,
             retry_budget: 3,
-            window: 16,
             seed: 0,
         }
     }
@@ -349,30 +349,18 @@ fn backoff_delay_ms(seed: u64, shard_id: u32, attempt: u32, base_ms: u64, max_ms
         .delay(attempt as u64)
 }
 
-/// Build shard `shard_id`'s view of `chunk`: same sequence number and
-/// byte span, only the flows the plan assigns to it, and the chunk's
-/// decode health iff this shard is the chunk's health owner
-/// (`seq % shards`) — so summed ingest accounting across shards equals
-/// the single-node accounting exactly.
-fn sub_chunk(chunk: &FlowChunk, plan: &ShardPlan, shard_id: u32) -> WireChunk {
-    let flows: Vec<FlowRecord> = chunk
-        .flows
-        .iter()
-        .filter(|f| plan.shard_of(f) == shard_id)
-        .copied()
-        .collect();
-    let health = if chunk.seq % plan.shards as u64 == shard_id as u64 {
-        chunk.health.scalars()
-    } else {
-        IngestHealth::default()
-    };
-    WireChunk {
-        seq: chunk.seq,
-        byte_start: chunk.byte_start,
-        byte_end: chunk.byte_end,
-        health,
-        flows,
+/// Cut `chunk` down to shard `shard_id`'s view: same sequence number
+/// and byte span (so worker checkpoints stay in trace coordinates), only
+/// the flows the plan assigns to it, and the chunk's decode health iff
+/// this shard is the chunk's health owner (`seq % shards`) — so summed
+/// ingest accounting across shards equals the single-node accounting
+/// exactly.
+fn sub_chunk(mut chunk: FlowChunk, plan: &ShardPlan, shard_id: u32) -> FlowChunk {
+    chunk.flows.retain(|f| plan.shard_of(f) == shard_id);
+    if chunk.seq % plan.shards as u64 != shard_id as u64 {
+        chunk.health = IngestHealth::default();
     }
+    chunk
 }
 
 /// Merge per-shard rollup rings: window geometry (`window_index`,
@@ -479,7 +467,7 @@ impl ShardGauges {
         ShardGauges {
             lag: reg.gauge(
                 "spoofwatch_shard_lag_chunks",
-                "Chunks sent to the shard but not yet acknowledged by heartbeat",
+                "Chunks sent to the shard past the position its last credit grant acknowledged",
                 l,
             ),
             chunks_sent: reg.counter(
@@ -517,13 +505,13 @@ impl ShardGauges {
 }
 
 enum ConnOutcome {
-    Done(Box<ReportMsg>),
+    Done(Box<ShardReport>),
     Dead,
     Fatal(ShardError),
 }
 
 enum ShardOutcome {
-    Completed(Box<ReportMsg>, ShardStatus),
+    Completed(Box<ShardReport>, ShardStatus),
     Lost(ShardStatus),
     Failed(ShardError),
 }
@@ -575,7 +563,11 @@ impl<'a> ShardCoordinator<'a> {
             conn_txs.push(tx);
             conn_rxs.push(rx);
         }
-        let done = AtomicBool::new(false);
+        let gate = RouterGate {
+            wanted: (0..shards).map(|_| AtomicBool::new(false)).collect(),
+            done: AtomicBool::new(false),
+            router: OnceLock::new(),
+        };
         self.obs.tracer.event(
             "shard_study_start",
             &[
@@ -585,14 +577,15 @@ impl<'a> ShardCoordinator<'a> {
         );
 
         let outcomes: Vec<ShardOutcome> = thread::scope(|s| {
-            let done_ref = &done;
+            let gate = &gate;
             let handshake = Duration::from_millis(self.cfg.handshake_timeout_ms.max(1));
-            s.spawn(move || route_connections(endpoint, conn_txs, done_ref, handshake));
+            let router = s.spawn(move || route_connections(endpoint, conn_txs, gate, handshake));
+            let _ = gate.router.set(router.thread().clone());
             let handles: Vec<_> = conn_rxs
                 .into_iter()
                 .enumerate()
                 .map(|(k, rx)| {
-                    s.spawn(move || self.supervise(k as u32, rx, spawn, source_fp))
+                    s.spawn(move || self.supervise(k as u32, rx, spawn, source_fp, gate))
                 })
                 .collect();
             let outcomes = handles
@@ -604,7 +597,7 @@ impl<'a> ShardCoordinator<'a> {
                     ))),
                 })
                 .collect();
-            done.store(true, Ordering::Relaxed);
+            gate.set(&gate.done, true);
             outcomes
         });
 
@@ -620,6 +613,7 @@ impl<'a> ShardCoordinator<'a> {
         conn_rx: Receiver<ShardTransport>,
         spawn: &(dyn Fn(u32) + Sync),
         source_fp: u64,
+        router: &RouterGate,
     ) -> ShardOutcome {
         let g = ShardGauges::new(&self.obs, shard_id);
         let mut status = ShardStatus {
@@ -647,6 +641,7 @@ impl<'a> ShardCoordinator<'a> {
                 g.reconnects.inc();
                 self.obs.clock.sleep(Duration::from_millis(delay));
             }
+            router.set(&router.wanted[shard_id as usize], true);
             spawn(shard_id);
             let wait = Duration::from_millis(
                 self.cfg.liveness_timeout_ms + self.cfg.handshake_timeout_ms,
@@ -654,6 +649,7 @@ impl<'a> ShardCoordinator<'a> {
             let mut conn = match conn_rx.recv_timeout(wait) {
                 Ok(c) => c,
                 Err(_) => {
+                    router.set(&router.wanted[shard_id as usize], false);
                     status.deaths += 1;
                     if attempt >= self.cfg.retry_budget {
                         return self.declare_lost(status, &g);
@@ -733,23 +729,14 @@ impl<'a> ShardCoordinator<'a> {
         let plan = self.cfg.plan;
         let welcome = Msg::Welcome {
             fingerprint: plan.bind(source_fp, shard_id),
-            shards: plan.shards,
-            salt: plan.salt,
+            chunk_records: self.cfg.chunk_records as u32,
+            target_rps: 0,
         };
         if conn.send(&welcome.encode()).is_err() {
             return ConnOutcome::Dead;
         }
         let clock = &self.obs.clock;
-        let window = self.cfg.window.max(1);
-        let mut reader: Option<ChunkedIpfixReader<'_>> = None;
-        let mut next_seq: u64 = 0;
-        // The worker's acknowledged position: the next sequence it
-        // expects, carried on every heartbeat and on resume requests.
-        // The send window is measured against it, so a torn frame
-        // costs at most `window` retransmitted chunks and the
-        // coordinator never runs far enough ahead to block on a full
-        // link.
-        let mut acked_seq: u64 = 0;
+        let mut sender = ChunkSender::new(self.bytes, self.cfg.chunk_records);
         // Ring windows from `ReportWindows` batches, complete once the
         // `Report` confirms their count. They live and die with this
         // connection: a respawned worker re-sends the whole ring.
@@ -757,12 +744,10 @@ impl<'a> ShardCoordinator<'a> {
         let mut last_frame_ns = clock.now_ns();
         let liveness_ns = self.cfg.liveness_timeout_ms.saturating_mul(1_000_000);
         loop {
-            let window_open =
-                reader.is_some() && next_seq.saturating_sub(acked_seq) < window;
-            // With the window open, poll without blocking and keep
+            // With something to send, poll without blocking and keep
             // streaming; otherwise (idle, draining, or waiting for
-            // acknowledgments) block in short slices.
-            let timeout = if window_open {
+            // credit) block in short slices.
+            let timeout = if sender.ready() {
                 Duration::ZERO
             } else {
                 Duration::from_millis(self.cfg.liveness_timeout_ms.clamp(1, 25))
@@ -770,48 +755,8 @@ impl<'a> ShardCoordinator<'a> {
             match conn.recv(timeout) {
                 Ok(Some(payload)) => {
                     last_frame_ns = clock.now_ns();
-                    match Msg::decode(&payload) {
-                        Some(Msg::Resume { byte_cursor, seq }) => {
-                            let mut r =
-                                ChunkedIpfixReader::new(self.bytes, self.cfg.chunk_records);
-                            r.seek(byte_cursor, seq);
-                            next_seq = seq;
-                            acked_seq = seq;
-                            reader = Some(r);
-                            self.obs.tracer.event(
-                                "shard_resumed",
-                                &[
-                                    ("shard", (shard_id as u64).into()),
-                                    ("seq", seq.into()),
-                                    ("byte_cursor", byte_cursor.into()),
-                                ],
-                            );
-                        }
-                        Some(Msg::Heartbeat { next_seq: acked }) => {
-                            acked_seq = acked_seq.max(acked);
-                            g.lag.set(next_seq.saturating_sub(acked_seq) as i64);
-                        }
-                        Some(Msg::ReportWindows(batch)) => windows.extend(batch),
-                        Some(Msg::Report {
-                            shard_id: reported_id,
-                            checkpoint,
-                            window_count,
-                        }) => {
-                            if windows.len() != window_count as usize {
-                                // A batch was lost to a corrupt frame;
-                                // the worker is gone by now, so recover
-                                // the way any dead link does.
-                                g.protocol_faults.inc();
-                                return ConnOutcome::Dead;
-                            }
-                            status.committed_chunks = checkpoint.committed_chunks;
-                            return ConnOutcome::Done(Box::new(ReportMsg {
-                                shard_id: reported_id,
-                                checkpoint: *checkpoint,
-                                windows,
-                            }));
-                        }
-                        Some(Msg::Fatal { code, detail }) => {
+                    match (Msg::decode(&payload), ReportMsg::decode(&payload)) {
+                        (Some(Msg::Fatal { code, detail }), _) => {
                             if code == FATAL_IDENTITY {
                                 return ConnOutcome::Fatal(ShardError::PlanRejected {
                                     shard_id,
@@ -820,8 +765,45 @@ impl<'a> ShardCoordinator<'a> {
                             }
                             return ConnOutcome::Dead;
                         }
-                        Some(_) => {}
-                        None => g.protocol_faults.inc(),
+                        (Some(msg), _) => {
+                            sender.on_msg(&msg);
+                            if let Msg::Resume { byte_cursor, seq } = msg {
+                                self.obs.tracer.event(
+                                    "shard_resumed",
+                                    &[
+                                        ("shard", (shard_id as u64).into()),
+                                        ("seq", seq.into()),
+                                        ("byte_cursor", byte_cursor.into()),
+                                    ],
+                                );
+                            }
+                            let acked = sender.credit().saturating_sub(SHARD_WINDOW);
+                            g.lag.set(sender.next_seq().saturating_sub(acked) as i64);
+                        }
+                        (None, Some(ReportMsg::Windows(batch))) => windows.extend(batch),
+                        (
+                            None,
+                            Some(ReportMsg::Report {
+                                shard_id: reported_id,
+                                checkpoint,
+                                window_count,
+                            }),
+                        ) => {
+                            if windows.len() != window_count as usize || reported_id != shard_id {
+                                // A batch was lost to a corrupt frame
+                                // (or the report is another shard's);
+                                // the worker is gone by now, so recover
+                                // the way any dead link does.
+                                g.protocol_faults.inc();
+                                return ConnOutcome::Dead;
+                            }
+                            status.committed_chunks = checkpoint.committed_chunks;
+                            return ConnOutcome::Done(Box::new(ShardReport {
+                                checkpoint: *checkpoint,
+                                windows,
+                            }));
+                        }
+                        (None, None) => g.protocol_faults.inc(),
                     }
                 }
                 Ok(None) => {
@@ -833,27 +815,16 @@ impl<'a> ShardCoordinator<'a> {
                 }
                 Err(_) => return ConnOutcome::Dead,
             }
-            if next_seq.saturating_sub(acked_seq) >= window {
-                continue;
-            }
-            if let Some(r) = reader.as_mut() {
-                match r.next_chunk() {
-                    Some(chunk) => {
-                        let seq = chunk.seq;
-                        let wc = sub_chunk(&chunk, &plan, shard_id);
-                        if conn.send(&Msg::Chunk(wc).encode()).is_err() {
-                            return ConnOutcome::Dead;
-                        }
-                        next_seq = seq + 1;
-                        g.chunks_sent.inc();
-                    }
-                    None => {
-                        if conn.send(&Msg::Finish { next_seq }.encode()).is_err() {
-                            return ConnOutcome::Dead;
-                        }
-                        reader = None;
-                    }
+            let sent = match sender.poll_send() {
+                Some(Msg::Chunk(chunk)) => {
+                    g.chunks_sent.inc();
+                    conn.send(&Msg::Chunk(sub_chunk(chunk, &plan, shard_id)).encode())
                 }
+                Some(finish) => conn.send(&finish.encode()),
+                None => Ok(()),
+            };
+            if sent.is_err() {
+                return ConnOutcome::Dead;
             }
         }
     }
@@ -861,7 +832,7 @@ impl<'a> ShardCoordinator<'a> {
     /// Merge shard outcomes into the study report, accounting lost
     /// partitions via one deterministic re-pass over the trace.
     fn aggregate(&self, outcomes: Vec<ShardOutcome>) -> Result<ShardStudyReport, ShardError> {
-        let mut completed: Vec<ReportMsg> = Vec::new();
+        let mut completed: Vec<ShardReport> = Vec::new();
         let mut shards: Vec<ShardStatus> = Vec::new();
         for outcome in outcomes {
             match outcome {
@@ -953,35 +924,49 @@ impl<'a> ShardCoordinator<'a> {
     }
 }
 
+/// What the connection router waits on. It polls the endpoint only
+/// while some supervisor wants a connection and parks otherwise, so the
+/// end of a run never waits out an accept poll.
+struct RouterGate {
+    /// `wanted[k]`: shard `k`'s supervisor has spawned a worker and is
+    /// waiting for its connection.
+    wanted: Vec<AtomicBool>,
+    done: AtomicBool,
+    /// The router's thread, set before any supervisor starts.
+    router: OnceLock<Thread>,
+}
+
+impl RouterGate {
+    /// Flip one of the gate's flags and wake the router to look at it.
+    fn set(&self, flag: &AtomicBool, value: bool) {
+        flag.store(value, Ordering::SeqCst);
+        if let Some(router) = self.router.get() {
+            router.unpark();
+        }
+    }
+}
+
 /// Accept inbound connections, read each one's `Hello`, and hand it to
 /// the right shard supervisor. Connections with no valid `Hello`
 /// within the handshake timeout are dropped.
 fn route_connections(
     endpoint: &dyn ShardEndpoint,
     conn_txs: Vec<mpsc::Sender<ShardTransport>>,
-    done: &AtomicBool,
+    gate: &RouterGate,
     handshake: Duration,
 ) {
-    while !done.load(Ordering::Relaxed) {
+    while !gate.done.load(Ordering::SeqCst) {
+        if !gate.wanted.iter().any(|w| w.load(Ordering::SeqCst)) {
+            // `unpark` after a flag flips makes this return at once.
+            thread::park();
+            continue;
+        }
         match endpoint.accept(Duration::from_millis(25)) {
             Ok(Some(mut conn)) => {
-                let hello = loop {
-                    match conn.recv(handshake) {
-                        Ok(Some(payload)) => match Msg::decode(&payload) {
-                            Some(Msg::Hello {
-                                proto_version,
-                                shard_id,
-                            }) => break Some((proto_version, shard_id)),
-                            // Tolerate noise ahead of the Hello.
-                            Some(_) | None => continue,
-                        },
-                        Ok(None) | Err(_) => break None,
-                    }
-                };
-                if let Some((version, shard_id)) = hello {
-                    if version == PROTO_VERSION && (shard_id as usize) < conn_txs.len() {
-                        let _ = conn_txs[shard_id as usize].send(conn);
-                    }
+                let stream = live::accept_stream(&mut conn, handshake).map(|k| k as usize);
+                if let Some(k) = stream.ok().filter(|&k| k < conn_txs.len()) {
+                    gate.wanted[k].store(false, Ordering::SeqCst);
+                    let _ = conn_txs[k].send(conn);
                 }
             }
             Ok(None) => {}
@@ -1018,9 +1003,10 @@ pub struct ShardWorkerConfig {
     pub runner: RunnerConfig,
     /// Rollup ring config for this worker, if the study writes rollups.
     pub rollup: Option<RollupConfig>,
-    /// Worker-side observability (also provides the heartbeat clock).
+    /// Worker-side observability (also provides the link's clock).
     pub obs: RunnerObs,
-    /// Heartbeat period, milliseconds.
+    /// Heartbeat period, milliseconds: how often the standing credit
+    /// grant is re-sent as a liveness beacon on an idle link.
     pub heartbeat_ms: u64,
     /// How long to wait for `Welcome` after sending `Hello`.
     pub handshake_timeout_ms: u64,
@@ -1050,7 +1036,8 @@ impl ShardWorkerConfig {
 /// Why a shard worker stopped serving.
 #[derive(Debug)]
 pub enum ShardWorkerError {
-    /// No valid `Welcome` within the handshake timeout.
+    /// No `Welcome` within the handshake timeout, or the link died
+    /// waiting for it.
     Handshake(String),
     /// The link to the coordinator died mid-run; progress up to the
     /// last checkpoint survives for the respawned worker.
@@ -1086,67 +1073,61 @@ impl From<io::Error> for ShardWorkerError {
 }
 
 /// State shared between the worker's main thread (chunk source) and its
-/// heartbeat thread. All control-plane *sends* mid-run go through the
-/// heartbeat thread so the main thread never blocks on a full outbound
-/// link — which is what rules out a send-send deadlock between
-/// coordinator and worker.
+/// heartbeat thread. The main thread feeds the receiver frames and the
+/// heartbeat thread transmits what it asks for, so the main thread
+/// never blocks on a full outbound link — which is what rules out a
+/// send-send deadlock between coordinator and worker.
 struct LinkShared {
-    /// Pending go-back-N request: (byte_cursor, seq) to resume from.
-    resume: Mutex<Option<(u64, u64)>>,
-    /// Next chunk sequence the runner expects — the acknowledgment
-    /// every heartbeat carries, pacing the coordinator's send window.
-    next_seq: AtomicU64,
-    /// Set when any send on the link fails.
-    link_down: AtomicBool,
+    receiver: Mutex<ChunkReceiver>,
+    /// Set when the link dies (a failed send or receive): the runner
+    /// aborts at the next chunk boundary, so a severed link is never
+    /// mistaken for a clean end of stream.
+    link_down: Arc<AtomicBool>,
     /// Set when the run is over and the heartbeat should stop.
     stop: AtomicBool,
+}
+
+impl LinkShared {
+    fn receiver(&self) -> MutexGuard<'_, ChunkReceiver> {
+        // Every `ChunkReceiver` method leaves it consistent.
+        self.receiver
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 }
 
 fn heartbeat_loop(
     tx: &Mutex<Box<dyn ShardTx>>,
     shared: &LinkShared,
     period: Duration,
-    clock: &dyn spoofwatch_obs::Clock,
+    clock: &dyn Clock,
 ) {
-    // Heartbeats carry the acknowledgment that reopens the
-    // coordinator's send window, so ack latency gates throughput. The
-    // loop sleeps in short slices and beats *early* whenever progress
-    // advanced or a resume request is pending; the configured period is
-    // only the idle fallback that keeps liveness ticking on a quiet
-    // link.
+    // Credit grants reopen the coordinator's send window, so their
+    // latency gates throughput. The loop sleeps in short slices and
+    // sends *early* whenever the runner advanced or a resume request is
+    // pending; the configured period is only the idle fallback that
+    // keeps liveness ticking on a quiet link.
     let slice = period.min(Duration::from_millis(2));
-    let mut last_sent_seq = u64::MAX;
     let mut last_beat_ns = None;
     while !shared.stop.load(Ordering::Relaxed) {
-        let pending = {
-            let mut cell = shared
-                .resume
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            cell.take()
+        let period_due = last_beat_ns.is_none_or(|t| clock.since_ns(t) >= period.as_nanos() as u64);
+        let (resume, credit) = {
+            let mut receiver = shared.receiver();
+            let resume = receiver.take_resume();
+            // Chunks go straight to the runner: consumed is admitted.
+            let consumed = receiver.next_seq();
+            let credit = receiver.credit(consumed, period_due || resume.is_some());
+            (resume, credit)
         };
-        let next_seq = shared.next_seq.load(Ordering::Relaxed);
-        let period_due = last_beat_ns
-            .is_none_or(|t| clock.since_ns(t) >= period.as_nanos() as u64);
-        if pending.is_none() && next_seq == last_sent_seq && !period_due {
-            clock.sleep(slice);
-            continue;
+        if credit.is_some() {
+            last_beat_ns = Some(clock.now_ns());
         }
-        let mut dead = false;
-        if let Some((byte_cursor, seq)) = pending {
-            let msg = Msg::Resume { byte_cursor, seq };
-            dead = send_locked(tx, &msg.encode()).is_err();
+        for msg in [resume, credit].into_iter().flatten() {
+            if send_locked(tx, &msg.encode()).is_err() {
+                shared.link_down.store(true, Ordering::Relaxed);
+                return;
+            }
         }
-        if !dead {
-            let msg = Msg::Heartbeat { next_seq };
-            dead = send_locked(tx, &msg.encode()).is_err();
-        }
-        if dead {
-            shared.link_down.store(true, Ordering::Relaxed);
-            return;
-        }
-        last_sent_seq = next_seq;
-        last_beat_ns = Some(clock.now_ns());
         clock.sleep(slice);
     }
 }
@@ -1156,50 +1137,16 @@ fn send_locked(tx: &Mutex<Box<dyn ShardTx>>, payload: &[u8]) -> io::Result<()> {
     guard.send(payload)
 }
 
-/// The worker-side [`ChunkSource`]: receives partitioned chunks over
-/// the wire, enforces in-order delivery, and converts every anomaly —
-/// gaps from dropped/corrupt frames, reordering, duplicates, silence —
-/// into an idempotent go-back-N resume request from its own cursor.
+/// The worker-side [`ChunkSource`]: feeds frames from the wire to the
+/// link's [`ChunkReceiver`] and hands the runner what it admits.
 struct TransportChunkSource<'t> {
     rx: &'t mut Box<dyn ShardRx>,
     shared: &'t LinkShared,
-    abort: Arc<AtomicBool>,
+    clock: &'t dyn Clock,
     fingerprint: u64,
-    next_seq: u64,
-    cursor: u64,
-    finished: bool,
-    dead: bool,
+    /// How long the data plane may stay silent before the position is
+    /// re-requested.
     chunk_timeout: Duration,
-    last_request: Option<Instant>,
-}
-
-impl TransportChunkSource<'_> {
-    /// Queue a resume request for the heartbeat thread to transmit.
-    /// Unforced requests are throttled to one per chunk timeout so a
-    /// burst of out-of-order frames triggers one retransmission, not a
-    /// storm.
-    fn request_resume(&mut self, force: bool) {
-        let due = force
-            || self
-                .last_request
-                .is_none_or(|at| at.elapsed() >= self.chunk_timeout);
-        if !due {
-            return;
-        }
-        self.last_request = Some(Instant::now());
-        let mut cell = self
-            .shared
-            .resume
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *cell = Some((self.cursor, self.next_seq));
-    }
-
-    fn fail(&mut self) -> Option<FlowChunk> {
-        self.dead = true;
-        self.abort.store(true, Ordering::Relaxed);
-        None
-    }
 }
 
 impl ChunkSource for TransportChunkSource<'_> {
@@ -1208,67 +1155,32 @@ impl ChunkSource for TransportChunkSource<'_> {
     }
 
     fn seek(&mut self, byte_cursor: u64, seq: u64) {
-        self.cursor = byte_cursor;
-        self.next_seq = seq;
-        self.finished = false;
-        self.shared.next_seq.store(seq, Ordering::Relaxed);
-        self.request_resume(true);
+        let now = self.clock.now_ns();
+        self.shared.receiver().seek(byte_cursor, seq, now);
     }
 
     fn next_chunk(&mut self) -> Option<FlowChunk> {
-        if self.finished || self.dead {
+        if self.shared.receiver().finished() {
             return None;
         }
-        loop {
-            if self.shared.link_down.load(Ordering::Relaxed) {
-                return self.fail();
-            }
+        while !self.shared.link_down.load(Ordering::Relaxed) {
             match self.rx.recv(self.chunk_timeout) {
-                Ok(Some(payload)) => match Msg::decode(&payload) {
-                    Some(Msg::Chunk(wc)) => {
-                        if wc.seq == self.next_seq {
-                            self.cursor = wc.byte_end;
-                            self.next_seq += 1;
-                            self.shared.next_seq.store(self.next_seq, Ordering::Relaxed);
-                            return Some(FlowChunk {
-                                seq: wc.seq,
-                                byte_start: wc.byte_start,
-                                byte_end: wc.byte_end,
-                                flows: wc.flows,
-                                health: wc.health,
-                            });
-                        } else if wc.seq > self.next_seq {
-                            // A frame was dropped or corrupted: ask to
-                            // go back to our cursor.
-                            self.request_resume(false);
-                        }
-                        // wc.seq < next_seq: duplicate from a
-                        // retransmission overlap — drop silently.
+                Ok(Some(payload)) => {
+                    let now = self.clock.now_ns();
+                    match self.shared.receiver().on_frame(&payload, now) {
+                        Received::Chunk(chunk) => return Some(chunk),
+                        Received::Finished => return None,
+                        _ => {}
                     }
-                    Some(Msg::Finish { next_seq }) => {
-                        if next_seq == self.next_seq {
-                            self.finished = true;
-                            return None;
-                        }
-                        // The stream ended upstream but we missed
-                        // frames: resume instead of finishing short.
-                        self.request_resume(false);
-                    }
-                    Some(_) => {} // duplicate Welcome etc.
-                    None => {
-                        // CRC-valid but structurally damaged payload.
-                        self.request_resume(false);
-                    }
-                },
-                Ok(None) => {
-                    // Data-plane silence: re-request our position (the
-                    // coordinator may have lost our Resume, or a Finish
-                    // was dropped).
-                    self.request_resume(false);
                 }
-                Err(_) => return self.fail(),
+                Ok(None) => {
+                    let now = self.clock.now_ns();
+                    self.shared.receiver().on_silence(now);
+                }
+                Err(_) => self.shared.link_down.store(true, Ordering::Relaxed),
             }
         }
+        None
     }
 }
 
@@ -1285,36 +1197,16 @@ pub fn serve_shard(
     classifier: &Classifier,
     cfg: &ShardWorkerConfig,
     store: &CheckpointStore,
-    transport: ShardTransport,
+    mut transport: ShardTransport,
 ) -> Result<(), ShardWorkerError> {
     if cfg.die_at == Some(DeathPoint::BeforeHello) {
         return Err(ShardWorkerError::Died("before_hello"));
     }
+    let handshake = Duration::from_millis(cfg.handshake_timeout_ms.max(1));
+    let (fingerprint, _, _) = live::open_stream(&mut transport, cfg.shard_id, handshake)
+        .map_err(|e| ShardWorkerError::Handshake(e.to_string()))?;
     let (tx_half, mut rx_half) = transport.split();
     let tx = Mutex::new(tx_half);
-    let hello = Msg::Hello {
-        proto_version: PROTO_VERSION,
-        shard_id: cfg.shard_id,
-    };
-    send_locked(&tx, &hello.encode()).map_err(|_| ShardWorkerError::Disconnected)?;
-
-    // Wait for Welcome.
-    let handshake = Duration::from_millis(cfg.handshake_timeout_ms.max(1));
-    let deadline = Instant::now() + handshake;
-    let fingerprint = loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(ShardWorkerError::Handshake("welcome timed out".into()));
-        }
-        match rx_half.recv(remaining) {
-            Ok(Some(payload)) => match Msg::decode(&payload) {
-                Some(Msg::Welcome { fingerprint, .. }) => break fingerprint,
-                _ => continue,
-            },
-            Ok(None) => continue,
-            Err(_) => return Err(ShardWorkerError::Disconnected),
-        }
-    };
     if cfg.die_at == Some(DeathPoint::AfterHello) {
         return Err(ShardWorkerError::Died("after_hello"));
     }
@@ -1323,45 +1215,43 @@ pub fn serve_shard(
     if let Some(DeathPoint::AfterChunks(n)) = cfg.die_at {
         runner_cfg.interrupt_after_chunks = Some(n);
     }
-    let abort = Arc::new(AtomicBool::new(false));
+    let link_down = Arc::new(AtomicBool::new(false));
     let mut runner = StudyRunner::new(classifier, runner_cfg)
         .with_obs(cfg.obs.clone())
-        .with_abort(Arc::clone(&abort));
+        .with_abort(Arc::clone(&link_down));
     if let Some(rollup) = &cfg.rollup {
         runner = runner.with_rollups(rollup.clone());
     }
 
+    let chunk_timeout = Duration::from_millis(cfg.chunk_timeout_ms.max(1));
     let shared = LinkShared {
-        resume: Mutex::new(None),
-        next_seq: AtomicU64::new(0),
-        link_down: AtomicBool::new(false),
+        receiver: Mutex::new(ChunkReceiver::new(
+            SHARD_WINDOW,
+            chunk_timeout.as_nanos() as u64,
+        )),
+        link_down,
         stop: AtomicBool::new(false),
     };
     let heartbeat = Duration::from_millis(cfg.heartbeat_ms.max(1));
-    let clock = Arc::clone(&cfg.obs.clock);
+    let clock: &dyn Clock = cfg.obs.clock.as_ref();
     thread::scope(|s| {
         let tx_ref = &tx;
         let shared_ref = &shared;
-        let clock_ref = &clock;
-        s.spawn(move || heartbeat_loop(tx_ref, shared_ref, heartbeat, clock_ref.as_ref()));
+        s.spawn(move || heartbeat_loop(tx_ref, shared_ref, heartbeat, clock));
         let mut source = TransportChunkSource {
             rx: &mut rx_half,
             shared: &shared,
-            abort: Arc::clone(&abort),
+            clock,
             fingerprint,
-            next_seq: 0,
-            cursor: 0,
-            finished: false,
-            dead: false,
-            chunk_timeout: Duration::from_millis(cfg.chunk_timeout_ms.max(1)),
-            last_request: None,
+            chunk_timeout,
         };
         let result = runner.run(&mut source, store);
         // The heartbeat keeps vouching for this worker while it reads,
         // encodes and sends its ring: after a long study that is
         // seconds of otherwise silent work, and silence past the
         // liveness timeout is a death.
-        let delivered = deliver_outcome(result, source.dead, cfg, store, &tx);
+        let link_dead = shared.link_down.load(Ordering::Relaxed);
+        let delivered = deliver_outcome(result, link_dead, cfg, store, &tx);
         shared.stop.store(true, Ordering::Relaxed);
         delivered
     })
@@ -1398,14 +1288,7 @@ fn deliver_outcome(
             // The ring travels in bounded batches: one frame holding a
             // few hundred windows would pass the link's frame cap.
             let mut payloads = report_window_batches(&windows);
-            payloads.push(
-                Msg::Report {
-                    shard_id: cfg.shard_id,
-                    checkpoint: Box::new(checkpoint),
-                    window_count: windows.len() as u32,
-                }
-                .encode(),
-            );
+            payloads.push(encode_report(cfg.shard_id, &checkpoint, windows.len() as u32));
             for payload in &payloads {
                 send_locked(tx, payload).map_err(|_| ShardWorkerError::Disconnected)?;
             }
@@ -1538,7 +1421,7 @@ mod tests {
             flows: (0..50).map(flow).collect(),
             health,
         };
-        let subs: Vec<WireChunk> = (0..3).map(|s| sub_chunk(&chunk, &plan, s)).collect();
+        let subs: Vec<FlowChunk> = (0..3).map(|s| sub_chunk(chunk.clone(), &plan, s)).collect();
         // Flows partition exactly.
         assert_eq!(
             subs.iter().map(|s| s.flows.len()).sum::<usize>(),

@@ -1,6 +1,6 @@
 //! Differential proof for the batch-vectorized classify path.
 //!
-//! `crate::batch`'s columnar classifiers (prefetched code probes +
+//! `crate::batch`'s columnar classifiers (columnar code probes +
 //! memoized cone verdicts) must be **byte-identical** to the scalar
 //! pipeline: per flow against `classify_with` / `classify_variants`
 //! under all five method variants, across epoch swaps sharing one

@@ -223,6 +223,51 @@ fn in_proc_sharding_is_bit_identical_for_1_2_4_shards() {
     }
 }
 
+/// The connection router polls the endpoint in 25 ms slices and is
+/// joined when the run ends; it used to sit in one of those polls with
+/// every shard long connected, so every sharded run ended by waiting
+/// one out (a 1-chunk study took 25.3 ms whatever the host). It now
+/// polls only while a supervisor wants a connection: once the one
+/// shard's connection is routed, the endpoint is never asked again.
+#[test]
+fn router_polls_only_while_a_supervisor_wants_a_connection() {
+    struct CountingEndpoint {
+        hub: InProcHub,
+        accepted: AtomicU64,
+        polls_after_accept: AtomicU64,
+    }
+    impl ShardEndpoint for CountingEndpoint {
+        fn accept(&self, timeout: Duration) -> io::Result<Option<ShardTransport>> {
+            if self.accepted.load(Ordering::SeqCst) > 0 {
+                self.polls_after_accept.fetch_add(1, Ordering::SeqCst);
+            }
+            let conn = self.hub.accept(timeout)?;
+            self.accepted.fetch_add(conn.is_some() as u64, Ordering::SeqCst);
+            Ok(conn)
+        }
+    }
+
+    let w = world(69);
+    let c = Arc::new(Classifier::build(&w.net.announcements, &w.net.orgs_dataset));
+    let scratch = Scratch::new("router-join");
+    let workers = WorkerWorld::new(Arc::clone(&c), &scratch, 1);
+    let endpoint = Arc::new(CountingEndpoint {
+        hub: InProcHub::new(SHARD_WIRE_MAGIC, 8),
+        accepted: AtomicU64::new(0),
+        polls_after_accept: AtomicU64::new(0),
+    });
+    let spawn_endpoint = Arc::clone(&endpoint);
+    let merged = ShardCoordinator::new(&w.bytes, shard_config(1))
+        .run(endpoint.as_ref(), &move |k| {
+            let transport = spawn_endpoint.hub.connect().expect("hub connect");
+            workers.launch(k, transport, None);
+        })
+        .expect("sharded run");
+    assert!(merged.shards[0].completed && merged.shards[0].deaths == 0);
+    assert_eq!(endpoint.accepted.load(Ordering::SeqCst), 1);
+    assert_eq!(endpoint.polls_after_accept.load(Ordering::SeqCst), 0);
+}
+
 #[cfg(unix)]
 #[test]
 fn uds_sharding_is_bit_identical() {

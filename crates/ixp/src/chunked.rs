@@ -23,7 +23,7 @@ use spoofwatch_net::{FaultKind, FlowBatch, FlowRecord, IngestHealth};
 
 /// One decoded chunk of the flow stream: the records recovered from the
 /// byte span `[byte_start, byte_end)` plus that span's health.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowChunk {
     /// Position of this chunk in the stream, starting at 0.
     pub seq: u64,

@@ -24,6 +24,7 @@
 
 pub mod chunked;
 pub mod ipfix;
+pub mod link;
 pub mod live;
 pub mod sampler;
 pub mod traffic;
@@ -31,7 +32,7 @@ pub mod traffic;
 pub use chunked::{ChunkSpan, ChunkedIpfixReader, FlowChunk};
 pub use live::{
     run_live_producer, LiveChunk, LiveProducerConfig, LiveProducerStats, LiveScenario,
-    LIVE_PROTO_VERSION, LIVE_WIRE_MAGIC,
+    LINK_PROTO_VERSION, LIVE_WIRE_MAGIC,
 };
 pub use sampler::PacketSampler;
 pub use traffic::{Trace, TrafficConfig, TrafficLabel};

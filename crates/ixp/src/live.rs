@@ -1,51 +1,41 @@
-//! Live streaming producer: seeded scenario traffic paced over a wire.
+//! The chunk-link message codec and the live streaming producer.
 //!
-//! File replay exercises the study pipeline at whatever rate the disk
-//! allows; a *live* study has to survive traffic arriving on its own
-//! schedule. This module is the sending half of that mode — a producer
-//! that walks a seeded scenario through [`ChunkedIpfixReader`] and
-//! streams the chunks over a [`ShardTransport`] at a target record
-//! rate with burst shaping, under **credit-based admission control**:
-//! the consumer grants an absolute send window (`Credit { up_to_seq }`)
-//! and the producer never sends a chunk it holds no credit for, so a
-//! slow study applies backpressure at the wire instead of ballooning
-//! the consumer's memory.
+//! One protocol carries chunks on both links — live (an `ixp` producer
+//! feeding `serve_live`, frame magic `SWLV`) and shard (a coordinator
+//! feeding `serve_shard`, magic `SWSD`, plus its report messages).
+//! [`Msg`] is the only codec; the rules of each half live in
+//! [`crate::link`]. The consumer speaks first (`Hello` → `Welcome` →
+//! `Resume`), and the sender never sends a chunk it holds no `Credit`
+//! for, so a slow study pushes back at the wire instead of ballooning
+//! memory; DESIGN.md §15 has the message flow.
 //!
-//! Message flow (producer ⇄ consumer):
-//!
-//! ```text
-//! → Hello   { version, fingerprint, chunk_records, target_rps }
-//! ← Welcome { window }
-//! ← Resume  { byte_cursor, seq }      (initial position; also go-back-N)
-//! ← Credit  { up_to_seq }             (absolute, monotonic, loss-tolerant)
-//! → Chunk*  (seq < up_to_seq only)
-//! → Finish  { next_seq }              (EOF, or reply to Stop)
-//! ← Stop                              (begin graceful drain)
-//! ← Bye                               (session over)
-//! ```
-//!
-//! Every message rides one `spoofwatch_net::wire` frame (magic `SWLV`),
-//! so corruption is caught by the frame CRC and decoding here is total:
-//! structural nonsense yields `None`, counted as a protocol fault,
-//! never a panic.
+//! Every message rides one `spoofwatch_net::wire` frame, so corruption
+//! is caught by the frame CRC and decoding here is total: structural
+//! nonsense yields `None`, counted as a protocol fault, never a panic.
+//! [`run_live_producer`] is the live link's sending shell: a seeded
+//! scenario paced at a target record rate with burst shaping, chaos
+//! pauses and watchdogs.
 
 use crate::chunked::{ChunkedIpfixReader, FlowChunk};
+use crate::link::{ChunkSender, Progress};
 use spoofwatch_net::codec::{self, put_u16, put_u32, put_u64, WireReader};
-use spoofwatch_net::{FlowRecord, IngestHealth, ShardTransport};
+use spoofwatch_net::ShardTransport;
 use std::io;
 use std::time::{Duration, Instant};
 
 /// Frame magic for live-session messages.
 pub const LIVE_WIRE_MAGIC: [u8; 4] = *b"SWLV";
-/// Live protocol version, negotiated in `Hello`.
-pub const LIVE_PROTO_VERSION: u16 = 1;
+/// The chunk-link protocol version, announced in `Hello` on both links.
+/// Version 3 merged the shard (v2) and live (v1) protocols.
+pub const LINK_PROTO_VERSION: u16 = 3;
 
 /// `Fatal` code: the peer refused the session identity (protocol
-/// version or stream fingerprint mismatch).
-pub const LIVE_FATAL_IDENTITY: u16 = 1;
+/// version, stream fingerprint, or a checkpoint bound to another study).
+pub const FATAL_IDENTITY: u16 = 1;
 /// `Fatal` code: unrecoverable internal error.
-pub const LIVE_FATAL_INTERNAL: u16 = 2;
+pub const FATAL_INTERNAL: u16 = 2;
 
+// Tags 9 and 11 belong to the shard link's report messages.
 const MSG_HELLO: u8 = 1;
 const MSG_WELCOME: u8 = 2;
 const MSG_CREDIT: u8 = 3;
@@ -54,90 +44,69 @@ const MSG_FINISH: u8 = 5;
 const MSG_RESUME: u8 = 6;
 const MSG_STOP: u8 = 7;
 const MSG_BYE: u8 = 8;
-const MSG_FATAL: u8 = 9;
+const MSG_FATAL: u8 = 10;
 
-/// One stream chunk on the live wire: the reader's sequence number and
-/// byte span plus the span's decode-health scalars (itemized quarantine
-/// events do not travel; the consumer's runner only absorbs scalars).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LiveChunk {
-    /// Position of this chunk in the stream, starting at 0.
-    pub seq: u64,
-    /// First input byte the chunk covers.
-    pub byte_start: u64,
-    /// One past the last input byte; the resume cursor.
-    pub byte_end: u64,
-    /// Decode health of the span (scalars only on the wire).
-    pub health: IngestHealth,
-    /// Records recovered from the span, in stream order.
-    pub flows: Vec<FlowRecord>,
-}
+/// A chunk as a link carries it: the reader's [`FlowChunk`], of which
+/// only the health scalars are encoded (itemized quarantine events stay
+/// with the decoder that saw them; the consumer's runner absorbs only
+/// scalars). On the shard link it holds only the flows the shard owns.
+pub type LiveChunk = FlowChunk;
 
-impl LiveChunk {
-    /// Wire view of a decoded chunk (drops itemized health events —
-    /// only scalars travel).
+impl FlowChunk {
+    /// What a consumer decodes from this chunk's `Msg::Chunk`: a copy
+    /// without the itemized health events.
     pub fn from_chunk(c: &FlowChunk) -> LiveChunk {
-        LiveChunk {
+        FlowChunk {
             seq: c.seq,
             byte_start: c.byte_start,
             byte_end: c.byte_end,
-            health: c.health.scalars(),
             flows: c.flows.clone(),
-        }
-    }
-
-    /// Convert back into the reader's chunk type for the consumer's
-    /// study runner.
-    pub fn into_chunk(self) -> FlowChunk {
-        FlowChunk {
-            seq: self.seq,
-            byte_start: self.byte_start,
-            byte_end: self.byte_end,
-            flows: self.flows,
-            health: self.health,
+            health: c.health.scalars(),
         }
     }
 }
 
-/// Every message either side of a live link can send.
+/// Every message either side of a chunk link can send.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Producer → consumer: identify the stream after connecting.
+    /// Consumer → sender: identify after connecting.
     Hello {
-        /// Must equal [`LIVE_PROTO_VERSION`].
+        /// Must equal [`LINK_PROTO_VERSION`].
         proto_version: u16,
-        /// [`ChunkedIpfixReader::fingerprint`] of the scenario — binds
-        /// the consumer's checkpoints to this exact stream.
+        /// Which of the sender's streams this consumer takes: the shard
+        /// id on the shard link, 0 on the live link.
+        stream: u32,
+    },
+    /// Sender → consumer: accept, describing the stream.
+    Welcome {
+        /// The stream identity the consumer binds its checkpoints to:
+        /// [`ChunkedIpfixReader::fingerprint`], on the shard link mixed
+        /// with the shard plan.
         fingerprint: u64,
-        /// Records per chunk the producer walks with.
+        /// Records per chunk the sender walks with.
         chunk_records: u32,
         /// Target offered rate in records/second (0 = line rate);
         /// informational, echoed into the consumer's session report.
         target_rps: u32,
     },
-    /// Consumer → producer: accept, advertising the admission window
-    /// (maximum chunks ever buffered consumer-side).
-    Welcome {
-        /// Admission-buffer bound in chunks.
-        window: u32,
-    },
-    /// Consumer → producer: absolute send-window grant. The producer
-    /// may send any chunk with `seq < up_to_seq`. Grants are monotonic
-    /// and idempotent, so a lost or reordered grant is harmless.
+    /// Consumer → sender: absolute send-window grant. The sender may
+    /// send any chunk with `seq < up_to_seq`. Grants are monotonic and
+    /// idempotent, so a lost or reordered grant is harmless; re-sent
+    /// periodically they double as the consumer's liveness beacon.
     Credit {
-        /// One past the highest chunk sequence the producer may send.
+        /// One past the highest chunk sequence the sender may send.
         up_to_seq: u64,
     },
-    /// Producer → consumer: one paced stream chunk.
+    /// Sender → consumer: one stream chunk.
     Chunk(LiveChunk),
-    /// Producer → consumer: the stream is exhausted (or a `Stop` was
+    /// Sender → consumer: the stream is exhausted (or a `Stop` was
     /// honored); `next_seq` is one past the last chunk sent, so the
     /// consumer can detect missing frames and ask to resume.
     Finish {
         /// One past the last chunk sequence.
         next_seq: u64,
     },
-    /// Consumer → producer: stream (or re-stream) from this position —
+    /// Consumer → sender: stream (or re-stream) from this position —
     /// sent once after the handshake from the consumer's checkpoint,
     /// and again whenever a gap demands go-back-N retransmission.
     Resume {
@@ -146,36 +115,18 @@ pub enum Msg {
         /// Sequence number of the next chunk.
         seq: u64,
     },
-    /// Consumer → producer: begin graceful drain. No further credit
-    /// will be granted; the producer replies `Finish` and waits for
-    /// `Bye`.
+    /// Consumer → sender: begin graceful drain. No further credit will
+    /// be granted; the sender replies `Finish` and waits for `Bye`.
     Stop,
-    /// Consumer → producer: the session is over; disconnect.
+    /// Consumer → sender: the session is over; disconnect.
     Bye,
-    /// Either side: unrecoverable failure (`LIVE_FATAL_*` code).
+    /// Either side: unrecoverable failure (`FATAL_*` code).
     Fatal {
-        /// One of the `LIVE_FATAL_*` codes.
+        /// One of the `FATAL_*` codes.
         code: u16,
         /// Human-readable detail.
         detail: String,
     },
-}
-
-/// The `Chunk` message for a decoded chunk, encoded straight from the
-/// borrowed records: what `Msg::Chunk(LiveChunk::from_chunk(c)).encode()`
-/// yields, without cloning the record vector first.
-fn encode_chunk(c: &FlowChunk) -> Vec<u8> {
-    let mut out = Vec::new();
-    codec::put_chunk(
-        &mut out,
-        MSG_CHUNK,
-        c.seq,
-        c.byte_start,
-        c.byte_end,
-        &c.health,
-        &c.flows,
-    );
-    out
 }
 
 impl Msg {
@@ -185,19 +136,21 @@ impl Msg {
         match self {
             Msg::Hello {
                 proto_version,
+                stream,
+            } => {
+                out.push(MSG_HELLO);
+                put_u16(&mut out, *proto_version);
+                put_u32(&mut out, *stream);
+            }
+            Msg::Welcome {
                 fingerprint,
                 chunk_records,
                 target_rps,
             } => {
-                out.push(MSG_HELLO);
-                put_u16(&mut out, *proto_version);
+                out.push(MSG_WELCOME);
                 put_u64(&mut out, *fingerprint);
                 put_u32(&mut out, *chunk_records);
                 put_u32(&mut out, *target_rps);
-            }
-            Msg::Welcome { window } => {
-                out.push(MSG_WELCOME);
-                put_u32(&mut out, *window);
             }
             Msg::Credit { up_to_seq } => {
                 out.push(MSG_CREDIT);
@@ -240,11 +193,13 @@ impl Msg {
         let msg = match r.u8()? {
             MSG_HELLO => Msg::Hello {
                 proto_version: r.u16()?,
+                stream: r.u32()?,
+            },
+            MSG_WELCOME => Msg::Welcome {
                 fingerprint: r.u64()?,
                 chunk_records: r.u32()?,
                 target_rps: r.u32()?,
             },
-            MSG_WELCOME => Msg::Welcome { window: r.u32()? },
             MSG_CREDIT => Msg::Credit { up_to_seq: r.u64()? },
             MSG_CHUNK => Msg::Chunk(LiveChunk {
                 seq: r.u64()?,
@@ -275,6 +230,75 @@ impl Msg {
             return None;
         }
         Some(msg)
+    }
+}
+
+/// The consumer's half of the handshake: ask for `stream`, then wait up
+/// to `timeout` for the sender's `Welcome` and return its
+/// `(fingerprint, chunk_records, target_rps)`.
+pub fn open_stream(
+    conn: &mut ShardTransport,
+    stream: u32,
+    timeout: Duration,
+) -> io::Result<(u64, u32, u32)> {
+    let hello = Msg::Hello {
+        proto_version: LINK_PROTO_VERSION,
+        stream,
+    };
+    conn.send(&hello.encode())?;
+    let deadline = Instant::now() + timeout;
+    loop {
+        match await_msg(conn, deadline, "no Welcome before the handshake timeout")? {
+            Msg::Welcome {
+                fingerprint,
+                chunk_records,
+                target_rps,
+            } => return Ok((fingerprint, chunk_records, target_rps)),
+            Msg::Fatal { code, detail } => {
+                return Err(io::Error::other(format!(
+                    "sender refused the session (code {code}): {detail}"
+                )));
+            }
+            _ => {} // stray pre-handshake frame: ignore
+        }
+    }
+}
+
+/// The sender's half of the handshake: wait up to `timeout` for a
+/// consumer's `Hello` and return the stream it asks for (the caller
+/// answers `Welcome`). Another protocol version is refused with `Fatal`.
+pub fn accept_stream(conn: &mut ShardTransport, timeout: Duration) -> io::Result<u32> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match await_msg(conn, deadline, "no Hello before the handshake timeout")? {
+            Msg::Hello {
+                proto_version: LINK_PROTO_VERSION,
+                stream,
+            } => return Ok(stream),
+            Msg::Hello { proto_version, .. } => {
+                let detail = format!("unsupported link protocol version {proto_version}");
+                let fatal = Msg::Fatal {
+                    code: FATAL_IDENTITY,
+                    detail: detail.clone(),
+                };
+                let _ = conn.send(&fatal.encode());
+                return Err(io::Error::other(detail));
+            }
+            _ => {} // noise ahead of the Hello: ignore
+        }
+    }
+}
+
+/// The next decodable message before `deadline`, or `TimedOut(what)`.
+fn await_msg(conn: &mut ShardTransport, deadline: Instant, what: &'static str) -> io::Result<Msg> {
+    loop {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, what));
+        }
+        if let Some(msg) = conn.recv(remaining)?.as_deref().and_then(Msg::decode) {
+            return Ok(msg);
+        }
     }
 }
 
@@ -326,7 +350,7 @@ pub struct LiveProducerConfig {
     /// the inter-burst gap stretched to preserve the average rate.
     /// 1 = smooth pacing.
     pub burst_chunks: u32,
-    /// How long to wait for `Welcome` and the first `Resume`.
+    /// How long to wait for `Hello` and the first `Resume`.
     pub handshake_timeout_ms: u64,
     /// Producer-side credit-stall watchdog: error out if the consumer
     /// grants no new credit for this long while chunks are ready to
@@ -380,51 +404,27 @@ const POLL: Duration = Duration::from_millis(5);
 /// link error. Blocks the calling thread; run it on its own thread (or
 /// process) like a real upstream tap.
 ///
-/// Protocol: send `Hello`, await `Welcome` then the consumer's initial
-/// `Resume`, then release chunks under credit and pacing. `Resume`
-/// mid-stream seeks the reader back (go-back-N); `Stop` freezes
-/// sending and answers `Finish`; `Bye` ends the session.
+/// Await the consumer's `Hello`, answer `Welcome`, await its initial
+/// `Resume`, then release what the [`ChunkSender`] allows under pacing.
+/// `Bye` ends the session.
 pub fn run_live_producer(
     transport: &mut ShardTransport,
     scenario: &LiveScenario,
     cfg: &LiveProducerConfig,
 ) -> io::Result<LiveProducerStats> {
-    let mut reader = ChunkedIpfixReader::new(&scenario.data, scenario.chunk_records);
+    let mut sender = ChunkSender::new(&scenario.data, scenario.chunk_records);
     let mut stats = LiveProducerStats::default();
+    // The fingerprint pass overlaps the consumer's own start-up.
+    let welcome = Msg::Welcome {
+        fingerprint: sender.fingerprint(),
+        chunk_records: scenario.chunk_records as u32,
+        target_rps: cfg.target_records_per_sec,
+    };
 
-    transport.send(
-        &Msg::Hello {
-            proto_version: LIVE_PROTO_VERSION,
-            fingerprint: reader.fingerprint(),
-            chunk_records: scenario.chunk_records as u32,
-            target_rps: cfg.target_records_per_sec,
-        }
-        .encode(),
-    )?;
-
-    // Await Welcome.
-    let handshake_deadline = Instant::now() + Duration::from_millis(cfg.handshake_timeout_ms);
-    loop {
-        let remaining = handshake_deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "no Welcome before handshake timeout",
-            ));
-        }
-        if let Some(payload) = transport.recv(remaining)? {
-            match Msg::decode(&payload) {
-                Some(Msg::Welcome { .. }) => break,
-                Some(Msg::Fatal { code, detail }) => {
-                    return Err(io::Error::other(format!(
-                        "consumer refused session (code {code}): {detail}"
-                    )));
-                }
-                Some(_) => {} // stray pre-handshake frame: ignore
-                None => stats.protocol_faults += 1,
-            }
-        }
-    }
+    let handshake = Duration::from_millis(cfg.handshake_timeout_ms);
+    let handshake_deadline = Instant::now() + handshake;
+    accept_stream(transport, handshake)?;
+    transport.send(&welcome.encode())?;
 
     let interval_ns: u64 = if cfg.target_records_per_sec == 0 {
         0
@@ -435,15 +435,6 @@ pub fn run_live_producer(
     };
     let burst = cfg.burst_chunks.max(1) as u64;
 
-    let mut started = false; // first Resume received
-    let mut stopping = false;
-    // On Stop we freeze forward progress at the then-current position;
-    // a Resume during the drain rewinds below it, and we re-send up to
-    // it (always within already-granted credit) before re-Finishing.
-    let mut stop_at: u64 = u64::MAX;
-    let mut finished_sent = false;
-    let mut credit_up_to: u64 = 0;
-    let mut send_seq: u64 = 0;
     let mut pace_start = Instant::now();
     let mut paced_chunks: u64 = 0; // chunks released since pace_start
     let mut last_progress = Instant::now();
@@ -453,14 +444,14 @@ pub fn run_live_producer(
     loop {
         // Drain control traffic. Block only as long as we have nothing
         // better to do.
-        let wait = if !started {
+        let wait = if !sender.started() {
             handshake_deadline.saturating_duration_since(Instant::now())
-        } else if stopping || finished_sent || send_seq >= credit_up_to {
-            POLL * 4
-        } else {
+        } else if sender.ready() {
             Duration::ZERO
+        } else {
+            POLL * 4
         };
-        if !started && wait.is_zero() {
+        if !sender.started() && wait.is_zero() {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 "no initial Resume before handshake timeout",
@@ -468,36 +459,6 @@ pub fn run_live_producer(
         }
         match transport.recv(wait.max(Duration::from_millis(1))) {
             Ok(Some(payload)) => match Msg::decode(&payload) {
-                Some(Msg::Credit { up_to_seq }) => {
-                    if up_to_seq > credit_up_to {
-                        credit_up_to = up_to_seq;
-                        last_progress = Instant::now();
-                    }
-                }
-                Some(Msg::Resume { byte_cursor, seq }) => {
-                    reader.seek(byte_cursor, seq);
-                    send_seq = seq;
-                    if started {
-                        stats.resumes_served += 1;
-                    }
-                    started = true;
-                    // A resume un-finishes the stream: the consumer is
-                    // missing chunks we must re-send (during a Stop
-                    // drain, only up to `stop_at`).
-                    finished_sent = false;
-                    finish_sent_at = None;
-                    last_progress = Instant::now();
-                    // Restart pacing from here: replayed chunks are
-                    // paced like fresh ones.
-                    pace_start = Instant::now();
-                    paced_chunks = 0;
-                }
-                Some(Msg::Stop) => {
-                    if !stopping {
-                        stopping = true;
-                        stop_at = send_seq;
-                    }
-                }
                 Some(Msg::Bye) => {
                     stats.acked = true;
                     return Ok(stats);
@@ -507,44 +468,41 @@ pub fn run_live_producer(
                         "consumer fatal (code {code}): {detail}"
                     )));
                 }
-                Some(_) => {}
+                Some(msg) => match sender.on_msg(&msg) {
+                    Progress::Resumed { first } => {
+                        stats.resumes_served += u64::from(!first);
+                        finish_sent_at = None;
+                        last_progress = Instant::now();
+                        // Replayed chunks are paced like fresh ones.
+                        pace_start = Instant::now();
+                        paced_chunks = 0;
+                    }
+                    Progress::Credit => last_progress = Instant::now(),
+                    Progress::None => {}
+                },
                 None => stats.protocol_faults += 1,
             },
             Ok(None) => {}
             Err(e) => {
                 // Link gone. If we already finished, treat a lost Bye
                 // as a clean-enough end; otherwise surface it.
-                if finished_sent {
+                if sender.finish_sent() {
                     return Ok(stats);
                 }
                 return Err(e);
             }
         }
-        if !started {
-            continue;
-        }
 
-        if stopping && !finished_sent && send_seq >= stop_at {
-            transport.send(&Msg::Finish { next_seq: send_seq }.encode())?;
-            stats.finished = true;
-            finished_sent = true;
-            finish_sent_at = Some(Instant::now());
-        }
-
-        if finished_sent {
-            // Drain phase: only Bye (handled above) or a drain timeout
-            // ends the session.
+        if !sender.ready() {
             if let Some(at) = finish_sent_at {
+                // Drain phase: only Bye (handled above) or a drain
+                // timeout ends the session.
                 if at.elapsed() >= Duration::from_millis(cfg.drain_timeout_ms) {
                     return Ok(stats);
                 }
-            }
-            continue;
-        }
-
-        if send_seq >= credit_up_to {
-            // Credit-blocked: the watchdog bounds this wait.
-            if last_progress.elapsed() >= Duration::from_millis(cfg.credit_stall_ms) {
+            } else if sender.started()
+                && last_progress.elapsed() >= Duration::from_millis(cfg.credit_stall_ms)
+            {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     "credit stall: consumer granted no credit within the watchdog bound",
@@ -553,7 +511,7 @@ pub fn run_live_producer(
             continue;
         }
 
-        // Pacing: chunk k of this pacing epoch is due when its burst is.
+        // Pacing: release k of this pacing epoch is due when its burst is.
         if interval_ns > 0 {
             let due_ns = (paced_chunks / burst) * burst * interval_ns;
             let elapsed_ns = pace_start.elapsed().as_nanos() as u64;
@@ -562,27 +520,26 @@ pub fn run_live_producer(
                 continue;
             }
         }
+        if let Some(i) = pauses.iter().position(|&(at, _)| at == sender.next_seq()) {
+            let (_, pause_ms) = pauses.remove(i);
+            std::thread::sleep(Duration::from_millis(pause_ms));
+            stats.pauses_taken += 1;
+        }
 
-        match reader.next_chunk() {
-            Some(chunk) => {
-                if let Some(i) = pauses.iter().position(|&(at, _)| at == chunk.seq) {
-                    let (_, pause_ms) = pauses.remove(i);
-                    std::thread::sleep(Duration::from_millis(pause_ms));
-                    stats.pauses_taken += 1;
-                }
-                send_seq = chunk.seq + 1;
+        match sender.poll_send() {
+            Some(Msg::Chunk(chunk)) => {
                 stats.chunks_sent += 1;
                 stats.records_sent += chunk.flows.len() as u64;
                 paced_chunks += 1;
                 last_progress = Instant::now();
-                transport.send(&encode_chunk(&chunk))?;
+                transport.send(&Msg::Chunk(chunk).encode())?;
             }
-            None => {
-                transport.send(&Msg::Finish { next_seq: send_seq }.encode())?;
+            Some(finish) => {
+                transport.send(&finish.encode())?;
                 stats.finished = true;
-                finished_sent = true;
                 finish_sent_at = Some(Instant::now());
             }
+            None => {}
         }
     }
 }
@@ -590,7 +547,8 @@ pub fn run_live_producer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spoofwatch_net::{Asn, Proto};
+    use spoofwatch_net::wire::{frame_encode, FrameReader};
+    use spoofwatch_net::{Asn, FlowRecord, IngestHealth, Proto};
 
     fn sample_flow(i: u32) -> FlowRecord {
         FlowRecord {
@@ -608,6 +566,11 @@ mod tests {
         }
     }
 
+    const HELLO: Msg = Msg::Hello {
+        proto_version: LINK_PROTO_VERSION,
+        stream: 0,
+    };
+
     fn roundtrip(msg: Msg) {
         let encoded = msg.encode();
         assert_eq!(Msg::decode(&encoded), Some(msg));
@@ -616,12 +579,14 @@ mod tests {
     #[test]
     fn control_messages_roundtrip() {
         roundtrip(Msg::Hello {
-            proto_version: LIVE_PROTO_VERSION,
+            proto_version: LINK_PROTO_VERSION,
+            stream: 3,
+        });
+        roundtrip(Msg::Welcome {
             fingerprint: 0xDEAD_BEEF_0BAD_F00D,
             chunk_records: 64,
             target_rps: 10_000,
         });
-        roundtrip(Msg::Welcome { window: 8 });
         roundtrip(Msg::Credit { up_to_seq: 17 });
         roundtrip(Msg::Finish { next_seq: 77 });
         roundtrip(Msg::Resume {
@@ -631,7 +596,7 @@ mod tests {
         roundtrip(Msg::Stop);
         roundtrip(Msg::Bye);
         roundtrip(Msg::Fatal {
-            code: LIVE_FATAL_IDENTITY,
+            code: FATAL_IDENTITY,
             detail: "fingerprint mismatch".into(),
         });
     }
@@ -690,11 +655,8 @@ mod tests {
         assert_eq!(Msg::decode(&long), None);
     }
 
-    /// `Msg::Chunk` payload of a two-flow chunk as the parent commit's
-    /// per-field `put_flow`/`put_health` codec wrote it (byte for byte
-    /// what the shard link's `Msg::Chunk` wrote for the same chunk; the
-    /// same literal is pinned in `spoofwatch-core`'s shard protocol
-    /// tests).
+    /// `Msg::Chunk` payload of a two-flow chunk as the per-field
+    /// `put_flow`/`put_health` codecs of PR 11 wrote it on both links.
     const PARENT_CHUNK_PAYLOAD: [u8; 182] = [
         0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
         0x90, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -748,11 +710,23 @@ mod tests {
         assert!(!chunk.health.events.is_empty());
         let wire = LiveChunk::from_chunk(&chunk);
         assert!(wire.health.events.is_empty());
-        // The owned message and the producer's borrowed encoding agree
-        // with each other and with the parent's bytes.
+        assert_eq!(Msg::Chunk(chunk).encode(), PARENT_CHUNK_PAYLOAD);
         assert_eq!(Msg::Chunk(wire.clone()).encode(), PARENT_CHUNK_PAYLOAD);
-        assert_eq!(encode_chunk(&chunk), PARENT_CHUNK_PAYLOAD);
         assert_eq!(Msg::decode(&PARENT_CHUNK_PAYLOAD), Some(Msg::Chunk(wire)));
+
+        // The shard frame PR 11 (byte-wise CRC) put around that payload
+        // still verifies under the sliced CRC.
+        let mut frame = b"SWSD\x00\x01\x00\x00\x00\xb6".to_vec();
+        frame.extend_from_slice(&PARENT_CHUNK_PAYLOAD);
+        frame.extend_from_slice(&[0xca, 0xfc, 0x48, 0x37]);
+        assert_eq!(frame_encode(b"SWSD", &PARENT_CHUNK_PAYLOAD), frame);
+        let mut reader = FrameReader::new(*b"SWSD");
+        reader.push(&frame);
+        assert_eq!(
+            reader.next_frame().as_deref(),
+            Some(&PARENT_CHUNK_PAYLOAD[..])
+        );
+        assert_eq!(reader.faults(), 0);
     }
 
     #[test]
@@ -798,20 +772,15 @@ mod tests {
                 }
             }
         };
-        match recv_msg(&mut b) {
-            Msg::Hello {
-                proto_version,
-                fingerprint: fp,
-                chunk_records,
-                ..
-            } => {
-                assert_eq!(proto_version, LIVE_PROTO_VERSION);
-                assert_eq!(fp, fingerprint);
-                assert_eq!(chunk_records, 5);
+        b.send(&HELLO.encode()).unwrap();
+        assert_eq!(
+            recv_msg(&mut b),
+            Msg::Welcome {
+                fingerprint,
+                chunk_records: 5,
+                target_rps: 0,
             }
-            other => panic!("expected Hello, got {other:?}"),
-        }
-        b.send(&Msg::Welcome { window: 4 }.encode()).unwrap();
+        );
         b.send(&Msg::Resume { byte_cursor: 0, seq: 0 }.encode())
             .unwrap();
         // Grant credit for the first three chunks only.
@@ -880,14 +849,7 @@ mod tests {
         let producer =
             std::thread::spawn(move || run_live_producer(&mut a, &scenario, &cfg));
         // Handshake + initial position, then silence.
-        loop {
-            if let Some(p) = b.recv(Duration::from_secs(5)).unwrap() {
-                if matches!(Msg::decode(&p), Some(Msg::Hello { .. })) {
-                    break;
-                }
-            }
-        }
-        b.send(&Msg::Welcome { window: 4 }.encode()).unwrap();
+        b.send(&HELLO.encode()).unwrap();
         b.send(&Msg::Resume { byte_cursor: 0, seq: 0 }.encode())
             .unwrap();
         let err = producer.join().unwrap().unwrap_err();

@@ -162,70 +162,13 @@ impl<T> FrozenLpm<T> {
         (*p, v)
     }
 
-    /// Hint the CPU to pull `addr`'s level-1 slot into cache.
-    ///
-    /// The level-1 array is 64 MiB, so a stream of random probes misses
-    /// LLC on almost every slot load; issuing the prefetch a few probes
-    /// ahead overlaps those misses instead of serializing them. On
-    /// non-x86_64 targets this is a no-op (stable Rust exposes no
-    /// portable prefetch): [`FrozenLpm::lookup_codes_into`] still wins
-    /// there from column density and out-of-order overlap alone.
-    #[inline(always)]
-    #[allow(unsafe_code)]
-    pub fn prefetch(&self, addr: u32) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `addr >> 8 < L1_SLOTS` and `l1.len() == L1_SLOTS` by
-        // construction, so the pointer is in bounds; `_mm_prefetch` is a
-        // cache hint with no memory effects and no failure mode.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(
-                self.l1.as_ptr().add((addr >> 8) as usize).cast::<i8>(),
-                _MM_HINT_T0,
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = addr;
-    }
-
-    /// How many probes [`FrozenLpm::lookup_codes_into`] keeps in flight:
-    /// the prefetch for probe `i + PREFETCH_DEPTH` issues while probe `i`
-    /// resolves. DIR-24-8 resolution is ~2 dependent loads (~4–10 cycles
-    /// retired work), and an LLC miss on the 64 MiB level-1 array costs
-    /// ~60–100 ns, so covering it needs the hint ≥6 probes early; 8 (the
-    /// top of the 4–8 band that fits comfortably in the line-fill
-    /// buffers of every x86_64 core this runs on) measured best in
-    /// `benches/batch.rs` and is recorded there as the on/off delta.
-    pub const PREFETCH_DEPTH: usize = 8;
-
     /// Resolve a whole column of probes to leaf codes (see
-    /// [`FrozenLpm::lookup_code`]), appending to `out`.
-    ///
-    /// With `prefetch` set, the level-1 slot of probe
-    /// `i + PREFETCH_DEPTH` is prefetched while probe `i` resolves, so
-    /// up to 8 level-1 misses are in flight at once instead of one —
-    /// the batch path's answer to the 64 MiB array not fitting in cache.
-    /// Spill-chunk loads (rare: only /25–/32 buckets) resolve on demand.
-    /// The output is exactly what per-probe [`FrozenLpm::lookup_code`]
-    /// calls would produce; `prefetch` never changes results.
-    pub fn lookup_codes_into(&self, addrs: &[u32], out: &mut Vec<u32>, prefetch: bool) {
-        out.reserve(addrs.len());
-        if prefetch {
-            // Prime the pipeline so the first probes are covered too.
-            for &a in addrs.iter().take(Self::PREFETCH_DEPTH) {
-                self.prefetch(a);
-            }
-            for (i, &addr) in addrs.iter().enumerate() {
-                if let Some(&ahead) = addrs.get(i + Self::PREFETCH_DEPTH) {
-                    self.prefetch(ahead);
-                }
-                out.push(self.lookup_code(addr));
-            }
-        } else {
-            for &addr in addrs {
-                out.push(self.lookup_code(addr));
-            }
-        }
+    /// [`FrozenLpm::lookup_code`]), appending to `out`. The probes are
+    /// independent, so the out-of-order core overlaps their level-1
+    /// misses on the 64 MiB array by itself. The output is exactly what
+    /// per-probe [`FrozenLpm::lookup_code`] calls would produce.
+    pub fn lookup_codes_into(&self, addrs: &[u32], out: &mut Vec<u32>) {
+        out.extend(addrs.iter().map(|&addr| self.lookup_code(addr)));
     }
 
     /// Whether some stored prefix contains `addr`.
@@ -439,9 +382,9 @@ mod tests {
     #[test]
     fn batch_codes_match_scalar_lookup() {
         // A table with spills plus a wide covering prefix, probed at
-        // every interesting boundary, with and without prefetch: the
-        // code column must equal per-probe lookup_code exactly, and
-        // entry_of_code must reconstruct lookup's answer.
+        // every interesting boundary: the code column must equal
+        // per-probe lookup_code exactly, and entry_of_code must
+        // reconstruct lookup's answer.
         let f = frozen(&[
             "0.0.0.0/2",
             "10.0.0.0/8",
@@ -454,36 +397,33 @@ mod tests {
             .map(|i| i.wrapping_mul(0x9E37_79B9) ^ (i << 13))
             .chain([0, 0x0A00_0001, 0x0A00_0080, 0x0A00_0002, 0xC000_0200, u32::MAX])
             .collect();
-        for prefetch in [false, true] {
-            let mut codes = Vec::new();
-            f.lookup_codes_into(&probes, &mut codes, prefetch);
-            assert_eq!(codes.len(), probes.len());
-            for (&addr, &code) in probes.iter().zip(&codes) {
-                assert_eq!(code, f.lookup_code(addr), "addr {addr:#010x}");
-                let via_code = if code == 0 {
-                    None
-                } else {
-                    let (p, v) = f.entry_of_code(code);
-                    Some((p, *v))
-                };
-                assert_eq!(via_code, f.lookup(addr).map(|(p, v)| (p, *v)));
-            }
+        let mut codes = Vec::new();
+        f.lookup_codes_into(&probes, &mut codes);
+        assert_eq!(codes.len(), probes.len());
+        for (&addr, &code) in probes.iter().zip(&codes) {
+            assert_eq!(code, f.lookup_code(addr), "addr {addr:#010x}");
+            let via_code = if code == 0 {
+                None
+            } else {
+                let (p, v) = f.entry_of_code(code);
+                Some((p, *v))
+            };
+            assert_eq!(via_code, f.lookup(addr).map(|(p, v)| (p, *v)));
         }
         // Appending: lookup_codes_into must not clear its output.
         let mut codes = vec![7u32];
-        f.lookup_codes_into(&probes[..4], &mut codes, true);
+        f.lookup_codes_into(&probes[..4], &mut codes);
         assert_eq!(codes.len(), 5);
         assert_eq!(codes[0], 7);
     }
 
     #[test]
     fn batch_codes_short_inputs() {
-        // Shorter than the prefetch depth, empty, and exactly the depth.
         let f = frozen(&["10.0.0.0/8"]);
-        for n in [0usize, 1, 3, FrozenLpm::<usize>::PREFETCH_DEPTH] {
+        for n in [0usize, 1, 3, 8] {
             let probes: Vec<u32> = (0..n as u32).map(|i| 0x0A00_0000 + i).collect();
             let mut codes = Vec::new();
-            f.lookup_codes_into(&probes, &mut codes, true);
+            f.lookup_codes_into(&probes, &mut codes);
             assert_eq!(codes, vec![1u32; n]);
         }
     }

@@ -31,11 +31,7 @@
 //!   loads. The trie stays authoritative; the frozen table is rebuilt
 //!   and swapped in whenever the source data changes.
 
-// `deny`, not `forbid`: the single exemption is the cfg-gated x86_64
-// software-prefetch intrinsic in `FrozenLpm::prefetch` (a cache hint
-// with no memory effects), which carries its own `allow` + SAFETY note.
-// Everything else in the crate must stay safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod frozen;
