@@ -22,7 +22,7 @@
 //!
 //! The steady-state study walls (detectors armed on calm traffic, zero
 //! incidents) are measured and reported alongside, and the measured
-//! numbers are written to `BENCH_detect.json` at the repo root.
+//! numbers are written to `target/BENCH_detect.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -399,10 +399,14 @@ fn bench_detect(c: &mut Criterion) {
     });
 }
 
+/// Written under `target/` (untracked): the numbers describe this host
+/// and this run's time budget, so a tracked copy would only churn.
 fn write_baseline(baseline: DetectBaseline) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_detect.json");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
+    std::fs::create_dir_all(dir).expect("create target/");
+    let path = format!("{dir}/BENCH_detect.json");
     let json = serde_json::to_string_pretty(&baseline).expect("serialize baseline");
-    std::fs::write(path, json + "\n").expect("write BENCH_detect.json");
+    std::fs::write(&path, json + "\n").expect("write BENCH_detect.json");
     println!("baseline written to {path}");
 }
 

@@ -1,23 +1,20 @@
 //! The compiled LPM fast path versus the Patricia trie, and the cost
 //! of classifying through an epoch-swap cell.
 //!
-//! Three contracts are *asserted* (not just reported), so a regression
+//! Two contracts are *asserted* (not just reported), so a regression
 //! that makes the compiled path pointless fails CI:
 //!
 //! * `FrozenLpm` answers random lookups at least 2× faster than the
 //!   trie it was frozen from, at every bogon mix (0%, 1%, 5%);
 //! * the fused single-walk `classify_with` beats the reference
-//!   two-trie-walk `classify_with_tries`;
-//! * a 64-flow batch plans exactly one worker — the inline, zero-spawn
-//!   path ([`spoofwatch_core::planned_classify_workers`]).
+//!   two-trie-walk `classify_with_tries`.
 //!
-//! The measured numbers are written to `BENCH_lpm.json` at the repo
-//! root as the tracked baseline.
+//! The measured numbers are written to `target/BENCH_lpm.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use spoofwatch_core::{planned_classify_workers, Classifier, EpochSwap};
+use spoofwatch_core::{Classifier, EpochSwap};
 use spoofwatch_internet::{bogon, Internet, InternetConfig};
 use spoofwatch_ixp::{Trace, TrafficConfig};
 use spoofwatch_net::{
@@ -243,15 +240,6 @@ fn bench_fused_classify(c: &mut Criterion) -> ((usize, f64, f64, usize, usize), 
         "the compiled single-walk path must beat the two-trie-walk reference (got {speedup:.2}x)"
     );
 
-    // The zero-spawn contract for small batches.
-    for threads in [1, 2, 8, 64] {
-        assert_eq!(
-            planned_classify_workers(64, threads),
-            1,
-            "a 64-flow batch must classify inline with zero spawns"
-        );
-    }
-
     let swap = swap_under_load();
     ((
         flows.len(),
@@ -359,10 +347,14 @@ fn swap_under_load() -> (f64, u64) {
     (load_ns, publishes)
 }
 
+/// Written under `target/` (untracked): the numbers describe this host
+/// and this run's time budget, so a tracked copy would only churn.
 fn write_baseline(baseline: LpmBaseline) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lpm.json");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
+    std::fs::create_dir_all(dir).expect("create target/");
+    let path = format!("{dir}/BENCH_lpm.json");
     let json = serde_json::to_string_pretty(&baseline).expect("serialize baseline");
-    std::fs::write(path, json + "\n").expect("write BENCH_lpm.json");
+    std::fs::write(&path, json + "\n").expect("write BENCH_lpm.json");
     println!("baseline written to {path}");
 }
 

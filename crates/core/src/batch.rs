@@ -3,36 +3,38 @@
 //! Record-at-a-time classification ([`Classifier::classify_with`])
 //! spends its time in three places: the fused LPM probe (an LLC miss on
 //! the 64 MiB level-1 array), the cone validity check (hash lookups +
-//! bitset probe per origin), and per-record overhead. The batch path
-//! attacks all three:
+//! bitset probe per origin), and per-record overhead. One kernel
+//! (`Classifier::kernel`) attacks all three:
 //!
-//! * **Columnar probes** — [`Classifier::classify_batch_into`] walks
-//!   the [`FlowBatch`]'s `src` column through
-//!   `CompiledClassifier::leaf_codes_into`: a dense loop of
-//!   independent probes whose level-1 misses the core overlaps instead
-//!   of serializing them behind per-record work.
+//! * **Columnar probes** — the [`FlowBatch`]'s `src` column goes through
+//!   `CompiledClassifier::leaf_codes_into`: a dense loop of independent
+//!   probes whose level-1 misses the core overlaps instead of
+//!   serializing them behind per-record work.
 //! * **Memoized verdicts** — routed codes are interned info-arena
 //!   indices, so the cone verdict is a pure function of
 //!   `(member, info index, variant)`. [`VerdictMemo`] is a direct-mapped
-//!   cache over that key; flow locality (few members, few hot prefixes)
-//!   makes most verdicts a single compare + bit test.
+//!   cache over that key, filled by one routine that computes only the
+//!   variants of the caller's mask the slot does not know yet; flow
+//!   locality makes most verdicts a single compare + bit test.
 //! * **No per-record structures** — all working state lives in a
-//!   [`BatchScratch`] arena that callers (or the thread-local used by
-//!   [`Classifier::classify_records_batched`]) reuse across batches, so
-//!   steady-state classification performs **zero heap allocations**
-//!   (asserted by `benches/batch.rs` with a counting allocator).
+//!   [`BatchScratch`] that callers (or the thread-local behind the
+//!   record-slice entry points) reuse across batches, so steady-state
+//!   classification performs **zero heap allocations** (asserted by
+//!   `benches/batch.rs` with a counting allocator).
+//!
+//! The kernel yields one [`Verdict`] per record; the public entry
+//! points project it — one variant's bit to a [`TrafficClass`], or all
+//! five bits to a class row.
 //!
 //! ## Exactness
 //!
-//! The batch path is byte-for-byte equal to the scalar one, by
-//! construction at each step: the code column is exactly what
-//! per-address `lookup` calls decide;
-//! the memo key `(member, info index)` plus the classifier's build
-//! `uid` captures every input of `valid_under_parts`, which is pure; and
-//! class assembly is the same Bogon → Unrouted → Invalid/Valid ladder.
-//! `tests/batch_diff.rs` pins this with differential property tests
-//! across all five method variants and with whole-run byte-identity
-//! (rollup rings, incident logs, disagreement matrices).
+//! The batch path equals the scalar one by construction: the code
+//! column is what per-address `lookup` calls decide; the memo key plus
+//! the classifier's build `uid` captures every input of the pure
+//! `valid_under_parts`; and class assembly is the same Bogon → Unrouted
+//! → Invalid/Valid ladder. `tests/batch_diff.rs` pins this per flow
+//! across all five variants and with whole-run byte-identity (rollup
+//! rings, incident logs, disagreement matrices).
 
 use crate::compiled::{BATCH_BOGON, BATCH_UNROUTED};
 use crate::pipeline::Classifier;
@@ -45,7 +47,7 @@ use std::cell::RefCell;
 /// more `(member, prefix-info)` pairs than a study window touches.
 const MEMO_SLOTS: usize = 4096;
 
-/// All five variant bits set — a fully computed memo slot.
+/// All five variant bits set — the mask of the all-variants projection.
 const ALL_VARIANTS: u8 = 0x1F;
 
 /// A direct-mapped cache of cone verdicts, keyed by
@@ -67,8 +69,8 @@ struct VerdictMemo {
     uid: u64,
 }
 
-impl VerdictMemo {
-    fn new() -> VerdictMemo {
+impl Default for VerdictMemo {
+    fn default() -> VerdictMemo {
         VerdictMemo {
             keys: vec![u64::MAX; MEMO_SLOTS],
             valid: vec![0; MEMO_SLOTS],
@@ -76,7 +78,9 @@ impl VerdictMemo {
             uid: 0,
         }
     }
+}
 
+impl VerdictMemo {
     /// Invalidate everything if the scratch last served a different
     /// classifier build (epoch swap, tests juggling classifiers).
     fn ensure(&mut self, uid: u64) {
@@ -95,52 +99,45 @@ impl VerdictMemo {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52) as usize
     }
 
-    /// The verdict for one variant, computing (and caching) it on miss.
+    /// The verdicts of the variants in `want` (bit `i` =
+    /// `METHOD_VARIANTS[i]`) as a bit vector, filling in whichever of
+    /// them the slot does not know yet. Bits outside `want` read 0.
     #[inline]
-    fn valid_one(&mut self, member: u32, info_idx: u32, v: usize, compute: impl FnOnce() -> bool) -> bool {
-        let key = (u64::from(member) << 32) | u64::from(info_idx);
-        let s = Self::slot(key);
-        let bit = 1u8 << v;
-        if self.keys[s] == key {
-            if self.known[s] & bit != 0 {
-                return self.valid[s] & bit != 0;
-            }
-        } else {
-            self.keys[s] = key;
-            self.known[s] = 0;
-            self.valid[s] = 0;
-        }
-        let verdict = compute();
-        self.known[s] |= bit;
-        if verdict {
-            self.valid[s] |= bit;
-        }
-        verdict
-    }
-
-    /// All five variant verdicts as a bit vector (bit `i` =
-    /// `METHOD_VARIANTS[i]`), computing any missing ones.
-    #[inline]
-    fn valid_all(&mut self, member: u32, info_idx: u32, compute: impl Fn(MethodVariant) -> bool) -> u8 {
+    fn valid_bits(
+        &mut self,
+        member: u32,
+        info_idx: u32,
+        want: u8,
+        compute: impl Fn(MethodVariant) -> bool,
+    ) -> u8 {
         let key = (u64::from(member) << 32) | u64::from(info_idx);
         let s = Self::slot(key);
         if self.keys[s] != key {
             self.keys[s] = key;
             self.known[s] = 0;
             self.valid[s] = 0;
-        } else if self.known[s] == ALL_VARIANTS {
-            return self.valid[s];
         }
+        let missing = want & !self.known[s];
+        if missing != 0 {
+            self.fill(s, missing, compute);
+        }
+        self.valid[s] & want
+    }
+
+    /// Compute and cache the `missing` variants of slot `s`. Out of
+    /// line so the per-record loop carries only the hit path.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, s: usize, missing: u8, compute: impl Fn(MethodVariant) -> bool) {
         for (i, v) in METHOD_VARIANTS.iter().enumerate() {
             let bit = 1u8 << i;
-            if self.known[s] & bit == 0 {
+            if missing & bit != 0 {
                 if compute(*v) {
                     self.valid[s] |= bit;
                 }
                 self.known[s] |= bit;
             }
         }
-        self.valid[s]
     }
 }
 
@@ -148,11 +145,11 @@ impl VerdictMemo {
 /// arena, the code column, and the verdict memo. Create once, pass to
 /// every `classify_batch_into` call; all growth happens on the first
 /// few batches, after which classification is allocation-free.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BatchScratch {
     /// Transpose arena for the record-slice entry points.
     batch: FlowBatch,
-    /// Batch codes, one per record (filled by the compiled classifier).
+    /// Leaf codes, one per record (filled by the compiled classifier).
     codes: Vec<u32>,
     memo: VerdictMemo,
 }
@@ -161,17 +158,7 @@ impl BatchScratch {
     /// Fresh scratch with no reserved capacity (columns grow on first
     /// use and then stay).
     pub fn new() -> BatchScratch {
-        BatchScratch {
-            batch: FlowBatch::new(),
-            codes: Vec::new(),
-            memo: VerdictMemo::new(),
-        }
-    }
-}
-
-impl Default for BatchScratch {
-    fn default() -> Self {
-        BatchScratch::new()
+        BatchScratch::default()
     }
 }
 
@@ -182,7 +169,78 @@ thread_local! {
     static TLS_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::new());
 }
 
+/// Transpose `flows` into the per-thread arena and run `f` over the
+/// columns with the rest of the per-thread scratch.
+fn with_transposed<R>(
+    flows: &[FlowRecord],
+    f: impl FnOnce(&FlowBatch, &mut BatchScratch) -> R,
+) -> R {
+    TLS_SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        // Detach the arena so the batch and the rest of the scratch
+        // can be borrowed simultaneously; restored below.
+        let mut batch = std::mem::take(&mut scratch.batch);
+        batch.clear();
+        batch.extend_from_records(flows);
+        let result = f(&batch, &mut scratch);
+        scratch.batch = batch;
+        result
+    })
+}
+
+/// What the kernel decides for one record: the sequential rule that
+/// fired and, for a routed source, the verdict bits of the wanted
+/// variants (bit `i` set ⇔ `METHOD_VARIANTS[i]` says valid).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Bogon,
+    Unrouted,
+    Routed(u8),
+}
+
+impl Verdict {
+    /// The class under the variant whose bit is `bit`.
+    fn class(self, bit: u8) -> TrafficClass {
+        match self {
+            Verdict::Bogon => TrafficClass::Bogon,
+            Verdict::Unrouted => TrafficClass::Unrouted,
+            Verdict::Routed(bits) if bits & bit != 0 => TrafficClass::Valid,
+            Verdict::Routed(_) => TrafficClass::Invalid,
+        }
+    }
+}
+
 impl Classifier {
+    /// The one columnar classify loop: replace `out` with
+    /// `project(verdict)` per record of `batch`, where the verdict
+    /// carries the variants named by the `want` mask. A single fused
+    /// pass — leaf code → batch code → memoized verdict bits — zipped
+    /// over the code and member columns (no per-record indexing).
+    fn kernel<T>(
+        &self,
+        batch: &FlowBatch,
+        want: u8,
+        scratch: &mut BatchScratch,
+        out: &mut Vec<T>,
+        project: impl Fn(Verdict) -> T,
+    ) {
+        debug_assert!(batch.columns_aligned());
+        let compiled = self.compiled();
+        compiled.leaf_codes_into(&batch.src, &mut scratch.codes);
+        scratch.memo.ensure(self.uid());
+        let memo = &mut scratch.memo;
+        out.clear();
+        out.extend(scratch.codes.iter().zip(&batch.member).map(|(&leaf, &member)| {
+            project(match compiled.batch_code(leaf) {
+                BATCH_UNROUTED => Verdict::Unrouted,
+                BATCH_BOGON => Verdict::Bogon,
+                idx => Verdict::Routed(memo.valid_bits(member, idx, want, |variant| {
+                    self.valid_under_parts(Asn(member), compiled.info_at(idx), variant)
+                })),
+            })
+        }));
+    }
+
     /// Classify a whole [`FlowBatch`] under one method variant,
     /// replacing `out` with one class per record (index-aligned with
     /// the batch). Equal to `classify_with` on every gathered record;
@@ -195,36 +253,8 @@ impl Classifier {
         scratch: &mut BatchScratch,
         out: &mut Vec<TrafficClass>,
     ) {
-        debug_assert!(batch.columns_aligned());
-        let v = MethodVariant::index_of(method, org);
-        let variant = METHOD_VARIANTS[v];
-        let compiled = self.compiled();
-        compiled.leaf_codes_into(&batch.src, &mut scratch.codes);
-        scratch.memo.ensure(self.uid());
-        let memo = &mut scratch.memo;
-        out.clear();
-        // Single fused pass: leaf code → batch code → class, zipped
-        // over the code and member columns (no per-record indexing).
-        out.extend(
-            scratch
-                .codes
-                .iter()
-                .zip(&batch.member)
-                .map(|(&leaf, &member)| match compiled.batch_code(leaf) {
-                    BATCH_UNROUTED => TrafficClass::Unrouted,
-                    BATCH_BOGON => TrafficClass::Bogon,
-                    idx => {
-                        let valid = memo.valid_one(member, idx, v, || {
-                            self.valid_under_parts(Asn(member), compiled.info_at(idx), variant)
-                        });
-                        if valid {
-                            TrafficClass::Valid
-                        } else {
-                            TrafficClass::Invalid
-                        }
-                    }
-                }),
-        );
+        let bit = 1u8 << MethodVariant::index_of(method, org);
+        self.kernel(batch, bit, scratch, out, |v| v.class(bit));
     }
 
     /// Classify a whole [`FlowBatch`] under **all five** method
@@ -237,34 +267,9 @@ impl Classifier {
         scratch: &mut BatchScratch,
         out: &mut Vec<[TrafficClass; 5]>,
     ) {
-        debug_assert!(batch.columns_aligned());
-        let compiled = self.compiled();
-        compiled.leaf_codes_into(&batch.src, &mut scratch.codes);
-        scratch.memo.ensure(self.uid());
-        let memo = &mut scratch.memo;
-        out.clear();
-        out.extend(
-            scratch
-                .codes
-                .iter()
-                .zip(&batch.member)
-                .map(|(&leaf, &member)| match compiled.batch_code(leaf) {
-                    BATCH_UNROUTED => [TrafficClass::Unrouted; 5],
-                    BATCH_BOGON => [TrafficClass::Bogon; 5],
-                    idx => {
-                        let bits = memo.valid_all(member, idx, |variant| {
-                            self.valid_under_parts(Asn(member), compiled.info_at(idx), variant)
-                        });
-                        let mut classes = [TrafficClass::Invalid; 5];
-                        for (j, c) in classes.iter_mut().enumerate() {
-                            if bits & (1 << j) != 0 {
-                                *c = TrafficClass::Valid;
-                            }
-                        }
-                        classes
-                    }
-                }),
-        );
+        self.kernel(batch, ALL_VARIANTS, scratch, out, |v| {
+            std::array::from_fn(|j| v.class(1 << j))
+        });
     }
 
     /// Batch-classify a record slice through the per-thread scratch:
@@ -279,30 +284,10 @@ impl Classifier {
         org: OrgMode,
     ) -> Vec<TrafficClass> {
         let mut out = Vec::new();
-        self.classify_records_batched_into(flows, method, org, &mut out);
-        out
-    }
-
-    /// [`Classifier::classify_records_batched`] into a caller-owned
-    /// vector (replaced, not appended), for callers that reuse the
-    /// output allocation too.
-    pub fn classify_records_batched_into(
-        &self,
-        flows: &[FlowRecord],
-        method: InferenceMethod,
-        org: OrgMode,
-        out: &mut Vec<TrafficClass>,
-    ) {
-        TLS_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            // Detach the arena so the batch and the rest of the scratch
-            // can be borrowed simultaneously; restored below.
-            let mut batch = std::mem::take(&mut scratch.batch);
-            batch.clear();
-            batch.extend_from_records(flows);
-            self.classify_batch_into(&batch, method, org, &mut scratch, out);
-            scratch.batch = batch;
+        with_transposed(flows, |batch, scratch| {
+            self.classify_batch_into(batch, method, org, scratch, &mut out)
         });
+        out
     }
 
     /// Batch-classify a record slice under all five variants through
@@ -312,13 +297,8 @@ impl Classifier {
         flows: &[FlowRecord],
     ) -> Vec<[TrafficClass; 5]> {
         let mut out = Vec::new();
-        TLS_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let mut batch = std::mem::take(&mut scratch.batch);
-            batch.clear();
-            batch.extend_from_records(flows);
-            self.classify_variants_batch_into(&batch, &mut scratch, &mut out);
-            scratch.batch = batch;
+        with_transposed(flows, |batch, scratch| {
+            self.classify_variants_batch_into(batch, scratch, &mut out)
         });
         out
     }
@@ -327,6 +307,7 @@ impl Classifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
     fn memo_slot_is_in_range() {
@@ -337,41 +318,90 @@ mod tests {
 
     #[test]
     fn memo_caches_and_invalidates() {
-        let mut memo = VerdictMemo::new();
+        let mut memo = VerdictMemo::default();
         memo.ensure(7);
-        let mut calls = 0;
-        let verdict = memo.valid_one(42, 13, 3, || {
-            calls += 1;
+        let calls = Cell::new(0);
+        let bits = memo.valid_bits(42, 13, 1 << 3, |_| {
+            calls.set(calls.get() + 1);
             true
         });
-        assert!(verdict);
-        assert_eq!(calls, 1);
+        assert_eq!(bits, 1 << 3);
+        assert_eq!(calls.get(), 1);
         // Hit: the closure must not run again.
-        let verdict = memo.valid_one(42, 13, 3, || {
-            calls += 1;
+        let bits = memo.valid_bits(42, 13, 1 << 3, |_| {
+            calls.set(calls.get() + 1);
             false // would flip the verdict if consulted
         });
-        assert!(verdict);
-        assert_eq!(calls, 1);
+        assert_eq!(bits, 1 << 3);
+        assert_eq!(calls.get(), 1);
         // Different variant on the same key: computed, same slot.
-        assert!(!memo.valid_one(42, 13, 4, || false));
+        assert_eq!(memo.valid_bits(42, 13, 1 << 4, |_| false), 0);
         // New classifier uid: everything recomputes.
         memo.ensure(8);
-        assert!(!memo.valid_one(42, 13, 3, || false));
+        assert_eq!(memo.valid_bits(42, 13, 1 << 3, |_| false), 0);
     }
 
     #[test]
     fn memo_valid_all_completes_partial_slots() {
-        let mut memo = VerdictMemo::new();
+        let mut memo = VerdictMemo::default();
         memo.ensure(1);
-        memo.valid_one(5, 9, 2, || true);
-        let bits = memo.valid_all(5, 9, |v| v.method == InferenceMethod::Naive);
+        memo.valid_bits(5, 9, 1 << 2, |_| true);
+        // A wider mask over a partly known slot computes exactly the
+        // missing variants, each once.
+        let asked = Cell::new(0u8);
+        let bits = memo.valid_bits(5, 9, ALL_VARIANTS, |v| {
+            let bit = 1 << MethodVariant::index_of(v.method, v.org);
+            assert_eq!(asked.get() & bit, 0, "{v} computed twice");
+            asked.set(asked.get() | bit);
+            v.method == InferenceMethod::Naive
+        });
+        assert_eq!(asked.get(), ALL_VARIANTS & !(1 << 2), "bit 2 was cached");
         // Bit 2 keeps its cached verdict; the rest follow the closure
         // (variant 0 is Naive).
-        assert_eq!(bits & 0b00100, 0b00100);
-        assert_eq!(bits & 0b00001, 0b00001);
-        assert_eq!(bits & 0b11010, 0);
-        // Fully known now: closure unused.
-        assert_eq!(memo.valid_all(5, 9, |_| panic!("must be cached")), bits);
+        assert_eq!(bits, 0b00101);
+        // Fully known now: closure unused, under any mask, and a
+        // narrower mask reads only its own bits.
+        assert_eq!(memo.valid_bits(5, 9, ALL_VARIANTS, |_| panic!("must be cached")), bits);
+        assert_eq!(memo.valid_bits(5, 9, 0b00110, |_| panic!("must be cached")), 0b00100);
+    }
+
+    /// The kernel under *every* non-empty variant mask: Bogon and
+    /// Unrouted are mask-independent, and a routed record's bits are
+    /// exactly the mask's variants that `classify_with` calls Valid —
+    /// also when the memo was left partly filled by a narrower or
+    /// disjoint mask (the masks run in one scratch, 1 through 31).
+    #[test]
+    fn kernel_bits_equal_classify_with_under_every_mask() {
+        use spoofwatch_internet::{Internet, InternetConfig};
+        use spoofwatch_ixp::{Trace, TrafficConfig};
+        let net = Internet::generate(InternetConfig::tiny(11));
+        let classifier = Classifier::build(&net.announcements, &net.orgs_dataset);
+        let flows = Trace::generate(&net, &TrafficConfig::tiny(12)).flows;
+        let expect: Vec<Verdict> = flows
+            .iter()
+            .map(|f| {
+                let classes = METHOD_VARIANTS.map(|v| classifier.classify_with(f, v.method, v.org));
+                match classes[0] {
+                    TrafficClass::Bogon => Verdict::Bogon,
+                    TrafficClass::Unrouted => Verdict::Unrouted,
+                    _ => Verdict::Routed(
+                        (0..5).filter(|&i| classes[i] == TrafficClass::Valid).map(|i| 1 << i).sum(),
+                    ),
+                }
+            })
+            .collect();
+        let split = expect.iter().filter(|v| matches!(v, Verdict::Routed(b) if *b != 0 && *b != ALL_VARIANTS));
+        assert!(split.count() > 100, "the probes must include variant disagreement");
+        let batch = FlowBatch::from_records(&flows);
+        let mut scratch = BatchScratch::new();
+        let mut out = Vec::new();
+        for want in 1..=ALL_VARIANTS {
+            classifier.kernel(&batch, want, &mut scratch, &mut out, |v| v);
+            let masked = expect.iter().map(|v| match v {
+                Verdict::Routed(bits) => Verdict::Routed(bits & want),
+                fixed => *fixed,
+            });
+            assert!(out.iter().copied().eq(masked), "mask {want:#07b}");
+        }
     }
 }

@@ -60,12 +60,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Batch code for "no routed or bogon match" — see
-/// [`CompiledClassifier::classify_codes_into`].
-pub const BATCH_UNROUTED: u32 = u32::MAX;
+/// [`CompiledClassifier::batch_code`].
+pub(crate) const BATCH_UNROUTED: u32 = u32::MAX;
 /// Batch code for "bogon range matched". Info-arena indices are always
 /// below this (asserted at compile time of the table), so the three
 /// cases share one `u32` without ambiguity.
-pub const BATCH_BOGON: u32 = u32::MAX - 1;
+pub(crate) const BATCH_BOGON: u32 = u32::MAX - 1;
 
 /// One slot of the merged prefix map. `Copy` and 8 bytes, so the frozen
 /// leaf array stays dense.
@@ -116,10 +116,9 @@ pub struct CompiledClassifier {
     /// Deduplicated (interned) route infos: many prefixes share one
     /// origin/on-path set, and `Routed` entries index into this arena.
     infos: Vec<RouteInfo>,
-    /// `leaf code → batch code` (see
-    /// [`CompiledClassifier::classify_codes_into`]): index 0 is the LPM
-    /// miss ([`BATCH_UNROUTED`]), index `c ≥ 1` resolves leaf `c` to
-    /// either [`BATCH_BOGON`] or its info-arena index.
+    /// `leaf code → batch code`: index 0 is the LPM miss
+    /// ([`BATCH_UNROUTED`]), index `c ≥ 1` resolves leaf `c` to either
+    /// [`BATCH_BOGON`] or its info-arena index.
     code_map: Vec<u32>,
 }
 
@@ -212,40 +211,30 @@ impl CompiledClassifier {
         }
     }
 
-    /// The fused lookup for a whole column of source addresses,
-    /// replacing `out` with one **batch code** per probe:
-    /// [`BATCH_UNROUTED`], [`BATCH_BOGON`], or an info-arena index for
-    /// [`CompiledClassifier::info_at`]. The codes are exactly what
-    /// per-address [`CompiledClassifier::lookup`] calls would decide.
-    pub fn classify_codes_into(&self, srcs: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        self.lpm.lookup_codes_into(srcs, out);
-        // Second, cache-hot pass: leaf codes → batch codes. The map is
-        // dense and orders of magnitude smaller than the level-1 array.
-        for code in out.iter_mut() {
-            *code = self.code_map[*code as usize];
-        }
-    }
-
-    /// The interned [`RouteInfo`] behind an info-arena batch code.
-    /// Panics on [`BATCH_UNROUTED`] / [`BATCH_BOGON`] or a foreign index.
-    #[inline]
-    pub fn info_at(&self, idx: u32) -> &RouteInfo {
-        &self.infos[idx as usize]
-    }
-
-    /// Raw frozen-table leaf codes for a probe column, without the
-    /// batch-code mapping — `crate::batch` fuses that mapping into its
-    /// class-assembly pass instead of paying a separate sweep.
+    /// Raw frozen-table leaf codes for a probe column (replacing
+    /// `out`), exactly what per-address [`CompiledClassifier::lookup`]
+    /// calls would hit. `crate::batch` resolves them through
+    /// [`CompiledClassifier::batch_code`] inside its class-assembly
+    /// pass instead of paying a separate sweep.
     pub(crate) fn leaf_codes_into(&self, srcs: &[u32], out: &mut Vec<u32>) {
         out.clear();
         self.lpm.lookup_codes_into(srcs, out);
     }
 
-    /// The batch code a raw leaf code resolves to.
+    /// The batch code a raw leaf code resolves to: [`BATCH_UNROUTED`],
+    /// [`BATCH_BOGON`], or an info-arena index for
+    /// [`CompiledClassifier::info_at`]. The map is dense and orders of
+    /// magnitude smaller than the level-1 array, so it stays cache-hot.
     #[inline]
     pub(crate) fn batch_code(&self, leaf_code: u32) -> u32 {
         self.code_map[leaf_code as usize]
+    }
+
+    /// The interned [`RouteInfo`] behind an info-arena batch code.
+    /// Panics on [`BATCH_UNROUTED`] / [`BATCH_BOGON`] or a foreign index.
+    #[inline]
+    pub(crate) fn info_at(&self, idx: u32) -> &RouteInfo {
+        &self.infos[idx as usize]
     }
 
     /// Distinct (interned) route infos in the arena.
@@ -438,6 +427,15 @@ impl EpochClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CompiledClassifier {
+        /// Test hook: empty the info arena, so the next routed verdict
+        /// panics on its arena index (nothing else in the classify
+        /// path can be made to panic from outside).
+        pub(crate) fn clear_infos(&mut self) {
+            self.infos.clear();
+        }
+    }
 
     #[test]
     fn epoch_swap_publish_and_load() {

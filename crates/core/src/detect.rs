@@ -38,12 +38,13 @@
 use crate::provenance::DisagreementMatrix;
 use crate::runner::WindowAccum;
 use serde::Serialize;
+use spoofwatch_net::codec::WireReader;
 use spoofwatch_net::wire::{frame_decode, frame_encode, FrameError};
 use spoofwatch_net::{Asn, FlowRecord, Proto, TrafficClass};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Frame magic of one incident-log file.
@@ -386,31 +387,19 @@ impl WindowDetect {
         for v in self.ttl_count {
             out.extend_from_slice(&v.to_be_bytes());
         }
-        out.extend_from_slice(&(self.samples.len() as u32).to_be_bytes());
-        for s in &self.samples {
-            out.extend_from_slice(&s.priority.to_be_bytes());
-            out.push(s.class);
-            out.extend_from_slice(&s.src.to_be_bytes());
-            out.extend_from_slice(&s.dst.to_be_bytes());
-            out.extend_from_slice(&s.member.0.to_be_bytes());
-            out.extend_from_slice(&s.ts.to_be_bytes());
-            out.push(s.proto);
-            out.extend_from_slice(&s.sport.to_be_bytes());
-            out.extend_from_slice(&s.dport.to_be_bytes());
-            out.push(s.ttl);
-        }
+        put_samples(out, &self.samples);
     }
 
-    /// Decode from `buf` at `*pos`, advancing it. `None` on truncated
-    /// or structurally invalid input.
-    pub fn decode_from(buf: &[u8], pos: &mut usize) -> Option<WindowDetect> {
+    /// Decode at the cursor, advancing it. `None` on truncated or
+    /// structurally invalid input.
+    pub fn decode_from(r: &mut WireReader<'_>) -> Option<WindowDetect> {
         let mut d = WindowDetect::new();
-        let members = take_u32(buf, pos)? as usize;
+        let members = r.u32()? as usize;
         for _ in 0..members {
-            let asn = Asn(take_u32(buf, pos)?);
+            let asn = Asn(r.u32()?);
             let mut rows = [0u64; 4];
             for v in &mut rows {
-                *v = take_u64(buf, pos)?;
+                *v = r.u64()?;
             }
             // Duplicate keys would silently collapse counts.
             if d.per_member.insert(asn, rows).is_some() {
@@ -418,45 +407,24 @@ impl WindowDetect {
             }
         }
         for v in &mut d.bit_ones {
-            *v = take_u64(buf, pos)?;
+            *v = r.u64()?;
         }
-        d.suspect_flows = take_u64(buf, pos)?;
+        d.suspect_flows = r.u64()?;
         for v in &mut d.slash24 {
-            *v = take_u64(buf, pos)?;
+            *v = r.u64()?;
         }
         for hist in &mut d.ttl_hist {
             for v in hist {
-                *v = take_u64(buf, pos)?;
+                *v = r.u64()?;
             }
         }
         for v in &mut d.ttl_sum {
-            *v = take_u64(buf, pos)?;
+            *v = r.u64()?;
         }
         for v in &mut d.ttl_count {
-            *v = take_u64(buf, pos)?;
+            *v = r.u64()?;
         }
-        let samples = take_u32(buf, pos)? as usize;
-        if samples > SAMPLE_CAP * 4 {
-            return None;
-        }
-        for _ in 0..samples {
-            let s = SampledFlow {
-                priority: take_u64(buf, pos)?,
-                class: take_u8(buf, pos)?,
-                src: take_u32(buf, pos)?,
-                dst: take_u32(buf, pos)?,
-                member: Asn(take_u32(buf, pos)?),
-                ts: take_u32(buf, pos)?,
-                proto: take_u8(buf, pos)?,
-                sport: take_u16(buf, pos)?,
-                dport: take_u16(buf, pos)?,
-                ttl: take_u8(buf, pos)?,
-            };
-            if s.class > 3 {
-                return None;
-            }
-            d.samples.push(s);
-        }
+        d.samples = get_samples(r)?;
         Some(d)
     }
 }
@@ -519,32 +487,56 @@ fn binary_entropy(p: f64) -> f64 {
     -p * p.log2() - (1.0 - p) * (1.0 - p).log2()
 }
 
-fn take_u8(buf: &[u8], pos: &mut usize) -> Option<u8> {
-    let b = *buf.get(*pos)?;
-    *pos += 1;
-    Some(b)
+/// Append `n u32 | n × sample` — the sample block shared by the window
+/// payload and the incident provenance bundle.
+fn put_samples(out: &mut Vec<u8>, samples: &[SampledFlow]) {
+    out.extend_from_slice(&(samples.len() as u32).to_be_bytes());
+    for s in samples {
+        out.extend_from_slice(&s.priority.to_be_bytes());
+        out.push(s.class);
+        out.extend_from_slice(&s.src.to_be_bytes());
+        out.extend_from_slice(&s.dst.to_be_bytes());
+        out.extend_from_slice(&s.member.0.to_be_bytes());
+        out.extend_from_slice(&s.ts.to_be_bytes());
+        out.push(s.proto);
+        out.extend_from_slice(&s.sport.to_be_bytes());
+        out.extend_from_slice(&s.dport.to_be_bytes());
+        out.push(s.ttl);
+    }
 }
 
-fn take_u16(buf: &[u8], pos: &mut usize) -> Option<u16> {
-    let b = buf.get(*pos..*pos + 2)?;
-    *pos += 2;
-    Some(u16::from_be_bytes(b.try_into().ok()?))
+/// Read a sample block; `None` on a count past the merge bound or a
+/// class index past the four classes.
+fn get_samples(r: &mut WireReader<'_>) -> Option<Vec<SampledFlow>> {
+    let n = r.u32()? as usize;
+    if n > SAMPLE_CAP * 4 {
+        return None;
+    }
+    let mut samples = Vec::with_capacity(n);
+    for _ in 0..n {
+        let s = SampledFlow {
+            priority: r.u64()?,
+            class: r.u8()?,
+            src: r.u32()?,
+            dst: r.u32()?,
+            member: Asn(r.u32()?),
+            ts: r.u32()?,
+            proto: r.u8()?,
+            sport: r.u16()?,
+            dport: r.u16()?,
+            ttl: r.u8()?,
+        };
+        if s.class > 3 {
+            return None;
+        }
+        samples.push(s);
+    }
+    Some(samples)
 }
 
-fn take_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
-    let b = buf.get(*pos..*pos + 4)?;
-    *pos += 4;
-    Some(u32::from_be_bytes(b.try_into().ok()?))
-}
-
-fn take_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let b = buf.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_be_bytes(b.try_into().ok()?))
-}
-
-fn take_i64(buf: &[u8], pos: &mut usize) -> Option<i64> {
-    take_u64(buf, pos).map(|v| v as i64)
+/// The next big-endian two's-complement `i64` (the milli-unit fields).
+fn get_i64(r: &mut WireReader<'_>) -> Option<i64> {
+    r.u64().map(|v| v as i64)
 }
 
 /// Thousandths, the canonical integer encoding of detector floats —
@@ -820,19 +812,7 @@ impl IncidentRecord {
         for v in p.ttl_count {
             out.extend_from_slice(&v.to_be_bytes());
         }
-        out.extend_from_slice(&(p.samples.len() as u32).to_be_bytes());
-        for s in &p.samples {
-            out.extend_from_slice(&s.priority.to_be_bytes());
-            out.push(s.class);
-            out.extend_from_slice(&s.src.to_be_bytes());
-            out.extend_from_slice(&s.dst.to_be_bytes());
-            out.extend_from_slice(&s.member.0.to_be_bytes());
-            out.extend_from_slice(&s.ts.to_be_bytes());
-            out.push(s.proto);
-            out.extend_from_slice(&s.sport.to_be_bytes());
-            out.extend_from_slice(&s.dport.to_be_bytes());
-            out.push(s.ttl);
-        }
+        put_samples(out, &p.samples);
         match &p.matrix {
             None => out.push(0),
             Some(m) => {
@@ -842,92 +822,70 @@ impl IncidentRecord {
         }
     }
 
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<IncidentRecord> {
-        let window_index = take_u64(buf, pos)?;
-        let tag = take_u8(buf, pos)?;
+    fn decode_from(r: &mut WireReader<'_>) -> Option<IncidentRecord> {
+        let window_index = r.u64()?;
+        let tag = r.u8()?;
         let class_at = |i: u8| -> Option<TrafficClass> {
             TrafficClass::ALL.get(i as usize).copied()
         };
         let kind = match tag {
             0 => IncidentKind::ClassDrift {
-                class: class_at(take_u8(buf, pos)?)?,
-                share_milli: take_i64(buf, pos)?,
-                baseline_milli: take_i64(buf, pos)?,
+                class: class_at(r.u8()?)?,
+                share_milli: get_i64(r)?,
+                baseline_milli: get_i64(r)?,
             },
             1 => IncidentKind::MemberDrift {
-                member: Asn(take_u32(buf, pos)?),
-                share_milli: take_i64(buf, pos)?,
-                baseline_milli: take_i64(buf, pos)?,
+                member: Asn(r.u32()?),
+                share_milli: get_i64(r)?,
+                baseline_milli: get_i64(r)?,
             },
             2 => {
-                let mode = match take_u8(buf, pos)? {
+                let mode = match r.u8()? {
                     0 => SpoofMode::Random,
                     1 => SpoofMode::Selective,
                     _ => return None,
                 };
-                let member = match take_u8(buf, pos)? {
+                let member = match r.u8()? {
                     0 => None,
-                    1 => Some(Asn(take_u32(buf, pos)?)),
+                    1 => Some(Asn(r.u32()?)),
                     _ => return None,
                 };
                 IncidentKind::SpoofBurst {
                     mode,
                     member,
-                    entropy_milli: take_i64(buf, pos)?,
-                    suspect_flows: take_u64(buf, pos)?,
-                    share_milli: take_i64(buf, pos)?,
+                    entropy_milli: get_i64(r)?,
+                    suspect_flows: r.u64()?,
+                    share_milli: get_i64(r)?,
                 }
             }
             3 => IncidentKind::TtlShift {
-                class: class_at(take_u8(buf, pos)?)?,
-                shift_milli: take_i64(buf, pos)?,
-                mean_milli: take_i64(buf, pos)?,
-                baseline_milli: take_i64(buf, pos)?,
+                class: class_at(r.u8()?)?,
+                shift_milli: get_i64(r)?,
+                mean_milli: get_i64(r)?,
+                baseline_milli: get_i64(r)?,
             },
             _ => return None,
         };
-        let start_chunk = take_u64(buf, pos)?;
-        let chunks = take_u64(buf, pos)?;
+        let start_chunk = r.u64()?;
+        let chunks = r.u64()?;
         let mut class_flows = [0u64; 4];
         for v in &mut class_flows {
-            *v = take_u64(buf, pos)?;
+            *v = r.u64()?;
         }
-        let bit_entropy_milli = take_i64(buf, pos)?;
-        let slash24_entropy_milli = take_i64(buf, pos)?;
+        let bit_entropy_milli = get_i64(r)?;
+        let slash24_entropy_milli = get_i64(r)?;
         let mut ttl_mean_milli = [0i64; 4];
         for v in &mut ttl_mean_milli {
-            *v = take_i64(buf, pos)?;
+            *v = get_i64(r)?;
         }
         let mut ttl_count = [0u64; 4];
         for v in &mut ttl_count {
-            *v = take_u64(buf, pos)?;
+            *v = r.u64()?;
         }
-        let n_samples = take_u32(buf, pos)? as usize;
-        if n_samples > SAMPLE_CAP * 4 {
-            return None;
-        }
-        let mut samples = Vec::with_capacity(n_samples);
-        for _ in 0..n_samples {
-            let s = SampledFlow {
-                priority: take_u64(buf, pos)?,
-                class: take_u8(buf, pos)?,
-                src: take_u32(buf, pos)?,
-                dst: take_u32(buf, pos)?,
-                member: Asn(take_u32(buf, pos)?),
-                ts: take_u32(buf, pos)?,
-                proto: take_u8(buf, pos)?,
-                sport: take_u16(buf, pos)?,
-                dport: take_u16(buf, pos)?,
-                ttl: take_u8(buf, pos)?,
-            };
-            if s.class > 3 {
-                return None;
-            }
-            samples.push(s);
-        }
-        let matrix = match take_u8(buf, pos)? {
+        let samples = get_samples(r)?;
+        let matrix = match r.u8()? {
             0 => None,
-            1 => Some(DisagreementMatrix::decode_from(buf, pos)?),
+            1 => Some(DisagreementMatrix::decode_from(r)?),
             _ => return None,
         };
         Some(IncidentRecord {
@@ -1211,29 +1169,21 @@ pub fn write_incident_file(
         r.encode_into(&mut payload);
     }
     let framed = frame_encode(INCIDENT_MAGIC, &payload);
-    let tmp = dir.join("incidents.tmp");
     let path = dir.join(incident_file_name(window_index));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&framed)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &path)?;
+    crate::runner::write_durable(&dir.join("incidents.tmp"), &path, None, &framed)?;
     Ok(path)
 }
 
 /// Parse and verify one incident file's bytes.
 pub fn decode_incident_file(data: &[u8]) -> Result<Vec<IncidentRecord>, IncidentLogError> {
     let payload = frame_decode(INCIDENT_MAGIC, data).map_err(IncidentLogError::Frame)?;
-    let mut pos = 0;
-    let count = take_u32(payload, &mut pos).ok_or(IncidentLogError::Malformed)? as usize;
+    let mut r = WireReader::new(payload);
+    let count = r.u32().ok_or(IncidentLogError::Malformed)? as usize;
     let mut out = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        out.push(
-            IncidentRecord::decode_from(payload, &mut pos).ok_or(IncidentLogError::Malformed)?,
-        );
+        out.push(IncidentRecord::decode_from(&mut r).ok_or(IncidentLogError::Malformed)?);
     }
-    if pos != payload.len() {
+    if !r.done() {
         return Err(IncidentLogError::Malformed);
     }
     Ok(out)
@@ -1386,12 +1336,12 @@ mod tests {
         let d = payload(50, 30, 57, |i| 0x1234_0000 + i as u32 * 7919);
         let mut buf = Vec::new();
         d.encode_into(&mut buf);
-        let mut pos = 0;
-        assert_eq!(WindowDetect::decode_from(&buf, &mut pos), Some(d));
-        assert_eq!(pos, buf.len());
+        let mut r = WireReader::new(&buf);
+        assert_eq!(WindowDetect::decode_from(&mut r), Some(d));
+        assert!(r.done());
         for cut in 0..buf.len() {
             assert!(
-                WindowDetect::decode_from(&buf[..cut], &mut 0).is_none(),
+                WindowDetect::decode_from(&mut WireReader::new(&buf[..cut])).is_none(),
                 "cut {cut}"
             );
         }

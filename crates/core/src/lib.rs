@@ -43,15 +43,13 @@ pub mod stray;
 
 pub use backoff::Backoff;
 pub use batch::BatchScratch;
-pub use compiled::{
-    CompiledClassifier, CompiledLookup, EpochClassifier, EpochSwap, BATCH_BOGON, BATCH_UNROUTED,
-};
+pub use compiled::{CompiledClassifier, CompiledLookup, EpochClassifier, EpochSwap};
 pub use detect::{
     detect_over_windows, read_incident_log, DetectConfig, DetectEngine, Incident, IncidentKind,
     IncidentRecord, Provenance, SampledFlow, SpoofMode, WindowDetect,
 };
 pub use freshness::{Classification, Confidence, DegradedStats, FreshnessConfig, RibFreshness};
-pub use pipeline::{planned_classify_workers, Classifier, PARALLEL_CUTOFF};
+pub use pipeline::Classifier;
 pub use provenance::{
     DecisionRecord, DisagreementMatrix, MatchedRule, MethodVariant, PairMatrix, ProvenanceSampler,
     VerdictVector, METHOD_VARIANTS, VARIANT_PAIRS,
@@ -68,6 +66,6 @@ pub use runner::shard::{
 pub use runner::{
     read_ring, Checkpoint, CheckpointError, CheckpointSlot, CheckpointStore, ChunkSource,
     FlowAccounting, IngestTotals, RollupConfig, RunReport, RunnerConfig, RunnerError, RunnerHealth,
-    RunnerObs, ShedPolicy, StudyRunner, WindowAccum, MEMBER_LABEL_BUDGET,
+    RunnerObs, StudyRunner, WindowAccum, MEMBER_LABEL_BUDGET,
 };
 pub use stats::{ClassCounters, MemberBreakdown, Table1, Table1Row};

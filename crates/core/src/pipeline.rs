@@ -9,81 +9,10 @@ use crate::relinfer::Relationships;
 use spoofwatch_asgraph::{augment_with_orgs, As2Org, ReachCones};
 use spoofwatch_bgp::{Announcement, RouteInfo, RoutedTable};
 use spoofwatch_internet::bogon;
-use spoofwatch_net::{FlowRecord, InferenceMethod, Ipv4Prefix, OrgMode, TrafficClass};
+use spoofwatch_net::{Asn, FlowRecord, InferenceMethod, Ipv4Prefix, OrgMode, TrafficClass};
 use spoofwatch_obs::{Clock, MetricsRegistry, RealClock};
 use spoofwatch_trie::PrefixSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-/// Batches smaller than this classify inline on the calling thread.
-///
-/// Re-derived for the batched path (`benches/batch.rs`): the vectorized
-/// classify costs ~9 ns per record (columnar code lookup + memoized
-/// cone verdict), so per-item work is ~3× cheaper than the old
-/// record-at-a-time ~30 ns and the spawn-vs-inline crossover moves out
-/// by the same factor. At the cutoff a batch is ~110 µs of inline work
-/// — still comfortably above the cost of spawning scoped workers, and
-/// small enough that the runner's chunk cadence never stalls on it.
-pub const PARALLEL_CUTOFF: usize = 12288;
-
-/// How many workers a classify batch of `flows` records will use given
-/// `threads` available cores. Pure so tests and benches can assert the
-/// no-spawn contract without instrumenting the thread runtime: the
-/// answer is `1` (run inline, zero spawns) whenever parallelism is
-/// unavailable or the batch is below [`PARALLEL_CUTOFF`].
-pub fn planned_classify_workers(flows: usize, threads: usize) -> usize {
-    if threads <= 1 || flows < PARALLEL_CUTOFF {
-        1
-    } else {
-        threads.min(flows)
-    }
-}
-
-/// Run a set of batch-classify jobs, inline when there is only one and
-/// on scoped worker threads otherwise — with honest panic semantics:
-/// every panicking job increments `spoofwatch_classify_worker_panics_total`
-/// on `reg`, and the **original payload** of the first panic is
-/// re-raised once all sibling jobs have finished, so the caller's
-/// quarantine machinery (the runner's `catch_unwind` taxonomy) sees the
-/// real failure instead of a synthetic "worker panicked" string.
-fn run_worker_jobs(reg: &MetricsRegistry, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    let payloads: Vec<_> = if jobs.len() <= 1 {
-        jobs.into_iter()
-            .filter_map(|job| catch_unwind(AssertUnwindSafe(job)).err())
-            .collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|job| s.spawn(move || catch_unwind(AssertUnwindSafe(job)).err()))
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| match h.join() {
-                    Ok(caught) => caught,
-                    // The catch_unwind inside the worker makes this
-                    // unreachable in practice, but fold it in rather
-                    // than expect() it away.
-                    Err(payload) => Some(payload),
-                })
-                .collect()
-        })
-    };
-    if payloads.is_empty() {
-        return;
-    }
-    // The counter is registered lazily so the metric namespace only
-    // carries it once a panic has actually happened.
-    reg.counter(
-        "spoofwatch_classify_worker_panics_total",
-        "Classify worker jobs that panicked (payload re-raised to the caller)",
-        &[],
-    )
-    .add(payloads.len() as u64);
-    let mut payloads = payloads;
-    resume_unwind(payloads.swap_remove(0));
-}
 
 /// The four precomputed cone variants, held as named fields so the hot
 /// path's lookup is infallible by construction: every (cone method, org
@@ -219,21 +148,12 @@ impl Classifier {
         method: InferenceMethod,
         org: OrgMode,
     ) -> TrafficClass {
-        let info = match self.compiled.lookup(flow.src) {
-            CompiledLookup::Bogon { .. } => return TrafficClass::Bogon,
-            CompiledLookup::Unrouted => return TrafficClass::Unrouted,
-            CompiledLookup::Routed { info, .. } => info,
-        };
-        // `ConeSet::get` is total: `None` means Naive, anything else
-        // resolves to a precomputed cone — no panic path.
-        let valid = match self.cones.get(method, org) {
-            None => info.has_on_path(flow.member),
-            Some(cones) => cones.is_valid_source_any(flow.member, &info.origins),
-        };
-        if valid {
-            TrafficClass::Valid
-        } else {
-            TrafficClass::Invalid
+        match self.compiled.lookup(flow.src) {
+            CompiledLookup::Bogon { .. } => TrafficClass::Bogon,
+            CompiledLookup::Unrouted => TrafficClass::Unrouted,
+            CompiledLookup::Routed { info, .. } => {
+                routed_class(self.valid_under_parts(flow.member, info, MethodVariant { method, org }))
+            }
         }
     }
 
@@ -255,33 +175,16 @@ impl Classifier {
         let Some((_prefix, info)) = self.table.lookup(flow.src) else {
             return TrafficClass::Unrouted;
         };
-        let valid = match self.cones.get(method, org) {
-            None => info.has_on_path(flow.member),
-            Some(cones) => cones.is_valid_source_any(flow.member, &info.origins),
-        };
-        if valid {
-            TrafficClass::Valid
-        } else {
-            TrafficClass::Invalid
-        }
+        routed_class(self.valid_under_parts(flow.member, info, MethodVariant { method, org }))
     }
 
-    /// The validity verdict for one routed flow under one method
-    /// variant — the shared leaf of `classify_with`, `classify_explain`
-    /// and `classify_variants`.
-    fn valid_under(&self, flow: &FlowRecord, info: &RouteInfo, v: MethodVariant) -> bool {
-        self.valid_under_parts(flow.member, info, v)
-    }
-
-    /// [`Classifier::valid_under`] on the two fields it actually reads —
-    /// the columnar batch path (`crate::batch`) has a member column and
-    /// an interned info index, never a whole `FlowRecord`.
-    pub(crate) fn valid_under_parts(
-        &self,
-        member: spoofwatch_net::Asn,
-        info: &RouteInfo,
-        v: MethodVariant,
-    ) -> bool {
+    /// The validity verdict for one routed source under one method
+    /// variant — the shared leaf of both scalar ladders and of the
+    /// batch kernel's memo fill (`crate::batch`), which has a member
+    /// column and an interned info index, never a whole `FlowRecord`.
+    /// `ConeSet::get` is total: `None` means Naive, anything else
+    /// resolves to a precomputed cone — no panic path.
+    pub(crate) fn valid_under_parts(&self, member: Asn, info: &RouteInfo, v: MethodVariant) -> bool {
         match self.cones.get(v.method, v.org) {
             None => info.has_on_path(member),
             Some(cones) => cones.is_valid_source_any(member, &info.origins),
@@ -295,21 +198,21 @@ impl Classifier {
     /// flows. The class always equals `classify_with` on the same
     /// arguments.
     ///
-    /// This path does strictly more work than `classify_with` (one
-    /// extra bogon walk, five validity checks instead of one), which is
-    /// why the hot path samples it via [`Classifier::classify_trace_sampled`]
-    /// instead of calling it per flow.
+    /// This path does strictly more work than `classify_with` (five
+    /// validity checks instead of one), which is why the hot path
+    /// samples it via [`Classifier::classify_trace_sampled`] instead of
+    /// calling it per flow.
     pub fn classify_explain(
         &self,
         flow: &FlowRecord,
         method: InferenceMethod,
         org: OrgMode,
     ) -> DecisionRecord {
-        let variant = METHOD_VARIANTS[MethodVariant::index_of(method, org)];
+        let primary = MethodVariant::index_of(method, org);
         let record = |class, rule| DecisionRecord {
             src: flow.src,
             member: flow.member,
-            variant,
+            variant: METHOD_VARIANTS[primary],
             class,
             rule,
         };
@@ -329,62 +232,40 @@ impl Classifier {
             }
             CompiledLookup::Routed { prefix, info } => (prefix, info),
         };
-        let verdicts =
-            VerdictVector::from_verdicts(METHOD_VARIANTS.map(|v| self.valid_under(flow, info, v)));
-        if verdicts.is_valid_under(MethodVariant::index_of(method, org)) {
+        let verdicts = VerdictVector::from_verdicts(
+            METHOD_VARIANTS.map(|v| self.valid_under_parts(flow.member, info, v)),
+        );
+        if verdicts.is_valid_under(primary) {
             record(TrafficClass::Valid, MatchedRule::Valid { prefix, verdicts })
         } else {
             record(TrafficClass::Invalid, MatchedRule::Invalid { prefix, verdicts })
         }
     }
 
-    /// Classify one flow under all five method variants at once,
-    /// sharing the bogon check and the single table lookup. Slot `i`
-    /// equals `classify_with(flow, METHOD_VARIANTS[i].method,
-    /// METHOD_VARIANTS[i].org)`.
+    /// Classify one flow under all five method variants at once: the
+    /// verdict vector of [`Classifier::classify_explain`] projected to
+    /// classes. Slot `i` equals `classify_with(flow,
+    /// METHOD_VARIANTS[i].method, METHOD_VARIANTS[i].org)`.
     pub fn classify_variants(&self, flow: &FlowRecord) -> [TrafficClass; 5] {
-        let info = match self.compiled.lookup(flow.src) {
-            CompiledLookup::Bogon { .. } => return [TrafficClass::Bogon; 5],
-            CompiledLookup::Unrouted => return [TrafficClass::Unrouted; 5],
-            CompiledLookup::Routed { info, .. } => info,
-        };
-        METHOD_VARIANTS.map(|v| {
-            if self.valid_under(flow, info, v) {
-                TrafficClass::Valid
-            } else {
-                TrafficClass::Invalid
+        // Whichever variant is asked for, Bogon and Unrouted fire first
+        // and a routed flow's vector covers all five.
+        let record = self.classify_explain(flow, InferenceMethod::Naive, OrgMode::Plain);
+        match record.rule {
+            MatchedRule::Valid { verdicts, .. } | MatchedRule::Invalid { verdicts, .. } => {
+                std::array::from_fn(|i| routed_class(verdicts.is_valid_under(i)))
             }
-        })
+            MatchedRule::Bogon { .. } | MatchedRule::Unrouted { .. } => [record.class; 5],
+        }
     }
 
     /// The method-disagreement matrix over a batch: per-variant-pair
     /// class-transition counts (paper §4.3's sensitivity analysis as
-    /// telemetry). Parallel over chunks; partial matrices merge, so the
-    /// result is independent of the thread split.
+    /// telemetry), folded over one all-variants pass of the batch
+    /// kernel.
     pub fn method_disagreement(&self, flows: &[FlowRecord]) -> DisagreementMatrix {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let workers = planned_classify_workers(flows.len(), threads);
-        let chunk = flows.len().div_ceil(workers).max(1);
-        let n_chunks = flows.len().div_ceil(chunk);
-        let mut partials: Vec<DisagreementMatrix> =
-            (0..n_chunks).map(|_| DisagreementMatrix::new()).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = partials
-            .iter_mut()
-            .zip(flows.chunks(chunk))
-            .map(|(m, in_chunk)| -> Box<dyn FnOnce() + Send + '_> {
-                Box::new(move || {
-                    for f in in_chunk {
-                        m.record(&self.classify_variants(f));
-                    }
-                })
-            })
-            .collect();
-        run_worker_jobs(spoofwatch_obs::global(), jobs);
         let mut matrix = DisagreementMatrix::new();
-        for m in &partials {
-            matrix.merge(m);
+        for variants in self.classify_variants_records_batched(flows) {
+            matrix.record(&variants);
         }
         matrix
     }
@@ -410,31 +291,26 @@ impl Classifier {
         out
     }
 
-    /// Classify a batch (order-preserving): inline on the calling
-    /// thread below [`PARALLEL_CUTOFF`] flows, in parallel above it.
+    /// Classify a batch (order-preserving) on the calling thread: one
+    /// call of the batch kernel, with batch latency and per-class
+    /// counters recorded on the global registry. Fan-out over threads
+    /// belongs to [`crate::runner::StudyRunner`] alone.
     pub fn classify_trace(
         &self,
         flows: &[FlowRecord],
         method: InferenceMethod,
         org: OrgMode,
     ) -> Vec<TrafficClass> {
-        static CLOCK: OnceLock<RealClock> = OnceLock::new();
-        self.classify_trace_instrumented(
-            flows,
-            method,
-            org,
-            spoofwatch_obs::global(),
-            CLOCK.get_or_init(RealClock::new),
-        )
+        let clock = RealClock::new();
+        self.classify_trace_instrumented(flows, method, org, spoofwatch_obs::global(), &clock)
     }
 
-    /// [`Classifier::classify_trace`] with explicit observability
-    /// plumbing: batch latency and per-class counters are recorded on
-    /// `reg` using `clock` for the duration measurement. Production
-    /// passes the global registry and a real clock; tests pass a local
-    /// registry and a [`spoofwatch_obs::ManualClock`] so the recorded
-    /// histogram values are exact, not merely positive.
-    pub fn classify_trace_instrumented(
+    /// The body of [`Classifier::classify_trace`] with explicit
+    /// observability plumbing: production passes the global registry
+    /// and a real clock; tests pass a local registry and a
+    /// [`spoofwatch_obs::ManualClock`] so the recorded histogram values
+    /// are exact, not merely positive.
+    fn classify_trace_instrumented(
         &self,
         flows: &[FlowRecord],
         method: InferenceMethod,
@@ -443,34 +319,7 @@ impl Classifier {
         clock: &dyn Clock,
     ) -> Vec<TrafficClass> {
         let t0 = reg.is_enabled().then(|| clock.now_ns());
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let workers = planned_classify_workers(flows.len(), threads);
-        let mut out;
-        if workers <= 1 {
-            // Small batch: the spawn cost would dwarf the lookups. The
-            // vectorized path still applies — it is a strict drop-in
-            // for the classify_with loop (see `crate::batch`).
-            out = self.classify_records_batched(flows, method, org);
-        } else {
-            out = vec![TrafficClass::Valid; flows.len()];
-            let chunk = flows.len().div_ceil(workers).max(1);
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = flows
-                .chunks(chunk)
-                .zip(out.chunks_mut(chunk))
-                .map(|(in_chunk, out_chunk)| -> Box<dyn FnOnce() + Send + '_> {
-                    Box::new(move || {
-                        // Worker-side transpose into the thread-local
-                        // scratch; the output vector is per-job and
-                        // copied into the shared slice.
-                        let classes = self.classify_records_batched(in_chunk, method, org);
-                        out_chunk.copy_from_slice(&classes);
-                    })
-                })
-                .collect();
-            run_worker_jobs(reg, jobs);
-        }
+        let out = self.classify_records_batched(flows, method, org);
         if let Some(t0) = t0 {
             let elapsed = clock.since_ns(t0);
             reg.histogram(
@@ -498,6 +347,16 @@ impl Classifier {
             }
         }
         out
+    }
+}
+
+/// The class of a routed source given its validity verdict — the last
+/// rung of the Figure 3 ladder.
+fn routed_class(valid: bool) -> TrafficClass {
+    if valid {
+        TrafficClass::Valid
+    } else {
+        TrafficClass::Invalid
     }
 }
 
@@ -884,94 +743,51 @@ mod tests {
             .expect("panic payload is textual")
     }
 
+    /// A large trace through `classify_trace`: one inline kernel call,
+    /// order preserved, equal to the scalar ladder under all five
+    /// variants.
     #[test]
-    fn worker_jobs_preserve_panic_payload_inline() {
-        let reg = spoofwatch_obs::MetricsRegistry::new();
-        let jobs: Vec<Box<dyn FnOnce() + Send>> =
-            vec![Box::new(|| panic!("chunk 7 poisoned: {}", 0xdead))];
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_worker_jobs(&reg, jobs);
-        }))
-        .expect_err("panic must propagate");
-        assert_eq!(
-            payload_text(&*err),
-            "chunk 7 poisoned: 57005",
-            "the ORIGINAL payload must survive, not a synthetic join message"
-        );
-        assert_eq!(
-            reg.snapshot()
-                .counter("spoofwatch_classify_worker_panics_total", &[]),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn worker_jobs_preserve_first_payload_and_finish_siblings() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let reg = spoofwatch_obs::MetricsRegistry::new();
-        let survivor = AtomicU64::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(|| panic!("first payload")),
-            Box::new(|| {
-                survivor.store(42, Ordering::SeqCst);
-            }),
-            Box::new(|| panic!("second payload")),
-        ];
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_worker_jobs(&reg, jobs);
-        }))
-        .expect_err("panic must propagate");
-        assert_eq!(
-            payload_text(&*err),
-            "first payload",
-            "first job's payload wins"
-        );
-        assert_eq!(
-            survivor.load(Ordering::SeqCst),
-            42,
-            "non-panicking siblings run to completion before the re-raise"
-        );
-        assert_eq!(
-            reg.snapshot()
-                .counter("spoofwatch_classify_worker_panics_total", &[]),
-            Some(2),
-            "every panicking job is counted"
-        );
-    }
-
-    #[test]
-    fn worker_jobs_quiet_path_registers_no_panic_counter() {
-        let reg = spoofwatch_obs::MetricsRegistry::new();
-        run_worker_jobs(&reg, vec![Box::new(|| {}), Box::new(|| {})]);
-        assert_eq!(
-            reg.snapshot()
-                .counter("spoofwatch_classify_worker_panics_total", &[]),
-            None,
-            "the counter only exists once a panic has happened"
-        );
-    }
-
-    #[test]
-    fn small_batches_classify_inline() {
-        // The no-spawn contract: any batch under the cutoff plans one
-        // worker — the inline path — no matter how many cores exist.
-        for threads in [1, 2, 8, 128] {
-            assert_eq!(planned_classify_workers(64, threads), 1, "{threads} threads");
-            assert_eq!(planned_classify_workers(PARALLEL_CUTOFF - 1, threads), 1);
-        }
-        // At or above the cutoff, parallelism kicks in (given cores).
-        assert_eq!(planned_classify_workers(PARALLEL_CUTOFF, 8), 8);
-        assert_eq!(planned_classify_workers(PARALLEL_CUTOFF, 1), 1);
-        assert_eq!(planned_classify_workers(0, 8), 1);
-        // And the inline path gives identical answers.
+    fn large_trace_matches_scalar_under_every_variant() {
         let c = classifier();
-        let flows: Vec<FlowRecord> = mixed_flows().into_iter().take(64).collect();
-        let inline = c.classify_trace(&flows, InferenceMethod::FullCone, OrgMode::Plain);
-        let serial: Vec<_> = flows
-            .iter()
-            .map(|f| c.classify_with(f, InferenceMethod::FullCone, OrgMode::Plain))
-            .collect();
-        assert_eq!(inline, serial);
+        let flows: Vec<FlowRecord> = mixed_flows().into_iter().cycle().take(30_000).collect();
+        for v in METHOD_VARIANTS {
+            let got = c.classify_trace(&flows, v.method, v.org);
+            assert_eq!(got.len(), flows.len());
+            for (f, class) in flows.iter().zip(&got) {
+                assert_eq!(*class, c.classify_with(f, v.method, v.org), "{v}");
+            }
+        }
+    }
+
+    /// `classify_trace` runs on its caller's thread, so a panic in the
+    /// kernel's verdict computation unwinds to the caller as itself —
+    /// the runner's quarantine taxonomy sees the real failure, not a
+    /// synthetic "worker panicked" join message.
+    #[test]
+    fn verdict_panic_reaches_the_caller_with_its_payload() {
+        let mut c = classifier();
+        // An emptied info arena makes the first routed record's verdict
+        // fill index out of bounds.
+        c.compiled.clear_infos();
+        let flows: Vec<FlowRecord> = mixed_flows().into_iter().cycle().take(30_000).collect();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.classify_trace(&flows, InferenceMethod::FullCone, OrgMode::Plain)
+        }))
+        .expect_err("panic must propagate");
+        let text = payload_text(&*err);
+        assert!(
+            text.starts_with("index out of bounds: the len is 0"),
+            "the ORIGINAL payload must survive, got {text:?}"
+        );
+        // The per-thread scratch is usable again afterwards.
+        let healthy = classifier();
+        assert_eq!(
+            healthy.classify_trace(&flows[..5], InferenceMethod::FullCone, OrgMode::Plain),
+            flows[..5]
+                .iter()
+                .map(|f| healthy.classify_with(f, InferenceMethod::FullCone, OrgMode::Plain))
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

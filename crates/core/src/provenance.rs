@@ -16,6 +16,7 @@
 //! Customer Cone, and Full Cone (± org adjustment) part ways.
 
 use serde::Serialize;
+use spoofwatch_net::codec::WireReader;
 use spoofwatch_net::{fmt_addr, Asn, InferenceMethod, Ipv4Prefix, OrgMode, TrafficClass};
 use spoofwatch_obs::{MetricsRegistry, ReservoirSampler};
 use std::fmt;
@@ -444,35 +445,25 @@ impl DisagreementMatrix {
         }
     }
 
-    /// Decode from `buf` starting at `*pos`, advancing it. `None` on
-    /// truncated or structurally invalid input.
-    pub fn decode_from(buf: &[u8], pos: &mut usize) -> Option<DisagreementMatrix> {
-        let take_u64 = |pos: &mut usize| -> Option<u64> {
-            let b = buf.get(*pos..*pos + 8)?;
-            *pos += 8;
-            Some(u64::from_be_bytes(b.try_into().ok()?))
-        };
-        let take_u8 = |pos: &mut usize| -> Option<u8> {
-            let b = *buf.get(*pos)?;
-            *pos += 1;
-            Some(b)
-        };
-        let flows = take_u64(pos)?;
-        let n = take_u8(pos)? as usize;
+    /// Decode at the cursor, advancing it. `None` on truncated or
+    /// structurally invalid input.
+    pub fn decode_from(r: &mut WireReader<'_>) -> Option<DisagreementMatrix> {
+        let flows = r.u64()?;
+        let n = r.u8()? as usize;
         if n != VARIANT_PAIRS {
             return None;
         }
         let mut pairs = Vec::with_capacity(n);
         for _ in 0..n {
-            let a = take_u8(pos)? as usize;
-            let b = take_u8(pos)? as usize;
+            let a = r.u8()? as usize;
+            let b = r.u8()? as usize;
             if a >= METHOD_VARIANTS.len() || b >= METHOD_VARIANTS.len() || a >= b {
                 return None;
             }
             let mut transitions = [[0u64; 4]; 4];
             for row in &mut transitions {
                 for v in row.iter_mut() {
-                    *v = take_u64(pos)?;
+                    *v = r.u64()?;
                 }
             }
             pairs.push(PairMatrix { a, b, transitions });
@@ -592,13 +583,13 @@ mod tests {
         assert!(a.reconciles());
         let mut buf = Vec::new();
         a.encode_into(&mut buf);
-        let mut pos = 0;
-        let back = DisagreementMatrix::decode_from(&buf, &mut pos).expect("decode");
-        assert_eq!(pos, buf.len());
+        let mut r = WireReader::new(&buf);
+        let back = DisagreementMatrix::decode_from(&mut r).expect("decode");
+        assert!(r.done());
         assert_eq!(back, a);
         // Truncations never panic and never decode.
         for cut in 0..buf.len() {
-            assert!(DisagreementMatrix::decode_from(&buf[..cut], &mut 0).is_none());
+            assert!(DisagreementMatrix::decode_from(&mut WireReader::new(&buf[..cut])).is_none());
         }
     }
 

@@ -19,6 +19,7 @@ use super::rollup::WindowAccum;
 use super::{FlowAccounting, IngestTotals};
 use crate::provenance::DisagreementMatrix;
 use crate::stats::ClassCounters;
+use spoofwatch_net::codec::WireReader;
 use spoofwatch_net::{wire, Asn, TrafficClass};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -139,50 +140,57 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
-        let end = self.pos.checked_add(n).ok_or(CheckpointError::Malformed)?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(CheckpointError::Malformed)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_be_bytes(a))
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Ok(u32::from_be_bytes(a))
-    }
-}
-
-fn put_accounting(out: &mut Vec<u8>, a: &FlowAccounting) {
+pub(super) fn put_accounting(out: &mut Vec<u8>, a: &FlowAccounting) {
     for v in [a.offered, a.processed, a.shed, a.quarantined] {
         out.extend_from_slice(&v.to_be_bytes());
     }
 }
 
-fn get_accounting(r: &mut Reader<'_>) -> Result<FlowAccounting, CheckpointError> {
-    Ok(FlowAccounting {
+pub(super) fn put_ingest(out: &mut Vec<u8>, i: &IngestTotals) {
+    for v in [i.input_bytes, i.ok_records, i.ok_bytes, i.quarantined_bytes, i.resyncs] {
+        out.extend_from_slice(&v.to_be_bytes());
+    }
+}
+
+pub(super) fn get_accounting(r: &mut WireReader<'_>) -> Option<FlowAccounting> {
+    Some(FlowAccounting {
         offered: r.u64()?,
         processed: r.u64()?,
         shed: r.u64()?,
         quarantined: r.u64()?,
     })
+}
+
+pub(super) fn get_ingest(r: &mut WireReader<'_>) -> Option<IngestTotals> {
+    Some(IngestTotals {
+        input_bytes: r.u64()?,
+        ok_records: r.u64()?,
+        ok_bytes: r.u64()?,
+        quarantined_bytes: r.u64()?,
+        resyncs: r.u64()?,
+    })
+}
+
+/// Durably replace `dest` with `bytes`: write and fsync `tmp` (a
+/// sibling of `dest`), move the old `dest` aside to `keep_old` when one
+/// is named, then rename `tmp` into place — so a crash at any
+/// instruction tears only `tmp`. Everything `core` persists
+/// (checkpoints, ring windows, incident files) goes through here.
+pub(crate) fn write_durable(
+    tmp: &Path,
+    dest: &Path,
+    keep_old: Option<&Path>,
+    bytes: &[u8],
+) -> io::Result<()> {
+    {
+        let mut f = fs::File::create(tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    if let Some(previous) = keep_old.filter(|_| dest.exists()) {
+        fs::rename(dest, previous)?;
+    }
+    fs::rename(tmp, dest)
 }
 
 impl Checkpoint {
@@ -194,15 +202,7 @@ impl Checkpoint {
         payload.extend_from_slice(&self.byte_cursor.to_be_bytes());
         put_accounting(&mut payload, &self.records);
         put_accounting(&mut payload, &self.chunks);
-        for v in [
-            self.ingest.input_bytes,
-            self.ingest.ok_records,
-            self.ingest.ok_bytes,
-            self.ingest.quarantined_bytes,
-            self.ingest.resyncs,
-        ] {
-            payload.extend_from_slice(&v.to_be_bytes());
-        }
+        put_ingest(&mut payload, &self.ingest);
         payload.extend_from_slice(&(self.per_member.len() as u32).to_be_bytes());
         for (asn, rows) in &self.per_member {
             payload.extend_from_slice(&asn.0.to_be_bytes());
@@ -235,23 +235,19 @@ impl Checkpoint {
     /// [`CheckpointError`]; this function never panics on arbitrary
     /// bytes.
     pub fn decode(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        let payload = frame_decode(MAGIC, data)?;
-        let mut r = Reader {
-            buf: payload,
-            pos: 0,
-        };
+        let mut r = WireReader::new(frame_decode(MAGIC, data)?);
+        Checkpoint::decode_payload(&mut r)
+            .filter(|_| r.done())
+            .ok_or(CheckpointError::Malformed)
+    }
+
+    fn decode_payload(r: &mut WireReader<'_>) -> Option<Checkpoint> {
         let config_hash = r.u64()?;
         let committed_chunks = r.u64()?;
         let byte_cursor = r.u64()?;
-        let records = get_accounting(&mut r)?;
-        let chunks = get_accounting(&mut r)?;
-        let ingest = IngestTotals {
-            input_bytes: r.u64()?,
-            ok_records: r.u64()?,
-            ok_bytes: r.u64()?,
-            quarantined_bytes: r.u64()?,
-            resyncs: r.u64()?,
-        };
+        let records = get_accounting(r)?;
+        let chunks = get_accounting(r)?;
+        let ingest = get_ingest(r)?;
         let n_members = r.u32()?;
         let mut per_member = BTreeMap::new();
         for _ in 0..n_members {
@@ -267,28 +263,19 @@ impl Checkpoint {
         }
         // Trailing extension section (absent in pre-extension files).
         let (mut disagreement, mut rollup_accum) = (None, None);
-        if r.pos != payload.len() {
-            let flags = r.take(1)?[0];
+        if !r.done() {
+            let flags = r.u8()?;
             if flags == 0 || flags & !0b11 != 0 {
-                return Err(CheckpointError::Malformed);
+                return None;
             }
             if flags & 0b01 != 0 {
-                disagreement = Some(
-                    DisagreementMatrix::decode_from(payload, &mut r.pos)
-                        .ok_or(CheckpointError::Malformed)?,
-                );
+                disagreement = Some(DisagreementMatrix::decode_from(r)?);
             }
             if flags & 0b10 != 0 {
-                rollup_accum = Some(
-                    WindowAccum::decode_from(payload, &mut r.pos)
-                        .ok_or(CheckpointError::Malformed)?,
-                );
+                rollup_accum = Some(WindowAccum::decode_from(r)?);
             }
         }
-        if r.pos != payload.len() {
-            return Err(CheckpointError::Malformed);
-        }
-        Ok(Checkpoint {
+        Some(Checkpoint {
             config_hash,
             committed_chunks,
             byte_cursor,
@@ -360,18 +347,12 @@ impl CheckpointStore {
 
     /// Atomically persist `cp`, rotating the old current slot aside.
     pub fn save(&self, cp: &Checkpoint) -> io::Result<()> {
-        let tmp = self.dir.join("checkpoint.tmp");
-        let cur = self.current_path();
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&cp.encode())?;
-            f.sync_all()?;
-        }
-        if cur.exists() {
-            fs::rename(&cur, self.previous_path())?;
-        }
-        fs::rename(&tmp, &cur)?;
-        Ok(())
+        write_durable(
+            &self.dir.join("checkpoint.tmp"),
+            &self.current_path(),
+            Some(&self.previous_path()),
+            &cp.encode(),
+        )
     }
 
     /// Load the newest valid checkpoint, falling back from current to

@@ -5,7 +5,9 @@
 //! everything. At the paper's horizon — four weeks of IPFIX flows from a
 //! ~727-member IXP — the pipeline itself has to survive crashes, stalls,
 //! and overload. [`StudyRunner`] processes the trace as a stream of
-//! [`FlowChunk`]s on a supervised worker pool, resting on three pillars:
+//! [`FlowChunk`]s on a supervised worker pool — the one place in the
+//! crate that fans classification out over threads — resting on three
+//! pillars:
 //!
 //! * **Crash safety** — progress is periodically persisted as a
 //!   [`Checkpoint`] (length-framed, CRC-protected, written atomically
@@ -17,11 +19,12 @@
 //!   [`RunnerHealth`] taxonomy and the worker restarts with bounded
 //!   exponential backoff (mirroring [`crate::RibFreshness`]'s retry
 //!   ladder). A watchdog thread flags stalled progress.
-//! * **Backpressure** — the chunk queue is bounded. When the source
-//!   outruns the classifiers, [`ShedPolicy::Sample`] applies
-//!   deterministic secondary sampling (seeded by chunk sequence) with
-//!   exact shed accounting; [`ShedPolicy::Block`] is the lossless
-//!   alternative.
+//! * **Backpressure** — bounded queue, lossless: when the source
+//!   outruns the classifiers the feeder blocks on the full queue and
+//!   throughput degrades to the classifiers' rate. A file or shard
+//!   source can always wait; a live source that cannot sheds at its
+//!   admission buffer, under the overload ladder of [`live`], and books
+//!   what it dropped into the same `shed` column.
 //!
 //! The accounting invariant, chunk- and record-level, mirrors the ingest
 //! layer's byte reconciliation:
@@ -36,6 +39,7 @@ mod obs;
 pub mod rollup;
 pub mod shard;
 
+pub(crate) use checkpoint::write_durable;
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointSlot, CheckpointStore};
 pub use obs::{RunnerObs, MEMBER_LABEL_BUDGET};
 pub(crate) use obs::class_label as obs_class_label;
@@ -56,7 +60,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -92,23 +96,6 @@ impl ChunkSource for ChunkedIpfixReader<'_> {
     }
 }
 
-/// What the source does when the bounded chunk queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum ShedPolicy {
-    /// Lossless backpressure: block until a queue slot frees. Throughput
-    /// degrades to the classifiers' rate; nothing is shed.
-    Block,
-    /// Secondary sampling under overload: an overflowing chunk is kept
-    /// (with a blocking send) iff a seeded hash of its sequence number
-    /// selects it — 1 of every `keep_one_in` — and shed otherwise, with
-    /// exact accounting. Which chunks overflow depends on timing, but
-    /// the keep/shed decision for a given chunk is deterministic.
-    Sample {
-        /// Keep 1 of every this many overflowing chunks (minimum 1).
-        keep_one_in: u32,
-    },
-}
-
 /// Tuning and policy for one streaming run.
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
@@ -116,8 +103,8 @@ pub struct RunnerConfig {
     pub method: InferenceMethod,
     /// Org adjustment mode.
     pub org: OrgMode,
-    /// Study seed; part of the checkpoint config hash and of the shed
-    /// sampling hash.
+    /// Study seed; part of the checkpoint config hash and of the
+    /// detection payload's sampling priorities.
     pub seed: u64,
     /// Worker threads (0 = available parallelism).
     pub workers: usize,
@@ -125,8 +112,6 @@ pub struct RunnerConfig {
     pub queue_depth: usize,
     /// Chunks between checkpoints (minimum 1).
     pub checkpoint_every: u64,
-    /// Overload behavior.
-    pub shed: ShedPolicy,
     /// First restart-backoff delay after a worker panic, milliseconds.
     pub restart_backoff_base_ms: u64,
     /// Restart-backoff cap, milliseconds (delays double per consecutive
@@ -155,7 +140,6 @@ impl Default for RunnerConfig {
             workers: 0,
             queue_depth: 8,
             checkpoint_every: 16,
-            shed: ShedPolicy::Block,
             restart_backoff_base_ms: 5,
             restart_backoff_max_ms: 200,
             stall_timeout_ms: 30_000,
@@ -173,7 +157,9 @@ pub struct FlowAccounting {
     pub offered: u64,
     /// Units classified successfully.
     pub processed: u64,
-    /// Units dropped by load shedding.
+    /// Units dropped by load shedding. The runner's own queue blocks
+    /// and never sheds; a live session books its admission-buffer drops
+    /// here.
     pub shed: u64,
     /// Units quarantined after a worker panic.
     pub quarantined: u64,
@@ -354,11 +340,6 @@ fn org_tag(o: OrgMode) -> u64 {
     }
 }
 
-/// Deterministic keep/shed decision for an overflowing chunk.
-fn shed_keeps(seed: u64, seq: u64, keep_one_in: u32) -> bool {
-    fnv(&[seed, seq]).is_multiple_of(keep_one_in.max(1) as u64)
-}
-
 /// What a worker reports back for one chunk.
 enum OutcomeKind {
     /// Classified; the partial per-member breakdown and (when tracked)
@@ -372,8 +353,6 @@ enum OutcomeKind {
     ),
     /// The classification panicked; the chunk is poisoned.
     Quarantined,
-    /// Dropped by the shed policy (emitted by the feeder, not a worker).
-    Shed,
 }
 
 struct Outcome {
@@ -721,7 +700,11 @@ impl<'a> StudyRunner<'a> {
                             fault_counts: chunk.health.fault_counts,
                         },
                     );
-                    dispatch_or_shed(chunk, &chunk_tx, cfg, &mut arrived, &rm);
+                    // Bounded blocking send: a full queue is the
+                    // backpressure, and nothing is ever dropped here.
+                    if chunk_tx.send(chunk).is_ok() {
+                        rm.queue_depth.add(1);
+                    }
                     while let Ok(o) = out_rx.try_recv() {
                         arrived.insert(o.seq, o);
                     }
@@ -821,44 +804,6 @@ impl<'a> StudyRunner<'a> {
             health,
             disagreement: state.disagreement,
         })
-    }
-}
-
-/// Send one chunk to the workers, applying the shed policy when the
-/// bounded queue pushes back.
-fn dispatch_or_shed(
-    chunk: FlowChunk,
-    chunk_tx: &SyncSender<FlowChunk>,
-    cfg: &RunnerConfig,
-    arrived: &mut BTreeMap<u64, Outcome>,
-    rm: &RunMetrics,
-) {
-    let seq = chunk.seq;
-    match cfg.shed {
-        ShedPolicy::Block => {
-            if chunk_tx.send(chunk).is_ok() {
-                rm.queue_depth.add(1);
-            }
-        }
-        ShedPolicy::Sample { keep_one_in } => match chunk_tx.try_send(chunk) {
-            Ok(()) => rm.queue_depth.add(1),
-            Err(TrySendError::Full(chunk)) => {
-                if shed_keeps(cfg.seed, seq, keep_one_in) {
-                    if chunk_tx.send(chunk).is_ok() {
-                        rm.queue_depth.add(1);
-                    }
-                } else {
-                    arrived.insert(
-                        seq,
-                        Outcome {
-                            seq,
-                            kind: OutcomeKind::Shed,
-                        },
-                    );
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => {}
-        },
     }
 }
 
@@ -975,24 +920,6 @@ fn commit_ready(
                     )?;
                 }
                 state.merge_partial(partial);
-            }
-            OutcomeKind::Shed => {
-                state.chunks.shed += 1;
-                state.records.shed += meta.records;
-                rm.chunks.shed.inc();
-                rm.records.shed.add(meta.records);
-                if let Some(w) = cobs.rollup.as_mut() {
-                    w.absorb(
-                        meta.records,
-                        &meta.ingest,
-                        &meta.fault_counts,
-                        WindowCommit::Shed,
-                    )?;
-                }
-                cobs.obs.tracer.event(
-                    "chunk_shed",
-                    &[("seq", outcome.seq.into()), ("records", meta.records.into())],
-                );
             }
             OutcomeKind::Quarantined => {
                 state.chunks.quarantined += 1;
@@ -1204,20 +1131,6 @@ mod tests {
             quarantined: 2,
         };
         assert!(!b.reconciles());
-    }
-
-    #[test]
-    fn shed_sampling_is_deterministic_and_roughly_fair() {
-        let kept: Vec<bool> = (0..1000).map(|seq| shed_keeps(42, seq, 4)).collect();
-        let again: Vec<bool> = (0..1000).map(|seq| shed_keeps(42, seq, 4)).collect();
-        assert_eq!(kept, again);
-        let count = kept.iter().filter(|&&k| k).count();
-        assert!((150..350).contains(&count), "kept {count} of 1000 at 1-in-4");
-        // A different seed selects a different subset.
-        let other: Vec<bool> = (0..1000).map(|seq| shed_keeps(43, seq, 4)).collect();
-        assert_ne!(kept, other);
-        // keep_one_in == 1 keeps everything (degenerates to Block).
-        assert!((0..100).all(|seq| shed_keeps(42, seq, 1)));
     }
 
     #[test]

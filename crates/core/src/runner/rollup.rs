@@ -22,16 +22,20 @@
 //! [`RollupConfig::drift_threshold`] emits a `class_share_drift` flight
 //! recorder event and bumps `spoofwatch_rollup_drift_breaches_total`.
 
-use super::checkpoint::{frame_decode, frame_encode, CheckpointError};
+use super::checkpoint::{
+    frame_decode, frame_encode, get_accounting, get_ingest, put_accounting, put_ingest,
+    write_durable, CheckpointError,
+};
 use super::obs::{class_label, RunnerObs};
 use super::{FlowAccounting, IngestTotals};
 use crate::detect::{write_incident_file, DetectConfig, DetectEngine, IncidentKind, WindowDetect};
 use crate::provenance::DisagreementMatrix;
 use serde::Serialize;
+use spoofwatch_net::codec::WireReader;
 use spoofwatch_net::TrafficClass;
 use spoofwatch_obs::{Counter, Gauge, Tracer};
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -148,20 +152,9 @@ impl WindowAccum {
         for v in self.class_flows {
             out.extend_from_slice(&v.to_be_bytes());
         }
-        for a in [&self.records, &self.chunk_outcomes] {
-            for v in [a.offered, a.processed, a.shed, a.quarantined] {
-                out.extend_from_slice(&v.to_be_bytes());
-            }
-        }
-        for v in [
-            self.ingest.input_bytes,
-            self.ingest.ok_records,
-            self.ingest.ok_bytes,
-            self.ingest.quarantined_bytes,
-            self.ingest.resyncs,
-        ] {
-            out.extend_from_slice(&v.to_be_bytes());
-        }
+        put_accounting(out, &self.records);
+        put_accounting(out, &self.chunk_outcomes);
+        put_ingest(out, &self.ingest);
         for v in self.fault_counts {
             out.extend_from_slice(&v.to_be_bytes());
         }
@@ -176,54 +169,34 @@ impl WindowAccum {
         }
     }
 
-    /// Decode from `buf` starting at `*pos`, advancing it. `None` on
-    /// truncated or structurally invalid input.
-    pub fn decode_from(buf: &[u8], pos: &mut usize) -> Option<WindowAccum> {
-        let take_u64 = |pos: &mut usize| -> Option<u64> {
-            let b = buf.get(*pos..*pos + 8)?;
-            *pos += 8;
-            Some(u64::from_be_bytes(b.try_into().ok()?))
-        };
-        let window_index = take_u64(pos)?;
-        let start_chunk = take_u64(pos)?;
-        let chunks = take_u64(pos)?;
+    /// Decode at the cursor, advancing it. `None` on truncated or
+    /// structurally invalid input.
+    pub fn decode_from(r: &mut WireReader<'_>) -> Option<WindowAccum> {
+        let window_index = r.u64()?;
+        let start_chunk = r.u64()?;
+        let chunks = r.u64()?;
         let mut class_flows = [0u64; 4];
         for v in &mut class_flows {
-            *v = take_u64(pos)?;
+            *v = r.u64()?;
         }
-        let accounting = |pos: &mut usize| -> Option<FlowAccounting> {
-            Some(FlowAccounting {
-                offered: take_u64(pos)?,
-                processed: take_u64(pos)?,
-                shed: take_u64(pos)?,
-                quarantined: take_u64(pos)?,
-            })
-        };
-        let records = accounting(pos)?;
-        let chunk_outcomes = accounting(pos)?;
-        let ingest = IngestTotals {
-            input_bytes: take_u64(pos)?,
-            ok_records: take_u64(pos)?,
-            ok_bytes: take_u64(pos)?,
-            quarantined_bytes: take_u64(pos)?,
-            resyncs: take_u64(pos)?,
-        };
+        let records = get_accounting(r)?;
+        let chunk_outcomes = get_accounting(r)?;
+        let ingest = get_ingest(r)?;
         let mut fault_counts = [0u64; 5];
         for v in &mut fault_counts {
-            *v = take_u64(pos)?;
+            *v = r.u64()?;
         }
-        let flags = *buf.get(*pos)?;
-        *pos += 1;
+        let flags = r.u8()?;
         if flags & !0b11 != 0 {
             return None;
         }
         let disagreement = if flags & 0b01 != 0 {
-            Some(DisagreementMatrix::decode_from(buf, pos)?)
+            Some(DisagreementMatrix::decode_from(r)?)
         } else {
             None
         };
         let detect = if flags & 0b10 != 0 {
-            Some(WindowDetect::decode_from(buf, pos)?)
+            Some(WindowDetect::decode_from(r)?)
         } else {
             None
         };
@@ -253,26 +226,18 @@ pub fn write_window(dir: &Path, w: &WindowAccum) -> io::Result<PathBuf> {
     let mut payload = Vec::with_capacity(256);
     w.encode_into(&mut payload);
     let framed = frame_encode(ROLLUP_MAGIC, &payload);
-    let tmp = dir.join("window.tmp");
     let path = dir.join(window_file_name(w.window_index));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&framed)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &path)?;
+    write_durable(&dir.join("window.tmp"), &path, None, &framed)?;
     Ok(path)
 }
 
 /// Parse and verify one window file's bytes.
 pub fn decode_window(data: &[u8]) -> Result<WindowAccum, CheckpointError> {
     let payload = frame_decode(ROLLUP_MAGIC, data)?;
-    let mut pos = 0;
-    let w = WindowAccum::decode_from(payload, &mut pos).ok_or(CheckpointError::Malformed)?;
-    if pos != payload.len() {
-        return Err(CheckpointError::Malformed);
-    }
-    Ok(w)
+    let mut r = WireReader::new(payload);
+    WindowAccum::decode_from(&mut r)
+        .filter(|_| r.done())
+        .ok_or(CheckpointError::Malformed)
 }
 
 /// Read every window in a rollup directory, sorted by window index.
@@ -319,8 +284,6 @@ pub(super) enum WindowCommit<'a> {
         matrix: Option<&'a DisagreementMatrix>,
         detect: Option<&'a WindowDetect>,
     },
-    /// Dropped by the shed policy.
-    Shed,
     /// Quarantined after a worker panic.
     Quarantined,
 }
@@ -462,10 +425,6 @@ impl RollupWriter {
                 if let Some(d) = detect {
                     a.detect.get_or_insert_with(WindowDetect::new).merge(d);
                 }
-            }
-            WindowCommit::Shed => {
-                a.chunk_outcomes.shed += 1;
-                a.records.shed += records;
             }
             WindowCommit::Quarantined => {
                 a.chunk_outcomes.quarantined += 1;
@@ -623,17 +582,17 @@ mod tests {
         w.disagreement = Some(m);
         let mut buf = Vec::new();
         w.encode_into(&mut buf);
-        let mut pos = 0;
-        assert_eq!(WindowAccum::decode_from(&buf, &mut pos), Some(w.clone()));
-        assert_eq!(pos, buf.len());
+        let mut r = WireReader::new(&buf);
+        assert_eq!(WindowAccum::decode_from(&mut r), Some(w.clone()));
+        assert!(r.done());
         // Without the matrix too.
         w.disagreement = None;
         let mut buf = Vec::new();
         w.encode_into(&mut buf);
-        assert_eq!(WindowAccum::decode_from(&buf, &mut 0), Some(w));
+        assert_eq!(WindowAccum::decode_from(&mut WireReader::new(&buf)), Some(w));
         // Every truncation fails clean.
         for cut in 0..buf.len() {
-            assert!(WindowAccum::decode_from(&buf[..cut], &mut 0).is_none());
+            assert!(WindowAccum::decode_from(&mut WireReader::new(&buf[..cut])).is_none());
         }
     }
 

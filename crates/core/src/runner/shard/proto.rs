@@ -98,7 +98,7 @@ impl ReportMsg {
                 // Cap pre-allocation against nonsense counts.
                 let mut windows = Vec::with_capacity(n.min(1 << 12));
                 for _ in 0..n {
-                    windows.push(r.nested(WindowAccum::decode_from)?);
+                    windows.push(WindowAccum::decode_from(&mut r)?);
                 }
                 ReportMsg::Windows(windows)
             }

@@ -4,11 +4,9 @@
 //! boundary and resuming yields a report identical to the uninterrupted
 //! run, with all accounting reconciling exactly — even when the trace
 //! itself is corrupted, when a checkpoint file is torn mid-write, when
-//! workers panic, or when backpressure sheds load.
+//! workers panic, or when a slow classifier backs the queue up.
 
-use spoofwatch_core::{
-    Classifier, CheckpointStore, RunnerConfig, RunnerError, ShedPolicy, StudyRunner,
-};
+use spoofwatch_core::{Classifier, CheckpointStore, RunnerConfig, RunnerError, StudyRunner};
 use spoofwatch_internet::{Internet, InternetConfig};
 use spoofwatch_ixp::chunked::ChunkedIpfixReader;
 use spoofwatch_ixp::{ipfix, Trace, TrafficConfig};
@@ -291,39 +289,7 @@ fn panicking_worker_quarantines_chunk_and_accounting_reconciles() {
 }
 
 #[test]
-fn backpressure_sampling_sheds_with_exact_accounting() {
-    let w = world(17, false);
-    let c = classifier(&w.net);
-    let scratch = Scratch::new("shed");
-    let store = CheckpointStore::open(&scratch.0).expect("open store");
-
-    let mut cfg = config();
-    cfg.workers = 1;
-    cfg.queue_depth = 1;
-    cfg.shed = ShedPolicy::Sample { keep_one_in: 3 };
-    let runner = StudyRunner::new(&c, cfg);
-    let method = runner.config().method;
-    let org = runner.config().org;
-    let mut source = ChunkedIpfixReader::new(&w.bytes, CHUNK);
-    // A slow classifier guarantees the single-slot queue overflows.
-    let report = runner
-        .run_with(&mut source, &store, |flows| {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            flows
-                .iter()
-                .map(|f| c.classify_with(f, method, org))
-                .collect::<Vec<TrafficClass>>()
-        })
-        .expect("overloaded run");
-
-    assert!(report.health.chunks.shed > 0, "queue never overflowed");
-    assert!(report.health.chunks.processed > 0, "sampling kept some load");
-    assert!(report.health.reconciles(), "shed accounting must be exact");
-    assert!(report.ingest.reconciles());
-}
-
-#[test]
-fn block_policy_is_lossless_under_overload() {
+fn one_slot_queue_under_slow_classifier_loses_nothing() {
     let w = world(18, false);
     let c = classifier(&w.net);
     let scratch = Scratch::new("block");
@@ -332,7 +298,6 @@ fn block_policy_is_lossless_under_overload() {
     let mut cfg = config();
     cfg.workers = 1;
     cfg.queue_depth = 1;
-    cfg.shed = ShedPolicy::Block;
     let runner = StudyRunner::new(&c, cfg);
     let method = runner.config().method;
     let org = runner.config().org;

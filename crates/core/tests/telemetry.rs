@@ -10,9 +10,7 @@
 //! * the watchdog's stall schedule is deterministic under a manual
 //!   clock — no wall-clock sleeps, no flaky timing.
 
-use spoofwatch_core::{
-    Classifier, CheckpointStore, RunnerConfig, RunnerObs, ShedPolicy, StudyRunner,
-};
+use spoofwatch_core::{Classifier, CheckpointStore, RunnerConfig, RunnerObs, StudyRunner};
 use spoofwatch_internet::{Internet, InternetConfig};
 use spoofwatch_ixp::chunked::ChunkedIpfixReader;
 use spoofwatch_ixp::{ipfix, Trace, TrafficConfig};
@@ -169,45 +167,6 @@ fn snapshot_counters_reconcile_exactly_with_runner_accounting() {
     let text = snap.render_prometheus();
     let expo = spoofwatch_obs::parse_exposition(&text).expect("render parses");
     expo.validate().expect("render validates");
-}
-
-#[test]
-fn shed_accounting_matches_between_snapshot_and_report() {
-    let w = world(47);
-    let c = Classifier::build(&w.net.announcements, &w.net.orgs_dataset);
-    let scratch = Scratch::new("shed");
-    let store = CheckpointStore::open(&scratch.0).expect("open store");
-
-    let metrics = MetricsRegistry::new();
-    let mut cfg = config();
-    cfg.workers = 1;
-    cfg.queue_depth = 1;
-    cfg.shed = ShedPolicy::Sample { keep_one_in: 3 };
-    let runner = StudyRunner::new(&c, cfg)
-        .with_obs(RunnerObs::new(Arc::clone(&metrics), Tracer::disabled()));
-
-    // A slow classifier forces the queue to push back so sampling kicks
-    // in. (Sleep is wall-clock here on purpose: shedding is driven by
-    // real backpressure, not by the observability clock.)
-    let mut source = ChunkedIpfixReader::new(&w.bytes, CHUNK);
-    let report = runner
-        .run_with(&mut source, &store, |flows| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            flows.iter().map(|f| c.classify(f)).collect()
-        })
-        .expect("run completes");
-
-    assert!(report.health.reconciles());
-    let snap = metrics.snapshot();
-    for (name, acct) in [
-        ("spoofwatch_runner_chunks_total", report.health.chunks),
-        ("spoofwatch_runner_records_total", report.health.records),
-    ] {
-        assert_eq!(outcome(&snap, name, "offered"), acct.offered);
-        assert_eq!(outcome(&snap, name, "processed"), acct.processed);
-        assert_eq!(outcome(&snap, name, "shed"), acct.shed);
-        assert_eq!(outcome(&snap, name, "quarantined"), acct.quarantined);
-    }
 }
 
 #[test]

@@ -70,21 +70,6 @@ impl<'a> WireReader<'a> {
         self.take(8).map(|s| be64(s, 0))
     }
 
-    /// Run a `decode_from(buf, &mut pos)`-style decoder (the checkpoint
-    /// and rollup codecs' convention) at the cursor.
-    pub fn nested<T>(
-        &mut self,
-        decode: impl FnOnce(&'a [u8], &mut usize) -> Option<T>,
-    ) -> Option<T> {
-        let mut pos = self.pos;
-        let value = decode(self.buf, &mut pos)?;
-        if pos > self.buf.len() {
-            return None;
-        }
-        self.pos = pos;
-        Some(value)
-    }
-
     /// Whether every byte has been consumed.
     pub fn done(&self) -> bool {
         self.pos == self.buf.len()
@@ -331,29 +316,5 @@ mod tests {
             1 + 24 + HEALTH_WIRE_LEN + 4 + 2000 * FLOW_WIRE_LEN
         );
         assert_eq!(out.capacity(), out.len());
-    }
-
-    #[test]
-    fn nested_adapts_position_style_decoders() {
-        let buf = [1u8, 2, 3, 4];
-        let mut r = WireReader::new(&buf);
-        assert_eq!(r.u8(), Some(1));
-        let two = r.nested(|b, pos| {
-            let v = (b[*pos], b[*pos + 1]);
-            *pos += 2;
-            Some(v)
-        });
-        assert_eq!(two, Some((2, 3)));
-        assert_eq!(r.u8(), Some(4));
-        assert!(r.done());
-        // A decoder that runs past the end is refused.
-        let mut r = WireReader::new(&buf);
-        assert_eq!(
-            r.nested(|_, pos| {
-                *pos = 9;
-                Some(())
-            }),
-            None
-        );
     }
 }
