@@ -36,7 +36,7 @@
 //! ([`write_incident_file`] / [`read_incident_log`]).
 
 use crate::provenance::DisagreementMatrix;
-use crate::runner::WindowAccum;
+use crate::runner::{write_durable, DurableWrite, WindowAccum, WriteKind};
 use serde::Serialize;
 use spoofwatch_net::codec::WireReader;
 use spoofwatch_net::wire::{frame_decode, frame_encode, FrameError};
@@ -1163,15 +1163,30 @@ pub fn write_incident_file(
     window_index: u64,
     records: &[IncidentRecord],
 ) -> io::Result<PathBuf> {
+    let write = incident_write(dir, window_index, records);
+    write_durable(&write)?;
+    Ok(write.dest)
+}
+
+/// The durable write that puts one window's incidents into the log at
+/// `dir`.
+pub(crate) fn incident_write(
+    dir: &Path,
+    window_index: u64,
+    records: &[IncidentRecord],
+) -> DurableWrite {
     let mut payload = Vec::with_capacity(256);
     payload.extend_from_slice(&(records.len() as u32).to_be_bytes());
     for r in records {
         r.encode_into(&mut payload);
     }
-    let framed = frame_encode(INCIDENT_MAGIC, &payload);
-    let path = dir.join(incident_file_name(window_index));
-    crate::runner::write_durable(&dir.join("incidents.tmp"), &path, None, &framed)?;
-    Ok(path)
+    DurableWrite {
+        kind: WriteKind::Incidents,
+        tmp: dir.join("incidents.tmp"),
+        dest: dir.join(incident_file_name(window_index)),
+        keep_old: None,
+        bytes: frame_encode(INCIDENT_MAGIC, &payload),
+    }
 }
 
 /// Parse and verify one incident file's bytes.

@@ -15,6 +15,7 @@
 //! exists on disk: a crash mid-write tears only the tmp file, and a
 //! corrupted current file falls back to the previous one.
 
+use super::durable::{write_durable, DurableWrite, WriteKind};
 use super::rollup::WindowAccum;
 use super::{FlowAccounting, IngestTotals};
 use crate::provenance::DisagreementMatrix;
@@ -24,7 +25,7 @@ use spoofwatch_net::{wire, Asn, TrafficClass};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"SWCP";
@@ -171,29 +172,22 @@ pub(super) fn get_ingest(r: &mut WireReader<'_>) -> Option<IngestTotals> {
     })
 }
 
-/// Durably replace `dest` with `bytes`: write and fsync `tmp` (a
-/// sibling of `dest`), move the old `dest` aside to `keep_old` when one
-/// is named, then rename `tmp` into place — so a crash at any
-/// instruction tears only `tmp`. Everything `core` persists
-/// (checkpoints, ring windows, incident files) goes through here.
-pub(crate) fn write_durable(
-    tmp: &Path,
-    dest: &Path,
-    keep_old: Option<&Path>,
-    bytes: &[u8],
-) -> io::Result<()> {
-    {
-        let mut f = fs::File::create(tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    if let Some(previous) = keep_old.filter(|_| dest.exists()) {
-        fs::rename(dest, previous)?;
-    }
-    fs::rename(tmp, dest)
+/// A [`Checkpoint`]'s fields by reference, so the commit path encodes
+/// the live run state in place; `Checkpoint` is the decoded, owned
+/// form.
+pub(super) struct CheckpointRef<'a> {
+    pub config_hash: u64,
+    pub committed_chunks: u64,
+    pub byte_cursor: u64,
+    pub records: FlowAccounting,
+    pub chunks: FlowAccounting,
+    pub ingest: IngestTotals,
+    pub per_member: &'a BTreeMap<Asn, [ClassCounters; 4]>,
+    pub disagreement: Option<&'a DisagreementMatrix>,
+    pub rollup_accum: Option<&'a WindowAccum>,
 }
 
-impl Checkpoint {
+impl CheckpointRef<'_> {
     /// Serialize to the length-framed, CRC-protected wire form.
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::with_capacity(128 + self.per_member.len() * 100);
@@ -204,7 +198,7 @@ impl Checkpoint {
         put_accounting(&mut payload, &self.chunks);
         put_ingest(&mut payload, &self.ingest);
         payload.extend_from_slice(&(self.per_member.len() as u32).to_be_bytes());
-        for (asn, rows) in &self.per_member {
+        for (asn, rows) in self.per_member {
             payload.extend_from_slice(&asn.0.to_be_bytes());
             for cc in rows {
                 payload.extend_from_slice(&cc.flows.to_be_bytes());
@@ -219,15 +213,33 @@ impl Checkpoint {
         let flags = (self.disagreement.is_some() as u8) | ((self.rollup_accum.is_some() as u8) << 1);
         if flags != 0 {
             payload.push(flags);
-            if let Some(d) = &self.disagreement {
+            if let Some(d) = self.disagreement {
                 d.encode_into(&mut payload);
             }
-            if let Some(w) = &self.rollup_accum {
+            if let Some(w) = self.rollup_accum {
                 w.encode_into(&mut payload);
             }
         }
 
         frame_encode(MAGIC, &payload)
+    }
+}
+
+impl Checkpoint {
+    /// Serialize to the length-framed, CRC-protected wire form.
+    pub fn encode(&self) -> Vec<u8> {
+        CheckpointRef {
+            config_hash: self.config_hash,
+            committed_chunks: self.committed_chunks,
+            byte_cursor: self.byte_cursor,
+            records: self.records,
+            chunks: self.chunks,
+            ingest: self.ingest,
+            per_member: &self.per_member,
+            disagreement: self.disagreement.as_ref(),
+            rollup_accum: self.rollup_accum.as_ref(),
+        }
+        .encode()
     }
 
     /// Parse and verify a wire-form checkpoint. Every failure mode a
@@ -347,12 +359,18 @@ impl CheckpointStore {
 
     /// Atomically persist `cp`, rotating the old current slot aside.
     pub fn save(&self, cp: &Checkpoint) -> io::Result<()> {
-        write_durable(
-            &self.dir.join("checkpoint.tmp"),
-            &self.current_path(),
-            Some(&self.previous_path()),
-            &cp.encode(),
-        )
+        write_durable(&self.write_of(cp.encode()))
+    }
+
+    /// The durable write that makes `encoded` the current checkpoint.
+    pub(super) fn write_of(&self, encoded: Vec<u8>) -> DurableWrite {
+        DurableWrite {
+            kind: WriteKind::Checkpoint,
+            tmp: self.dir.join("checkpoint.tmp"),
+            dest: self.current_path(),
+            keep_old: Some(self.previous_path()),
+            bytes: encoded,
+        }
     }
 
     /// Load the newest valid checkpoint, falling back from current to

@@ -14,6 +14,9 @@
 //!   with two-slot rotation). An interrupted run resumes from the last
 //!   valid checkpoint and produces a bit-identical [`RunReport`]; a torn
 //!   checkpoint file is detected and skipped back to its predecessor.
+//!   The commit thread only encodes; one ordered writer thread per run
+//!   does every fsync ([`durable`]), and a run returns only after that
+//!   thread has acknowledged all it was handed.
 //! * **Supervision** — each worker wraps chunk classification in
 //!   `catch_unwind`: a poisoned chunk is quarantined into the
 //!   [`RunnerHealth`] taxonomy and the worker restarts with bounded
@@ -34,13 +37,14 @@
 //! ```
 
 mod checkpoint;
+mod durable;
 pub mod live;
 mod obs;
 pub mod rollup;
 pub mod shard;
 
-pub(crate) use checkpoint::write_durable;
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointSlot, CheckpointStore};
+pub(crate) use durable::{write_durable, DurableWrite, WriteKind};
 pub use obs::{RunnerObs, MEMBER_LABEL_BUDGET};
 pub(crate) use obs::class_label as obs_class_label;
 pub use rollup::{read_ring, RollupConfig, WindowAccum};
@@ -51,6 +55,8 @@ use crate::pipeline::Classifier;
 use crate::provenance::{DisagreementMatrix, MethodVariant};
 use rollup::{RollupWriter, WindowCommit};
 use crate::stats::{ClassCounters, MemberBreakdown};
+use checkpoint::CheckpointRef;
+use durable::{DurableJob, DurableQueue};
 use obs::{MemberLabels, RunMetrics};
 use serde::Serialize;
 use spoofwatch_ixp::chunked::{ChunkedIpfixReader, FlowChunk};
@@ -58,6 +64,7 @@ use spoofwatch_net::{Asn, FlowRecord, InferenceMethod, IngestHealth, OrgMode, Tr
 use spoofwatch_obs::{Clock, Tracer};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver};
@@ -296,7 +303,8 @@ pub enum RunnerError {
         /// Hash stored in the checkpoint.
         found: u64,
     },
-    /// Checkpoint persistence failed.
+    /// Persisting a checkpoint, a rollup window or an incident file
+    /// failed; nothing the run produced after it was written.
     Io(std::io::Error),
 }
 
@@ -379,12 +387,13 @@ struct RunState {
     ingest: IngestTotals,
     per_member: BTreeMap<Asn, [ClassCounters; 4]>,
     disagreement: Option<DisagreementMatrix>,
-    rollup_accum: Option<WindowAccum>,
 }
 
 impl RunState {
-    fn from_checkpoint(cp: Checkpoint) -> RunState {
-        RunState {
+    /// The run state a checkpoint restores, and the in-progress rollup
+    /// window that rode with it.
+    fn from_checkpoint(cp: Checkpoint) -> (RunState, Option<WindowAccum>) {
+        let state = RunState {
             committed_chunks: cp.committed_chunks,
             byte_cursor: cp.byte_cursor,
             records: cp.records,
@@ -392,22 +401,25 @@ impl RunState {
             ingest: cp.ingest,
             per_member: cp.per_member,
             disagreement: cp.disagreement,
-            rollup_accum: cp.rollup_accum,
-        }
+        };
+        (state, cp.rollup_accum)
     }
 
-    fn to_checkpoint(&self, config_hash: u64) -> Checkpoint {
-        Checkpoint {
+    /// The checkpoint of this state in wire form, with the rollup
+    /// writer's in-progress window; encoded in place, nothing cloned.
+    fn encode_checkpoint(&self, config_hash: u64, rollup_accum: Option<&WindowAccum>) -> Vec<u8> {
+        CheckpointRef {
             config_hash,
             committed_chunks: self.committed_chunks,
             byte_cursor: self.byte_cursor,
             records: self.records,
             chunks: self.chunks,
             ingest: self.ingest,
-            per_member: self.per_member.clone(),
-            disagreement: self.disagreement.clone(),
-            rollup_accum: self.rollup_accum.clone(),
+            per_member: &self.per_member,
+            disagreement: self.disagreement.as_ref(),
+            rollup_accum,
         }
+        .encode()
     }
 
     fn merge_partial(&mut self, partial: BTreeMap<Asn, [ClassCounters; 4]>) {
@@ -538,11 +550,27 @@ impl<'a> StudyRunner<'a> {
         source: &mut S,
         store: &CheckpointStore,
     ) -> Result<RunReport, RunnerError> {
+        self.run_applying(source, store, &DurableJob::run)
+    }
+
+    /// [`Self::run`] with the durable writer's job executor as a
+    /// parameter: [`DurableJob::run`], except where a test records the
+    /// writer's job list through it.
+    fn run_applying<S, A>(
+        &self,
+        source: &mut S,
+        store: &CheckpointStore,
+        apply: &A,
+    ) -> Result<RunReport, RunnerError>
+    where
+        S: ChunkSource,
+        A: Fn(&DurableJob) -> io::Result<()> + Sync,
+    {
         let source_of = self.classifier;
         let (method, org) = (self.cfg.method, self.cfg.org);
         if self.cfg.track_disagreement {
             let primary = MethodVariant::index_of(method, org);
-            self.run_inner(source, store, move |flows: &[FlowRecord]| {
+            self.run_inner(source, store, apply, move |flows: &[FlowRecord]| {
                 source_of.with(|classifier| {
                     // Batched: one code probe per flow serves
                     // all five variants (worker-side transpose into the
@@ -557,7 +585,7 @@ impl<'a> StudyRunner<'a> {
                 })
             })
         } else {
-            self.run_inner(source, store, move |flows: &[FlowRecord]| {
+            self.run_inner(source, store, apply, move |flows: &[FlowRecord]| {
                 source_of.with(|classifier| {
                     (classifier.classify_records_batched(flows, method, org), None)
                 })
@@ -578,19 +606,24 @@ impl<'a> StudyRunner<'a> {
         S: ChunkSource,
         F: Fn(&[FlowRecord]) -> Vec<TrafficClass> + Sync,
     {
-        self.run_inner(source, store, move |flows| (classify(flows), None))
+        self.run_inner(source, store, &DurableJob::run, move |flows| {
+            (classify(flows), None)
+        })
     }
 
-    /// The full runner with the internal worker seam: classify returns
-    /// the classes plus an optional per-chunk disagreement matrix.
-    fn run_inner<S, F>(
+    /// The full runner with its two internal seams: `apply` is how the
+    /// durable writer executes one job, and classify returns the
+    /// classes plus an optional per-chunk disagreement matrix.
+    fn run_inner<S, A, F>(
         &self,
         source: &mut S,
         store: &CheckpointStore,
+        apply: &A,
         classify: F,
     ) -> Result<RunReport, RunnerError>
     where
         S: ChunkSource,
+        A: Fn(&DurableJob) -> io::Result<()> + Sync,
         F: Fn(&[FlowRecord]) -> (Vec<TrafficClass>, Option<DisagreementMatrix>) + Sync,
     {
         let cfg = &self.cfg;
@@ -607,7 +640,7 @@ impl<'a> StudyRunner<'a> {
         let (loaded, faults) = store.load_latest();
         health.checkpoints_rejected = faults.len() as u64;
         rm.checkpoints_rejected.add(health.checkpoints_rejected);
-        let mut state = match loaded {
+        let (mut state, saved_accum) = match loaded {
             Some((cp, _slot)) => {
                 if cp.config_hash != config_hash {
                     return Err(RunnerError::ConfigMismatch {
@@ -618,7 +651,7 @@ impl<'a> StudyRunner<'a> {
                 health.resumed_at_chunk = Some(cp.committed_chunks);
                 RunState::from_checkpoint(cp)
             }
-            None => RunState::default(),
+            None => (RunState::default(), None),
         };
         source.seek(state.byte_cursor, state.committed_chunks);
         let rollup_writer = match &self.rollup {
@@ -626,7 +659,7 @@ impl<'a> StudyRunner<'a> {
                 rcfg.clone(),
                 obs,
                 state.committed_chunks,
-                state.rollup_accum.take(),
+                saved_accum,
             )?),
             None => None,
         };
@@ -667,11 +700,16 @@ impl<'a> StudyRunner<'a> {
                 s.spawn(move || watchdog_loop(committed, done, stalls, timeout, rm, obs))
             });
 
-            let mut cobs = CommitObs {
+            let queue = DurableQueue::spawn(s, apply, &rm, obs);
+            let mut cobs = CommitCtx {
                 rm: &rm,
                 obs,
                 members: MemberLabels::new(),
                 rollup: rollup_writer,
+                store,
+                config_hash,
+                queue: &queue,
+                jobs: Vec::new(),
             };
             let mut feed = || -> Result<bool, RunnerError> {
                 let mut pending: BTreeMap<u64, PendingMeta> = BTreeMap::new();
@@ -712,11 +750,8 @@ impl<'a> StudyRunner<'a> {
                         &mut state,
                         &mut pending,
                         &mut arrived,
-                        store,
                         cfg,
-                        config_hash,
                         &committed,
-                        &mut health,
                         &mut cobs,
                     )?;
                     if interrupt_due(&state) {
@@ -738,11 +773,8 @@ impl<'a> StudyRunner<'a> {
                         &mut state,
                         &mut pending,
                         &mut arrived,
-                        store,
                         cfg,
-                        config_hash,
                         &committed,
-                        &mut health,
                         &mut cobs,
                     )?;
                     if interrupt_due(&state) {
@@ -760,11 +792,10 @@ impl<'a> StudyRunner<'a> {
                 // persist the terminal checkpoint so a rerun resumes at
                 // end-of-stream instead of recomputing.
                 if let Some(w) = cobs.rollup.as_mut() {
-                    w.flush()?;
-                    state.rollup_accum = Some(w.accum().clone());
+                    w.flush(&mut cobs.jobs);
                 }
-                save_checkpoint_timed(store, &state.to_checkpoint(config_hash), &rm, obs)?;
-                health.checkpoints_written += 1;
+                cobs.hand_off_window_jobs()?;
+                cobs.hand_off_checkpoint(&state)?;
                 Ok(false)
             };
             let result = feed();
@@ -775,7 +806,14 @@ impl<'a> StudyRunner<'a> {
                 watchdog.thread().unpark();
             }
             drop(chunk_tx); // close the queue so workers drain and exit
-            result
+            // The commit point, on every way out of `feed`: what was
+            // handed off counts only once the writer has acknowledged
+            // it, and callers reopen the store as soon as `run` returns.
+            let written = queue.finish();
+            health.checkpoints_written = written.checkpoints_written;
+            // The writer's own error, not the failed hand-off that
+            // reported it.
+            written.result.map_err(RunnerError::Io).and(result)
         });
 
         health.records = state.records;
@@ -807,49 +845,48 @@ impl<'a> StudyRunner<'a> {
     }
 }
 
-/// Observability and rollup context threaded through the feeder's
-/// commit path.
-struct CommitObs<'x> {
+/// Observability, rollup and persistence context threaded through the
+/// feeder's commit path.
+struct CommitCtx<'x> {
     rm: &'x RunMetrics,
     obs: &'x RunnerObs,
     /// Cardinality-budgeted per-member label tracker.
     members: MemberLabels,
     /// Windowed rollup writer, when the run was built `with_rollups`.
     rollup: Option<RollupWriter>,
+    store: &'x CheckpointStore,
+    config_hash: u64,
+    queue: &'x DurableQueue<'x, 'x>,
+    /// What the rollup writer wants persisted for the windows it just
+    /// closed, in disk order; emptied by every hand-off.
+    jobs: Vec<DurableJob>,
 }
 
-/// Save a checkpoint with write latency recorded (serialize + tmp write
-/// + fsync + rename, i.e. the full durability cost).
-fn save_checkpoint_timed(
-    store: &CheckpointStore,
-    cp: &Checkpoint,
-    rm: &RunMetrics,
-    obs: &RunnerObs,
-) -> Result<(), RunnerError> {
-    let t0 = obs.clock.now_ns();
-    let result = store.save(cp);
-    rm.checkpoint_write_ns.record(obs.clock.since_ns(t0));
-    if result.is_ok() {
-        rm.checkpoints_written.inc();
+impl CommitCtx<'_> {
+    /// Hand the closed windows' jobs to the durable writer — always
+    /// ahead of the checkpoint that records those windows as closed.
+    fn hand_off_window_jobs(&mut self) -> io::Result<()> {
+        self.jobs.drain(..).try_for_each(|job| self.queue.submit(job))
     }
-    result?;
-    Ok(())
+
+    /// Encode `state` and hand the checkpoint to the durable writer.
+    fn hand_off_checkpoint(&self, state: &RunState) -> io::Result<()> {
+        let accum = self.rollup.as_ref().map(RollupWriter::accum);
+        let encoded = state.encode_checkpoint(self.config_hash, accum);
+        self.queue.submit(DurableJob::Write(self.store.write_of(encoded)))
+    }
 }
 
-/// Commit every outcome that is next in sequence order, writing
+/// Commit every outcome that is next in sequence order, handing off
 /// checkpoints at the configured cadence. Returns whether anything was
 /// committed.
-#[allow(clippy::too_many_arguments)]
 fn commit_ready(
     state: &mut RunState,
     pending: &mut BTreeMap<u64, PendingMeta>,
     arrived: &mut BTreeMap<u64, Outcome>,
-    store: &CheckpointStore,
     cfg: &RunnerConfig,
-    config_hash: u64,
     committed: &AtomicU64,
-    health: &mut RunnerHealth,
-    cobs: &mut CommitObs<'_>,
+    cobs: &mut CommitCtx<'_>,
 ) -> Result<bool, RunnerError> {
     let rm = cobs.rm;
     let mut any = false;
@@ -917,7 +954,8 @@ fn commit_ready(
                             matrix: matrix.as_ref(),
                             detect: detect.as_deref(),
                         },
-                    )?;
+                        &mut cobs.jobs,
+                    );
                 }
                 state.merge_partial(partial);
             }
@@ -932,7 +970,8 @@ fn commit_ready(
                         &meta.ingest,
                         &meta.fault_counts,
                         WindowCommit::Quarantined,
-                    )?;
+                        &mut cobs.jobs,
+                    );
                 }
                 // The worker already dumped the flight ring at panic
                 // time; the commit event records the final disposition.
@@ -947,10 +986,9 @@ fn commit_ready(
         committed.store(state.committed_chunks, Ordering::Relaxed);
         rm.committed_chunks.set(state.committed_chunks as i64);
         any = true;
+        cobs.hand_off_window_jobs()?;
         if state.committed_chunks.is_multiple_of(cfg.checkpoint_every.max(1)) {
-            state.rollup_accum = cobs.rollup.as_ref().map(|w| w.accum().clone());
-            save_checkpoint_timed(store, &state.to_checkpoint(config_hash), rm, cobs.obs)?;
-            health.checkpoints_written += 1;
+            cobs.hand_off_checkpoint(state)?;
         }
     }
     Ok(any)

@@ -91,6 +91,9 @@ pub(super) struct RunMetrics {
     pub checkpoints_written: Counter,
     pub checkpoints_rejected: Counter,
     pub checkpoint_write_ns: Histogram,
+    pub window_write_ns: Histogram,
+    pub incident_write_ns: Histogram,
+    pub commit_blocked_ns: Counter,
     pub chunk_classify_ns: Histogram,
     pub classified_flows: [Counter; 4],
 }
@@ -171,7 +174,23 @@ impl RunMetrics {
             ),
             checkpoint_write_ns: reg.histogram(
                 "spoofwatch_runner_checkpoint_write_duration_ns",
-                "Latency of one checkpoint save (serialize + tmp write + fsync + rename)",
+                "Writer-thread latency of one checkpoint save (tmp write + fsync + rotate + rename)",
+                &[],
+            ),
+            window_write_ns: reg.histogram(
+                "spoofwatch_runner_window_write_duration_ns",
+                "Writer-thread latency of one rollup window write (tmp write + fsync + rename)",
+                &[],
+            ),
+            incident_write_ns: reg.histogram(
+                "spoofwatch_runner_incident_write_duration_ns",
+                "Writer-thread latency of one incident file write (tmp write + fsync + rename)",
+                &[],
+            ),
+            commit_blocked_ns: reg.counter(
+                "spoofwatch_runner_commit_blocked_on_writer_ns_total",
+                "Nanoseconds the commit thread waited on the durable writer: \
+                 hand-offs into a full queue plus the final drain",
                 &[],
             ),
             chunk_classify_ns: reg.histogram(

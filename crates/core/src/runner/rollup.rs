@@ -9,7 +9,10 @@
 //! version | payload length | payload | crc32, written tmp + fsync +
 //! rename). The ring is therefore torn-file-safe: a crash mid-write
 //! tears only a tmp file, and [`read_ring`] reports any corrupt window
-//! alongside the valid ones instead of trusting it.
+//! alongside the valid ones instead of trusting it. The runner's commit
+//! path only encodes a closed window; the file is written by the run's
+//! ordered durable writer ([`super::durable`]), ahead of the checkpoint
+//! that records the window as closed.
 //!
 //! Resume exactness: the in-progress accumulator rides inside the
 //! runner's [`super::Checkpoint`], and commits are strictly sequential,
@@ -24,11 +27,12 @@
 
 use super::checkpoint::{
     frame_decode, frame_encode, get_accounting, get_ingest, put_accounting, put_ingest,
-    write_durable, CheckpointError,
+    CheckpointError,
 };
+use super::durable::{write_durable, DurableJob, DurableWrite, WriteKind};
 use super::obs::{class_label, RunnerObs};
 use super::{FlowAccounting, IngestTotals};
-use crate::detect::{write_incident_file, DetectConfig, DetectEngine, IncidentKind, WindowDetect};
+use crate::detect::{incident_write, DetectConfig, DetectEngine, IncidentKind, WindowDetect};
 use crate::provenance::DisagreementMatrix;
 use serde::Serialize;
 use spoofwatch_net::codec::WireReader;
@@ -223,12 +227,23 @@ pub fn window_file_name(index: u64) -> String {
 /// Atomically write one closed window into `dir` (tmp + fsync +
 /// rename), returning the file path.
 pub fn write_window(dir: &Path, w: &WindowAccum) -> io::Result<PathBuf> {
+    let write = window_write(dir, w);
+    write_durable(&write)?;
+    Ok(write.dest)
+}
+
+/// The durable write that puts closed window `w` into the ring at
+/// `dir`.
+fn window_write(dir: &Path, w: &WindowAccum) -> DurableWrite {
     let mut payload = Vec::with_capacity(256);
     w.encode_into(&mut payload);
-    let framed = frame_encode(ROLLUP_MAGIC, &payload);
-    let path = dir.join(window_file_name(w.window_index));
-    write_durable(&dir.join("window.tmp"), &path, None, &framed)?;
-    Ok(path)
+    DurableWrite {
+        kind: WriteKind::Window,
+        tmp: dir.join("window.tmp"),
+        dest: dir.join(window_file_name(w.window_index)),
+        keep_old: None,
+        bytes: frame_encode(ROLLUP_MAGIC, &payload),
+    }
 }
 
 /// Parse and verify one window file's bytes.
@@ -274,6 +289,24 @@ fn window_index_of(path: &Path) -> Option<u64> {
     digits.parse().ok()
 }
 
+/// Drop the oldest windows of the ring at `dir` beyond `retention`
+/// files.
+pub(super) fn prune_ring(dir: &Path, retention: usize) -> io::Result<()> {
+    let mut indexed: Vec<(u64, PathBuf)> = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if let Some(i) = window_index_of(&path) {
+            indexed.push((i, path));
+        }
+    }
+    indexed.sort();
+    let excess = indexed.len().saturating_sub(retention);
+    for (_, path) in indexed.into_iter().take(excess) {
+        fs::remove_file(path)?;
+    }
+    Ok(())
+}
+
 /// Commit-side view of one chunk's disposition, fed to
 /// [`RollupWriter::absorb`].
 pub(super) enum WindowCommit<'a> {
@@ -289,8 +322,11 @@ pub(super) enum WindowCommit<'a> {
 }
 
 /// The runner-side rollup writer: accumulates per-commit deltas into the
-/// current window, closes windows on their fixed chunk boundary, prunes
-/// per retention, and runs the drift watch.
+/// current window, closes windows on their fixed chunk boundary, and
+/// runs the drift watch and the detector bank. After [`Self::open`] it
+/// touches no file: what a closed window persists (the window, its
+/// incidents, ring pruning) is pushed, in disk order, onto the job list
+/// the commit path hands to the durable writer.
 pub(super) struct RollupWriter {
     cfg: RollupConfig,
     accum: WindowAccum,
@@ -393,7 +429,8 @@ impl RollupWriter {
         ingest: &IngestTotals,
         fault_counts: &[u64; 5],
         commit: WindowCommit<'_>,
-    ) -> io::Result<()> {
+        jobs: &mut Vec<DurableJob>,
+    ) {
         let a = &mut self.accum;
         a.chunks += 1;
         a.chunk_outcomes.offered += 1;
@@ -432,29 +469,31 @@ impl RollupWriter {
             }
         }
         if a.chunks >= self.cfg.window_chunks {
-            self.close()?;
+            self.close(jobs);
         }
-        Ok(())
     }
 
     /// Close the final partial window at end of stream, if non-empty.
-    pub fn flush(&mut self) -> io::Result<()> {
+    pub fn flush(&mut self, jobs: &mut Vec<DurableJob>) {
         if self.accum.chunks > 0 {
-            self.close()?;
+            self.close(jobs);
         }
-        Ok(())
     }
 
-    fn close(&mut self) -> io::Result<()> {
-        write_window(&self.cfg.dir, &self.accum)?;
+    fn close(&mut self, jobs: &mut Vec<DurableJob>) {
+        jobs.push(DurableJob::Write(window_write(&self.cfg.dir, &self.accum)));
         self.windows_written.inc();
-        self.observe_incidents()?;
-        self.prune()?;
+        self.observe_incidents(jobs);
+        if self.cfg.retention != 0 {
+            jobs.push(DurableJob::Prune {
+                dir: self.cfg.dir.clone(),
+                retention: self.cfg.retention,
+            });
+        }
         self.watch_drift();
         let next = self.accum.window_index + 1;
         let next_start = self.accum.start_chunk + self.accum.chunks;
         self.accum = WindowAccum::start(next, next_start);
-        Ok(())
     }
 
     /// Feed the just-closed window to the detector bank; persist any
@@ -462,15 +501,19 @@ impl RollupWriter {
     /// the flight recorder. Incident files are only written for windows
     /// that fired (and are left alone by retention pruning — forensics
     /// outlive the ring).
-    fn observe_incidents(&mut self) -> io::Result<()> {
+    fn observe_incidents(&mut self, jobs: &mut Vec<DurableJob>) {
         let Some(engine) = &mut self.engine else {
-            return Ok(());
+            return;
         };
         let records = engine.observe(&self.accum);
         if records.is_empty() {
-            return Ok(());
+            return;
         }
-        write_incident_file(&self.cfg.dir, self.accum.window_index, &records)?;
+        jobs.push(DurableJob::Write(incident_write(
+            &self.cfg.dir,
+            self.accum.window_index,
+            &records,
+        )));
         for r in &records {
             let i = r.incident.kind.index();
             self.incident_counts[i].inc();
@@ -484,27 +527,6 @@ impl RollupWriter {
                 ],
             );
         }
-        Ok(())
-    }
-
-    /// Drop the oldest windows beyond the retention budget.
-    fn prune(&self) -> io::Result<()> {
-        if self.cfg.retention == 0 {
-            return Ok(());
-        }
-        let mut indexed: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in fs::read_dir(&self.cfg.dir)? {
-            let path = entry?.path();
-            if let Some(i) = window_index_of(&path) {
-                indexed.push((i, path));
-            }
-        }
-        indexed.sort();
-        let excess = indexed.len().saturating_sub(self.cfg.retention);
-        for (_, path) in indexed.into_iter().take(excess) {
-            fs::remove_file(path)?;
-        }
-        Ok(())
     }
 
     /// Compare the just-closed window's class shares against the
@@ -668,20 +690,25 @@ mod tests {
 
         // 10 chunks of 100 valid flows, then 2 chunks all-bogon: the
         // last window's shares jump by 1.0 in two classes.
+        let mut jobs = Vec::new();
         for i in 0..12u64 {
             let class_flows = if i < 10 { [0, 0, 0, 100] } else { [100, 0, 0, 0] };
-            writer
-                .absorb(
-                    100,
-                    &IngestTotals::default(),
-                    &[0; 5],
-                    WindowCommit::Processed {
-                        class_flows,
-                        matrix: None,
-                        detect: None,
-                    },
-                )
-                .unwrap();
+            writer.absorb(
+                100,
+                &IngestTotals::default(),
+                &[0; 5],
+                WindowCommit::Processed {
+                    class_flows,
+                    matrix: None,
+                    detect: None,
+                },
+                &mut jobs,
+            );
+        }
+        // 6 closes, each a window write then a prune, in that order.
+        assert_eq!(jobs.len(), 12);
+        for job in &jobs {
+            job.run().unwrap();
         }
         let (windows, faults) = read_ring(&dir).unwrap();
         assert!(faults.is_empty());
