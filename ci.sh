@@ -102,6 +102,20 @@ echo "==> end-to-end benchmark package (builds against the workspace's public AP
 # emitted metric names, units and bounds with BENCHMARK.json (~1 min).
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> one walk, one record layout (the decoders carry no copy of either)"
+# net::ingest::resilient_walk is the only caller of quarantine() and
+# note_resync(); net::codec is the only place the 36-byte record's
+# fields are laid out. A decoder that grows its own loop or its own
+# field list again fails here.
+decoders="crates/ixp/src/ipfix.rs crates/ixp/src/chunked.rs crates/packet/src/pcap.rs crates/bgp/src/mrt.rs"
+# shellcheck disable=SC2086
+if grep -nE '\.(note_resync|quarantine)\(' $decoders; then
+    echo "a decoder books quarantine/resync itself; that is resilient_walk's job"; exit 1
+fi
+if grep -nE '^\s*use bytes\b|\bbytes::' crates/ixp/src/ipfix.rs; then
+    echo "ipfix.rs lays out record fields itself; net::codec defines the record"; exit 1
+fi
+
 echo "==> tree unchanged (no step wrote outside an ignored directory)"
 diff <(echo "$tree_before") <(tree_state) \
     || { echo "ci.sh changed the working tree (see the diff above)"; exit 1; }

@@ -17,6 +17,7 @@
 
 use crate::{Announcement, AsPath, Update};
 use bytes::{Buf, BufMut};
+use spoofwatch_net::ingest::{resilient_walk, RecordFormat};
 use spoofwatch_net::{Asn, FaultKind, IngestHealth, Ipv4Prefix};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -246,37 +247,49 @@ pub fn decode(data: &[u8]) -> Result<Vec<Update>, MrtError> {
     MrtReader::new(data)?.collect_updates()
 }
 
-/// Try to decode a full, well-framed record starting at `pos`; returns
-/// the update and its total encoded length (length prefix included).
-fn try_record_at(data: &[u8], pos: usize) -> Option<(Update, usize)> {
-    let rest = &data[pos..];
-    if rest.len() < 4 {
-        return None;
-    }
-    let blen = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-    if blen == 0 || blen > MAX_BODY || rest.len() < 4 + blen {
-        return None;
-    }
-    match decode_body(&rest[4..4 + blen]) {
-        Ok(Some(u)) => Some((u, 4 + blen)),
-        _ => None,
-    }
-}
+/// The hooks of the shared walk over length-framed records.
+struct Framed;
 
-/// Why decoding could not proceed at `pos` (for quarantine labeling).
-fn classify_fault_at(data: &[u8], pos: usize) -> FaultKind {
-    let rest = &data[pos..];
-    if rest.len() < 4 {
-        return FaultKind::Truncated;
+impl RecordFormat for Framed {
+    type Record = Update;
+
+    /// A full, well-framed record: its length counts the prefix.
+    fn record_at(&self, data: &[u8], pos: usize) -> Option<(Update, usize)> {
+        let rest = &data[pos..];
+        if rest.len() < 4 {
+            return None;
+        }
+        let blen = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
+        if blen == 0 || blen > MAX_BODY || rest.len() < 4 + blen {
+            return None;
+        }
+        match decode_body(&rest[4..4 + blen]) {
+            Ok(Some(u)) => Some((u, 4 + blen)),
+            _ => None,
+        }
     }
-    let blen = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-    if blen == 0 || blen > MAX_BODY {
-        return FaultKind::BadRecord;
+
+    /// Only a body that validates in full marks a boundary — a sane
+    /// `body_len` alone is weak evidence — so the scan pays the decode
+    /// a record costs.
+    fn boundary_at(&self, data: &[u8], pos: usize) -> bool {
+        self.record_at(data, pos).is_some()
     }
-    if rest.len() < 4 + blen {
-        return FaultKind::Truncated;
+
+    fn fault_at(&self, data: &[u8], pos: usize) -> FaultKind {
+        let rest = &data[pos..];
+        if rest.len() < 4 {
+            return FaultKind::Truncated;
+        }
+        let blen = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
+        if blen == 0 || blen > MAX_BODY {
+            return FaultKind::BadRecord;
+        }
+        if rest.len() < 4 + blen {
+            return FaultKind::Truncated;
+        }
+        FaultKind::BadRecord
     }
-    FaultKind::BadRecord
 }
 
 /// Decode an in-memory buffer, recovering from corruption.
@@ -311,24 +324,7 @@ pub fn decode_resilient(data: &[u8]) -> (Vec<Update>, IngestHealth) {
     }
     health.credit_ok(6);
     let mut pos = 6usize;
-    while pos < data.len() {
-        if let Some((u, n)) = try_record_at(data, pos) {
-            out.push(u);
-            health.credit_record(n as u64);
-            pos += n;
-            continue;
-        }
-        let kind = classify_fault_at(data, pos);
-        let mut next = pos + 1;
-        while next < data.len() && try_record_at(data, next).is_none() {
-            next += 1;
-        }
-        health.quarantine(pos as u64, (next - pos) as u64, kind);
-        if next < data.len() {
-            health.note_resync();
-        }
-        pos = next;
-    }
+    resilient_walk(&Framed, data, &mut pos, usize::MAX, &mut health, |u| out.push(u));
     health.record_metrics("mrt");
     (out, health)
 }

@@ -198,10 +198,6 @@ pub struct LiveServerConfig {
     /// declared lost; the study drains what was admitted and completes
     /// with a caveat instead of hanging.
     pub producer_stall_ms: u64,
-    /// Consumer-stall watchdog: flag (event + counter) when admitted
-    /// chunks sit unconsumed this long — the live-side mirror of the
-    /// runner's own watchdog.
-    pub consumer_stall_ms: u64,
     /// Minimum spacing between go-back-N `Resume` requests, and the
     /// silence threshold (×2) after which one is sent proactively.
     pub resume_throttle_ms: u64,
@@ -224,7 +220,6 @@ impl LiveServerConfig {
             ladder: None,
             handshake_timeout_ms: 5_000,
             producer_stall_ms: 5_000,
-            consumer_stall_ms: 5_000,
             resume_throttle_ms: 200,
             stop_after_chunks: None,
             stop: None,
@@ -658,6 +653,11 @@ impl LadderCtl<'_> {
 /// Poll slice for the control loop.
 const POLL: Duration = Duration::from_millis(5);
 
+/// Consumer-stall telemetry: flag (event + counter) when admitted
+/// chunks sit unconsumed this long — the live-side mirror of the
+/// runner's own watchdog, which supervises the actual stall.
+const CONSUMER_STALL_NS: u64 = 5_000_000_000;
+
 /// Serve one live session: handshake, admit paced chunks under credit
 /// and the overload ladder, run the study to a graceful drain, and
 /// return the report with its live-session block. Classification uses
@@ -769,7 +769,6 @@ fn serve_live_inner(
             let mut stop_sent = false;
             let mut last_frame_ns = start_ns;
             let producer_stall_ns = cfg.producer_stall_ms.max(1).saturating_mul(1_000_000);
-            let consumer_stall_ns = cfg.consumer_stall_ms.max(1).saturating_mul(1_000_000);
             let mut last_consumed = shared_ref.consumed.load(Ordering::Relaxed);
             let mut consumed_since = start_ns;
             let mut consumer_stall_flagged = false;
@@ -931,7 +930,7 @@ fn serve_live_inner(
                     consumer_stall_flagged = false;
                 } else if occ > 0
                     && !consumer_stall_flagged
-                    && clock_ref.now_ns().saturating_sub(consumed_since) > consumer_stall_ns
+                    && clock_ref.now_ns().saturating_sub(consumed_since) > CONSUMER_STALL_NS
                 {
                     consumer_stall_flagged = true;
                     out.consumer_stalls += 1;

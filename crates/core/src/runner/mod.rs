@@ -54,17 +54,18 @@ use crate::detect::WindowDetect;
 use crate::pipeline::Classifier;
 use crate::provenance::{DisagreementMatrix, MethodVariant};
 use rollup::{RollupWriter, WindowCommit};
-use crate::stats::{ClassCounters, MemberBreakdown};
+use crate::stats::MemberBreakdown;
 use checkpoint::CheckpointRef;
 use durable::{DurableJob, DurableQueue};
 use obs::{MemberLabels, RunMetrics};
 use serde::Serialize;
 use spoofwatch_ixp::chunked::{ChunkedIpfixReader, FlowChunk};
-use spoofwatch_net::{Asn, FlowRecord, InferenceMethod, IngestHealth, OrgMode, TrafficClass};
+use spoofwatch_net::{FlowRecord, InferenceMethod, IngestHealth, OrgMode, TrafficClass};
 use spoofwatch_obs::{Clock, Tracer};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
+use std::ops::AddAssign;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver};
@@ -179,6 +180,15 @@ impl FlowAccounting {
     }
 }
 
+impl AddAssign for FlowAccounting {
+    fn add_assign(&mut self, other: FlowAccounting) {
+        self.offered += other.offered;
+        self.processed += other.processed;
+        self.shed += other.shed;
+        self.quarantined += other.quarantined;
+    }
+}
+
 /// Scalar decode-health totals absorbed from the committed chunks
 /// (the checkpointable subset of [`IngestHealth`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -198,16 +208,28 @@ pub struct IngestTotals {
 impl IngestTotals {
     /// Fold one chunk's health into the totals.
     pub fn absorb(&mut self, h: &IngestHealth) {
-        self.input_bytes += h.input_len;
-        self.ok_records += h.ok_records;
-        self.ok_bytes += h.ok_bytes;
-        self.quarantined_bytes += h.quarantined_bytes;
-        self.resyncs += h.resyncs;
+        *self += IngestTotals {
+            input_bytes: h.input_len,
+            ok_records: h.ok_records,
+            ok_bytes: h.ok_bytes,
+            quarantined_bytes: h.quarantined_bytes,
+            resyncs: h.resyncs,
+        };
     }
 
     /// Byte-exact: `ok_bytes + quarantined_bytes == input_bytes`.
     pub fn reconciles(&self) -> bool {
         self.ok_bytes + self.quarantined_bytes == self.input_bytes
+    }
+}
+
+impl AddAssign for IngestTotals {
+    fn add_assign(&mut self, other: IngestTotals) {
+        self.input_bytes += other.input_bytes;
+        self.ok_records += other.ok_records;
+        self.ok_bytes += other.ok_bytes;
+        self.quarantined_bytes += other.quarantined_bytes;
+        self.resyncs += other.resyncs;
     }
 }
 
@@ -353,7 +375,7 @@ enum OutcomeKind {
     /// Classified; the partial per-member breakdown and (when tracked)
     /// the chunk's disagreement matrix and detection payload ride along.
     Processed(
-        BTreeMap<Asn, [ClassCounters; 4]>,
+        MemberBreakdown,
         Option<DisagreementMatrix>,
         // Boxed: the payload is ~2 KiB of inline sketches, and the
         // outcome moves through a channel on every chunk.
@@ -385,7 +407,7 @@ struct RunState {
     records: FlowAccounting,
     chunks: FlowAccounting,
     ingest: IngestTotals,
-    per_member: BTreeMap<Asn, [ClassCounters; 4]>,
+    breakdown: MemberBreakdown,
     disagreement: Option<DisagreementMatrix>,
 }
 
@@ -399,7 +421,9 @@ impl RunState {
             records: cp.records,
             chunks: cp.chunks,
             ingest: cp.ingest,
-            per_member: cp.per_member,
+            breakdown: MemberBreakdown {
+                per_member: cp.per_member,
+            },
             disagreement: cp.disagreement,
         };
         (state, cp.rollup_accum)
@@ -415,22 +439,11 @@ impl RunState {
             records: self.records,
             chunks: self.chunks,
             ingest: self.ingest,
-            per_member: &self.per_member,
+            per_member: &self.breakdown.per_member,
             disagreement: self.disagreement.as_ref(),
             rollup_accum,
         }
         .encode()
-    }
-
-    fn merge_partial(&mut self, partial: BTreeMap<Asn, [ClassCounters; 4]>) {
-        for (asn, rows) in partial {
-            let into = self.per_member.entry(asn).or_default();
-            for (dst, src) in into.iter_mut().zip(rows.iter()) {
-                dst.flows += src.flows;
-                dst.packets += src.packets;
-                dst.bytes += src.bytes;
-            }
-        }
     }
 }
 
@@ -727,6 +740,9 @@ impl<'a> StudyRunner<'a> {
 
                 while let Some(chunk) = source.next_chunk() {
                     let seq = chunk.seq;
+                    // A run dispatches each chunk once, however often a
+                    // link walked or replayed its bytes on the way here.
+                    chunk.health.record_metrics_to(&obs.metrics, "ipfix_chunked");
                     let mut ingest = IngestTotals::default();
                     ingest.absorb(&chunk.health);
                     pending.insert(
@@ -835,9 +851,7 @@ impl<'a> StudyRunner<'a> {
             });
         }
         Ok(RunReport {
-            breakdown: MemberBreakdown {
-                per_member: state.per_member,
-            },
+            breakdown: state.breakdown,
             ingest: state.ingest,
             health,
             disagreement: state.disagreement,
@@ -910,11 +924,7 @@ fn commit_ready(
         state.records.offered += meta.records;
         rm.chunks.offered.inc();
         rm.records.offered.add(meta.records);
-        state.ingest.input_bytes += meta.ingest.input_bytes;
-        state.ingest.ok_records += meta.ingest.ok_records;
-        state.ingest.ok_bytes += meta.ingest.ok_bytes;
-        state.ingest.quarantined_bytes += meta.ingest.quarantined_bytes;
-        state.ingest.resyncs += meta.ingest.resyncs;
+        state.ingest += meta.ingest;
         match outcome.kind {
             OutcomeKind::Processed(partial, matrix, detect) => {
                 state.chunks.processed += 1;
@@ -922,7 +932,7 @@ fn commit_ready(
                 rm.chunks.processed.inc();
                 rm.records.processed.add(meta.records);
                 if cobs.obs.metrics.is_enabled() {
-                    for (asn, rows) in &partial {
+                    for (asn, rows) in &partial.per_member {
                         let mut member_flows = 0u64;
                         for (idx, cc) in rows.iter().enumerate() {
                             rm.classified_flows[idx].add(cc.flows);
@@ -940,7 +950,7 @@ fn commit_ready(
                 }
                 if let Some(w) = cobs.rollup.as_mut() {
                     let mut class_flows = [0u64; 4];
-                    for rows in partial.values() {
+                    for rows in partial.per_member.values() {
                         for (into, cc) in class_flows.iter_mut().zip(rows) {
                             *into += cc.flows;
                         }
@@ -957,7 +967,7 @@ fn commit_ready(
                         &mut cobs.jobs,
                     );
                 }
-                state.merge_partial(partial);
+                state.breakdown.merge(&partial.per_member);
             }
             OutcomeKind::Quarantined => {
                 state.chunks.quarantined += 1;
@@ -1036,7 +1046,8 @@ fn worker_loop<F>(
             let (classes, matrix) = classify(&chunk.flows);
             let detect = detect_enabled
                 .then(|| Box::new(WindowDetect::from_chunk(&chunk.flows, &classes, cfg.seed, seq)));
-            (partial_breakdown(&chunk.flows, &classes), matrix, detect)
+            // Worker-side, so the tally parallelizes with classification.
+            (MemberBreakdown::from_classes(&chunk.flows, &classes), matrix, detect)
         }));
         rm.chunk_classify_ns.record(obs.clock.since_ns(t0));
         let kind = match result {
@@ -1068,25 +1079,6 @@ fn worker_loop<F>(
             return; // feeder gone (interrupt path): stop quietly
         }
     }
-}
-
-/// Per-chunk per-member accounting, computed worker-side so aggregation
-/// parallelizes with classification. Panics on a classes/flows length
-/// mismatch — intentionally, so a buggy classify hook is quarantined
-/// rather than silently miscounted.
-fn partial_breakdown(
-    flows: &[FlowRecord],
-    classes: &[TrafficClass],
-) -> BTreeMap<Asn, [ClassCounters; 4]> {
-    assert_eq!(flows.len(), classes.len(), "classify returned wrong arity");
-    let mut per_member: BTreeMap<Asn, [ClassCounters; 4]> = BTreeMap::new();
-    for (f, c) in flows.iter().zip(classes) {
-        let cc = &mut per_member.entry(f.member).or_default()[c.index()];
-        cc.flows += 1;
-        cc.packets += f.packets as u64;
-        cc.bytes += f.bytes;
-    }
-    per_member
 }
 
 /// Flag when commit progress freezes for longer than the stall timeout.
@@ -1152,6 +1144,7 @@ fn watchdog_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spoofwatch_net::Asn;
 
     #[test]
     fn accounting_reconciles() {

@@ -435,11 +435,7 @@ impl RollupWriter {
         a.chunks += 1;
         a.chunk_outcomes.offered += 1;
         a.records.offered += records;
-        a.ingest.input_bytes += ingest.input_bytes;
-        a.ingest.ok_records += ingest.ok_records;
-        a.ingest.ok_bytes += ingest.ok_bytes;
-        a.ingest.quarantined_bytes += ingest.quarantined_bytes;
-        a.ingest.resyncs += ingest.resyncs;
+        a.ingest += *ingest;
         for (into, n) in a.fault_counts.iter_mut().zip(fault_counts) {
             *into += n;
         }

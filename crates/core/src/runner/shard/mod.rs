@@ -399,15 +399,8 @@ pub fn merge_windows(rings: &[Vec<WindowAccum>]) -> Result<Vec<WindowAccum>, Sha
                     for (into, v) in m.class_flows.iter_mut().zip(w.class_flows) {
                         *into += v;
                     }
-                    m.records.offered += w.records.offered;
-                    m.records.processed += w.records.processed;
-                    m.records.shed += w.records.shed;
-                    m.records.quarantined += w.records.quarantined;
-                    m.ingest.input_bytes += w.ingest.input_bytes;
-                    m.ingest.ok_records += w.ingest.ok_records;
-                    m.ingest.ok_bytes += w.ingest.ok_bytes;
-                    m.ingest.quarantined_bytes += w.ingest.quarantined_bytes;
-                    m.ingest.resyncs += w.ingest.resyncs;
+                    m.records += w.records;
+                    m.ingest += w.ingest;
                     for (into, v) in m.fault_counts.iter_mut().zip(w.fault_counts) {
                         *into += v;
                     }
@@ -846,28 +839,15 @@ impl<'a> ShardCoordinator<'a> {
         }
         shards.sort_by_key(|s| s.shard_id);
 
-        let mut breakdown = MemberBreakdown {
-            per_member: BTreeMap::new(),
-        };
+        let mut breakdown = MemberBreakdown::default();
         let mut ingest = IngestTotals::default();
         let mut disagreement: Option<DisagreementMatrix> = None;
         let mut records = LossAccounting::default();
         let mut chunks = LossAccounting::default();
         for report in &completed {
             let cp = &report.checkpoint;
-            for (asn, rows) in &cp.per_member {
-                let into = breakdown.per_member.entry(*asn).or_default();
-                for (dst, src) in into.iter_mut().zip(rows.iter()) {
-                    dst.flows += src.flows;
-                    dst.packets += src.packets;
-                    dst.bytes += src.bytes;
-                }
-            }
-            ingest.input_bytes += cp.ingest.input_bytes;
-            ingest.ok_records += cp.ingest.ok_records;
-            ingest.ok_bytes += cp.ingest.ok_bytes;
-            ingest.quarantined_bytes += cp.ingest.quarantined_bytes;
-            ingest.resyncs += cp.ingest.resyncs;
+            breakdown.merge(&cp.per_member);
+            ingest += cp.ingest;
             records.absorb(&cp.records);
             chunks.absorb(&cp.chunks);
             match (&mut disagreement, &cp.disagreement) {

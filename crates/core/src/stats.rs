@@ -4,6 +4,7 @@ use crate::Classifier;
 use serde::Serialize;
 use spoofwatch_net::{Asn, FlowRecord, InferenceMethod, OrgMode, TrafficClass};
 use std::collections::{BTreeMap, HashSet};
+use std::ops::AddAssign;
 
 /// Counters for one traffic class.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
@@ -16,6 +17,16 @@ pub struct ClassCounters {
     pub bytes: u64,
     /// Distinct contributing members.
     pub members: u64,
+}
+
+/// Sums the additive counters. `members` is a distinct count, which
+/// does not add, and is left as it is.
+impl AddAssign<&ClassCounters> for ClassCounters {
+    fn add_assign(&mut self, other: &ClassCounters) {
+        self.flows += other.flows;
+        self.packets += other.packets;
+        self.bytes += other.bytes;
+    }
 }
 
 /// One row of the paper's Table 1.
@@ -160,25 +171,40 @@ fn pct(part: u64, total: u64) -> f64 {
 
 /// Per-member, per-class counters under one method — the raw material of
 /// Figures 4, 5, 6.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct MemberBreakdown {
     /// Per member: counters indexed by [`TrafficClass::index`].
     pub per_member: BTreeMap<Asn, [ClassCounters; 4]>,
 }
 
 impl MemberBreakdown {
-    /// Accumulate from precomputed classes (parallel arrays).
+    /// Accumulate from precomputed classes (parallel arrays) — the one
+    /// loop that tallies records into per-member rows, for a whole
+    /// trace or for one chunk on a runner worker. Panics on a
+    /// classes/flows length mismatch — intentionally, so a buggy
+    /// classify hook gets its chunk quarantined rather than silently
+    /// miscounted.
     pub fn from_classes(flows: &[FlowRecord], classes: &[TrafficClass]) -> MemberBreakdown {
-        assert_eq!(flows.len(), classes.len());
+        assert_eq!(flows.len(), classes.len(), "classify returned wrong arity");
         let mut per_member: BTreeMap<Asn, [ClassCounters; 4]> = BTreeMap::new();
         for (f, c) in flows.iter().zip(classes) {
-            let row = per_member.entry(f.member).or_default();
-            let cc = &mut row[c.index()];
+            let cc = &mut per_member.entry(f.member).or_default()[c.index()];
             cc.flows += 1;
             cc.packets += f.packets as u64;
             cc.bytes += f.bytes;
         }
         MemberBreakdown { per_member }
+    }
+
+    /// Add another tally's rows to this one. Tallies of disjoint
+    /// record sets merge to the tally of their union, in any order.
+    pub fn merge(&mut self, rows: &BTreeMap<Asn, [ClassCounters; 4]>) {
+        for (asn, from) in rows {
+            let into = self.per_member.entry(*asn).or_default();
+            for (dst, src) in into.iter_mut().zip(from) {
+                *dst += src;
+            }
+        }
     }
 
     /// Classify then accumulate.
@@ -303,6 +329,25 @@ mod tests {
         assert_eq!(b.members_with(TrafficClass::Bogon).len(), 1);
         assert!(b.members_with(TrafficClass::Unrouted).is_empty());
         assert_eq!(b.class_fraction(Asn(99), TrafficClass::Bogon), 0.0);
+    }
+
+    #[test]
+    fn merged_chunk_tallies_equal_the_tally_of_the_concatenation() {
+        let flows: Vec<FlowRecord> = (0..97u32)
+            .map(|i| flow("20.0.0.1", 64496 + i % 5, 1 + i % 9, 40 + (i % 7) as u16))
+            .collect();
+        let classes: Vec<TrafficClass> = (0..flows.len())
+            .map(|i| TrafficClass::ALL[(i * 7 + i / 3) % 4])
+            .collect();
+        let whole = MemberBreakdown::from_classes(&flows, &classes);
+        for chunk in [1, 10, 33, 200] {
+            let mut merged = MemberBreakdown::default();
+            // Back to front: the merge does not depend on chunk order.
+            for (f, c) in flows.chunks(chunk).zip(classes.chunks(chunk)).rev() {
+                merged.merge(&MemberBreakdown::from_classes(f, c).per_member);
+            }
+            assert_eq!(merged, whole, "chunks of {chunk}");
+        }
     }
 
     #[test]

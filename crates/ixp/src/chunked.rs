@@ -18,8 +18,9 @@
 //!   reproduces the remaining chunk sequence exactly. That is what lets
 //!   an interrupted study resume from a checkpoint bit-identically.
 
-use crate::ipfix::{self, Layout};
-use spoofwatch_net::{FaultKind, FlowBatch, FlowRecord, IngestHealth};
+use crate::ipfix::Layout;
+use spoofwatch_net::ingest::resilient_walk;
+use spoofwatch_net::{FlowBatch, FlowRecord, IngestHealth};
 
 /// One decoded chunk of the flow stream: the records recovered from the
 /// byte span `[byte_start, byte_end)` plus that span's health.
@@ -73,11 +74,6 @@ pub struct ChunkedIpfixReader<'a> {
     /// Parsed wire geometry; `Some` once the header has been checked.
     layout: Option<Layout>,
     done: bool,
-    /// Recycled record storage for the next [`FlowChunk`] (see
-    /// [`ChunkedIpfixReader::recycle`]) — steady-state streaming with a
-    /// single consumer reuses one vector instead of allocating per
-    /// chunk.
-    spare: Vec<FlowRecord>,
 }
 
 impl<'a> ChunkedIpfixReader<'a> {
@@ -91,7 +87,6 @@ impl<'a> ChunkedIpfixReader<'a> {
             chunk_records: chunk_records.max(1),
             layout: None,
             done: false,
-            spare: Vec::new(),
         }
     }
 
@@ -153,26 +148,16 @@ impl<'a> ChunkedIpfixReader<'a> {
 
     /// Decode the next chunk; `None` once the input is exhausted (or
     /// after an unrecoverable header fault has been reported).
-    ///
-    /// The chunk's record vector comes from the recycle pool when one
-    /// is available (see [`ChunkedIpfixReader::recycle`]), so a
-    /// single-consumer read loop allocates it once, not per chunk.
     pub fn next_chunk(&mut self) -> Option<FlowChunk> {
-        let mut flows = std::mem::take(&mut self.spare);
-        flows.clear();
-        match self.next_span(&mut |f| flows.push(*f)) {
-            Some(span) => Some(FlowChunk {
-                seq: span.seq,
-                byte_start: span.byte_start,
-                byte_end: span.byte_end,
-                flows,
-                health: span.health,
-            }),
-            None => {
-                self.spare = flows; // keep the arena for a later seek
-                None
-            }
-        }
+        let mut flows = Vec::new();
+        let span = self.next_span(|f| flows.push(f))?;
+        Some(FlowChunk {
+            seq: span.seq,
+            byte_start: span.byte_start,
+            byte_end: span.byte_end,
+            flows,
+            health: span.health,
+        })
     }
 
     /// Decode the next chunk straight into the caller's reusable
@@ -185,24 +170,14 @@ impl<'a> ChunkedIpfixReader<'a> {
     /// to `next_chunk` by construction: both are sinks over one walk.
     pub fn next_batch(&mut self, batch: &mut FlowBatch) -> Option<ChunkSpan> {
         batch.clear();
-        self.next_span(&mut |f| batch.push(f))
+        self.next_span(|f| batch.push(&f))
     }
 
-    /// Return a spent [`FlowChunk`]'s record vector to the reader so
-    /// the next chunk reuses its capacity instead of allocating. The
-    /// larger of the offered and the held vector is kept.
-    pub fn recycle(&mut self, mut flows: Vec<FlowRecord>) {
-        flows.clear();
-        if flows.capacity() > self.spare.capacity() {
-            self.spare = flows;
-        }
-    }
-
-    /// The shared chunk walk behind [`ChunkedIpfixReader::next_chunk`]
-    /// and [`ChunkedIpfixReader::next_batch`]: identical plausibility
-    /// checks, resynchronization, and health accounting, parameterized
-    /// only over where recovered records go.
-    fn next_span(&mut self, sink: &mut dyn FnMut(&FlowRecord)) -> Option<ChunkSpan> {
+    /// The chunk step behind [`ChunkedIpfixReader::next_chunk`] and
+    /// [`ChunkedIpfixReader::next_batch`]: the header check on the
+    /// first chunk, then the shared walk paused after `chunk_records`
+    /// records, parameterized only over where recovered records go.
+    fn next_span(&mut self, sink: impl FnMut(FlowRecord)) -> Option<ChunkSpan> {
         if self.done || (self.layout.is_some() && self.pos >= self.data.len()) {
             self.done = true;
             return None;
@@ -212,76 +187,39 @@ impl<'a> ChunkedIpfixReader<'a> {
         let mut health = IngestHealth::new(0);
 
         if self.layout.is_none() {
-            let data = self.data;
-            match Layout::parse(data) {
-                Err(kind) => {
-                    // Unrecoverable: one terminal chunk covering the input.
-                    health.input_len = data.len() as u64;
-                    health.abandon(kind);
-                    health.record_metrics("ipfix_chunked");
-                    self.pos = data.len();
-                    self.done = true;
-                    let seq = self.seq;
-                    self.seq += 1;
-                    return Some(ChunkSpan {
-                        seq,
-                        byte_start,
-                        byte_end: data.len() as u64,
-                        health,
-                    });
-                }
+            match Layout::parse(self.data) {
                 Ok(layout) => {
                     health.credit_ok(layout.header_len as u64);
                     self.pos = layout.header_len;
                     self.layout = Some(layout);
                 }
+                Err(kind) => {
+                    // Unrecoverable: one terminal chunk covering the input.
+                    health.input_len = self.data.len() as u64;
+                    health.abandon(kind);
+                    self.pos = self.data.len();
+                    self.done = true;
+                }
             }
         }
-        let layout = self.layout.expect("layout checked above");
-        let stride = layout.record_len;
-
-        // The same walk as `decode_resilient`, paused after
-        // `chunk_records` recovered records.
-        let data = self.data;
-        let mut recovered = 0usize;
-        while self.pos < data.len() && recovered < self.chunk_records {
-            if let Some(f) = ipfix::plausible_at(data, self.pos, &layout) {
-                sink(&f);
-                recovered += 1;
-                health.credit_record(stride as u64);
-                self.pos += stride;
-                continue;
-            }
-            let kind = if data.len() - self.pos < stride {
-                FaultKind::Truncated
-            } else {
-                FaultKind::Implausible
-            };
-            let mut next = self.pos + 1;
-            while next + stride <= data.len() && ipfix::plausible_at(data, next, &layout).is_none()
-            {
-                next += 1;
-            }
-            if next + stride > data.len() {
-                next = data.len(); // nothing plausible left: quarantine the tail
-            }
-            health.quarantine(self.pos as u64, (next - self.pos) as u64, kind);
-            if next < data.len() {
-                health.note_resync();
-            }
-            self.pos = next;
+        if let Some(layout) = self.layout {
+            resilient_walk(
+                &layout,
+                self.data,
+                &mut self.pos,
+                self.chunk_records,
+                &mut health,
+                sink,
+            );
+            health.input_len = self.pos as u64 - byte_start;
         }
-
-        let byte_end = self.pos as u64;
-        health.input_len = byte_end - byte_start;
         debug_assert!(health.reconciles());
-        health.record_metrics("ipfix_chunked");
         let seq = self.seq;
         self.seq += 1;
         Some(ChunkSpan {
             seq,
             byte_start,
-            byte_end,
+            byte_end: self.pos as u64,
             health,
         })
     }
@@ -495,22 +433,6 @@ mod tests {
             assert!(batch.len() <= 50);
             assert_eq!(batch.src.as_ptr(), cap_ptr);
         }
-    }
-
-    #[test]
-    fn recycle_feeds_the_next_chunk() {
-        let bytes = encode(&plausible_sample(120));
-        let mut r = ChunkedIpfixReader::new(&bytes, 40);
-        let first = r.next_chunk().expect("first chunk");
-        let cap = first.flows.capacity();
-        assert!(cap >= 40);
-        let ptr = first.flows.as_ptr();
-        r.recycle(first.flows);
-        let second = r.next_chunk().expect("second chunk");
-        // The recycled allocation is handed back, not reallocated.
-        assert_eq!(second.flows.as_ptr(), ptr);
-        assert_eq!(second.flows.capacity(), cap);
-        assert_eq!(second.flows.len(), 40);
     }
 
     #[test]

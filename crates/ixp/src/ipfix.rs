@@ -4,13 +4,14 @@
 //!
 //! ```text
 //! file   := magic "IPFX" | version u16 (=2) | record_len u16 | record*
-//! record := ts u32 | src u32 | dst u32 | proto u8 | sport u16 | dport u16
-//!         | packets u32 | bytes u64 | pkt_size u16 | member u32 | ttl u8
+//! record := flow (36 bytes, `spoofwatch_net::codec`)
 //!         | unknown-extension bytes (record_len - 36, skipped on decode)
 //! ```
 //!
-//! Version 1 files (6-byte header, 35-byte records without the TTL
-//! column) still decode — the missing TTL reads as 0. The explicit
+//! The record is the `flow` of [`spoofwatch_net::codec`], which defines
+//! the field layout once for files and links alike; `ttl` is its last
+//! byte. Version 1 files (6-byte header, 35-byte records without the
+//! TTL column) still decode — the missing TTL reads as 0. The explicit
 //! `record_len` in the v2 header makes the layout forward-compatible in
 //! the other direction too: a reader that knows only the 36-byte prefix
 //! decodes it and skips the trailing unknown bytes of each record, so a
@@ -20,8 +21,9 @@
 //! Records are fixed-size within a file, so the reader can detect torn
 //! files exactly and random access is trivial.
 
-use bytes::{Buf, BufMut};
-use spoofwatch_net::{Asn, FaultKind, FlowRecord, IngestHealth, Proto};
+use spoofwatch_net::codec::{self, FLOW_WIRE_LEN};
+use spoofwatch_net::ingest::{resilient_walk, RecordFormat};
+use spoofwatch_net::{FaultKind, FlowRecord, IngestHealth};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -33,7 +35,7 @@ pub(crate) const VERSION_V1: u16 = 1;
 /// Size of the current (v2) file header (magic + version + record_len).
 pub const HEADER_LEN: usize = 8;
 /// Size of one encoded record as this codec writes it (v2).
-pub const RECORD_LEN: usize = 36;
+pub const RECORD_LEN: usize = FLOW_WIRE_LEN;
 /// Size of the legacy v1 header (magic + version).
 pub const V1_HEADER_LEN: usize = 6;
 /// Size of one legacy v1 record (no TTL column).
@@ -136,20 +138,7 @@ impl From<io::Error> for IpfixError {
 
 /// Encode one record into a 36-byte array (current layout).
 pub fn encode_record(f: &FlowRecord) -> [u8; RECORD_LEN] {
-    let mut out = [0u8; RECORD_LEN];
-    let mut buf = &mut out[..];
-    buf.put_u32(f.ts);
-    buf.put_u32(f.src);
-    buf.put_u32(f.dst);
-    buf.put_u8(f.proto.number());
-    buf.put_u16(f.sport);
-    buf.put_u16(f.dport);
-    buf.put_u32(f.packets);
-    buf.put_u64(f.bytes);
-    buf.put_u16(f.pkt_size);
-    buf.put_u32(f.member.0);
-    buf.put_u8(f.ttl);
-    out
+    codec::encode_flow(f)
 }
 
 /// Encode one record in the legacy v1 layout (drops the TTL column).
@@ -163,32 +152,24 @@ pub fn encode_record_v1(f: &FlowRecord) -> [u8; V1_RECORD_LEN] {
 /// Decode the known prefix of one record. For a v1 layout the TTL
 /// column is absent and reads as 0; bytes past `layout.known_len` are
 /// unknown extensions and are ignored.
-pub fn decode_record_with(mut data: &[u8], layout: &Layout) -> Result<FlowRecord, IpfixError> {
+pub fn decode_record_with(data: &[u8], layout: &Layout) -> Result<FlowRecord, IpfixError> {
     if data.len() < layout.record_len {
         return Err(IpfixError::Truncated);
     }
-    let mut f = FlowRecord {
-        ts: data.get_u32(),
-        src: data.get_u32(),
-        dst: data.get_u32(),
-        proto: Proto::from_number(data.get_u8()),
-        sport: data.get_u16(),
-        dport: data.get_u16(),
-        packets: data.get_u32(),
-        bytes: data.get_u64(),
-        pkt_size: data.get_u16(),
-        member: Asn(data.get_u32()),
-        ttl: 0,
-    };
-    if layout.known_len >= RECORD_LEN {
-        f.ttl = data.get_u8();
-    }
-    Ok(f)
+    Ok(known_prefix(data, layout))
 }
 
-/// Decode one record in the current (v2, 36-byte) layout.
-pub fn decode_record(data: &[u8]) -> Result<FlowRecord, IpfixError> {
-    decode_record_with(data, &Layout::CURRENT)
+/// The record whose `layout.record_len` bytes start `data`.
+#[inline]
+fn known_prefix(data: &[u8], layout: &Layout) -> FlowRecord {
+    match data.first_chunk::<RECORD_LEN>() {
+        Some(known) if layout.known_len >= RECORD_LEN => codec::decode_flow(known),
+        _ => {
+            let mut padded = [0u8; RECORD_LEN];
+            padded[..V1_RECORD_LEN].copy_from_slice(&data[..V1_RECORD_LEN]);
+            codec::decode_flow(&padded)
+        }
+    }
 }
 
 /// Streaming writer (current layout).
@@ -305,10 +286,10 @@ pub fn encode(flows: &[FlowRecord]) -> Vec<u8> {
 /// records, no TTL) — for old-format fixtures and cross-version tests.
 pub fn encode_v1(flows: &[FlowRecord]) -> Vec<u8> {
     let mut out = Vec::with_capacity(V1_HEADER_LEN + flows.len() * V1_RECORD_LEN);
-    out.put_slice(MAGIC);
-    out.put_u16(VERSION_V1);
+    out.extend_from_slice(MAGIC);
+    codec::put_u16(&mut out, VERSION_V1);
     for f in flows {
-        out.put_slice(&encode_record_v1(f));
+        out.extend_from_slice(&encode_record_v1(f));
     }
     out
 }
@@ -320,11 +301,11 @@ pub fn encode_v1(flows: &[FlowRecord]) -> Vec<u8> {
 pub fn encode_padded(flows: &[FlowRecord], record_len: usize) -> Vec<u8> {
     let record_len = record_len.max(RECORD_LEN);
     let mut out = Vec::with_capacity(HEADER_LEN + flows.len() * record_len);
-    out.put_slice(MAGIC);
-    out.put_u16(VERSION);
-    out.put_u16(record_len as u16);
+    out.extend_from_slice(MAGIC);
+    codec::put_u16(&mut out, VERSION);
+    codec::put_u16(&mut out, record_len as u16);
     for f in flows {
-        out.put_slice(&encode_record(f));
+        out.extend_from_slice(&encode_record(f));
         out.resize(out.len() + (record_len - RECORD_LEN), 0);
     }
     out
@@ -352,60 +333,61 @@ const MAX_PKT_SIZE: u16 = 9216;
 /// byte carries no constraint — every value is physically possible — so
 /// plausibility rests entirely on the v1 prefix.
 pub fn plausible_record(f: &FlowRecord) -> bool {
-    f.packets >= 1
-        && (MIN_PKT_SIZE..=MAX_PKT_SIZE).contains(&f.pkt_size)
-        && f.bytes == f.packets as u64 * f.pkt_size as u64
+    plausible_counters(f.packets, f.bytes, f.pkt_size)
 }
 
-/// Whether a plausible record decodes at byte `pos` under `layout`.
-pub(crate) fn plausible_at(data: &[u8], pos: usize, layout: &Layout) -> Option<FlowRecord> {
-    let rest = data.get(pos..pos + layout.record_len)?;
-    let f = decode_record_with(rest, layout).ok()?;
-    plausible_record(&f).then_some(f)
+#[inline]
+fn plausible_counters(packets: u32, bytes: u64, pkt_size: u16) -> bool {
+    packets >= 1
+        && (MIN_PKT_SIZE..=MAX_PKT_SIZE).contains(&pkt_size)
+        && bytes == packets as u64 * pkt_size as u64
 }
 
-/// The resilient decode walk shared by [`decode_resilient`] and
-/// [`decode_columnar`]: one implementation, two sinks, so the columnar
-/// path is equal to the record-at-a-time path *by construction* (and
-/// re-proven by the differential tests below and in
-/// `tests/columnar_diff.rs`).
-fn resilient_walk(data: &[u8], mut sink: impl FnMut(&FlowRecord)) -> IngestHealth {
-    let mut health = IngestHealth::new(data.len() as u64);
-    let layout = match Layout::parse(data) {
-        Ok(l) => l,
-        Err(kind) => {
-            health.abandon(kind);
-            health.record_metrics("ipfix");
-            return health;
-        }
-    };
-    health.credit_ok(layout.header_len as u64);
-    let mut pos = layout.header_len;
-    while pos < data.len() {
-        if let Some(f) = plausible_at(data, pos, &layout) {
-            sink(&f);
-            health.credit_record(layout.record_len as u64);
-            pos += layout.record_len;
-            continue;
-        }
-        let kind = if data.len() - pos < layout.record_len {
+/// The hooks of the shared walk: a record is `record_len` bytes whose
+/// known prefix is plausible, and since that is all the evidence a
+/// fixed-stride file offers, a boundary is the same test read off the
+/// three counters in place.
+impl RecordFormat for Layout {
+    type Record = FlowRecord;
+
+    #[inline]
+    fn record_at(&self, data: &[u8], pos: usize) -> Option<(FlowRecord, usize)> {
+        let rest = data.get(pos..pos + self.record_len)?;
+        let f = known_prefix(rest, self);
+        plausible_record(&f).then_some((f, self.record_len))
+    }
+
+    #[inline]
+    fn boundary_at(&self, data: &[u8], pos: usize) -> bool {
+        data.get(pos..pos + self.record_len).is_some_and(|rest| {
+            let (packets, bytes, pkt_size) = codec::flow_counters(rest);
+            plausible_counters(packets, bytes, pkt_size)
+        })
+    }
+
+    fn fault_at(&self, data: &[u8], pos: usize) -> FaultKind {
+        if data.len() - pos < self.record_len {
             FaultKind::Truncated
         } else {
             FaultKind::Implausible
-        };
-        let mut next = pos + 1;
-        while next + layout.record_len <= data.len() && plausible_at(data, next, &layout).is_none()
-        {
-            next += 1;
         }
-        if next + layout.record_len > data.len() {
-            next = data.len(); // nothing plausible left: quarantine the tail
+    }
+}
+
+/// The one-shot decode behind [`decode_resilient`] and
+/// [`decode_columnar`]: header check, then the shared walk with no
+/// record cap. One implementation, two sinks, so the columnar path is
+/// equal to the record-at-a-time path *by construction* (and re-proven
+/// by the differential tests below and in `tests/columnar_diff.rs`).
+fn decode_into(data: &[u8], sink: impl FnMut(FlowRecord)) -> IngestHealth {
+    let mut health = IngestHealth::new(data.len() as u64);
+    match Layout::parse(data) {
+        Err(kind) => health.abandon(kind),
+        Ok(layout) => {
+            health.credit_ok(layout.header_len as u64);
+            let mut pos = layout.header_len;
+            resilient_walk(&layout, data, &mut pos, usize::MAX, &mut health, sink);
         }
-        health.quarantine(pos as u64, (next - pos) as u64, kind);
-        if next < data.len() {
-            health.note_resync();
-        }
-        pos = next;
     }
     health.record_metrics("ipfix");
     health
@@ -424,7 +406,7 @@ fn resilient_walk(data: &[u8], mut sink: impl FnMut(&FlowRecord)) -> IngestHealt
 /// A bad file header is unrecoverable and quarantines the whole input.
 pub fn decode_resilient(data: &[u8]) -> (Vec<FlowRecord>, IngestHealth) {
     let mut out = Vec::new();
-    let health = resilient_walk(data, |f| out.push(*f));
+    let health = decode_into(data, |f| out.push(f));
     (out, health)
 }
 
@@ -443,12 +425,13 @@ pub fn decode_resilient(data: &[u8]) -> (Vec<FlowRecord>, IngestHealth) {
 /// walk.
 pub fn decode_columnar(data: &[u8], batch: &mut spoofwatch_net::FlowBatch) -> IngestHealth {
     batch.clear();
-    resilient_walk(data, |f| batch.push(f))
+    decode_into(data, |f| batch.push(&f))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spoofwatch_net::{Asn, Proto};
 
     fn sample() -> Vec<FlowRecord> {
         vec![
@@ -486,6 +469,22 @@ mod tests {
         let flows = sample();
         assert_eq!(decode(&encode(&flows)).unwrap(), flows);
         assert!(decode(&encode(&[])).unwrap().is_empty());
+    }
+
+    /// The file record and the link record are the same bytes, so a
+    /// link can carry what the file held without re-encoding.
+    #[test]
+    fn file_record_is_the_link_record() {
+        const _: () = assert!(RECORD_LEN == FLOW_WIRE_LEN);
+        let mut flows = sample(); // incl. Proto::Other and max-width fields
+        flows.extend(plausible_sample(5));
+        flows.push(FlowRecord { ttl: 0, ..flows[0] });
+        for f in &flows {
+            let mut link = Vec::new();
+            codec::put_flows(&mut link, std::slice::from_ref(f));
+            assert_eq!(encode(std::slice::from_ref(f))[HEADER_LEN..], link[4..]);
+            assert_eq!(encode_record_v1(f)[..], link[4..4 + V1_RECORD_LEN]);
+        }
     }
 
     #[test]

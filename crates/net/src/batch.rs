@@ -165,49 +165,6 @@ impl FlowBatch {
         self.iter().collect()
     }
 
-    /// Keep only the records whose index satisfies `keep`, preserving
-    /// order — the columnar analogue of `Vec::retain` with an index
-    /// predicate (deterministic shedding uses the position, not the
-    /// value).
-    pub fn retain_indices(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        let n = self.len();
-        let mut w = 0usize;
-        for r in 0..n {
-            if keep(r) {
-                if w != r {
-                    self.ts[w] = self.ts[r];
-                    self.src[w] = self.src[r];
-                    self.dst[w] = self.dst[r];
-                    self.proto[w] = self.proto[r];
-                    self.sport[w] = self.sport[r];
-                    self.dport[w] = self.dport[r];
-                    self.packets[w] = self.packets[r];
-                    self.bytes[w] = self.bytes[r];
-                    self.pkt_size[w] = self.pkt_size[r];
-                    self.member[w] = self.member[r];
-                    self.ttl[w] = self.ttl[r];
-                }
-                w += 1;
-            }
-        }
-        self.truncate(w);
-    }
-
-    /// Shorten the batch to `n` records (no-op if already shorter).
-    pub fn truncate(&mut self, n: usize) {
-        self.ts.truncate(n);
-        self.src.truncate(n);
-        self.dst.truncate(n);
-        self.proto.truncate(n);
-        self.sport.truncate(n);
-        self.dport.truncate(n);
-        self.packets.truncate(n);
-        self.bytes.truncate(n);
-        self.pkt_size.truncate(n);
-        self.member.truncate(n);
-        self.ttl.truncate(n);
-    }
-
     /// Debug invariant: every column has the same length.
     pub fn columns_aligned(&self) -> bool {
         let n = self.src.len();
@@ -269,35 +226,6 @@ mod tests {
         assert_eq!(b.src.capacity(), cap, "clear must not release the arena");
         b.extend_from_records(&sample(100));
         assert_eq!(b.len(), 100);
-    }
-
-    #[test]
-    fn retain_indices_matches_vec_retain() {
-        let flows = sample(37);
-        let mut b = FlowBatch::from_records(&flows);
-        let mut want = flows.clone();
-        // Keep every index not divisible by 3 — position-based, as the
-        // live runner's deterministic shedding is.
-        let mut i = 0usize;
-        want.retain(|_| {
-            let keep = i % 3 != 0;
-            i += 1;
-            keep
-        });
-        b.retain_indices(|r| r % 3 != 0);
-        assert!(b.columns_aligned());
-        assert_eq!(b.to_records(), want);
-    }
-
-    #[test]
-    fn retain_all_and_none() {
-        let flows = sample(9);
-        let mut b = FlowBatch::from_records(&flows);
-        b.retain_indices(|_| true);
-        assert_eq!(b.to_records(), flows);
-        b.retain_indices(|_| false);
-        assert!(b.is_empty());
-        assert!(b.columns_aligned());
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //!         | packets u32 | bytes u64 | pkt_size u16 | member u32 | ttl u8         (36 bytes)
 //! ```
 //!
+//! `flow` is the one record layout in the system: [`encode_flow`] and
+//! [`decode_flow`] define it, and an IPFIX-lite file
+//! (`spoofwatch-ixp`, `ipfix`) is a header followed by the same 36
+//! bytes per record — what a link carries is what the file held.
+//!
 //! All integers are big-endian. Records have a fixed stride, so a block
 //! of flows is encoded after one `reserve` and decoded after one length
 //! check with `chunks_exact` — no per-field bounds checks. Only the
@@ -91,14 +96,17 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
+#[inline]
 fn be16(b: &[u8], at: usize) -> u16 {
     u16::from_be_bytes([b[at], b[at + 1]])
 }
 
+#[inline]
 fn be32(b: &[u8], at: usize) -> u32 {
     u32::from_be_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
 }
 
+#[inline]
 fn be64(b: &[u8], at: usize) -> u64 {
     u64::from_be_bytes([
         b[at],
@@ -112,7 +120,9 @@ fn be64(b: &[u8], at: usize) -> u64 {
     ])
 }
 
-fn encode_flow(f: &FlowRecord) -> [u8; FLOW_WIRE_LEN] {
+/// Encode one record: the definition of the `flow` layout above.
+#[inline]
+pub fn encode_flow(f: &FlowRecord) -> [u8; FLOW_WIRE_LEN] {
     let mut b = [0u8; FLOW_WIRE_LEN];
     b[0..4].copy_from_slice(&f.ts.to_be_bytes());
     b[4..8].copy_from_slice(&f.src.to_be_bytes());
@@ -128,7 +138,9 @@ fn encode_flow(f: &FlowRecord) -> [u8; FLOW_WIRE_LEN] {
     b
 }
 
-fn decode_flow(b: &[u8; FLOW_WIRE_LEN]) -> FlowRecord {
+/// Decode one record; total, since every byte pattern is a record.
+#[inline]
+pub fn decode_flow(b: &[u8; FLOW_WIRE_LEN]) -> FlowRecord {
     FlowRecord {
         ts: be32(b, 0),
         src: be32(b, 4),
@@ -142,6 +154,15 @@ fn decode_flow(b: &[u8; FLOW_WIRE_LEN]) -> FlowRecord {
         member: Asn(be32(b, 31)),
         ttl: b[35],
     }
+}
+
+/// `(packets, bytes, pkt_size)` of the encoded record starting at
+/// `b[0]`: the fields a plausibility test reads, so a resync scan can
+/// reject an offset without building the record. `b` must hold at least
+/// the first 31 bytes of a record.
+#[inline]
+pub fn flow_counters(b: &[u8]) -> (u32, u64, u16) {
+    (be32(b, 17), be64(b, 21), be16(b, 29))
 }
 
 /// Append `n u32 | n × flow`.

@@ -19,7 +19,14 @@
 //! decoded record (framing included), and `quarantined_bytes` covers
 //! everything skipped during resynchronization, the torn tail, or — when
 //! the header itself is unusable — the whole input.
+//!
+//! [`resilient_walk`] is the one loop that upholds it: a format supplies
+//! the three [`RecordFormat`] hooks and checks its own file header; the
+//! walk does the crediting, the quarantining and the resynchronising,
+//! and nothing else calls [`IngestHealth::quarantine`] or
+//! [`IngestHealth::note_resync`].
 
+use spoofwatch_obs::MetricsRegistry;
 use std::fmt;
 
 /// Why a span of input bytes was quarantined.
@@ -176,6 +183,7 @@ impl IngestHealth {
     }
 
     /// Credit one cleanly decoded record of `nbytes`.
+    #[inline]
     pub fn credit_record(&mut self, nbytes: u64) {
         self.ok_records += 1;
         self.ok_bytes += nbytes;
@@ -260,13 +268,17 @@ impl IngestHealth {
         self.unrecoverable |= other.unrecoverable;
     }
 
-    /// Report this source's accounting to the process-global metrics
-    /// registry under the given `format` label (`ipfix`, `mrt`,
-    /// `pcap`, …). A no-op unless the global registry is enabled (see
-    /// `spoofwatch_obs::global`). Call exactly once per decoded source:
-    /// the counters are cumulative across calls.
+    /// [`Self::record_metrics_to`] the process-global registry (see
+    /// `spoofwatch_obs::global`) — what the one-shot decoders call.
     pub fn record_metrics(&self, format: &'static str) {
-        let reg = spoofwatch_obs::global();
+        self.record_metrics_to(spoofwatch_obs::global(), format);
+    }
+
+    /// Report this source's accounting to `reg` under the given
+    /// `format` label (`ipfix`, `mrt`, `pcap`, …). A no-op on a
+    /// disabled registry. Call exactly once per decoded source, where
+    /// its bytes are consumed: the counters are cumulative across calls.
+    pub fn record_metrics_to(&self, reg: &MetricsRegistry, format: &'static str) {
         if !reg.is_enabled() {
             return;
         }
@@ -332,6 +344,78 @@ impl fmt::Display for IngestHealth {
             self.quarantined_bytes,
             self.events.len() as u64 + self.events_dropped,
         )
+    }
+}
+
+/// What a record format tells [`resilient_walk`] about the bytes at an
+/// offset. The format keeps record parsing, plausibility and fault
+/// labelling; the walk keeps the accounting.
+pub trait RecordFormat {
+    /// One decoded record.
+    type Record;
+
+    /// The record that decodes at `pos`, with its encoded length
+    /// (framing included, at least 1).
+    fn record_at(&self, data: &[u8], pos: usize) -> Option<(Self::Record, usize)>;
+
+    /// Whether `pos` is a credible place to resume decoding after a
+    /// fault. Asked once per byte of every damaged span, which is why
+    /// it is a hook of its own: a format whose evidence can be read in
+    /// place answers without building the record (IPFIX-lite reads
+    /// three counters), and one whose single record is weak evidence
+    /// demands more than [`Self::record_at`] does (pcap chains into
+    /// the following headers).
+    fn boundary_at(&self, data: &[u8], pos: usize) -> bool;
+
+    /// Why nothing decodes at `pos`: the label of the quarantined span
+    /// that starts there.
+    fn fault_at(&self, data: &[u8], pos: usize) -> FaultKind;
+}
+
+/// The resynchronising walk every resilient decoder runs.
+///
+/// From `*pos` (past a file header the caller has checked and
+/// credited), hand each record that decodes to `sink` and credit its
+/// bytes; where none does, quarantine forward to the next
+/// [`RecordFormat::boundary_at`] — or to the end of `data` when there
+/// is none — and count a resync only if decoding can resume there: a
+/// quarantined tail is a fault, not a resynchronisation. Stops at the
+/// end of `data` or after `max_records` records, leaving `*pos` on the
+/// resume cursor. A pause falls directly after a record, so a
+/// quarantined span is never split across two calls: it belongs whole
+/// to the call that reaches it, and walking in pieces — into one
+/// `health` or into per-piece healths absorbed together — equals the
+/// uncapped walk (`max_records == usize::MAX`). Every byte in
+/// `[pos before, pos after)` ends up in exactly one of
+/// `health.ok_bytes` and `health.quarantined_bytes`; event offsets are
+/// offsets into `data`.
+pub fn resilient_walk<F: RecordFormat>(
+    format: &F,
+    data: &[u8],
+    pos: &mut usize,
+    max_records: usize,
+    health: &mut IngestHealth,
+    mut sink: impl FnMut(F::Record),
+) {
+    let mut recovered = 0usize;
+    while *pos < data.len() && recovered < max_records {
+        if let Some((record, len)) = format.record_at(data, *pos) {
+            sink(record);
+            recovered += 1;
+            health.credit_record(len as u64);
+            *pos += len;
+            continue;
+        }
+        let kind = format.fault_at(data, *pos);
+        let mut next = *pos + 1;
+        while next < data.len() && !format.boundary_at(data, next) {
+            next += 1;
+        }
+        health.quarantine(*pos as u64, (next - *pos) as u64, kind);
+        if next < data.len() {
+            health.note_resync();
+        }
+        *pos = next;
     }
 }
 
@@ -472,6 +556,184 @@ mod tests {
             snap.counter_sum("spoofwatch_decode_bytes_total"),
             h.input_len
         );
+    }
+
+    /// A toy format for the walk: 4-byte records `TAG a b (a ^ b)`. Its
+    /// boundary test is stricter than its record test — a boundary must
+    /// be followed by another record or by the end of input — as
+    /// pcap's is.
+    struct Toy;
+    const TAG: u8 = 0xA5;
+
+    impl Toy {
+        fn valid(data: &[u8], pos: usize) -> bool {
+            matches!(data.get(pos..pos + 4), Some(r) if r[0] == TAG && r[3] == r[1] ^ r[2])
+        }
+    }
+
+    impl RecordFormat for Toy {
+        type Record = (u8, u8);
+
+        fn record_at(&self, data: &[u8], pos: usize) -> Option<((u8, u8), usize)> {
+            Toy::valid(data, pos).then(|| ((data[pos + 1], data[pos + 2]), 4))
+        }
+
+        fn boundary_at(&self, data: &[u8], pos: usize) -> bool {
+            Toy::valid(data, pos) && (pos + 4 == data.len() || Toy::valid(data, pos + 4))
+        }
+
+        fn fault_at(&self, data: &[u8], pos: usize) -> FaultKind {
+            if data.len() - pos < 4 {
+                FaultKind::Truncated
+            } else {
+                FaultKind::BadRecord
+            }
+        }
+    }
+
+    fn toy_encode(n: u8) -> Vec<u8> {
+        (0..n)
+            .flat_map(|i| {
+                let (a, b) = (i, i.wrapping_mul(7) | 1);
+                [TAG, a, b, a ^ b]
+            })
+            .collect()
+    }
+
+    /// Walk `data` from 0 in pieces of at most `cap` records, each into
+    /// a fresh health, as a chunked reader does.
+    fn toy_walk(data: &[u8], cap: usize) -> (Vec<(u8, u8)>, Vec<IngestHealth>) {
+        let (mut records, mut pieces, mut pos) = (Vec::new(), Vec::new(), 0usize);
+        loop {
+            let start = pos;
+            let mut health = IngestHealth::new(0);
+            resilient_walk(&Toy, data, &mut pos, cap, &mut health, |r| records.push(r));
+            health.input_len = (pos - start) as u64;
+            assert!(health.reconciles(), "piece at {start} does not reconcile");
+            assert!(health.ok_records as usize <= cap);
+            pieces.push(health);
+            if pos >= data.len() {
+                assert_eq!(pos, data.len());
+                return (records, pieces);
+            }
+        }
+    }
+
+    fn toy_corpus(seed: u64) -> Vec<u8> {
+        let mut data = toy_encode(60);
+        let mut inj = crate::FaultInjector::new(seed);
+        for _ in 0..4 {
+            inj.any_single(&mut data, 4);
+        }
+        data
+    }
+
+    #[test]
+    fn walk_accounts_for_every_byte_and_events_tile_the_quarantine() {
+        let mut resynced = 0;
+        for seed in 0..200u64 {
+            let data = toy_corpus(seed);
+            let (records, pieces) = toy_walk(&data, usize::MAX);
+            let h = &pieces[0];
+            assert_eq!(pieces.len(), 1, "seed {seed}: uncapped is one piece");
+            assert_eq!(h.input_len, data.len() as u64);
+            assert_eq!(h.ok_records as usize, records.len());
+            assert_eq!(h.ok_bytes, 4 * h.ok_records);
+            assert_eq!(h.events_dropped, 0);
+            // Events are disjoint, ordered, never adjacent (one fault,
+            // one span), sum to the quarantined bytes, and every gap
+            // between them is whole records.
+            let mut cursor = 0u64;
+            let mut resumable = 0u64;
+            for (i, e) in h.events.iter().enumerate() {
+                assert!(e.len > 0 && e.offset >= cursor, "seed {seed} event {i}");
+                assert!(i == 0 || e.offset > cursor, "seed {seed}: adjacent events");
+                assert_eq!((e.offset - cursor) % 4, 0, "seed {seed} event {i}");
+                cursor = e.offset + e.len;
+                // A span that ends the input is a quarantined tail:
+                // nothing resumed there, so it is no resync.
+                resumable += (cursor < data.len() as u64) as u64;
+            }
+            assert_eq!((data.len() as u64 - cursor) % 4, 0, "seed {seed}");
+            assert_eq!(h.events.iter().map(|e| e.len).sum::<u64>(), h.quarantined_bytes);
+            assert_eq!(h.resyncs, resumable, "seed {seed}");
+            assert_eq!(h.fault_counts.iter().sum::<u64>(), h.events.len() as u64);
+            resynced += h.resyncs;
+        }
+        assert!(resynced > 100, "the corpus exercises resynchronisation");
+    }
+
+    #[test]
+    fn paused_walk_concatenates_to_the_uncapped_walk() {
+        for seed in 0..60u64 {
+            let data = toy_corpus(seed);
+            let (want_records, want) = toy_walk(&data, usize::MAX);
+            for cap in 1..=want_records.len().max(1) + 1 {
+                let (records, pieces) = toy_walk(&data, cap);
+                assert_eq!(records, want_records, "seed {seed} cap {cap}");
+                let mut got = IngestHealth::new(0);
+                for piece in &pieces {
+                    got.absorb(piece);
+                }
+                // Scalars, per-kind tallies and the event list: a span
+                // is never split by a pause, so the lists concatenate.
+                assert_eq!(got, want[0], "seed {seed} cap {cap}");
+                // A piece holds its full quota unless it is the last.
+                for piece in &pieces[..pieces.len() - 1] {
+                    assert_eq!(piece.ok_records as usize, cap, "seed {seed} cap {cap}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walk_edges_garbage_tail_empty_input_and_cap_of_one() {
+        // Empty input: nothing to do, nothing booked.
+        let (records, pieces) = toy_walk(&[], 3);
+        assert!(records.is_empty());
+        assert_eq!(pieces, vec![IngestHealth::new(0)]);
+
+        // Garbage-only tail: one quarantined span to the end of input,
+        // and no resync — decoding never resumed.
+        let mut data = toy_encode(3);
+        data.extend_from_slice(&[TAG, 1, 2, 9, 0xFF, 0xFF, TAG]);
+        let (records, pieces) = toy_walk(&data, usize::MAX);
+        assert_eq!(records.len(), 3);
+        assert_eq!(pieces[0].resyncs, 0);
+        assert_eq!(
+            pieces[0].events,
+            vec![IngestEvent {
+                offset: 12,
+                len: 7,
+                kind: FaultKind::BadRecord
+            }]
+        );
+        // Nothing but garbage, shorter than a record: a truncated tail.
+        let (records, pieces) = toy_walk(&[TAG, 0], 1);
+        assert!(records.is_empty());
+        assert_eq!(pieces[0].events[0].kind, FaultKind::Truncated);
+        assert_eq!((pieces[0].quarantined_bytes, pieces[0].resyncs), (2, 0));
+
+        // Cap of 1 around a mid-stream fault: the span rides in the
+        // piece that reaches it, whole, and counts one resync there.
+        let mut data = toy_encode(4);
+        data.splice(8..8, [0xEE; 5]);
+        let (records, pieces) = toy_walk(&data, 1);
+        assert_eq!(records.len(), 4);
+        let resyncs: Vec<u64> = pieces.iter().map(|p| p.resyncs).collect();
+        let spans: Vec<u64> = pieces.iter().map(|p| p.input_len).collect();
+        assert_eq!(resyncs, [0, 0, 1, 0]);
+        assert_eq!(spans, [4, 4, 9, 4]);
+
+        // The stricter boundary test is the one the scan uses: a lone
+        // valid-looking record inside garbage is not resumed at.
+        let mut data = vec![0xEE; 3];
+        data.extend_from_slice(&[TAG, 5, 6, 5 ^ 6]); // record test passes, chain fails
+        data.extend_from_slice(&[0xEE; 3]);
+        data.extend_from_slice(&toy_encode(2));
+        let (records, pieces) = toy_walk(&data, usize::MAX);
+        assert_eq!(records, toy_walk(&toy_encode(2), usize::MAX).0);
+        assert_eq!((pieces[0].quarantined_bytes, pieces[0].resyncs), (10, 1));
     }
 
     #[test]

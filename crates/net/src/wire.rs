@@ -161,7 +161,6 @@ pub fn frame_decode<'a>(magic: &[u8; 4], data: &'a [u8]) -> Result<&'a [u8], Fra
 #[derive(Debug)]
 pub struct FrameReader {
     magic: [u8; 4],
-    max_frame: usize,
     buf: Vec<u8>,
     /// Read cursor: `buf[..pos]` is consumed, `buf[pos..]` pending.
     pos: usize,
@@ -177,7 +176,6 @@ impl FrameReader {
     pub fn new(magic: [u8; 4]) -> Self {
         FrameReader {
             magic,
-            max_frame: DEFAULT_MAX_FRAME,
             buf: Vec::new(),
             pos: 0,
             faults: 0,
@@ -185,12 +183,6 @@ impl FrameReader {
             finished: false,
             resyncing: false,
         }
-    }
-
-    /// Override the per-frame payload cap.
-    pub fn with_max_frame(mut self, max_frame: usize) -> Self {
-        self.max_frame = max_frame;
-        self
     }
 
     /// Append raw stream bytes.
@@ -272,7 +264,7 @@ impl FrameReader {
                 let version = u16::from_be_bytes([pending[4], pending[5]]);
                 let declared =
                     u32::from_be_bytes([pending[6], pending[7], pending[8], pending[9]]) as usize;
-                if version != WIRE_VERSION || declared > self.max_frame {
+                if version != WIRE_VERSION || declared > DEFAULT_MAX_FRAME {
                     self.skip_damage(1);
                     continue;
                 }

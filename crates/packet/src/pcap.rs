@@ -7,6 +7,7 @@
 //! and fails gracefully on truncated files.
 
 use crate::PacketError;
+use spoofwatch_net::ingest::{resilient_walk, RecordFormat};
 use spoofwatch_net::{FaultKind, IngestHealth};
 use std::io::{self, Read, Write};
 
@@ -284,6 +285,48 @@ fn record_plausible_at(data: &[u8], pos: usize, swapped: bool, snaplen: u32) -> 
     }
 }
 
+/// What the global header fixes for every record of a capture, and the
+/// hooks of the shared walk over them: a record is a plausible header
+/// whose body fits; a resync boundary must also chain (see
+/// [`record_plausible_at`]).
+struct Capture {
+    swapped: bool,
+    snaplen: u32,
+}
+
+impl RecordFormat for Capture {
+    type Record = PcapPacket;
+
+    fn record_at(&self, data: &[u8], pos: usize) -> Option<(PcapPacket, usize)> {
+        let h = header_plausible(data, pos, self.swapped, self.snaplen)?;
+        let body = pos + 16;
+        let packet = data.get(body..body.checked_add(h.incl_len as usize)?)?;
+        Some((
+            PcapPacket {
+                ts_sec: h.ts_sec,
+                ts_frac: h.ts_frac,
+                orig_len: h.orig_len,
+                data: packet.to_vec(),
+            },
+            16 + packet.len(),
+        ))
+    }
+
+    fn boundary_at(&self, data: &[u8], pos: usize) -> bool {
+        record_plausible_at(data, pos, self.swapped, self.snaplen)
+    }
+
+    fn fault_at(&self, data: &[u8], pos: usize) -> FaultKind {
+        if data.len() - pos < 16
+            || header_plausible(data, pos, self.swapped, self.snaplen).is_some()
+        {
+            FaultKind::Truncated // header short or body runs past the end
+        } else {
+            FaultKind::BadRecord
+        }
+    }
+}
+
 /// Decode an in-memory pcap capture, recovering from corruption.
 ///
 /// Streaming [`PcapReader`] fail-stops on the first malformed record;
@@ -321,42 +364,13 @@ pub fn decode_resilient(data: &[u8]) -> (Vec<PcapPacket>, IngestHealth) {
             v
         }
     };
-    let snaplen = u32_at(16);
+    let capture = Capture {
+        swapped,
+        snaplen: u32_at(16),
+    };
     health.credit_ok(24);
     let mut pos = 24usize;
-    while pos < data.len() {
-        if let Some(h) = header_plausible(data, pos, swapped, snaplen) {
-            let body = pos + 16;
-            let end = body + h.incl_len as usize;
-            if end <= data.len() {
-                out.push(PcapPacket {
-                    ts_sec: h.ts_sec,
-                    ts_frac: h.ts_frac,
-                    orig_len: h.orig_len,
-                    data: data[body..end].to_vec(),
-                });
-                health.credit_record((16 + h.incl_len) as u64);
-                pos = end;
-                continue;
-            }
-        }
-        let kind = if data.len() - pos < 16
-            || header_plausible(data, pos, swapped, snaplen).is_some()
-        {
-            FaultKind::Truncated // header short or body runs past the end
-        } else {
-            FaultKind::BadRecord
-        };
-        let mut next = pos + 1;
-        while next < data.len() && !record_plausible_at(data, next, swapped, snaplen) {
-            next += 1;
-        }
-        health.quarantine(pos as u64, (next - pos) as u64, kind);
-        if next < data.len() {
-            health.note_resync();
-        }
-        pos = next;
-    }
+    resilient_walk(&capture, data, &mut pos, usize::MAX, &mut health, |p| out.push(p));
     health.record_metrics("pcap");
     (out, health)
 }
