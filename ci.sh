@@ -116,6 +116,20 @@ if grep -nE '^\s*use bytes\b|\bbytes::' crates/ixp/src/ipfix.rs; then
     echo "ipfix.rs lays out record fields itself; net::codec defines the record"; exit 1
 fi
 
+echo "==> one link consumer (serve_shard and serve_live share one control loop)"
+# core::runner::link is the only consuming end of the chunk link in
+# spoofwatch-core: one file builds a ChunkReceiver, and the shard
+# worker's second thread layout (its heartbeat thread and the chunk
+# source that read the wire itself) does not grow back.
+receivers="$(grep -rlF 'ChunkReceiver::new(' crates/core/src | wc -l)"
+if [ "$receivers" -gt 1 ]; then
+    grep -rnF 'ChunkReceiver::new(' crates/core/src
+    echo "a second link consumer builds its own ChunkReceiver; use core::runner::link"; exit 1
+fi
+if grep -rnE 'fn heartbeat_loop|TransportChunkSource' crates/; then
+    echo "the shard worker's own link thread layout is back; use core::runner::link"; exit 1
+fi
+
 echo "==> tree unchanged (no step wrote outside an ignored directory)"
 diff <(echo "$tree_before") <(tree_state) \
     || { echo "ci.sh changed the working tree (see the diff above)"; exit 1; }

@@ -38,6 +38,7 @@
 
 mod checkpoint;
 mod durable;
+mod link;
 pub mod live;
 mod obs;
 pub mod rollup;
@@ -525,9 +526,9 @@ impl<'a> StudyRunner<'a> {
     /// A cooperative abort flag: when set mid-run, the runner stops at
     /// the next chunk boundary and returns [`RunnerError::Interrupted`]
     /// — committed state stays checkpointed and resumable, and no
-    /// terminal checkpoint or final rollup flush is written. Shard
-    /// workers set this when their transport dies so a severed link is
-    /// never mistaken for a clean end of stream.
+    /// terminal checkpoint or final rollup flush is written. A shard
+    /// worker's link consumer sets it when the link is lost, so a
+    /// severed link is never mistaken for a clean end of stream.
     pub fn with_abort(mut self, flag: Arc<AtomicBool>) -> Self {
         self.abort = Some(flag);
         self

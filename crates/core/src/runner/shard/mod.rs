@@ -29,7 +29,15 @@
 //!
 //! * the link is the chunk-link protocol of [`spoofwatch_ixp::live`]:
 //!   CRC-framed, go-back-N from the worker's cursor after any loss, the
-//!   worker's credit grant re-sent every heartbeat period as its beacon;
+//!   worker's credit grant re-sent every heartbeat period as its beacon.
+//!   [`serve_shard`] is a thin shell over the one link consumer
+//!   (`runner::link`, shared with the live session): it keeps the
+//!   handshake with its shard id, the [`DeathPoint`] hooks and the
+//!   report, and passes the shard policy — a fixed 16-chunk window,
+//!   `chunk_timeout_ms` as the resume throttle, `heartbeat_ms` as the
+//!   beacon, no overload ladder, and a lost link that *aborts* the run
+//!   (no terminal checkpoint, no final partial window) instead of
+//!   draining it;
 //! * the coordinator declares a silent shard dead after
 //!   [`ShardConfig::liveness_timeout_ms`] and respawns it with
 //!   seeded-jitter bounded exponential backoff (mirroring
@@ -52,27 +60,28 @@
 mod proto;
 
 use super::checkpoint::CheckpointStore;
+use super::link::{self, LinkPolicy, OnLoss};
 use super::rollup::{read_ring, RollupConfig, WindowAccum};
 use super::{
-    fnv, ChunkSource, FlowAccounting, IngestTotals, RunReport, RunnerConfig, RunnerError,
-    RunnerObs, StudyRunner,
+    fnv, FlowAccounting, IngestTotals, RunReport, RunnerConfig, RunnerError, RunnerObs,
+    StudyRunner,
 };
 use crate::pipeline::Classifier;
 use crate::provenance::DisagreementMatrix;
 use crate::stats::MemberBreakdown;
 use proto::{encode_report, report_window_batches, ReportMsg, ShardReport};
 use spoofwatch_ixp::chunked::{ChunkedIpfixReader, FlowChunk};
-use spoofwatch_ixp::link::{ChunkReceiver, ChunkSender, Received};
+use spoofwatch_ixp::link::ChunkSender;
 use spoofwatch_ixp::live::{self, Msg, FATAL_IDENTITY, FATAL_INTERNAL};
-use spoofwatch_net::wire::{ShardEndpoint, ShardRx, ShardTransport, ShardTx};
+use spoofwatch_net::wire::{ShardEndpoint, ShardTransport};
 use spoofwatch_net::{FlowRecord, IngestHealth};
-use spoofwatch_obs::Clock;
+use spoofwatch_obs::MetricsRegistry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 use std::thread::{self, Thread};
 use std::time::Duration;
 
@@ -80,10 +89,17 @@ use std::time::Duration;
 pub const SHARD_WIRE_MAGIC: [u8; 4] = proto::SHARD_MAGIC;
 
 /// Credit window a worker grants: how many chunks the coordinator may
-/// run ahead of the worker's position. Bounds how much a torn frame
-/// costs in retransmission and keeps the coordinator from ever blocking
-/// on a full link.
+/// run ahead of what the worker's runner has taken. Bounds how much a
+/// torn frame costs in retransmission and what the worker buffers.
 const SHARD_WINDOW: u64 = 16;
+
+/// Silence from the coordinator, while chunks are owed, after which a
+/// worker gives the link up (and aborts, to be respawned). A serving
+/// coordinator resends within one beacon or `Resume` nudge (≤ 1 s by
+/// default); at 2.5 × the default `liveness_timeout_ms` the coordinator
+/// sees a link dead both ways first, so this only ends a coordinator
+/// that stopped sending but still reads the beacon (DESIGN.md §15).
+const SHARD_STALL_MS: u64 = 5_000;
 
 /// How the trace is partitioned: `shards` workers, flows assigned by a
 /// salted hash of the member/flow key. The plan is part of the study's
@@ -990,8 +1006,9 @@ pub struct ShardWorkerConfig {
     pub heartbeat_ms: u64,
     /// How long to wait for `Welcome` after sending `Hello`.
     pub handshake_timeout_ms: u64,
-    /// Silence on the data plane after which the worker re-requests
-    /// its stream position (retransmission), milliseconds.
+    /// Minimum spacing between go-back-N `Resume` requests,
+    /// milliseconds; data-plane silence past twice this while chunks are
+    /// owed re-requests the stream position (retransmission).
     pub chunk_timeout_ms: u64,
     /// Chaos-test hook: die at a given protocol state.
     pub die_at: Option<DeathPoint>,
@@ -1052,118 +1069,6 @@ impl From<io::Error> for ShardWorkerError {
     }
 }
 
-/// State shared between the worker's main thread (chunk source) and its
-/// heartbeat thread. The main thread feeds the receiver frames and the
-/// heartbeat thread transmits what it asks for, so the main thread
-/// never blocks on a full outbound link — which is what rules out a
-/// send-send deadlock between coordinator and worker.
-struct LinkShared {
-    receiver: Mutex<ChunkReceiver>,
-    /// Set when the link dies (a failed send or receive): the runner
-    /// aborts at the next chunk boundary, so a severed link is never
-    /// mistaken for a clean end of stream.
-    link_down: Arc<AtomicBool>,
-    /// Set when the run is over and the heartbeat should stop.
-    stop: AtomicBool,
-}
-
-impl LinkShared {
-    fn receiver(&self) -> MutexGuard<'_, ChunkReceiver> {
-        // Every `ChunkReceiver` method leaves it consistent.
-        self.receiver
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-fn heartbeat_loop(
-    tx: &Mutex<Box<dyn ShardTx>>,
-    shared: &LinkShared,
-    period: Duration,
-    clock: &dyn Clock,
-) {
-    // Credit grants reopen the coordinator's send window, so their
-    // latency gates throughput. The loop sleeps in short slices and
-    // sends *early* whenever the runner advanced or a resume request is
-    // pending; the configured period is only the idle fallback that
-    // keeps liveness ticking on a quiet link.
-    let slice = period.min(Duration::from_millis(2));
-    let mut last_beat_ns = None;
-    while !shared.stop.load(Ordering::Relaxed) {
-        let period_due = last_beat_ns.is_none_or(|t| clock.since_ns(t) >= period.as_nanos() as u64);
-        let (resume, credit) = {
-            let mut receiver = shared.receiver();
-            let resume = receiver.take_resume();
-            // Chunks go straight to the runner: consumed is admitted.
-            let consumed = receiver.next_seq();
-            let credit = receiver.credit(consumed, period_due || resume.is_some());
-            (resume, credit)
-        };
-        if credit.is_some() {
-            last_beat_ns = Some(clock.now_ns());
-        }
-        for msg in [resume, credit].into_iter().flatten() {
-            if send_locked(tx, &msg.encode()).is_err() {
-                shared.link_down.store(true, Ordering::Relaxed);
-                return;
-            }
-        }
-        clock.sleep(slice);
-    }
-}
-
-fn send_locked(tx: &Mutex<Box<dyn ShardTx>>, payload: &[u8]) -> io::Result<()> {
-    let mut guard = tx.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    guard.send(payload)
-}
-
-/// The worker-side [`ChunkSource`]: feeds frames from the wire to the
-/// link's [`ChunkReceiver`] and hands the runner what it admits.
-struct TransportChunkSource<'t> {
-    rx: &'t mut Box<dyn ShardRx>,
-    shared: &'t LinkShared,
-    clock: &'t dyn Clock,
-    fingerprint: u64,
-    /// How long the data plane may stay silent before the position is
-    /// re-requested.
-    chunk_timeout: Duration,
-}
-
-impl ChunkSource for TransportChunkSource<'_> {
-    fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    fn seek(&mut self, byte_cursor: u64, seq: u64) {
-        let now = self.clock.now_ns();
-        self.shared.receiver().seek(byte_cursor, seq, now);
-    }
-
-    fn next_chunk(&mut self) -> Option<FlowChunk> {
-        if self.shared.receiver().finished() {
-            return None;
-        }
-        while !self.shared.link_down.load(Ordering::Relaxed) {
-            match self.rx.recv(self.chunk_timeout) {
-                Ok(Some(payload)) => {
-                    let now = self.clock.now_ns();
-                    match self.shared.receiver().on_frame(&payload, now) {
-                        Received::Chunk(chunk) => return Some(chunk),
-                        Received::Finished => return None,
-                        _ => {}
-                    }
-                }
-                Ok(None) => {
-                    let now = self.clock.now_ns();
-                    self.shared.receiver().on_silence(now);
-                }
-                Err(_) => self.shared.link_down.store(true, Ordering::Relaxed),
-            }
-        }
-        None
-    }
-}
-
 /// Run one shard worker over an established transport: handshake,
 /// stream the partition through a supervised [`StudyRunner`] resuming
 /// from `store`, and deliver the terminal report. Returns `Ok(())`
@@ -1185,8 +1090,6 @@ pub fn serve_shard(
     let handshake = Duration::from_millis(cfg.handshake_timeout_ms.max(1));
     let (fingerprint, _, _) = live::open_stream(&mut transport, cfg.shard_id, handshake)
         .map_err(|e| ShardWorkerError::Handshake(e.to_string()))?;
-    let (tx_half, mut rx_half) = transport.split();
-    let tx = Mutex::new(tx_half);
     if cfg.die_at == Some(DeathPoint::AfterHello) {
         return Err(ShardWorkerError::Died("after_hello"));
     }
@@ -1195,92 +1098,56 @@ pub fn serve_shard(
     if let Some(DeathPoint::AfterChunks(n)) = cfg.die_at {
         runner_cfg.interrupt_after_chunks = Some(n);
     }
-    let link_down = Arc::new(AtomicBool::new(false));
-    let mut runner = StudyRunner::new(classifier, runner_cfg)
-        .with_obs(cfg.obs.clone())
-        .with_abort(Arc::clone(&link_down));
+    let mut runner = StudyRunner::new(classifier, runner_cfg).with_obs(cfg.obs.clone());
     if let Some(rollup) = &cfg.rollup {
         runner = runner.with_rollups(rollup.clone());
     }
-
-    let chunk_timeout = Duration::from_millis(cfg.chunk_timeout_ms.max(1));
-    let shared = LinkShared {
-        receiver: Mutex::new(ChunkReceiver::new(
-            SHARD_WINDOW,
-            chunk_timeout.as_nanos() as u64,
-        )),
-        link_down,
-        stop: AtomicBool::new(false),
+    let policy = LinkPolicy {
+        window: SHARD_WINDOW,
+        resume_throttle_ms: cfg.chunk_timeout_ms,
+        stall_ms: SHARD_STALL_MS,
+        beacon_ms: Some(cfg.heartbeat_ms),
+        ladder: None,
+        stop_after_chunks: None,
+        batch_grants: true,
+        // A dead link must not finalize: a respawn would merge the
+        // closed partial window.
+        on_loss: OnLoss::Abort,
     };
-    let heartbeat = Duration::from_millis(cfg.heartbeat_ms.max(1));
-    let clock: &dyn Clock = cfg.obs.clock.as_ref();
-    thread::scope(|s| {
-        let tx_ref = &tx;
-        let shared_ref = &shared;
-        s.spawn(move || heartbeat_loop(tx_ref, shared_ref, heartbeat, clock));
-        let mut source = TransportChunkSource {
-            rx: &mut rx_half,
-            shared: &shared,
-            clock,
-            fingerprint,
-            chunk_timeout,
-        };
-        let result = runner.run(&mut source, store);
-        // The heartbeat keeps vouching for this worker while it reads,
-        // encodes and sends its ring: after a long study that is
-        // seconds of otherwise silent work, and silence past the
-        // liveness timeout is a death.
-        let link_dead = shared.link_down.load(Ordering::Relaxed);
-        let delivered = deliver_outcome(result, link_dead, cfg, store, &tx);
-        shared.stop.store(true, Ordering::Relaxed);
-        delivered
-    })
+    // A shard worker exports no `spoofwatch_live_*` series.
+    let metrics = MetricsRegistry::disabled();
+    let (delivered, link) =
+        link::consume(transport, fingerprint, &policy, runner, &metrics, |runner, source| {
+            let result = runner.run(source, store);
+            deliver_outcome(result, source.lost(), cfg, store)
+        });
+    match delivered {
+        Ok(()) if !link.tail_sent => Err(ShardWorkerError::Disconnected),
+        delivered => delivered,
+    }
 }
 
-/// Turn a finished run into what the coordinator hears: the ring and
-/// the terminal report, a `Fatal`, or (on a planned or link death)
-/// nothing.
+/// Turn a finished run into what the worker returns and what the
+/// coordinator hears: the ring and the terminal report, a `Fatal`, or
+/// (on a planned or link death) nothing.
 fn deliver_outcome(
     result: Result<RunReport, RunnerError>,
-    link_dead: bool,
+    link_lost: bool,
     cfg: &ShardWorkerConfig,
     store: &CheckpointStore,
-    tx: &Mutex<Box<dyn ShardTx>>,
-) -> Result<(), ShardWorkerError> {
+) -> (Result<(), ShardWorkerError>, Vec<Vec<u8>>) {
+    let died = |e| (Err(e), Vec::new());
     match result {
-        Ok(_) => {
-            if link_dead {
-                return Err(ShardWorkerError::Disconnected);
-            }
-            if cfg.die_at == Some(DeathPoint::BeforeReport) {
-                return Err(ShardWorkerError::Died("before_report"));
-            }
-            let (loaded, _faults) = store.load_latest();
-            let Some((checkpoint, _slot)) = loaded else {
-                return Err(ShardWorkerError::Io(io::Error::other(
-                    "terminal checkpoint missing after completed run",
-                )));
-            };
-            let windows = match &cfg.rollup {
-                Some(rollup) => read_ring(&rollup.dir)?.0,
-                None => Vec::new(),
-            };
-            // The ring travels in bounded batches: one frame holding a
-            // few hundred windows would pass the link's frame cap.
-            let mut payloads = report_window_batches(&windows);
-            payloads.push(encode_report(cfg.shard_id, &checkpoint, windows.len() as u32));
-            for payload in &payloads {
-                send_locked(tx, payload).map_err(|_| ShardWorkerError::Disconnected)?;
-            }
-            Ok(())
+        Ok(_) if link_lost => died(ShardWorkerError::Disconnected),
+        Ok(_) if cfg.die_at == Some(DeathPoint::BeforeReport) => {
+            died(ShardWorkerError::Died("before_report"))
         }
-        Err(RunnerError::Interrupted { .. }) => {
-            if link_dead {
-                Err(ShardWorkerError::Disconnected)
-            } else {
-                Err(ShardWorkerError::Died("after_chunks"))
-            }
-        }
+        Ok(_) => match report_payloads(cfg, store) {
+            Ok(payloads) => (Ok(()), payloads),
+            Err(e) => died(e),
+        },
+        Err(RunnerError::Interrupted { .. }) if link_lost => died(ShardWorkerError::Disconnected),
+        Err(RunnerError::Interrupted { .. }) => died(ShardWorkerError::Died("after_chunks")),
         Err(e) => {
             let code = if matches!(e, RunnerError::ConfigMismatch { .. }) {
                 FATAL_IDENTITY
@@ -1291,10 +1158,31 @@ fn deliver_outcome(
                 code,
                 detail: e.to_string(),
             };
-            let _ = send_locked(tx, &fatal.encode());
-            Err(ShardWorkerError::Runner(e))
+            (Err(ShardWorkerError::Runner(e)), vec![fatal.encode()])
         }
     }
+}
+
+/// The terminal report as link payloads: the ring in bounded
+/// `ReportWindows` batches (one frame holding a few hundred windows
+/// would pass the link's frame cap), then `Report`.
+fn report_payloads(
+    cfg: &ShardWorkerConfig,
+    store: &CheckpointStore,
+) -> Result<Vec<Vec<u8>>, ShardWorkerError> {
+    let (loaded, _faults) = store.load_latest();
+    let Some((checkpoint, _slot)) = loaded else {
+        return Err(ShardWorkerError::Io(io::Error::other(
+            "terminal checkpoint missing after completed run",
+        )));
+    };
+    let windows = match &cfg.rollup {
+        Some(rollup) => read_ring(&rollup.dir)?.0,
+        None => Vec::new(),
+    };
+    let mut payloads = report_window_batches(&windows);
+    payloads.push(encode_report(cfg.shard_id, &checkpoint, windows.len() as u32));
+    Ok(payloads)
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! The two halves of the chunk-link protocol ([`crate::live`]) as pure
 //! state machines: they speak [`Msg`] values and do no I/O — time is an
 //! argument, what to transmit a return value. The shells that own the
-//! transports, threads and watchdogs (`run_live_producer`; `serve_live`,
-//! `serve_shard` and the shard coordinator in `spoofwatch-core`) call
-//! them instead of re-deriving the rules, and the seeded schedule test
+//! transports, threads and watchdogs (`run_live_producer`; in
+//! `spoofwatch-core` the shard coordinator and the one consumer loop
+//! behind `serve_live` and `serve_shard`) call them instead of
+//! re-deriving the rules, and the seeded schedule test
 //! below drives both across thousands of lossy links in virtual time.
 
 use crate::chunked::{ChunkedIpfixReader, FlowChunk};

@@ -356,9 +356,6 @@ pub struct LiveProducerConfig {
     /// grants no new credit for this long while chunks are ready to
     /// send. Bounds every wait against a wedged consumer.
     pub credit_stall_ms: u64,
-    /// After sending `Finish`, how long to wait for `Bye` before
-    /// giving up and disconnecting anyway.
-    pub drain_timeout_ms: u64,
     /// Chaos schedule: `(after_seq, pause_ms)` — sleep `pause_ms`
     /// before sending the chunk with sequence `after_seq`, simulating
     /// a stalled upstream tap.
@@ -372,7 +369,6 @@ impl Default for LiveProducerConfig {
             burst_chunks: 1,
             handshake_timeout_ms: 5_000,
             credit_stall_ms: 10_000,
-            drain_timeout_ms: 5_000,
             pauses: Vec::new(),
         }
     }
@@ -399,6 +395,10 @@ pub struct LiveProducerStats {
 
 /// Poll granularity while pacing or credit-blocked.
 const POLL: Duration = Duration::from_millis(5);
+
+/// After sending `Finish`, how long to wait for `Bye` before giving up
+/// and disconnecting anyway.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Stream `scenario` over `transport` until EOF, `Stop`, or a fatal
 /// link error. Blocks the calling thread; run it on its own thread (or
@@ -497,7 +497,7 @@ pub fn run_live_producer(
             if let Some(at) = finish_sent_at {
                 // Drain phase: only Bye (handled above) or a drain
                 // timeout ends the session.
-                if at.elapsed() >= Duration::from_millis(cfg.drain_timeout_ms) {
+                if at.elapsed() >= DRAIN_TIMEOUT {
                     return Ok(stats);
                 }
             } else if sender.started()

@@ -320,8 +320,8 @@ impl FrameReader {
 }
 
 /// Sending half of a shard link: wraps each payload in a frame and
-/// writes it to the peer. Implementations must be safe to drive from a
-/// dedicated thread (heartbeats run concurrently with data).
+/// writes it to the peer. Implementations must be safe to move to the
+/// thread that owns the link.
 pub trait ShardTx: Send {
     /// Frame and transmit one payload. An error means the link is down.
     fn send(&mut self, payload: &[u8]) -> io::Result<()>;
@@ -341,9 +341,8 @@ pub trait ShardRx: Send {
 
 /// One bidirectional shard link behind the pluggable transport seam:
 /// a matched [`ShardTx`]/[`ShardRx`] pair over an in-process channel, a
-/// Unix domain socket, or TCP. Split it when the two halves must live on
-/// different threads (the worker's heartbeat loop sends while the chunk
-/// source receives).
+/// Unix domain socket, or TCP. Split it to wrap or replace one half
+/// (link taps and fault-injecting tests do).
 pub struct ShardTransport {
     tx: Box<dyn ShardTx>,
     rx: Box<dyn ShardRx>,
