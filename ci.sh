@@ -130,6 +130,11 @@ if grep -rnE 'fn heartbeat_loop|TransportChunkSource' crates/; then
     echo "the shard worker's own link thread layout is back; use core::runner::link"; exit 1
 fi
 
+echo "==> hashing floors (trace fingerprint >= 5x byte-wise FNV-1a, shard partition key >= 2x)"
+# Release-mode #[ignore]d tests in the crates that own each kernel; each
+# times the word-wide mixer against an in-test byte-wise reference.
+cargo test -q --release -p spoofwatch-ixp -p spoofwatch-core --lib -- --ignored floor_
+
 echo "==> tree unchanged (no step wrote outside an ignored directory)"
 diff <(echo "$tree_before") <(tree_state) \
     || { echo "ci.sh changed the working tree (see the diff above)"; exit 1; }

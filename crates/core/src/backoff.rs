@@ -10,7 +10,8 @@
 //! stay green bit-for-bit against the shared type.
 
 /// FNV-1a over a sequence of words. Shared by backoff jitter, config
-/// hashing, shard partitioning, and deterministic shedding.
+/// hashing, shard-plan binding, the detector's /24 sketch, and
+/// deterministic shedding.
 pub(crate) fn fnv(words: &[u64]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for w in words {

@@ -1247,4 +1247,87 @@ mod tests {
         plain.org = OrgMode::Plain;
         assert_ne!(h, StudyRunner::new(&classifier, plain).config_hash(7));
     }
+
+    /// A checkpoint written before the word-wide fingerprint binds its
+    /// trace by the byte-wise FNV-1a value. It is a different study:
+    /// refused with `ConfigMismatch`, never resumed, and not a torn slot.
+    #[test]
+    fn pre_upgrade_checkpoint_is_refused_not_resumed() {
+        use crate::pipeline::Classifier;
+        use spoofwatch_asgraph::As2Org;
+        use spoofwatch_bgp::{Announcement, AsPath};
+        // The byte-wise FNV-1a fingerprint the reader computed for this
+        // trace at 4 records per chunk before the word-wide mixer.
+        const PRE_UPGRADE_FINGERPRINT: u64 = 0x2c1d_564e_def4_d989;
+        let ann = Announcement::new("20.0.0.0/8".parse().unwrap(), AsPath::from(vec![3]));
+        let classifier = Classifier::build(&[ann], &As2Org::new());
+        let flows: Vec<FlowRecord> = (0..10u32)
+            .map(|i| FlowRecord {
+                ts: i,
+                src: 0x1400_0000 + i,
+                dst: 0x0A00_0001,
+                proto: spoofwatch_net::Proto::Udp,
+                sport: 1000,
+                dport: 53,
+                packets: 1,
+                bytes: 60,
+                pkt_size: 60,
+                member: Asn(3),
+                ttl: 60,
+            })
+            .collect();
+        let bytes = spoofwatch_ixp::ipfix::encode(&flows);
+        let runner = StudyRunner::new(&classifier, RunnerConfig::default());
+
+        let dir =
+            std::env::temp_dir().join(format!("spoofwatch-pre-upgrade-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("open store");
+        let first = ChunkedIpfixReader::new(&bytes, 4)
+            .next_chunk()
+            .expect("chunk 0");
+        let committed = FlowAccounting {
+            offered: 4,
+            processed: 4,
+            shed: 0,
+            quarantined: 0,
+        };
+        let stale = Checkpoint {
+            config_hash: runner.config_hash(PRE_UPGRADE_FINGERPRINT),
+            committed_chunks: 1,
+            byte_cursor: first.byte_end,
+            records: committed,
+            chunks: FlowAccounting {
+                offered: 1,
+                processed: 1,
+                ..committed
+            },
+            ingest: IngestTotals::default(),
+            per_member: BTreeMap::new(),
+            disagreement: None,
+            rollup_accum: None,
+        };
+        store.save(&stale).expect("save pre-upgrade checkpoint");
+        let on_disk = std::fs::read(store.current_path()).expect("read slot");
+
+        let mut source = ChunkedIpfixReader::new(&bytes, 4);
+        let fingerprint = source.fingerprint();
+        assert_ne!(fingerprint, PRE_UPGRADE_FINGERPRINT);
+        match runner.run(&mut source, &store) {
+            Err(RunnerError::ConfigMismatch { expected, found }) => {
+                assert_eq!(found, stale.config_hash);
+                assert_eq!(expected, runner.config_hash(fingerprint));
+            }
+            other => panic!("a pre-upgrade checkpoint must be refused, got {other:?}"),
+        }
+        // Not resumed: the slot is untouched. Not torn: it loads cleanly.
+        assert_eq!(
+            std::fs::read(store.current_path()).expect("reread"),
+            on_disk
+        );
+        let (loaded, faults) = store.load_latest();
+        assert!(faults.is_empty(), "counted as torn: {faults:?}");
+        assert_eq!(loaded.map(|(cp, _)| cp), Some(stale));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

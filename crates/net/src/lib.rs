@@ -35,6 +35,7 @@ pub mod error;
 pub mod faults;
 pub mod flow;
 pub mod ingest;
+pub mod mix;
 pub mod prefix;
 pub mod wire;
 
