@@ -1,8 +1,7 @@
 //! # spoofwatch-bench
 //!
 //! The experiment harness: one `exp-*` binary per table/figure of the
-//! paper (run `repro-all` for everything), plus Criterion performance
-//! benches under `benches/`.
+//! paper (run `repro-all` for everything).
 //!
 //! Every experiment runs over the same deterministic [`Scenario`]: the
 //! default synthetic Internet (~2000 ASes, 727 IXP members, 34

@@ -476,4 +476,99 @@ mod tests {
         }
         assert_eq!(*swap.load(), 100);
     }
+
+    /// Release-mode floor, which `ci.sh` runs with `--ignored`: a
+    /// `FrozenLpm` answers lookups at least 2× faster than the
+    /// `PrefixTrie` it was frozen from, with 0, 1 and 5 % of the probes
+    /// inside a bogon range. The table is every announced prefix of the
+    /// default synthetic Internet (≈12 K prefixes, /8 to /24); best of 5
+    /// passes over 10 000 probes per mix, the two timed alternately.
+    #[test]
+    #[ignore = "release-mode timing floor; ci.sh runs it with --ignored"]
+    fn frozen_lpm_floor_2x_trie_at_each_bogon_mix() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use spoofwatch_internet::{bogon, Internet, InternetConfig};
+        use std::hint::black_box;
+        fn hits(probes: &[u32], hit: impl Fn(u32) -> bool) -> usize {
+            probes.iter().filter(|&&addr| hit(black_box(addr))).count()
+        }
+        let net = Internet::generate(InternetConfig {
+            seed: 3,
+            ..InternetConfig::default()
+        });
+        let trie: PrefixTrie<u32> = net
+            .topology
+            .ases()
+            .flat_map(|a| a.prefixes.iter().copied())
+            .zip(0..)
+            .collect();
+        let frozen: FrozenLpm<u32> = trie.freeze();
+        let bogons = bogon::bogon_set();
+        let ranges: Vec<Ipv4Prefix> = bogons.iter().collect();
+        for bogon_pct in [0u32, 1, 5] {
+            let mut rng = StdRng::seed_from_u64(0xF0 + u64::from(bogon_pct));
+            let probes: Vec<u32> = (0..10_000)
+                .map(|_| {
+                    if rng.random_ratio(bogon_pct, 100) {
+                        let r = ranges[rng.random_range(0..ranges.len())];
+                        let host = u32::MAX.checked_shr(u32::from(r.len())).unwrap_or(0);
+                        r.bits() | (rng.random::<u32>() & host)
+                    } else {
+                        // Outside every bogon range, routed or not.
+                        loop {
+                            let addr: u32 = rng.random();
+                            if !bogons.contains_addr(addr) {
+                                break addr;
+                            }
+                        }
+                    }
+                })
+                .collect();
+            let (frozen_t, trie_t) = crate::pipeline::floors::best_alternating(
+                5,
+                || {
+                    black_box(hits(&probes, |a| frozen.lookup(a).is_some()));
+                },
+                || {
+                    black_box(hits(&probes, |a| trie.lookup(a).is_some()));
+                },
+            );
+            let ratio = trie_t.as_secs_f64() / frozen_t.as_secs_f64();
+            assert!(
+                ratio >= 2.0,
+                "{bogon_pct}% bogon: frozen {frozen_t:?} vs trie {trie_t:?}: {ratio:.1}x < 2x"
+            );
+        }
+    }
+
+    /// Release-mode floor, which `ci.sh` runs with `--ignored`: the
+    /// fused single-walk `classify_with` beats the two-trie-walk
+    /// reference `classify_with_tries` over 20 000 synthetic flows,
+    /// best of 5, the two timed alternately.
+    #[test]
+    #[ignore = "release-mode timing floor; ci.sh runs it with --ignored"]
+    fn fused_classify_floor_beats_two_trie_walks() {
+        use spoofwatch_net::{FlowRecord, InferenceMethod, OrgMode, TrafficClass};
+        use std::hint::black_box;
+        fn tally(flows: &[FlowRecord], classify: impl Fn(&FlowRecord) -> TrafficClass) -> usize {
+            flows.iter().map(|f| classify(black_box(f)).index()).sum()
+        }
+        let (c, flows) = crate::pipeline::floors::trace();
+        let (method, org) = (InferenceMethod::FullCone, OrgMode::OrgAdjusted);
+        let (fused, tries) = crate::pipeline::floors::best_alternating(
+            5,
+            || {
+                black_box(tally(&flows, |f| c.classify_with(f, method, org)));
+            },
+            || {
+                black_box(tally(&flows, |f| c.classify_with_tries(f, method, org)));
+            },
+        );
+        let ratio = tries.as_secs_f64() / fused.as_secs_f64();
+        assert!(
+            ratio > 1.0,
+            "fused classify_with {fused:?} vs classify_with_tries {tries:?}: {ratio:.2}x"
+        );
+    }
 }

@@ -161,8 +161,8 @@ impl Classifier {
     /// [`Classifier::classify_with`]: bogon set, then routed table,
     /// then cone check, exactly as the paper's Figure 3 sequences them.
     /// The production path goes through the compiled single-walk
-    /// lookup; this one exists so differential tests and the `lpm`
-    /// benchmark can pin the two against each other.
+    /// lookup; this one exists so differential tests and the
+    /// `fused_classify_floor` test can pin the two against each other.
     pub fn classify_with_tries(
         &self,
         flow: &FlowRecord,
@@ -366,6 +366,48 @@ fn method_label(m: InferenceMethod) -> &'static str {
         InferenceMethod::Naive => "naive",
         InferenceMethod::CustomerCone => "customer_cone",
         InferenceMethod::FullCone => "full_cone",
+    }
+}
+
+/// What the release-mode timing floors of this crate share (the
+/// `*_floor_*` tests, which `ci.sh` runs with `--ignored`): one
+/// synthetic trace and one timer.
+#[cfg(test)]
+pub(crate) mod floors {
+    use super::Classifier;
+    use spoofwatch_internet::{Internet, InternetConfig};
+    use spoofwatch_ixp::{Trace, TrafficConfig};
+    use spoofwatch_net::FlowRecord;
+    use std::time::{Duration, Instant};
+
+    /// 20 000 regular flows over the tiny synthetic Internet, and the
+    /// classifier built from its announcements.
+    pub(crate) fn trace() -> (Classifier, Vec<FlowRecord>) {
+        let net = Internet::generate(InternetConfig::tiny(5));
+        let mut tc = TrafficConfig::tiny(6);
+        tc.regular_flows = 20_000;
+        let flows = Trace::generate(&net, &tc).flows;
+        (Classifier::build(&net.announcements, &net.orgs_dataset), flows)
+    }
+
+    /// The best of `rounds` timings of `a` and of `b`, the two timed
+    /// alternately so that a slow spell on a shared host reaches both.
+    pub(crate) fn best_alternating(
+        rounds: usize,
+        mut a: impl FnMut(),
+        mut b: impl FnMut(),
+    ) -> (Duration, Duration) {
+        let time = |f: &mut dyn FnMut()| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed()
+        };
+        let (mut best_a, mut best_b) = (Duration::MAX, Duration::MAX);
+        for _ in 0..rounds {
+            best_a = best_a.min(time(&mut a));
+            best_b = best_b.min(time(&mut b));
+        }
+        (best_a, best_b)
     }
 }
 
@@ -721,6 +763,34 @@ mod tests {
         for class in TrafficClass::ALL {
             assert_eq!(on.exemplars(class), again.exemplars(class));
         }
+    }
+
+    /// Release-mode floor, which `ci.sh` runs with `--ignored`:
+    /// `classify_trace_sampled` with a disabled sampler costs at most
+    /// 1.05× `classify_trace` — the provenance hook is one branch per
+    /// flow, not an allocation. Best of 9 over 20 000 flows.
+    #[test]
+    #[ignore = "release-mode timing floor; ci.sh runs it with --ignored"]
+    fn disabled_sampler_floor_within_5pct_of_classify_trace() {
+        use std::hint::black_box;
+        let (c, flows) = super::floors::trace();
+        let (method, org) = (InferenceMethod::FullCone, OrgMode::OrgAdjusted);
+        let mut off = crate::provenance::ProvenanceSampler::disabled();
+        let (plain, sampled) = super::floors::best_alternating(
+            9,
+            || {
+                black_box(c.classify_trace(black_box(&flows), method, org));
+            },
+            || {
+                black_box(c.classify_trace_sampled(black_box(&flows), method, org, &mut off));
+            },
+        );
+        let ratio = sampled.as_secs_f64() / plain.as_secs_f64();
+        assert!(
+            ratio <= 1.05,
+            "classify_trace_sampled (sampler off) {sampled:?} vs classify_trace {plain:?}: \
+             {ratio:.3}x > 1.05x"
+        );
     }
 
     /// Reconstruct a flow from an exemplar's identity fields (the other

@@ -206,6 +206,50 @@ fn fixed_runner_ignores_publications() {
     assert_eq!(counters[TrafficClass::Valid.index()].flows, CHUNKS);
 }
 
+/// A reader classifying through the swap cell while another thread
+/// publishes never sees a torn chunk: each chunk is classified under one
+/// guard, so all its verdicts come from one epoch — Valid under A,
+/// Unrouted under B. Bounded by a fixed number of chunks and
+/// publications, not by a wall clock: publication `i` waits until the
+/// reader has classified `25 i` chunks, so the publications spread over
+/// the reader's run instead of all landing before its first chunk.
+#[test]
+fn swap_under_load_never_tears_a_chunk() {
+    const CHUNKS: u64 = 200;
+    const PUBLICATIONS: u64 = 8;
+    let chunk = vec![probe_flow(); 512];
+    let swap = Arc::new(EpochSwap::new(classifier_a()));
+    let classified = Arc::new(AtomicU64::new(0));
+    let publisher = {
+        let swap = Arc::clone(&swap);
+        let classified = Arc::clone(&classified);
+        std::thread::spawn(move || {
+            for i in 0..PUBLICATIONS {
+                while classified.load(Ordering::Acquire) < i * CHUNKS / PUBLICATIONS {
+                    std::thread::yield_now();
+                }
+                swap.publish(if i % 2 == 0 { classifier_b() } else { classifier_a() });
+            }
+        })
+    };
+    for _ in 0..CHUNKS {
+        let guard = swap.load();
+        let first = guard.classify(&chunk[0]);
+        assert!(
+            first == TrafficClass::Valid || first == TrafficClass::Unrouted,
+            "unexpected class {first} under swap"
+        );
+        assert!(
+            chunk.iter().all(|f| guard.classify(f) == first),
+            "verdicts tore within a chunk despite the per-chunk guard"
+        );
+        classified.fetch_add(1, Ordering::Release);
+    }
+    publisher.join().expect("publisher");
+    assert_eq!(swap.epoch(), PUBLICATIONS, "every publication landed");
+    assert_eq!(swap.load().classify(&probe_flow()), TrafficClass::Valid);
+}
+
 #[test]
 fn refresh_protocol_rebuilds_off_thread_and_coalesces() {
     let epoch = EpochClassifier::new(classifier_a(), 1_000);

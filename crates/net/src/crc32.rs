@@ -77,6 +77,18 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
+/// The byte-at-a-time table walk slicing replaced: one lookup per byte,
+/// each waiting on the previous one. The reference side of the
+/// link-layer timing floors here and in `wire`.
+#[cfg(test)]
+pub(crate) fn crc32_bytewise(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,5 +153,37 @@ mod tests {
                 assert_ne!(crc32(&flipped), base, "byte {i} bit {bit}");
             }
         }
+    }
+
+    /// Release-mode floor, which `ci.sh` runs with `--ignored`: over a
+    /// 72 KiB payload (one 2 000-record chunk message) the sliced CRC is
+    /// at least 4× the byte-wise table walk, best of 5 batches of 64
+    /// calls, the two timed alternately. Slicing-by-16 reads ≈5.3×
+    /// (slicing-by-8 read 3.8×); a table walk that crept back reads 1×.
+    #[test]
+    #[ignore = "release-mode timing floor; ci.sh runs it with --ignored"]
+    fn sliced_floor_4x_bytewise() {
+        use std::hint::black_box;
+        use std::time::{Duration, Instant};
+        fn time_64(f: impl Fn(&[u8]) -> u32, data: &[u8]) -> Duration {
+            let t0 = Instant::now();
+            for _ in 0..64 {
+                black_box(f(black_box(data)));
+            }
+            t0.elapsed()
+        }
+        let mut rng = StdRng::seed_from_u64(13);
+        let payload: Vec<u8> = (0..72 * 1024).map(|_| rng.random()).collect();
+        assert_eq!(crc32(&payload), crc32_bytewise(&payload));
+        let (mut sliced, mut byte) = (Duration::MAX, Duration::MAX);
+        for _ in 0..5 {
+            sliced = sliced.min(time_64(crc32, &payload));
+            byte = byte.min(time_64(crc32_bytewise, &payload));
+        }
+        let ratio = byte.as_secs_f64() / sliced.as_secs_f64();
+        assert!(
+            ratio >= 4.0,
+            "crc32 {sliced:?} vs byte-wise {byte:?} per 64 calls: {ratio:.1}x < 4x"
+        );
     }
 }

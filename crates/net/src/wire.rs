@@ -1355,4 +1355,54 @@ mod tests {
             start.elapsed()
         );
     }
+
+    /// Release-mode floor, which `ci.sh` runs with `--ignored`: a
+    /// `frame_encode` + `FrameReader` round trip over a 72 KiB payload
+    /// is at least 4× the path the link used to take — the byte-wise
+    /// CRC on both sides, the frame copied into the reader's buffer and
+    /// the payload copied out — best of 5 batches of 64, the two timed
+    /// alternately.
+    #[test]
+    #[ignore = "release-mode timing floor; ci.sh runs it with --ignored"]
+    fn frame_roundtrip_floor_4x_bytewise() {
+        use crate::crc32::crc32_bytewise;
+        use std::hint::black_box;
+        fn bytewise_roundtrip(payload: &[u8]) -> Vec<u8> {
+            let mut framed = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+            framed.extend_from_slice(&MAGIC);
+            framed.extend_from_slice(&WIRE_VERSION.to_be_bytes());
+            framed.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            framed.extend_from_slice(payload);
+            framed.extend_from_slice(&crc32_bytewise(payload).to_be_bytes());
+            let buf = framed.clone();
+            let (body, crc) = buf[HEADER_LEN..].split_at(payload.len());
+            assert_eq!(crc32_bytewise(body).to_be_bytes(), crc);
+            body.to_vec()
+        }
+        fn time_64(mut roundtrip: impl FnMut() -> Vec<u8>) -> Duration {
+            let t0 = Instant::now();
+            for _ in 0..64 {
+                black_box(roundtrip());
+            }
+            t0.elapsed()
+        }
+        let mut rng = StdRng::seed_from_u64(13);
+        let payload: Vec<u8> = (0..72 * 1024).map(|_| rng.random()).collect();
+        let mut reader = FrameReader::new(MAGIC);
+        let mut sliced_roundtrip = || {
+            reader.push_vec(frame_encode(&MAGIC, black_box(&payload)));
+            reader.next_frame().expect("one frame")
+        };
+        assert_eq!(sliced_roundtrip(), bytewise_roundtrip(&payload));
+        let (mut sliced, mut byte) = (Duration::MAX, Duration::MAX);
+        for _ in 0..5 {
+            sliced = sliced.min(time_64(&mut sliced_roundtrip));
+            byte = byte.min(time_64(|| bytewise_roundtrip(black_box(&payload))));
+        }
+        let ratio = byte.as_secs_f64() / sliced.as_secs_f64();
+        assert!(
+            ratio >= 4.0,
+            "frame round trip {sliced:?} vs byte-wise {byte:?} per 64: {ratio:.1}x < 4x"
+        );
+    }
 }
