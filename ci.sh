@@ -107,6 +107,25 @@ if grep -rnE 'fn heartbeat_loop|TransportChunkSource' crates/; then
     echo "the shard worker's own link thread layout is back; use core::runner::link"; exit 1
 fi
 
+echo "==> one link sender (the coordinator and the live producer share one send loop)"
+# ixp::live::send_loop is the only sending loop: it is the one non-test
+# site that builds a ChunkSender, and the producer's pacing and pauses
+# are due times in ixp::link, never sleeps in ixp::live. Lines from a
+# file's first #[cfg(test)] on are test code and do not count.
+non_test() {
+    local pattern="$1"; shift
+    awk -v pat="$pattern" '/^#\[cfg\(test\)\]/ { nextfile } index($0, pat) { print FILENAME ":" FNR ": " $0 }' "$@"
+}
+# shellcheck disable=SC2046
+senders="$(non_test 'ChunkSender::new(' $(find crates/*/src -name '*.rs'))"
+if [ "$(echo "$senders" | grep -c .)" -gt 1 ]; then
+    echo "$senders"
+    echo "a second sender loop builds its own ChunkSender; use ixp::live::send_loop"; exit 1
+fi
+if non_test 'thread::sleep' crates/ixp/src/live.rs | grep .; then
+    echo "ixp::live sleeps; pacing and pauses are ChunkSender due times"; exit 1
+fi
+
 echo "==> contract floors (release-mode timing floors, each against an in-test reference or ceiling)"
 # The #[ignore]d *_floor_* tests in the crates that own each kernel:
 # the trace fingerprint >= 5x and the shard key >= 2x byte-wise FNV-1a,

@@ -9,9 +9,10 @@
 //! on the caller's thread, reads that buffer through [`LinkSource`]. What
 //! differs between the modes is a value in [`LinkPolicy`]: the credit
 //! window and resume throttle, the stall bound, whether the standing
-//! grant doubles as a liveness beacon, how grants are paced, whether an
-//! overload ladder may shed, a chunk budget that starts a graceful
-//! drain, and whether a lost link aborts the run or lets it drain.
+//! grant doubles as a liveness beacon, whether an overload ladder may
+//! shed, a chunk budget that starts a graceful drain, and whether a
+//! lost link aborts the run or lets it drain. Grants are paced alike:
+//! an advancing grant goes out at most once per poll slice.
 //! Whatever the shell sends once the run is over (`Bye`, or a shard's
 //! ring and report) is the loop's last act, so the beacon keeps vouching
 //! for the consumer while that tail is being prepared.
@@ -80,12 +81,6 @@ pub(super) struct LinkPolicy<'a> {
     pub stop_after_chunks: Option<u64>,
     /// What a lost link means to the run.
     pub on_loss: OnLoss,
-    /// Send advancing grants at most once per poll slice instead of as
-    /// soon as the runner's progress moves them. The shard coordinator
-    /// reads its inbound without waiting, so batching only saves frames;
-    /// the live producer waits on its inbound between chunks, and at
-    /// line rate batched grants cost it nearly half its throughput.
-    pub batch_grants: bool,
 }
 
 /// Pre-registered handles for the consumer's `spoofwatch_live_*`
@@ -536,16 +531,16 @@ fn control_loop(
         let lost = shared.lost.load(Ordering::Relaxed);
         let now = clock.now_ns();
 
-        // Credit: while the session is open and below Refuse, whenever
-        // the runner's progress moves the grant (batched: at most once a
-        // poll slice); and, with a beacon, the standing grant again once a
-        // period has passed without one.
+        // Credit: while the session is open and below Refuse, at most
+        // once a poll slice when the runner's progress moves the grant;
+        // and, with a beacon, the standing grant again once a period has
+        // passed without one.
         let consumed = shared.consumed.load(Ordering::Relaxed);
         let since_credit_ns = now.saturating_sub(last_credit_ns);
         let grant_due = !stop_sent
             && !finished
             && ladder.state < OverloadState::Refuse
-            && (!policy.batch_grants || since_credit_ns >= POLL.as_nanos() as u64);
+            && since_credit_ns >= POLL.as_nanos() as u64;
         let beacon_due = beacon_ns.is_some_and(|period| since_credit_ns >= period);
         if !lost && (grant_due || beacon_due) {
             if let Some(credit) = receiver.credit(consumed, beacon_due) {
@@ -628,7 +623,6 @@ mod tests {
                 ladder: None,
                 stop_after_chunks: None,
                 on_loss: OnLoss::Abort,
-                batch_grants: false,
             };
             let runner = StudyRunner::new(&classifier, RunnerConfig::default());
             let metrics = MetricsRegistry::disabled();

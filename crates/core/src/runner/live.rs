@@ -451,7 +451,6 @@ fn serve_live_inner(
         beacon_ms: None,
         ladder: Some(&ladder),
         stop_after_chunks: cfg.stop_after_chunks,
-        batch_grants: false,
         on_loss: OnLoss::Drain,
     };
     let (run_result, link) =

@@ -38,8 +38,9 @@
 //!   beacon, no overload ladder, and a lost link that *aborts* the run
 //!   (no terminal checkpoint, no final partial window) instead of
 //!   draining it;
-//! * the coordinator declares a silent shard dead after
-//!   [`ShardConfig::liveness_timeout_ms`] and respawns it with
+//! * the coordinator streams to each shard through the one send loop
+//!   ([`spoofwatch_ixp::live::send_loop`]), declares a silent shard dead
+//!   after [`ShardConfig::liveness_timeout_ms`] and respawns it with
 //!   seeded-jitter bounded exponential backoff (mirroring
 //!   `RibFreshness`);
 //! * a respawned worker resumes idempotently from its last checkpoint —
@@ -72,7 +73,7 @@ use crate::stats::MemberBreakdown;
 use proto::{encode_report, report_window_batches, ReportMsg, ShardReport};
 use spoofwatch_ixp::chunked::{ChunkedIpfixReader, FlowChunk};
 use spoofwatch_ixp::link::ChunkSender;
-use spoofwatch_ixp::live::{self, Msg, FATAL_IDENTITY, FATAL_INTERNAL};
+use spoofwatch_ixp::live::{self, Msg, SendEnd, SendPlan, FATAL_IDENTITY, FATAL_INTERNAL};
 use spoofwatch_net::mix::{fold, K};
 use spoofwatch_net::wire::{ShardEndpoint, ShardTransport};
 use spoofwatch_net::{FlowRecord, IngestHealth};
@@ -80,6 +81,7 @@ use spoofwatch_obs::MetricsRegistry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::OnceLock;
@@ -201,8 +203,8 @@ pub struct ShardConfig {
     /// Records per trace chunk (must match the single-node run being
     /// reproduced for bit-identity).
     pub chunk_records: usize,
-    /// Silence (no frame from a shard) after which the coordinator
-    /// declares it dead, in milliseconds.
+    /// Silence from a shard the coordinator waits on after which it is
+    /// declared dead, in milliseconds (the send loop's silence bound).
     pub liveness_timeout_ms: u64,
     /// How long the connection router waits for a `Hello` frame.
     pub handshake_timeout_ms: u64,
@@ -246,7 +248,8 @@ pub struct ShardStatus {
     pub lost: bool,
     /// Deaths observed (each one costs a respawn attempt).
     pub deaths: u32,
-    /// Liveness timeouts that declared the shard dead.
+    /// Deaths by silence: times the send loop's silence rule gave the
+    /// shard up after `liveness_timeout_ms`.
     pub heartbeat_misses: u64,
     /// Frame-level faults observed on the shard's links.
     pub wire_faults: u64,
@@ -497,7 +500,7 @@ impl ShardGauges {
             ),
             heartbeat_misses: reg.counter(
                 "spoofwatch_shard_heartbeat_misses_total",
-                "Liveness timeouts that declared the shard dead",
+                "Silence-rule firings that declared the shard dead",
                 l,
             ),
             wire_faults: reg.counter(
@@ -687,6 +690,7 @@ impl<'a> ShardCoordinator<'a> {
             match outcome {
                 ConnOutcome::Done(report) => {
                     status.completed = true;
+                    status.committed_chunks = report.checkpoint.committed_chunks;
                     self.obs.tracer.event(
                         "shard_report",
                         &[
@@ -732,7 +736,10 @@ impl<'a> ShardCoordinator<'a> {
     }
 
     /// Serve one live connection until it reports, dies, or proves
-    /// fatally misconfigured.
+    /// fatally misconfigured: the bound `Welcome`, then the one send loop
+    /// with `liveness_timeout_ms` as its silence bound, each chunk cut to
+    /// the shard's partition, `Resume` traced, the lag gauge set, and the
+    /// report read from the payloads that are no link message.
     fn serve_conn(
         &self,
         shard_id: u32,
@@ -741,106 +748,82 @@ impl<'a> ShardCoordinator<'a> {
         status: &mut ShardStatus,
         g: &ShardGauges,
     ) -> ConnOutcome {
-        let plan = self.cfg.plan;
         let welcome = Msg::Welcome {
-            fingerprint: plan.bind(source_fp, shard_id),
+            fingerprint: self.cfg.plan.bind(source_fp, shard_id),
             chunk_records: self.cfg.chunk_records as u32,
             target_rps: 0,
         };
         if conn.send(&welcome.encode()).is_err() {
             return ConnOutcome::Dead;
         }
-        let clock = &self.obs.clock;
-        let mut sender = ChunkSender::new(self.bytes, self.cfg.chunk_records);
+        let plan = SendPlan {
+            data: self.bytes,
+            chunk_records: self.cfg.chunk_records,
+            silence_ms: self.cfg.liveness_timeout_ms,
+            ..SendPlan::default()
+        };
+        let cut = |chunk| {
+            g.chunks_sent.inc();
+            sub_chunk(chunk, &self.cfg.plan, shard_id)
+        };
+        let seen = |msg: &Msg, sender: &ChunkSender<'_>| {
+            if let Msg::Resume { byte_cursor, seq } = *msg {
+                self.obs.tracer.event(
+                    "shard_resumed",
+                    &[
+                        ("shard", (shard_id as u64).into()),
+                        ("seq", seq.into()),
+                        ("byte_cursor", byte_cursor.into()),
+                    ],
+                );
+            }
+            let acked = sender.credit().saturating_sub(SHARD_WINDOW);
+            g.lag.set(sender.next_seq().saturating_sub(acked) as i64);
+        };
         // Ring windows from `ReportWindows` batches, complete once the
         // `Report` confirms their count. They live and die with this
         // connection: a respawned worker re-sends the whole ring.
         let mut windows: Vec<WindowAccum> = Vec::new();
-        let mut last_frame_ns = clock.now_ns();
-        let liveness_ns = self.cfg.liveness_timeout_ms.saturating_mul(1_000_000);
-        loop {
-            // With something to send, poll without blocking and keep
-            // streaming; otherwise (idle, draining, or waiting for
-            // credit) block in short slices.
-            let timeout = if sender.ready() {
-                Duration::ZERO
-            } else {
-                Duration::from_millis(self.cfg.liveness_timeout_ms.clamp(1, 25))
-            };
-            match conn.recv(timeout) {
-                Ok(Some(payload)) => {
-                    last_frame_ns = clock.now_ns();
-                    match (Msg::decode(&payload), ReportMsg::decode(&payload)) {
-                        (Some(Msg::Fatal { code, detail }), _) => {
-                            if code == FATAL_IDENTITY {
-                                return ConnOutcome::Fatal(ShardError::PlanRejected {
-                                    shard_id,
-                                    detail,
-                                });
-                            }
-                            return ConnOutcome::Dead;
-                        }
-                        (Some(msg), _) => {
-                            sender.on_msg(&msg);
-                            if let Msg::Resume { byte_cursor, seq } = msg {
-                                self.obs.tracer.event(
-                                    "shard_resumed",
-                                    &[
-                                        ("shard", (shard_id as u64).into()),
-                                        ("seq", seq.into()),
-                                        ("byte_cursor", byte_cursor.into()),
-                                    ],
-                                );
-                            }
-                            let acked = sender.credit().saturating_sub(SHARD_WINDOW);
-                            g.lag.set(sender.next_seq().saturating_sub(acked) as i64);
-                        }
-                        (None, Some(ReportMsg::Windows(batch))) => windows.extend(batch),
-                        (
-                            None,
-                            Some(ReportMsg::Report {
-                                shard_id: reported_id,
-                                checkpoint,
-                                window_count,
-                            }),
-                        ) => {
-                            if windows.len() != window_count as usize || reported_id != shard_id {
-                                // A batch was lost to a corrupt frame
-                                // (or the report is another shard's);
-                                // the worker is gone by now, so recover
-                                // the way any dead link does.
-                                g.protocol_faults.inc();
-                                return ConnOutcome::Dead;
-                            }
-                            status.committed_chunks = checkpoint.committed_chunks;
-                            return ConnOutcome::Done(Box::new(ShardReport {
-                                checkpoint: *checkpoint,
-                                windows,
-                            }));
-                        }
-                        (None, None) => g.protocol_faults.inc(),
-                    }
+        let report = |payload: &[u8]| {
+            Some(match ReportMsg::decode(payload)? {
+                ReportMsg::Windows(batch) => {
+                    windows.extend(batch);
+                    ControlFlow::Continue(())
                 }
-                Ok(None) => {
-                    if clock.since_ns(last_frame_ns) > liveness_ns {
-                        status.heartbeat_misses += 1;
-                        g.heartbeat_misses.inc();
-                        return ConnOutcome::Dead;
-                    }
-                }
-                Err(_) => return ConnOutcome::Dead,
+                ReportMsg::Report {
+                    shard_id: reported_id,
+                    checkpoint,
+                    window_count,
+                } => ControlFlow::Break(
+                    if windows.len() != window_count as usize || reported_id != shard_id {
+                        // A batch was lost to a corrupt frame (or the
+                        // report is another shard's); the worker is gone
+                        // by now, so recover the way any dead link does.
+                        g.protocol_faults.inc();
+                        ConnOutcome::Dead
+                    } else {
+                        ConnOutcome::Done(Box::new(ShardReport {
+                            checkpoint: *checkpoint,
+                            windows: std::mem::take(&mut windows),
+                        }))
+                    },
+                ),
+            })
+        };
+        let clock = &self.obs.clock;
+        let (end, sent) = live::send_loop(conn, plan, || clock.now_ns(), cut, seen, report);
+        g.protocol_faults.add(sent.protocol_faults);
+        match end {
+            SendEnd::Shell(outcome) => outcome,
+            SendEnd::Fatal(FATAL_IDENTITY, detail) => {
+                ConnOutcome::Fatal(ShardError::PlanRejected { shard_id, detail })
             }
-            let sent = match sender.poll_send() {
-                Some(Msg::Chunk(chunk)) => {
-                    g.chunks_sent.inc();
-                    conn.send(&Msg::Chunk(sub_chunk(chunk, &plan, shard_id)).encode())
-                }
-                Some(finish) => conn.send(&finish.encode()),
-                None => Ok(()),
-            };
-            if sent.is_err() {
-                return ConnOutcome::Dead;
+            SendEnd::Silent => {
+                status.heartbeat_misses += 1;
+                g.heartbeat_misses.inc();
+                ConnOutcome::Dead
             }
+            SendEnd::Bye | SendEnd::Fatal(..) | SendEnd::Link(_) => ConnOutcome::Dead,
         }
     }
 
@@ -1115,7 +1098,6 @@ pub fn serve_shard(
         beacon_ms: Some(cfg.heartbeat_ms),
         ladder: None,
         stop_after_chunks: None,
-        batch_grants: true,
         // A dead link must not finalize: a respawn would merge the
         // closed partial window.
         on_loss: OnLoss::Abort,

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A unique scratch directory removed on drop so reruns start clean.
 struct Scratch(PathBuf);
@@ -232,7 +232,6 @@ fn overload_ladder_sheds_recovers_and_emits_telemetry() {
         &w.bytes,
         LiveProducerConfig {
             target_records_per_sec: 0,
-            burst_chunks: 4,
             // A mid-stream lull long enough for the buffer to drain and
             // the ladder to walk back down: the recovery under test.
             pauses: vec![(12, 400)],
@@ -307,8 +306,9 @@ fn producer_stall_degrades_to_partial_session() {
 
     let (consumer, producer) = ShardTransport::channel_pair(LIVE_WIRE_MAGIC, 64);
     // The producer wedges for 30s before chunk 4 — far past the
-    // consumer's stall budget. Never joined: it wakes into a dead link.
-    let _detached = spawn_producer(
+    // consumer's stall budget. Its pause is a due time, not a sleep, so
+    // it keeps reading the link and ends with the session.
+    let producer_thread = spawn_producer(
         producer,
         &w.bytes,
         LiveProducerConfig {
@@ -324,6 +324,13 @@ fn producer_stall_degrades_to_partial_session() {
     cfg.producer_stall_ms = 250;
     cfg.resume_throttle_ms = 50;
     let study = serve_live(&c, &cfg, &store, consumer).expect("degrades, not hangs");
+    let ended = Instant::now();
+    let _ = producer_thread.join().expect("producer thread");
+    assert!(
+        ended.elapsed() < Duration::from_secs(2),
+        "the paused producer returned {:?} after the session ended",
+        ended.elapsed()
+    );
 
     assert!(study.session.producer_lost, "stall watchdog declared loss");
     assert!(study.session.producer_stalls >= 1);
@@ -410,8 +417,8 @@ fn kill_and_resume_matches_uninterrupted_run() {
     );
 }
 
-/// The chaos soak: streaming corruption on the data leg, an
-/// over-capacity producer with bursts and a mid-stream pause, a
+/// The chaos soak: streaming corruption on the data leg, a line-rate
+/// producer against a slow classifier, a mid-stream producer pause, a
 /// mid-stream kill with resume, and a graceful stop-drain — asserting
 /// no hang, the bounded buffer, the exact accounting invariant at both
 /// levels, and at least one shed recovery.
@@ -447,7 +454,6 @@ fn live_chaos_soak() {
         &w.bytes,
         LiveProducerConfig {
             target_records_per_sec: 0,
-            burst_chunks: 4,
             credit_stall_ms: 20_000,
             ..LiveProducerConfig::default()
         },
@@ -476,7 +482,6 @@ fn live_chaos_soak() {
         &w.bytes,
         LiveProducerConfig {
             target_records_per_sec: 0,
-            burst_chunks: 4,
             credit_stall_ms: 20_000,
             pauses: vec![(12, 350)],
             ..LiveProducerConfig::default()

@@ -12,15 +12,18 @@
 //! Every message rides one `spoofwatch_net::wire` frame, so corruption
 //! is caught by the frame CRC and decoding here is total: structural
 //! nonsense yields `None`, counted as a protocol fault, never a panic.
-//! [`run_live_producer`] is the live link's sending shell: a seeded
-//! scenario paced at a target record rate with burst shaping, chaos
-//! pauses and watchdogs.
+//!
+//! [`send_loop`] is the one sending loop, run by the shard coordinator
+//! and by [`run_live_producer`], the live link's sending shell: a seeded
+//! scenario at a target record rate with chaos pauses.
 
 use crate::chunked::{ChunkedIpfixReader, FlowChunk};
 use crate::link::{ChunkSender, Progress};
 use spoofwatch_net::codec::{self, put_u16, put_u32, put_u64, WireReader};
 use spoofwatch_net::ShardTransport;
+use std::convert::Infallible;
 use std::io;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// Frame magic for live-session messages.
@@ -323,7 +326,7 @@ impl LiveScenario {
         }
     }
 
-    /// The stream identity the producer announces in `Hello`.
+    /// The stream identity the producer announces in `Welcome`.
     pub fn fingerprint(&self) -> u64 {
         ChunkedIpfixReader::new(&self.data, self.chunk_records).fingerprint()
     }
@@ -340,25 +343,17 @@ impl LiveScenario {
     }
 }
 
-/// Producer-side pacing, chaos, and watchdog knobs.
+/// The live producer's pacing, chaos, and silence knobs.
 #[derive(Debug, Clone)]
 pub struct LiveProducerConfig {
     /// Target offered rate in records/second; 0 streams at line rate
     /// (credit-bound only).
     pub target_records_per_sec: u32,
-    /// Burst shaping: chunks are released in bursts of this many, with
-    /// the inter-burst gap stretched to preserve the average rate.
-    /// 1 = smooth pacing.
-    pub burst_chunks: u32,
-    /// How long to wait for `Hello` and the first `Resume`.
-    pub handshake_timeout_ms: u64,
-    /// Producer-side credit-stall watchdog: error out if the consumer
-    /// grants no new credit for this long while chunks are ready to
-    /// send. Bounds every wait against a wedged consumer.
+    /// The silence bound ([`SendPlan::silence_ms`]): how long a consumer
+    /// the producer waits on may stay silent. Bounds every wait.
     pub credit_stall_ms: u64,
-    /// Chaos schedule: `(after_seq, pause_ms)` — sleep `pause_ms`
-    /// before sending the chunk with sequence `after_seq`, simulating
-    /// a stalled upstream tap.
+    /// Chaos schedule: `(seq, pause_ms)` — hold the release of chunk
+    /// `seq` for `pause_ms`, simulating a stalled upstream tap.
     pub pauses: Vec<(u64, u64)>,
 }
 
@@ -366,15 +361,13 @@ impl Default for LiveProducerConfig {
     fn default() -> Self {
         LiveProducerConfig {
             target_records_per_sec: 0,
-            burst_chunks: 1,
-            handshake_timeout_ms: 5_000,
             credit_stall_ms: 10_000,
             pauses: Vec::new(),
         }
     }
 }
 
-/// What a producer session accomplished.
+/// What a [`send_loop`] session accomplished.
 #[derive(Debug, Clone, Default)]
 pub struct LiveProducerStats {
     /// Chunks sent (counting go-back-N retransmissions).
@@ -387,160 +380,174 @@ pub struct LiveProducerStats {
     pub pauses_taken: u64,
     /// CRC-valid frames whose payload failed to decode as a message.
     pub protocol_faults: u64,
-    /// Whether `Finish` was sent (stream exhausted or `Stop` honored).
+    /// Whether `Finish` (stream exhausted or `Stop` honored) was the
+    /// last thing sent.
     pub finished: bool,
     /// Whether the consumer acknowledged the session end with `Bye`.
     pub acked: bool,
 }
 
-/// Poll granularity while pacing or credit-blocked.
-const POLL: Duration = Duration::from_millis(5);
+/// Why [`send_loop`] returned.
+#[derive(Debug)]
+pub enum SendEnd<T> {
+    /// The consumer said `Bye`.
+    Bye,
+    /// The consumer sent `Fatal { code, detail }`.
+    Fatal(u16, String),
+    /// A send or a receive failed.
+    Link(io::Error),
+    /// The sender's silence rule gave the consumer up.
+    Silent,
+    /// The shell's handler of other payloads ended the session.
+    Shell(T),
+}
 
-/// After sending `Finish`, how long to wait for `Bye` before giving up
-/// and disconnecting anyway.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+/// What a [`send_loop`] streams, and the timing its [`ChunkSender`]
+/// keeps. The shard coordinator sets only the silence bound.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SendPlan<'a> {
+    /// The encoded IPFIX-lite trace.
+    pub data: &'a [u8],
+    /// Records per chunk.
+    pub chunk_records: usize,
+    /// Paced rate in records/second; 0 is line rate.
+    pub records_per_sec: u32,
+    /// Chaos schedule: `(seq, pause_ms)` holds chunk `seq` for `pause_ms`.
+    pub pauses: &'a [(u64, u64)],
+    /// The silence bound ([`ChunkSender::gave_up`]), in milliseconds.
+    pub silence_ms: u64,
+}
+
+/// The longest one pass of [`send_loop`] waits on its inbound (a frame
+/// ends the wait at once): how late it may notice the clock.
+const SLICE: Duration = Duration::from_millis(20);
+
+/// How long [`run_live_producer`] waits for the consumer's `Hello`.
+const HANDSHAKE: Duration = Duration::from_secs(5);
+
+/// The one send loop, run once the handshake is done: it streams `plan`
+/// through the one [`ChunkSender`], whose rules read `now_ns`. Each pass
+/// reads the inbound (without waiting while the sender is ready, else
+/// for at most one slice), feeds control messages to the sender and then
+/// to `seen`, and sends what the sender releases, each chunk through
+/// `cut`; after `Finish` it reads on for the consumer's tail. A payload
+/// that is no [`Msg`] goes to `other`: `None` (meaningless to the shell
+/// too) counts a protocol fault, `Break` ends the session. The loop ends
+/// there, on `Bye`, `Fatal`, a link error, or the silence rule.
+pub fn send_loop<T>(
+    link: &mut ShardTransport,
+    plan: SendPlan<'_>,
+    now_ns: impl Fn() -> u64,
+    mut cut: impl FnMut(FlowChunk) -> FlowChunk,
+    mut seen: impl FnMut(&Msg, &ChunkSender<'_>),
+    mut other: impl FnMut(&[u8]) -> Option<ControlFlow<T>>,
+) -> (SendEnd<T>, LiveProducerStats) {
+    let ns = |ms: u64| ms.saturating_mul(1_000_000);
+    let mut sender = ChunkSender::new(plan.data, plan.chunk_records, ns(plan.silence_ms))
+        .paced(plan.records_per_sec)
+        .with_pauses(plan.pauses.iter().map(|&(seq, ms)| (seq, ns(ms))));
+    let mut stats = LiveProducerStats::default();
+    // The shell's handshake is the last thing heard.
+    sender.heard(now_ns());
+    let end = loop {
+        let now = now_ns();
+        if sender.gave_up(now) {
+            break SendEnd::Silent;
+        }
+        let wait = sender
+            .wait_ns(now)
+            .map_or(SLICE, |ns| SLICE.min(Duration::from_nanos(ns)));
+        match link.recv(wait) {
+            Ok(Some(payload)) => {
+                let now = now_ns();
+                match Msg::decode(&payload) {
+                    Some(Msg::Bye) => {
+                        stats.acked = true;
+                        break SendEnd::Bye;
+                    }
+                    Some(Msg::Fatal { code, detail }) => break SendEnd::Fatal(code, detail),
+                    Some(msg) => {
+                        let progress = sender.on_msg(&msg, now);
+                        stats.resumes_served +=
+                            u64::from(progress == Progress::Resumed { first: false });
+                        seen(&msg, &sender);
+                    }
+                    None => {
+                        sender.heard(now);
+                        match other(&payload) {
+                            Some(ControlFlow::Break(end)) => break SendEnd::Shell(end),
+                            Some(ControlFlow::Continue(())) => {}
+                            None => stats.protocol_faults += 1,
+                        }
+                    }
+                }
+            }
+            Ok(None) => {}
+            Err(e) => break SendEnd::Link(e),
+        }
+        let sent = match sender.poll_send(now_ns()) {
+            Some(Msg::Chunk(chunk)) => {
+                stats.chunks_sent += 1;
+                stats.records_sent += chunk.flows.len() as u64;
+                link.send(&Msg::Chunk(cut(chunk)).encode())
+            }
+            Some(finish) => link.send(&finish.encode()),
+            None => Ok(()),
+        };
+        if let Err(e) = sent {
+            break SendEnd::Link(e);
+        }
+    };
+    stats.finished = sender.finish_sent();
+    stats.pauses_taken = sender.pauses_taken();
+    (end, stats)
+}
 
 /// Stream `scenario` over `transport` until EOF, `Stop`, or a fatal
 /// link error. Blocks the calling thread; run it on its own thread (or
 /// process) like a real upstream tap.
 ///
-/// Await the consumer's `Hello`, answer `Welcome`, await its initial
-/// `Resume`, then release what the [`ChunkSender`] allows under pacing.
-/// `Bye` ends the session.
+/// Await the consumer's `Hello`, answer `Welcome`, then run the
+/// [`send_loop`] with the configured pacing, pauses and silence bound.
+/// `Bye` ends the session; so does a lost link or a silent consumer
+/// once `Finish` went out (a finished session without the `Bye`).
 pub fn run_live_producer(
     transport: &mut ShardTransport,
     scenario: &LiveScenario,
     cfg: &LiveProducerConfig,
 ) -> io::Result<LiveProducerStats> {
-    let mut sender = ChunkSender::new(&scenario.data, scenario.chunk_records);
-    let mut stats = LiveProducerStats::default();
     // The fingerprint pass overlaps the consumer's own start-up.
     let welcome = Msg::Welcome {
-        fingerprint: sender.fingerprint(),
+        fingerprint: scenario.fingerprint(),
         chunk_records: scenario.chunk_records as u32,
         target_rps: cfg.target_records_per_sec,
     };
-
-    let handshake = Duration::from_millis(cfg.handshake_timeout_ms);
-    let handshake_deadline = Instant::now() + handshake;
-    accept_stream(transport, handshake)?;
+    accept_stream(transport, HANDSHAKE)?;
     transport.send(&welcome.encode())?;
 
-    let interval_ns: u64 = if cfg.target_records_per_sec == 0 {
-        0
-    } else {
-        (scenario.chunk_records as u64)
-            .saturating_mul(1_000_000_000)
-            .saturating_div(cfg.target_records_per_sec.max(1) as u64)
+    let plan = SendPlan {
+        data: &scenario.data,
+        chunk_records: scenario.chunk_records,
+        records_per_sec: cfg.target_records_per_sec,
+        pauses: &cfg.pauses,
+        silence_ms: cfg.credit_stall_ms,
     };
-    let burst = cfg.burst_chunks.max(1) as u64;
-
-    let mut pace_start = Instant::now();
-    let mut paced_chunks: u64 = 0; // chunks released since pace_start
-    let mut last_progress = Instant::now();
-    let mut finish_sent_at: Option<Instant> = None;
-    let mut pauses = cfg.pauses.clone();
-
-    loop {
-        // Drain control traffic. Block only as long as we have nothing
-        // better to do.
-        let wait = if !sender.started() {
-            handshake_deadline.saturating_duration_since(Instant::now())
-        } else if sender.ready() {
-            Duration::ZERO
-        } else {
-            POLL * 4
-        };
-        if !sender.started() && wait.is_zero() {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "no initial Resume before handshake timeout",
-            ));
-        }
-        match transport.recv(wait.max(Duration::from_millis(1))) {
-            Ok(Some(payload)) => match Msg::decode(&payload) {
-                Some(Msg::Bye) => {
-                    stats.acked = true;
-                    return Ok(stats);
-                }
-                Some(Msg::Fatal { code, detail }) => {
-                    return Err(io::Error::other(format!(
-                        "consumer fatal (code {code}): {detail}"
-                    )));
-                }
-                Some(msg) => match sender.on_msg(&msg) {
-                    Progress::Resumed { first } => {
-                        stats.resumes_served += u64::from(!first);
-                        finish_sent_at = None;
-                        last_progress = Instant::now();
-                        // Replayed chunks are paced like fresh ones.
-                        pace_start = Instant::now();
-                        paced_chunks = 0;
-                    }
-                    Progress::Credit => last_progress = Instant::now(),
-                    Progress::None => {}
-                },
-                None => stats.protocol_faults += 1,
-            },
-            Ok(None) => {}
-            Err(e) => {
-                // Link gone. If we already finished, treat a lost Bye
-                // as a clean-enough end; otherwise surface it.
-                if sender.finish_sent() {
-                    return Ok(stats);
-                }
-                return Err(e);
-            }
-        }
-
-        if !sender.ready() {
-            if let Some(at) = finish_sent_at {
-                // Drain phase: only Bye (handled above) or a drain
-                // timeout ends the session.
-                if at.elapsed() >= DRAIN_TIMEOUT {
-                    return Ok(stats);
-                }
-            } else if sender.started()
-                && last_progress.elapsed() >= Duration::from_millis(cfg.credit_stall_ms)
-            {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "credit stall: consumer granted no credit within the watchdog bound",
-                ));
-            }
-            continue;
-        }
-
-        // Pacing: release k of this pacing epoch is due when its burst is.
-        if interval_ns > 0 {
-            let due_ns = (paced_chunks / burst) * burst * interval_ns;
-            let elapsed_ns = pace_start.elapsed().as_nanos() as u64;
-            if elapsed_ns < due_ns {
-                std::thread::sleep(Duration::from_nanos((due_ns - elapsed_ns).min(5_000_000)));
-                continue;
-            }
-        }
-        if let Some(i) = pauses.iter().position(|&(at, _)| at == sender.next_seq()) {
-            let (_, pause_ms) = pauses.remove(i);
-            std::thread::sleep(Duration::from_millis(pause_ms));
-            stats.pauses_taken += 1;
-        }
-
-        match sender.poll_send() {
-            Some(Msg::Chunk(chunk)) => {
-                stats.chunks_sent += 1;
-                stats.records_sent += chunk.flows.len() as u64;
-                paced_chunks += 1;
-                last_progress = Instant::now();
-                transport.send(&Msg::Chunk(chunk).encode())?;
-            }
-            Some(finish) => {
-                transport.send(&finish.encode())?;
-                stats.finished = true;
-                finish_sent_at = Some(Instant::now());
-            }
-            None => {}
-        }
+    let start = Instant::now();
+    let now_ns = || start.elapsed().as_nanos() as u64;
+    let no_other = |_: &[u8]| None::<ControlFlow<Infallible>>;
+    let (end, stats) = send_loop(transport, plan, now_ns, |c| c, |_, _| {}, no_other);
+    match end {
+        SendEnd::Bye => Ok(stats),
+        SendEnd::Link(_) | SendEnd::Silent if stats.finished => Ok(stats),
+        SendEnd::Link(e) => Err(e),
+        SendEnd::Silent => Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "the consumer stayed silent past credit_stall_ms",
+        )),
+        SendEnd::Fatal(code, detail) => Err(io::Error::other(format!(
+            "consumer fatal (code {code}): {detail}"
+        ))),
+        SendEnd::Shell(never) => match never {},
     }
 }
 

@@ -529,6 +529,9 @@ impl ShardRx for ChannelRx {
 pub trait TimedRead: Read + Send {
     /// Set the blocking-read timeout (see `TcpStream::set_read_timeout`).
     fn set_timeout(&self, dur: Option<Duration>) -> io::Result<()>;
+
+    /// Switch non-blocking mode (see `TcpStream::set_nonblocking`).
+    fn set_nonblocking(&self, on: bool) -> io::Result<()>;
 }
 
 #[cfg(unix)]
@@ -536,11 +539,19 @@ impl TimedRead for UnixStream {
     fn set_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
         self.set_read_timeout(dur)
     }
+
+    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        UnixStream::set_nonblocking(self, on)
+    }
 }
 
 impl TimedRead for TcpStream {
     fn set_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
         self.set_read_timeout(dur)
+    }
+
+    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        TcpStream::set_nonblocking(self, on)
     }
 }
 
@@ -576,15 +587,26 @@ impl<R: TimedRead> ShardRx for SocketRx<R> {
                     "peer disconnected",
                 ));
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            // A zero read timeout means "block forever" to the kernel;
-            // clamp to 1 ms.
-            let wait = deadline.duration_since(now).max(Duration::from_millis(1));
-            self.r.set_timeout(Some(wait))?;
-            match self.r.read(&mut buf) {
+            let read = if timeout.is_zero() {
+                // A zero timeout takes what the kernel already holds and
+                // stops at `WouldBlock`. The write half shares this
+                // socket's blocking mode, so it is restored at once.
+                self.r.set_nonblocking(true)?;
+                let read = self.r.read(&mut buf);
+                self.r.set_nonblocking(false)?;
+                read
+            } else {
+                let now = Instant::now();
+                if now >= deadline {
+                    return Ok(None);
+                }
+                // A zero read timeout means "block forever" to the
+                // kernel; clamp to 1 ms.
+                let wait = deadline.duration_since(now).max(Duration::from_millis(1));
+                self.r.set_timeout(Some(wait))?;
+                self.r.read(&mut buf)
+            };
+            match read {
                 Ok(0) => {
                     self.disconnected = true;
                     self.reader.finish();
@@ -1297,6 +1319,42 @@ mod tests {
         assert!(client.recv(Duration::from_millis(500)).is_err());
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// A zero timeout reads without waiting: it returns a frame the peer
+    /// has already sent (one larger than a read buffer, too), `None` from
+    /// an empty socket at once, and leaves the write half blocking.
+    #[cfg(unix)]
+    #[test]
+    fn zero_timeout_recv_reads_the_socket_without_waiting() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let mut near = ShardTransport::from_unix(a, MAGIC).unwrap();
+        let mut far = ShardTransport::from_unix(b, MAGIC).unwrap();
+        let big = vec![7u8; 20_000];
+        far.send(b"already here").unwrap();
+        far.send(&big).unwrap();
+        assert_eq!(
+            near.recv(Duration::ZERO).unwrap(),
+            Some(b"already here".to_vec())
+        );
+        assert_eq!(near.recv(Duration::ZERO).unwrap(), Some(big));
+
+        let start = Instant::now();
+        for _ in 0..100 {
+            assert_eq!(near.recv(Duration::ZERO).unwrap(), None);
+        }
+        assert!(
+            start.elapsed() < Duration::from_millis(5),
+            "100 zero-timeout recvs on an empty socket took {:?}",
+            start.elapsed()
+        );
+
+        // Far more than the socket buffer holds: a non-blocking write
+        // half would fail with `WouldBlock` instead of waiting.
+        let flood = vec![9u8; 1 << 21];
+        let reader = std::thread::spawn(move || far.recv(Duration::from_secs(10)).unwrap());
+        near.send(&flood).unwrap();
+        assert_eq!(reader.join().unwrap(), Some(flood));
     }
 
     #[test]
