@@ -126,15 +126,36 @@ if non_test 'thread::sleep' crates/ixp/src/live.rs | grep .; then
     echo "ixp::live sleeps; pacing and pauses are ChunkSender due times"; exit 1
 fi
 
+echo "==> option budget (at most 54 runtime options)"
+# Public fields of every `pub struct *Config` and of `LiveLadder` in
+# spoofwatch-core and the live producer, test code (from a file's first
+# #[cfg(test)] on) excluded. An option that no run, example or benchmark
+# sets to a second value is a constant instead. A change that needs a
+# new option raises the budget here and says why.
+option_budget=54
+# shellcheck disable=SC2046
+options="$(awk '
+    FNR == 1 { inside = 0 }
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /^pub struct ([A-Za-z]*Config|LiveLadder) \{$/ { inside = 1; name = $3; next }
+    inside && /^\}/ { inside = 0 }
+    inside && /^    pub [a-z_0-9]+:/ { n[name]++; total++ }
+    END { for (s in n) printf "%s %d\n", s, n[s]; printf "total %d\n", total }
+' $(find crates/core/src -name '*.rs') crates/ixp/src/live.rs)"
+if [ "$(echo "$options" | awk '$1 == "total" { print $2 }')" -gt "$option_budget" ]; then
+    echo "$options" | sort
+    echo "more than $option_budget runtime options; make a single-valued one a constant"; exit 1
+fi
+
 echo "==> contract floors (release-mode timing floors, each against an in-test reference or ceiling)"
 # The #[ignore]d *_floor_* tests in the crates that own each kernel:
 # the trace fingerprint >= 5x and the shard key >= 2x byte-wise FNV-1a,
 # sliced CRC-32 and a frame round trip >= 4x the byte-wise path,
-# disabled metric updates < 20 ns, the sampler-off classify within 5%,
-# frozen LPM >= 2x the trie and the fused classify faster than two
-# walks, batch classify >= 3x per-flow, detect payload accumulation
-# < 250 ns/record and < 5% on the serial commit path. One test thread:
-# two at once on a 2-core host distort the absolute ceilings.
+# disabled metric updates < 20 ns, frozen LPM >= 2x the trie and the
+# fused classify faster than two walks, batch classify >= 3x per-flow,
+# detect payload accumulation < 250 ns/record and < 5% on the serial
+# commit path. One test thread: two at once on a 2-core host distort
+# the absolute ceilings.
 cargo test -q --release -p spoofwatch-net -p spoofwatch-obs -p spoofwatch-ixp \
     -p spoofwatch-core --lib -- --ignored floor_ --test-threads=1
 

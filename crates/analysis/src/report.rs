@@ -80,8 +80,9 @@ pub struct StudyReport {
     pub telemetry: Option<spoofwatch_obs::Snapshot>,
     /// Method-disagreement matrix, when the run tracked it.
     pub disagreement: Option<DisagreementMatrix>,
-    /// Sampled decision-provenance exemplars, when the study classified
-    /// with a live [`spoofwatch_core::ProvenanceSampler`].
+    /// Decision-provenance exemplars, when the caller attached the
+    /// [`spoofwatch_core::Classifier::classify_explain`] records of
+    /// flows it picked.
     pub provenance: Option<Vec<DecisionRecord>>,
     /// Sharded-study outcome, when the study ran distributed across
     /// shard workers.
@@ -156,7 +157,7 @@ impl StudyReport {
         self
     }
 
-    /// Attach sampled decision-provenance exemplars so
+    /// Attach decision-provenance exemplars so
     /// [`render`](Self::render) includes a "why was this flow classified
     /// that way" section.
     pub fn with_provenance(mut self, exemplars: Vec<DecisionRecord>) -> Self {
@@ -659,7 +660,6 @@ mod tests {
 
     #[test]
     fn disagreement_and_provenance_sections_render_when_attached() {
-        use spoofwatch_core::ProvenanceSampler;
         let net = Internet::generate(InternetConfig::tiny(88));
         let trace = Trace::generate(&net, &TrafficConfig::tiny(8));
         let classifier = Classifier::build(&net.announcements, &net.orgs_dataset);
@@ -674,16 +674,12 @@ mod tests {
 
         let matrix = classifier.method_disagreement(&trace.flows);
         assert!(matrix.reconciles());
-        let mut sampler = ProvenanceSampler::new(7, 3);
-        let sampled = classifier.classify_trace_sampled(
-            &trace.flows,
-            InferenceMethod::FullCone,
-            OrgMode::OrgAdjusted,
-            &mut sampler,
-        );
-        assert_eq!(sampled, classes);
-        let exemplars = sampler.all_exemplars();
-        assert!(!exemplars.is_empty());
+        let explain =
+            |f| classifier.classify_explain(f, InferenceMethod::FullCone, OrgMode::OrgAdjusted);
+        let exemplars: Vec<_> = trace.flows[..12].iter().map(explain).collect();
+        for (e, class) in exemplars.iter().zip(&classes) {
+            assert_eq!(e.class, *class);
+        }
 
         let text = StudyReport::compute(&net, &trace, &classifier, &classes, None)
             .with_disagreement(matrix)

@@ -1,10 +1,12 @@
 //! Run every experiment over one shared scenario and print the combined
-//! paper-vs-measured record (the source of EXPERIMENTS.md).
+//! paper-vs-measured record (the source of EXPERIMENTS.md). Exits with
+//! a failure status unless every comparison's shape holds.
 use spoofwatch_bench::{experiments, report, Comparison, Scenario};
+use std::process::ExitCode;
 
 type Experiment = fn(&Scenario) -> Vec<Comparison>;
 
-fn main() {
+fn main() -> ExitCode {
     let s = Scenario::from_env();
     let mut all = Vec::new();
     let runs: Vec<(&str, Experiment)> = vec![
@@ -35,4 +37,9 @@ fn main() {
     report("all", &all);
     let holds = all.iter().filter(|c| c.shape_holds).count();
     println!("shape holds for {holds}/{} comparisons", all.len());
+    if holds == all.len() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -8,7 +8,7 @@
 //! * **Change points** — a Page–Hinkley test per traffic class (and per
 //!   member, budget-capped) over the window's flow shares. Deterministic
 //!   thresholds: an alarm fires when the cumulative deviation from the
-//!   running mean exceeds [`DetectConfig::ph_lambda`].
+//!   running mean exceeds a fixed threshold (`PH_LAMBDA`).
 //! * **Random vs. selective spoofing** — the source-address structure of
 //!   the window's illegitimate (Bogon/Unrouted/Invalid) flows, kept in
 //!   two bounded-memory sketches: per-bit one-counts of the 32 source
@@ -16,9 +16,8 @@
 //!   Randomly spoofed floods show near-uniform bits (normalized entropy
 //!   → 1); selective spoofing concentrates on few sources (→ 0).
 //! * **TTL profiles** — per-class TTL histograms and means against an
-//!   EWMA baseline; a mean shift beyond
-//!   [`DetectConfig::ttl_shift_hops`] is the signature of a path change
-//!   or an attack tool's fixed initial TTL.
+//!   EWMA baseline; a mean shift of `TTL_SHIFT_HOPS` or more is the
+//!   signature of a path change or an attack tool's fixed initial TTL.
 //!
 //! Detection is a **pure fold** over the window sequence
 //! ([`detect_over_windows`]): the same windows yield the same incidents
@@ -26,7 +25,7 @@
 //! any boundary, merged shard rings, or live streaming ingest. The
 //! streaming engine ([`DetectEngine`]) is the incremental form of the
 //! same fold; on resume the runner rebuilds it by re-folding the on-disk
-//! ring (which requires `retention == 0`, the default, for exactness).
+//! ring, which holds every closed window.
 //!
 //! Each alarm becomes a typed [`Incident`] carried in an
 //! [`IncidentRecord`] with a forensic [`Provenance`] bundle — the
@@ -60,45 +59,34 @@ pub const SLASH24_BUCKETS: usize = 64;
 /// (mirrors the metrics label budget).
 pub const DETECT_MEMBER_BUDGET: usize = 64;
 
-/// Deterministic thresholds and horizons for the online detectors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DetectConfig {
-    /// Page–Hinkley drift magnitude tolerance (shares per window).
-    pub ph_delta: f64,
-    /// Page–Hinkley alarm threshold on the cumulative deviation.
-    pub ph_lambda: f64,
-    /// Suspect-flow share must exceed this floor for a spoof burst.
-    pub burst_share_floor: f64,
-    /// ... and exceed `burst_factor ×` the EWMA baseline share.
-    pub burst_factor: f64,
-    /// Minimum suspect flows in the window for a spoof burst.
-    pub burst_min_flows: u64,
-    /// Normalized bit-entropy split: `>=` is random spoofing, `<` is
-    /// selective.
-    pub entropy_split: f64,
-    /// TTL mean shift (hops) against the baseline that fires an alarm.
-    pub ttl_shift_hops: f64,
-    /// Minimum TTL-carrying flows of a class in the window to judge it.
-    pub ttl_min_flows: u64,
-    /// EWMA smoothing for the burst and TTL baselines.
-    pub ewma_alpha: f64,
-}
+// Deterministic thresholds and horizons for the online detectors. The
+// paper runs one detector configuration, and so does every run here.
 
-impl Default for DetectConfig {
-    fn default() -> DetectConfig {
-        DetectConfig {
-            ph_delta: 0.005,
-            ph_lambda: 0.08,
-            burst_share_floor: 0.05,
-            burst_factor: 3.0,
-            burst_min_flows: 50,
-            entropy_split: 0.5,
-            ttl_shift_hops: 8.0,
-            ttl_min_flows: 30,
-            ewma_alpha: 0.3,
-        }
-    }
-}
+/// Page–Hinkley drift magnitude tolerance (shares per window).
+const PH_DELTA: f64 = 0.005;
+/// Page–Hinkley alarm threshold on the cumulative deviation.
+const PH_LAMBDA: f64 = 0.08;
+/// Suspect-flow share must exceed this floor for a spoof burst ...
+const BURST_SHARE_FLOOR: f64 = 0.05;
+/// ... and exceed `BURST_FACTOR ×` the EWMA baseline share.
+const BURST_FACTOR: f64 = 3.0;
+/// Minimum suspect flows in the window for a spoof burst.
+const BURST_MIN_FLOWS: u64 = 50;
+/// Normalized bit-entropy split: `>=` is random spoofing, `<` is
+/// selective.
+const ENTROPY_SPLIT: f64 = 0.5;
+/// TTL mean shift (hops) against the baseline that fires an alarm.
+const TTL_SHIFT_HOPS: f64 = 8.0;
+/// Minimum TTL-carrying flows of a class in the window to judge it.
+const TTL_MIN_FLOWS: u64 = 30;
+/// EWMA smoothing for the burst and TTL baselines.
+const EWMA_ALPHA: f64 = 0.3;
+
+/// The switch that turns online detection on
+/// ([`crate::RollupConfig::detect`]). It carries no settings: the
+/// detectors' thresholds are this module's constants.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DetectConfig {}
 
 /// One reservoir-sampled flow in a window's provenance bundle. Ordered
 /// by sampling priority (a seeded hash of the flow's content), so
@@ -970,7 +958,6 @@ impl Baseline {
 /// it on resume by re-folding the on-disk ring.
 #[derive(Debug, Clone)]
 pub struct DetectEngine {
-    cfg: DetectConfig,
     class_ph: [PageHinkley; 4],
     member_ph: BTreeMap<Asn, PageHinkley>,
     burst: Baseline,
@@ -978,20 +965,14 @@ pub struct DetectEngine {
 }
 
 impl DetectEngine {
-    /// A fresh engine.
-    pub fn new(cfg: DetectConfig) -> DetectEngine {
+    /// A fresh engine. [`DetectConfig`] carries no settings.
+    pub fn new(_: DetectConfig) -> DetectEngine {
         DetectEngine {
-            cfg,
             class_ph: Default::default(),
             member_ph: BTreeMap::new(),
             burst: Baseline::default(),
             ttl: Default::default(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &DetectConfig {
-        &self.cfg
     }
 
     /// Observe one closed window, in window order, returning the
@@ -1006,9 +987,7 @@ impl DetectEngine {
         let mut kinds: Vec<IncidentKind> = Vec::new();
         let shares = w.class_shares();
         for (i, class) in TrafficClass::ALL.iter().enumerate() {
-            if let Some(baseline) =
-                self.class_ph[i].update(shares[i], self.cfg.ph_delta, self.cfg.ph_lambda)
-            {
+            if let Some(baseline) = self.class_ph[i].update(shares[i], PH_DELTA, PH_LAMBDA) {
                 kinds.push(IncidentKind::ClassDrift {
                     class: *class,
                     share_milli: milli(shares[i]),
@@ -1030,7 +1009,7 @@ impl DetectEngine {
             for (asn, ph) in &mut self.member_ph {
                 let flows: u64 = d.per_member.get(asn).map(|r| r.iter().sum()).unwrap_or(0);
                 let share = flows as f64 / total as f64;
-                if let Some(baseline) = ph.update(share, self.cfg.ph_delta, self.cfg.ph_lambda) {
+                if let Some(baseline) = ph.update(share, PH_DELTA, PH_LAMBDA) {
                     kinds.push(IncidentKind::MemberDrift {
                         member: *asn,
                         share_milli: milli(share),
@@ -1041,12 +1020,12 @@ impl DetectEngine {
             // Spoof burst + mode discrimination.
             let suspect_share = d.suspect_flows as f64 / total as f64;
             if let Some(baseline) = self.burst.warm(1) {
-                if d.suspect_flows >= self.cfg.burst_min_flows
-                    && suspect_share >= self.cfg.burst_share_floor
-                    && suspect_share > self.cfg.burst_factor * baseline
+                if d.suspect_flows >= BURST_MIN_FLOWS
+                    && suspect_share >= BURST_SHARE_FLOOR
+                    && suspect_share > BURST_FACTOR * baseline
                 {
                     let entropy = d.bit_entropy();
-                    let mode = if entropy >= self.cfg.entropy_split {
+                    let mode = if entropy >= ENTROPY_SPLIT {
                         SpoofMode::Random
                     } else {
                         SpoofMode::Selective
@@ -1060,16 +1039,16 @@ impl DetectEngine {
                     });
                 }
             }
-            self.burst.update(suspect_share, self.cfg.ewma_alpha);
+            self.burst.update(suspect_share, EWMA_ALPHA);
             // TTL profile anomalies, per class.
             for (i, class) in TrafficClass::ALL.iter().enumerate() {
-                if d.ttl_count[i] < self.cfg.ttl_min_flows {
+                if d.ttl_count[i] < TTL_MIN_FLOWS {
                     continue;
                 }
                 let mean = d.ttl_sum[i] as f64 / d.ttl_count[i] as f64;
                 if let Some(baseline) = self.ttl[i].warm(2) {
                     let shift = mean - baseline;
-                    if shift.abs() >= self.cfg.ttl_shift_hops {
+                    if shift.abs() >= TTL_SHIFT_HOPS {
                         kinds.push(IncidentKind::TtlShift {
                             class: *class,
                             shift_milli: milli(shift),
@@ -1078,7 +1057,7 @@ impl DetectEngine {
                         });
                     }
                 }
-                self.ttl[i].update(mean, self.cfg.ewma_alpha);
+                self.ttl[i].update(mean, EWMA_ALPHA);
             }
         }
         let provenance = provenance_of(w);
@@ -1124,8 +1103,8 @@ fn provenance_of(w: &WindowAccum) -> Provenance {
 /// streaming [`DetectEngine`] computes exactly this incrementally —
 /// which is why single-process, kill+resume, shard-merged, and live
 /// runs agree on the incident set.
-pub fn detect_over_windows(windows: &[WindowAccum], cfg: &DetectConfig) -> Vec<IncidentRecord> {
-    let mut engine = DetectEngine::new(cfg.clone());
+pub fn detect_over_windows(windows: &[WindowAccum], _: &DetectConfig) -> Vec<IncidentRecord> {
+    let mut engine = DetectEngine::new(DetectConfig::default());
     windows.iter().flat_map(|w| engine.observe(w)).collect()
 }
 

@@ -51,8 +51,8 @@ pub use detect::{
 pub use freshness::{Classification, Confidence, DegradedStats, FreshnessConfig, RibFreshness};
 pub use pipeline::Classifier;
 pub use provenance::{
-    DecisionRecord, DisagreementMatrix, MatchedRule, MethodVariant, PairMatrix, ProvenanceSampler,
-    VerdictVector, METHOD_VARIANTS, VARIANT_PAIRS,
+    DecisionRecord, DisagreementMatrix, MatchedRule, MethodVariant, PairMatrix, VerdictVector,
+    METHOD_VARIANTS, VARIANT_PAIRS,
 };
 pub use runner::live::{
     serve_live, serve_live_with, LiveError, LiveLadder, LiveServerConfig, LiveSession, LiveStudy,

@@ -2,8 +2,8 @@
 
 use crate::compiled::{CompiledClassifier, CompiledLookup};
 use crate::provenance::{
-    DecisionRecord, DisagreementMatrix, MatchedRule, MethodVariant, ProvenanceSampler,
-    VerdictVector, METHOD_VARIANTS,
+    DecisionRecord, DisagreementMatrix, MatchedRule, MethodVariant, VerdictVector,
+    METHOD_VARIANTS,
 };
 use crate::relinfer::Relationships;
 use spoofwatch_asgraph::{augment_with_orgs, As2Org, ReachCones};
@@ -199,9 +199,8 @@ impl Classifier {
     /// arguments.
     ///
     /// This path does strictly more work than `classify_with` (five
-    /// validity checks instead of one), which is why the hot path
-    /// samples it via [`Classifier::classify_trace_sampled`] instead of
-    /// calling it per flow.
+    /// validity checks instead of one), so the hot path never calls it:
+    /// it explains the flows a caller picks.
     pub fn classify_explain(
         &self,
         flow: &FlowRecord,
@@ -268,27 +267,6 @@ impl Classifier {
             matrix.record(&variants);
         }
         matrix
-    }
-
-    /// [`Classifier::classify_trace`] plus provenance sampling: each
-    /// flow's class is offered to the sampler's per-class reservoir, and
-    /// the expensive [`Classifier::classify_explain`] runs only for
-    /// offers that win admission. With a disabled sampler this is one
-    /// branch over `classify_trace` — the hot path stays allocation-free.
-    pub fn classify_trace_sampled(
-        &self,
-        flows: &[FlowRecord],
-        method: InferenceMethod,
-        org: OrgMode,
-        sampler: &mut ProvenanceSampler,
-    ) -> Vec<TrafficClass> {
-        let out = self.classify_trace(flows, method, org);
-        if sampler.is_enabled() {
-            for (f, class) in flows.iter().zip(&out) {
-                sampler.offer(*class, || self.classify_explain(f, method, org));
-            }
-        }
-        out
     }
 
     /// Classify a batch (order-preserving) on the calling thread: one
@@ -723,84 +701,6 @@ mod tests {
             for (i, v) in crate::provenance::METHOD_VARIANTS.iter().enumerate() {
                 assert_eq!(all[i], c.classify_with(f, v.method, v.org), "slot {i}");
             }
-        }
-    }
-
-    #[test]
-    fn sampled_trace_matches_plain_and_collects_exemplars() {
-        let c = classifier();
-        let flows = mixed_flows();
-        let plain = c.classify_trace(&flows, InferenceMethod::FullCone, OrgMode::Plain);
-
-        let mut off = crate::provenance::ProvenanceSampler::disabled();
-        let sampled =
-            c.classify_trace_sampled(&flows, InferenceMethod::FullCone, OrgMode::Plain, &mut off);
-        assert_eq!(sampled, plain, "disabled sampler must not change verdicts");
-        assert!(off.all_exemplars().is_empty());
-
-        let mut on = crate::provenance::ProvenanceSampler::new(42, 4);
-        let sampled =
-            c.classify_trace_sampled(&flows, InferenceMethod::FullCone, OrgMode::Plain, &mut on);
-        assert_eq!(sampled, plain);
-        for (class, n) in TrafficClass::ALL.iter().zip(plain.iter().fold(
-            [0u64; 4],
-            |mut acc, c| {
-                acc[c.index()] += 1;
-                acc
-            },
-        )) {
-            assert_eq!(on.seen(*class), n, "{class} offers == class count");
-            let exemplars = on.exemplars(*class);
-            assert_eq!(exemplars.len(), (n as usize).min(4));
-            for e in exemplars {
-                assert_eq!(e.class, *class);
-                assert_eq!(e.class, c.classify_with(&flow_back(e), e.variant.method, e.variant.org));
-            }
-        }
-        // Determinism: same seed, same flows, same exemplars.
-        let mut again = crate::provenance::ProvenanceSampler::new(42, 4);
-        c.classify_trace_sampled(&flows, InferenceMethod::FullCone, OrgMode::Plain, &mut again);
-        for class in TrafficClass::ALL {
-            assert_eq!(on.exemplars(class), again.exemplars(class));
-        }
-    }
-
-    /// Release-mode floor, which `ci.sh` runs with `--ignored`:
-    /// `classify_trace_sampled` with a disabled sampler costs at most
-    /// 1.05× `classify_trace` — the provenance hook is one branch per
-    /// flow, not an allocation. Best of 9 over 20 000 flows.
-    #[test]
-    #[ignore = "release-mode timing floor; ci.sh runs it with --ignored"]
-    fn disabled_sampler_floor_within_5pct_of_classify_trace() {
-        use std::hint::black_box;
-        let (c, flows) = super::floors::trace();
-        let (method, org) = (InferenceMethod::FullCone, OrgMode::OrgAdjusted);
-        let mut off = crate::provenance::ProvenanceSampler::disabled();
-        let (plain, sampled) = super::floors::best_alternating(
-            9,
-            || {
-                black_box(c.classify_trace(black_box(&flows), method, org));
-            },
-            || {
-                black_box(c.classify_trace_sampled(black_box(&flows), method, org, &mut off));
-            },
-        );
-        let ratio = sampled.as_secs_f64() / plain.as_secs_f64();
-        assert!(
-            ratio <= 1.05,
-            "classify_trace_sampled (sampler off) {sampled:?} vs classify_trace {plain:?}: \
-             {ratio:.3}x > 1.05x"
-        );
-    }
-
-    /// Reconstruct a flow from an exemplar's identity fields (the other
-    /// FlowRecord fields don't influence classification).
-    fn flow_back(e: &crate::provenance::DecisionRecord) -> FlowRecord {
-        FlowRecord {
-            src: e.src,
-            member: e.member,
-            ttl: 0,
-            ..flow("0.0.0.1", 0)
         }
     }
 

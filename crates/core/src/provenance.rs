@@ -5,9 +5,9 @@
 //! has exactly one *matched rule*. [`DecisionRecord`] captures that rule
 //! compactly: the reserved range a Bogon hit, the /8 bucket a routing
 //! miss fell in, or the per-variant verdict vector behind an
-//! Invalid/Valid call. Records are sampled (never exhaustively stored)
-//! by [`ProvenanceSampler`], a per-class seeded reservoir, so the
-//! explain path runs only for the handful of flows that win admission.
+//! Invalid/Valid call. Records are built on request
+//! ([`crate::Classifier::classify_explain`]), never for every flow, so
+//! the explain path runs only for the handful of flows a caller picks.
 //!
 //! [`DisagreementMatrix`] is the telemetry face of the paper's method
 //! sensitivity analysis (§4.3, Table 1): for every unordered pair of
@@ -18,7 +18,7 @@
 use serde::Serialize;
 use spoofwatch_net::codec::WireReader;
 use spoofwatch_net::{fmt_addr, Asn, InferenceMethod, Ipv4Prefix, OrgMode, TrafficClass};
-use spoofwatch_obs::{MetricsRegistry, ReservoirSampler};
+use spoofwatch_obs::MetricsRegistry;
 use std::fmt;
 
 /// One of the five valid-space inference variants the classifier
@@ -208,64 +208,6 @@ impl fmt::Display for DecisionRecord {
                 write!(f, "routed under {prefix}, inside valid space ({verdicts})")
             }
         }
-    }
-}
-
-/// Per-class seeded reservoirs of [`DecisionRecord`] exemplars: the
-/// bounded, deterministic "why" attached to the per-class counters. A
-/// disabled sampler (the default) makes the sampled classify path cost
-/// one branch per flow over the plain one.
-#[derive(Debug, Clone)]
-pub struct ProvenanceSampler {
-    per_class: [ReservoirSampler<DecisionRecord>; 4],
-}
-
-impl ProvenanceSampler {
-    /// Keep up to `per_class` exemplars for each traffic class,
-    /// admission seeded by `seed` (each class gets a derived seed so
-    /// reservoirs are independent).
-    pub fn new(seed: u64, per_class: usize) -> ProvenanceSampler {
-        ProvenanceSampler {
-            per_class: TrafficClass::ALL.map(|c| {
-                ReservoirSampler::new(seed.wrapping_add(c.index() as u64 + 1), per_class)
-            }),
-        }
-    }
-
-    /// The inert sampler: offers are a single branch, nothing is built.
-    pub fn disabled() -> ProvenanceSampler {
-        ProvenanceSampler {
-            per_class: [0; 4].map(|_| ReservoirSampler::disabled()),
-        }
-    }
-
-    /// Whether any class reservoir can admit exemplars.
-    pub fn is_enabled(&self) -> bool {
-        self.per_class.iter().any(|r| r.is_enabled())
-    }
-
-    /// Offer one flow's provenance to its class reservoir. `make` runs
-    /// only on admission.
-    pub fn offer(&mut self, class: TrafficClass, make: impl FnOnce() -> DecisionRecord) {
-        self.per_class[class.index()].offer_with(make);
-    }
-
-    /// The retained exemplars for `class`, in admission order.
-    pub fn exemplars(&self, class: TrafficClass) -> &[DecisionRecord] {
-        self.per_class[class.index()].items()
-    }
-
-    /// All retained exemplars across classes, in class order.
-    pub fn all_exemplars(&self) -> Vec<DecisionRecord> {
-        TrafficClass::ALL
-            .iter()
-            .flat_map(|c| self.exemplars(*c).iter().copied())
-            .collect()
-    }
-
-    /// Flows offered to `class`'s reservoir so far.
-    pub fn seen(&self, class: TrafficClass) -> u64 {
-        self.per_class[class.index()].seen()
     }
 }
 
@@ -625,34 +567,6 @@ mod tests {
         // The per-pair cell sum equals the recorded flow count.
         let total: u64 = snap.counter_sum("spoofwatch_method_disagreement_total");
         assert_eq!(total, VARIANT_PAIRS as u64 * m.flows);
-    }
-
-    #[test]
-    fn sampler_is_deterministic_and_disabled_is_inert() {
-        let rec = |src: u32| DecisionRecord {
-            src,
-            member: Asn(64500),
-            variant: METHOD_VARIANTS[4],
-            class: TrafficClass::Bogon,
-            rule: MatchedRule::Bogon {
-                range: Ipv4Prefix::new_truncating(0x0a00_0000, 8),
-            },
-        };
-        let run = |seed| {
-            let mut s = ProvenanceSampler::new(seed, 3);
-            for i in 0..200u32 {
-                s.offer(TrafficClass::Bogon, || rec(i));
-            }
-            s.exemplars(TrafficClass::Bogon).to_vec()
-        };
-        assert_eq!(run(5), run(5));
-        assert_eq!(run(5).len(), 3);
-        assert_eq!(ProvenanceSampler::new(5, 3).seen(TrafficClass::Bogon), 0);
-
-        let mut off = ProvenanceSampler::disabled();
-        assert!(!off.is_enabled());
-        off.offer(TrafficClass::Valid, || unreachable!("disabled sampler built a record"));
-        assert!(off.all_exemplars().is_empty());
     }
 
     #[test]

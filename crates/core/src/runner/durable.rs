@@ -5,19 +5,19 @@
 //! dispatches and commits — so a `sync_all` on it idles every worker
 //! behind the chunk queue. The commit path therefore only *encodes*: a
 //! checkpoint, a closed window or an incident file becomes a finished
-//! [`DurableWrite`] and is handed, with ring pruning as a job of the
-//! same queue, to one writer thread over a bounded FIFO channel. That
-//! thread is the only code of a run that calls [`write_durable`].
+//! [`DurableWrite`] and is handed to one writer thread over a bounded
+//! FIFO channel. That thread is the only code of a run that calls
+//! [`write_durable`].
 //!
-//! * **Order.** One queue, one consumer: jobs reach the disk in the
+//! * **Order.** One queue, one consumer: writes reach the disk in the
 //!   order the commit path produced them (window W → incidents W →
-//!   prune → checkpoint), so the disk always holds a *prefix* of that
-//!   order — a state the inline code could also have been killed in.
+//!   checkpoint), so the disk always holds a *prefix* of that order — a
+//!   state the inline code could also have been killed in.
 //! * **Commit point.** A write counts once the writer has acknowledged
 //!   it, not once it is queued: [`DurableQueue::finish`] drains and
 //!   joins, and the runner calls it on every return path.
 //! * **Errors.** The writer stops at its first I/O error and drops the
-//!   queue with everything behind the failed job unwritten; the
+//!   queue with everything behind the failed write unwritten; the
 //!   feeder's next hand-off fails, and `finish` yields the error.
 //! * **Backpressure.** A full queue blocks the feeder — lossless, like
 //!   the chunk queue — and the blocked time is exported.
@@ -29,8 +29,8 @@ use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::thread::{Scope, ScopedJoinHandle};
 
-/// Jobs the commit path may run ahead of the disk by. One window close
-/// hands off at most four (window, incidents, prune, checkpoint), each a
+/// Writes the commit path may run ahead of the disk by. One window close
+/// hands off at most three (window, incidents, checkpoint), each a
 /// buffer of tens of kilobytes.
 const QUEUE_DEPTH: usize = 8;
 
@@ -72,27 +72,6 @@ pub(crate) fn write_durable(w: &DurableWrite) -> io::Result<()> {
     fs::rename(&w.tmp, &w.dest)
 }
 
-/// One unit of the writer's FIFO.
-#[derive(Debug, Clone)]
-pub(super) enum DurableJob {
-    Write(DurableWrite),
-    /// Drop the oldest ring windows beyond `retention`
-    /// ([`super::rollup::prune_ring`]).
-    Prune {
-        dir: PathBuf,
-        retention: usize,
-    },
-}
-
-impl DurableJob {
-    pub fn run(&self) -> io::Result<()> {
-        match self {
-            DurableJob::Write(w) => write_durable(w),
-            DurableJob::Prune { dir, retention } => super::rollup::prune_ring(dir, *retention),
-        }
-    }
-}
-
 /// What the writer thread hands back when joined.
 pub(super) struct WriterReport {
     /// Checkpoints renamed into place by this run.
@@ -103,15 +82,15 @@ pub(super) struct WriterReport {
 
 /// The feeder's end of the queue.
 pub(super) struct DurableQueue<'scope, 'env> {
-    tx: SyncSender<DurableJob>,
+    tx: SyncSender<DurableWrite>,
     writer: ScopedJoinHandle<'scope, WriterReport>,
     rm: &'env RunMetrics,
     obs: &'env RunnerObs,
 }
 
 impl<'scope, 'env> DurableQueue<'scope, 'env> {
-    /// Spawn the writer thread in `scope`. `apply` executes one job
-    /// ([`DurableJob::run`], except where a test records the job list).
+    /// Spawn the writer thread in `scope`. `apply` executes one write
+    /// ([`write_durable`], except where a test records the write list).
     pub fn spawn<A>(
         scope: &'scope Scope<'scope, 'env>,
         apply: &'env A,
@@ -119,7 +98,7 @@ impl<'scope, 'env> DurableQueue<'scope, 'env> {
         obs: &'env RunnerObs,
     ) -> Self
     where
-        A: Fn(&DurableJob) -> io::Result<()> + Sync,
+        A: Fn(&DurableWrite) -> io::Result<()> + Sync,
     {
         let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
         let writer = scope.spawn(move || writer_loop(rx, apply, rm, obs));
@@ -131,16 +110,16 @@ impl<'scope, 'env> DurableQueue<'scope, 'env> {
         }
     }
 
-    /// Hand one job to the writer, blocking while the queue is full.
+    /// Hand one write to the writer, blocking while the queue is full.
     /// Fails once the writer has stopped; [`Self::finish`] has its
     /// error.
-    pub fn submit(&self, job: DurableJob) -> io::Result<()> {
-        let sent = match self.tx.try_send(job) {
+    pub fn submit(&self, write: DurableWrite) -> io::Result<()> {
+        let sent = match self.tx.try_send(write) {
             Ok(()) => true,
             Err(TrySendError::Disconnected(_)) => false,
-            Err(TrySendError::Full(job)) => {
+            Err(TrySendError::Full(write)) => {
                 let t0 = self.obs.clock.now_ns();
-                let sent = self.tx.send(job);
+                let sent = self.tx.send(write);
                 self.rm.commit_blocked_ns.add(self.obs.clock.since_ns(t0));
                 sent.is_ok()
             }
@@ -153,7 +132,7 @@ impl<'scope, 'env> DurableQueue<'scope, 'env> {
     }
 
     /// Close the queue, wait until the writer has acknowledged every
-    /// job handed off so far, and collect its verdict.
+    /// write handed off so far, and collect its verdict.
     pub fn finish(self) -> WriterReport {
         drop(self.tx);
         let t0 = self.obs.clock.now_ns();
@@ -167,37 +146,35 @@ impl<'scope, 'env> DurableQueue<'scope, 'env> {
 }
 
 fn writer_loop<A>(
-    rx: Receiver<DurableJob>,
+    rx: Receiver<DurableWrite>,
     apply: &A,
     rm: &RunMetrics,
     obs: &RunnerObs,
 ) -> WriterReport
 where
-    A: Fn(&DurableJob) -> io::Result<()>,
+    A: Fn(&DurableWrite) -> io::Result<()>,
 {
     let mut checkpoints_written = 0;
-    // Returning drops `rx`: the jobs still queued are never written and
+    // Returning drops `rx`: the writes still queued are never made and
     // the feeder's next send fails.
-    for job in rx {
+    for w in rx {
         let t0 = obs.clock.now_ns();
-        if let Err(e) = apply(&job) {
+        if let Err(e) = apply(&w) {
             return WriterReport {
                 checkpoints_written,
                 result: Err(e),
             };
         }
-        if let DurableJob::Write(w) = &job {
-            let write_ns = match w.kind {
-                WriteKind::Checkpoint => {
-                    checkpoints_written += 1;
-                    rm.checkpoints_written.inc();
-                    &rm.checkpoint_write_ns
-                }
-                WriteKind::Window => &rm.window_write_ns,
-                WriteKind::Incidents => &rm.incident_write_ns,
-            };
-            write_ns.record(obs.clock.since_ns(t0));
-        }
+        let write_ns = match w.kind {
+            WriteKind::Checkpoint => {
+                checkpoints_written += 1;
+                rm.checkpoints_written.inc();
+                &rm.checkpoint_write_ns
+            }
+            WriteKind::Window => &rm.window_write_ns,
+            WriteKind::Incidents => &rm.incident_write_ns,
+        };
+        write_ns.record(obs.clock.since_ns(t0));
     }
     WriterReport {
         checkpoints_written,
@@ -228,14 +205,14 @@ mod tests {
         dir
     }
 
-    fn window_write(dir: &Path, name: &str) -> DurableJob {
-        DurableJob::Write(DurableWrite {
+    fn window_write(dir: &Path, name: &str) -> DurableWrite {
+        DurableWrite {
             kind: WriteKind::Window,
             tmp: dir.join("w.tmp"),
             dest: dir.join(name),
             keep_old: None,
             bytes: vec![1, 2, 3],
-        })
+        }
     }
 
     #[test]
@@ -243,12 +220,14 @@ mod tests {
         let dir = scratch("error");
         // A destination that is a directory: the rename cannot succeed.
         fs::create_dir(dir.join("blocked")).unwrap();
-        let expected = window_write(&dir, "blocked").run().unwrap_err().kind();
+        let expected = write_durable(&window_write(&dir, "blocked"))
+            .unwrap_err()
+            .kind();
 
         let obs = RunnerObs::disabled();
         let rm = RunMetrics::new(&obs.metrics);
         let (accepted, report) = std::thread::scope(|s| {
-            let queue = DurableQueue::spawn(s, &DurableJob::run, &rm, &obs);
+            let queue = DurableQueue::spawn(s, &write_durable, &rm, &obs);
             queue.submit(window_write(&dir, "first")).unwrap();
             queue.submit(window_write(&dir, "blocked")).unwrap();
             // Behind the failing job the feeder is told at a hand-off,
@@ -373,9 +352,9 @@ mod tests {
             .run_applying(
                 &mut ChunkedIpfixReader::new(&bytes, 25),
                 &store,
-                &|job: &DurableJob| {
-                    job.run()?;
-                    log.lock().unwrap().push(job.clone());
+                &|w: &DurableWrite| {
+                    write_durable(w)?;
+                    log.lock().unwrap().push(w.clone());
                     Ok(())
                 },
             )
@@ -384,11 +363,7 @@ mod tests {
         let expected = outputs(&reference);
         assert_eq!(expected.0, 12, "windows");
         assert!(expected.1 >= 2, "the pulses must fire incidents");
-        let kinds = |k| {
-            jobs.iter()
-                .filter(|j| matches!(j, DurableJob::Write(w) if w.kind == k))
-                .count()
-        };
+        let kinds = |k| jobs.iter().filter(|w| w.kind == k).count();
         assert_eq!(
             kinds(WriteKind::Checkpoint),
             25,
@@ -400,13 +375,13 @@ mod tests {
         for k in 0..=jobs.len() {
             for torn_next in [false, true] {
                 let next = match jobs.get(k) {
-                    Some(DurableJob::Write(w)) if torn_next => Some(w),
+                    Some(w) if torn_next => Some(w),
                     _ if torn_next => continue,
                     _ => None,
                 };
                 let store = fresh_dirs();
-                for job in &jobs[..k] {
-                    job.run().unwrap();
+                for w in &jobs[..k] {
+                    write_durable(w).unwrap();
                 }
                 if let Some(w) = next {
                     fs::write(&w.tmp, &w.bytes[..w.bytes.len() / 2]).unwrap();

@@ -50,6 +50,10 @@ const POLL: Duration = Duration::from_millis(2);
 /// runner's own watchdog, which supervises the actual stall.
 const CONSUMER_STALL_NS: u64 = 5_000_000_000;
 
+/// While the ladder is in `Shed`, keep 1 of every this many records
+/// (seeded, deterministic per `(seed, chunk seq, record index)`).
+const SHED_KEEP_ONE_IN: u64 = 4;
+
 /// What a lost link means to the run.
 pub(super) enum OnLoss {
     /// Interrupt the runner at its next chunk boundary: what it
@@ -236,7 +240,6 @@ pub(super) struct LinkSource<'x> {
     shared: &'x Admission,
     fingerprint: u64,
     seed: u64,
-    keep_one_in: u32,
     shed_metric: Counter,
 }
 
@@ -278,12 +281,11 @@ impl ChunkSource for LinkSource<'_> {
         self.shared.consumed.store(chunk.seq + 1, Ordering::Relaxed);
         let state = OverloadState::from_idx(self.shared.overload.load(Ordering::Relaxed));
         if state >= OverloadState::Shed && !chunk.flows.is_empty() {
-            let keep = self.keep_one_in.max(1) as u64;
             let (seed, seq) = (self.seed, chunk.seq);
             let before = chunk.flows.len();
             let mut idx = 0u64;
             chunk.flows.retain(|_| {
-                let kept = fnv(&[seed, seq, idx]).is_multiple_of(keep);
+                let kept = fnv(&[seed, seq, idx]).is_multiple_of(SHED_KEEP_ONE_IN);
                 idx += 1;
                 kept
             });
@@ -333,7 +335,6 @@ pub(super) fn consume<R>(
         shared: &shared,
         fingerprint,
         seed: runner.config().seed,
-        keep_one_in: policy.ladder.map_or(1, |l| l.shed_keep_one_in),
         shed_metric: metrics.shed_records.clone(),
     };
     let (value, mut out) = thread::scope(|s| {

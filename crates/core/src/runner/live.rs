@@ -18,12 +18,13 @@
 //!   Pressure → Shed → Refuse — driven by admission-buffer occupancy
 //!   with hysteresis (each state's exit threshold sits below its entry
 //!   threshold, and de-escalation steps down one rung per evaluation).
-//!   `Shed` applies deterministic seeded *record* shedding at the
-//!   buffer's mouth, booked exactly under `offered == processed + shed +
-//!   quarantined`; `Refuse` freezes credit grants entirely, which is
-//!   self-recovering: the buffer drains, occupancy falls, the ladder
-//!   steps back down. Every transition emits a flight-recorder event and
-//!   moves the `spoofwatch_live_overload_state` gauge.
+//!   `Shed` keeps a deterministic seeded 1 in 4 *records* at the
+//!   buffer's mouth and books the rest exactly under `offered ==
+//!   processed + shed + quarantined`; `Refuse` freezes credit grants
+//!   entirely, which is self-recovering: the buffer drains, occupancy
+//!   falls, the ladder steps back down. Every transition emits a
+//!   flight-recorder event and moves the `spoofwatch_live_overload_state`
+//!   gauge.
 //! * **A lost producer drains.** Link death, a `Fatal` or the stall
 //!   watchdog ends the stream; the study completes over what was
 //!   admitted, with a caveat, instead of hanging or aborting.
@@ -118,9 +119,6 @@ pub struct LiveLadder {
     pub refuse_enter: usize,
     /// Leave `Refuse` (for `Shed`) at or below this occupancy.
     pub refuse_exit: usize,
-    /// While in `Shed`, keep 1 of every this many records (seeded,
-    /// deterministic per `(seed, chunk seq, record index)`).
-    pub shed_keep_one_in: u32,
 }
 
 impl LiveLadder {
@@ -139,7 +137,6 @@ impl LiveLadder {
             shed_exit: shed_enter / 2,
             refuse_enter,
             refuse_exit: refuse_enter * 5 / 8,
-            shed_keep_one_in: 4,
         }
     }
 

@@ -57,7 +57,7 @@ use crate::provenance::{DisagreementMatrix, MethodVariant};
 use rollup::{RollupWriter, WindowCommit};
 use crate::stats::MemberBreakdown;
 use checkpoint::CheckpointRef;
-use durable::{DurableJob, DurableQueue};
+use durable::DurableQueue;
 use obs::{MemberLabels, RunMetrics};
 use serde::Serialize;
 use spoofwatch_ixp::chunked::{ChunkedIpfixReader, FlowChunk};
@@ -73,6 +73,11 @@ use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
+
+/// Restart-backoff cap after worker panics, milliseconds: delays double
+/// per consecutive panic from [`RunnerConfig::restart_backoff_base_ms`]
+/// up to this bound, mirroring [`crate::FreshnessConfig`].
+const RESTART_BACKOFF_MAX_MS: u64 = 200;
 
 /// A resumable source of flow chunks.
 ///
@@ -121,11 +126,9 @@ pub struct RunnerConfig {
     pub queue_depth: usize,
     /// Chunks between checkpoints (minimum 1).
     pub checkpoint_every: u64,
-    /// First restart-backoff delay after a worker panic, milliseconds.
+    /// First restart-backoff delay after a worker panic, milliseconds
+    /// (delays double per consecutive panic up to 200 ms).
     pub restart_backoff_base_ms: u64,
-    /// Restart-backoff cap, milliseconds (delays double per consecutive
-    /// panic up to this bound, mirroring [`crate::FreshnessConfig`]).
-    pub restart_backoff_max_ms: u64,
     /// Watchdog: flag a stall when no chunk commits for this long
     /// (0 disables the watchdog).
     pub stall_timeout_ms: u64,
@@ -150,7 +153,6 @@ impl Default for RunnerConfig {
             queue_depth: 8,
             checkpoint_every: 16,
             restart_backoff_base_ms: 5,
-            restart_backoff_max_ms: 200,
             stall_timeout_ms: 30_000,
             interrupt_after_chunks: None,
             track_disagreement: false,
@@ -564,12 +566,12 @@ impl<'a> StudyRunner<'a> {
         source: &mut S,
         store: &CheckpointStore,
     ) -> Result<RunReport, RunnerError> {
-        self.run_applying(source, store, &DurableJob::run)
+        self.run_applying(source, store, &write_durable)
     }
 
-    /// [`Self::run`] with the durable writer's job executor as a
-    /// parameter: [`DurableJob::run`], except where a test records the
-    /// writer's job list through it.
+    /// [`Self::run`] with the durable writer's executor as a parameter:
+    /// [`write_durable`], except where a test records the writer's
+    /// write list through it.
     fn run_applying<S, A>(
         &self,
         source: &mut S,
@@ -578,7 +580,7 @@ impl<'a> StudyRunner<'a> {
     ) -> Result<RunReport, RunnerError>
     where
         S: ChunkSource,
-        A: Fn(&DurableJob) -> io::Result<()> + Sync,
+        A: Fn(&DurableWrite) -> io::Result<()> + Sync,
     {
         let source_of = self.classifier;
         let (method, org) = (self.cfg.method, self.cfg.org);
@@ -620,13 +622,13 @@ impl<'a> StudyRunner<'a> {
         S: ChunkSource,
         F: Fn(&[FlowRecord]) -> Vec<TrafficClass> + Sync,
     {
-        self.run_inner(source, store, &DurableJob::run, move |flows| {
+        self.run_inner(source, store, &write_durable, move |flows| {
             (classify(flows), None)
         })
     }
 
     /// The full runner with its two internal seams: `apply` is how the
-    /// durable writer executes one job, and classify returns the
+    /// durable writer makes one write, and classify returns the
     /// classes plus an optional per-chunk disagreement matrix.
     fn run_inner<S, A, F>(
         &self,
@@ -637,7 +639,7 @@ impl<'a> StudyRunner<'a> {
     ) -> Result<RunReport, RunnerError>
     where
         S: ChunkSource,
-        A: Fn(&DurableJob) -> io::Result<()> + Sync,
+        A: Fn(&DurableWrite) -> io::Result<()> + Sync,
         F: Fn(&[FlowRecord]) -> (Vec<TrafficClass>, Option<DisagreementMatrix>) + Sync,
     {
         let cfg = &self.cfg;
@@ -723,7 +725,7 @@ impl<'a> StudyRunner<'a> {
                 store,
                 config_hash,
                 queue: &queue,
-                jobs: Vec::new(),
+                writes: Vec::new(),
             };
             let mut feed = || -> Result<bool, RunnerError> {
                 let mut pending: BTreeMap<u64, PendingMeta> = BTreeMap::new();
@@ -809,9 +811,9 @@ impl<'a> StudyRunner<'a> {
                 // persist the terminal checkpoint so a rerun resumes at
                 // end-of-stream instead of recomputing.
                 if let Some(w) = cobs.rollup.as_mut() {
-                    w.flush(&mut cobs.jobs);
+                    w.flush(&mut cobs.writes);
                 }
-                cobs.hand_off_window_jobs()?;
+                cobs.hand_off_window_writes()?;
                 cobs.hand_off_checkpoint(&state)?;
                 Ok(false)
             };
@@ -874,21 +876,21 @@ struct CommitCtx<'x> {
     queue: &'x DurableQueue<'x, 'x>,
     /// What the rollup writer wants persisted for the windows it just
     /// closed, in disk order; emptied by every hand-off.
-    jobs: Vec<DurableJob>,
+    writes: Vec<DurableWrite>,
 }
 
 impl CommitCtx<'_> {
-    /// Hand the closed windows' jobs to the durable writer — always
+    /// Hand the closed windows' writes to the durable writer — always
     /// ahead of the checkpoint that records those windows as closed.
-    fn hand_off_window_jobs(&mut self) -> io::Result<()> {
-        self.jobs.drain(..).try_for_each(|job| self.queue.submit(job))
+    fn hand_off_window_writes(&mut self) -> io::Result<()> {
+        self.writes.drain(..).try_for_each(|w| self.queue.submit(w))
     }
 
     /// Encode `state` and hand the checkpoint to the durable writer.
     fn hand_off_checkpoint(&self, state: &RunState) -> io::Result<()> {
         let accum = self.rollup.as_ref().map(RollupWriter::accum);
         let encoded = state.encode_checkpoint(self.config_hash, accum);
-        self.queue.submit(DurableJob::Write(self.store.write_of(encoded)))
+        self.queue.submit(self.store.write_of(encoded))
     }
 }
 
@@ -965,7 +967,7 @@ fn commit_ready(
                             matrix: matrix.as_ref(),
                             detect: detect.as_deref(),
                         },
-                        &mut cobs.jobs,
+                        &mut cobs.writes,
                     );
                 }
                 state.breakdown.merge(&partial.per_member);
@@ -981,7 +983,7 @@ fn commit_ready(
                         &meta.ingest,
                         &meta.fault_counts,
                         WindowCommit::Quarantined,
-                        &mut cobs.jobs,
+                        &mut cobs.writes,
                     );
                 }
                 // The worker already dumped the flight ring at panic
@@ -997,7 +999,7 @@ fn commit_ready(
         committed.store(state.committed_chunks, Ordering::Relaxed);
         rm.committed_chunks.set(state.committed_chunks as i64);
         any = true;
-        cobs.hand_off_window_jobs()?;
+        cobs.hand_off_window_writes()?;
         if state.committed_chunks.is_multiple_of(cfg.checkpoint_every.max(1)) {
             cobs.hand_off_checkpoint(state)?;
         }
@@ -1068,7 +1070,7 @@ fn worker_loop<F>(
                 ));
                 consecutive_panics = consecutive_panics.saturating_add(1);
                 let delay =
-                    crate::backoff::Backoff::new(cfg.restart_backoff_base_ms, cfg.restart_backoff_max_ms)
+                    crate::backoff::Backoff::new(cfg.restart_backoff_base_ms, RESTART_BACKOFF_MAX_MS)
                         .delay(consecutive_panics as u64);
                 if delay > 0 {
                     obs.clock.sleep(Duration::from_millis(delay));

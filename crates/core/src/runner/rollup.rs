@@ -22,14 +22,15 @@
 //!
 //! A window-over-window drift watch compares per-class traffic shares
 //! between consecutive closed windows; a change beyond
-//! [`RollupConfig::drift_threshold`] emits a `class_share_drift` flight
-//! recorder event and bumps `spoofwatch_rollup_drift_breaches_total`.
+//! `DRIFT_THRESHOLD` (10 share points) emits a `class_share_drift`
+//! flight recorder event and bumps
+//! `spoofwatch_rollup_drift_breaches_total`.
 
 use super::checkpoint::{
     frame_decode, frame_encode, get_accounting, get_ingest, put_accounting, put_ingest,
     CheckpointError,
 };
-use super::durable::{write_durable, DurableJob, DurableWrite, WriteKind};
+use super::durable::{write_durable, DurableWrite, WriteKind};
 use super::obs::{class_label, RunnerObs};
 use super::{FlowAccounting, IngestTotals};
 use crate::detect::{incident_write, DetectConfig, DetectEngine, IncidentKind, WindowDetect};
@@ -45,6 +46,10 @@ use std::sync::Arc;
 
 const ROLLUP_MAGIC: &[u8; 4] = b"SWRW";
 
+/// Absolute per-class traffic-share change (0.0–1.0) between
+/// consecutive windows that counts as drift.
+const DRIFT_THRESHOLD: f64 = 0.10;
+
 /// Policy for the rollup writer.
 #[derive(Debug, Clone)]
 pub struct RollupConfig {
@@ -53,30 +58,21 @@ pub struct RollupConfig {
     /// Committed chunks per window (minimum 1). Windows are the fixed
     /// chunk ranges `[w·N, (w+1)·N)`, independent of checkpoint cadence.
     pub window_chunks: u64,
-    /// Maximum window files retained; older windows are pruned when a
-    /// new one closes. `0` keeps everything.
-    pub retention: usize,
-    /// Absolute per-class traffic-share change (0.0–1.0) between
-    /// consecutive windows that counts as drift.
-    pub drift_threshold: f64,
     /// Online detection over closed windows ([`crate::detect`]). When
     /// set, every processed chunk also accumulates a [`WindowDetect`]
     /// payload, the detector bank observes each closed window, and
     /// incidents are persisted in the incident log alongside the ring.
-    /// Cross-resume incident exactness requires `retention == 0` (the
-    /// engine is rebuilt by re-folding the on-disk ring).
+    /// The ring keeps every window, so a resumed run rebuilds the
+    /// engine exactly by re-folding it.
     pub detect: Option<DetectConfig>,
 }
 
 impl RollupConfig {
-    /// A config with unlimited retention and a 10-share-point drift
-    /// threshold.
+    /// A config without online detection.
     pub fn new(dir: impl Into<PathBuf>, window_chunks: u64) -> RollupConfig {
         RollupConfig {
             dir: dir.into(),
             window_chunks: window_chunks.max(1),
-            retention: 0,
-            drift_threshold: 0.10,
             detect: None,
         }
     }
@@ -289,24 +285,6 @@ fn window_index_of(path: &Path) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Drop the oldest windows of the ring at `dir` beyond `retention`
-/// files.
-pub(super) fn prune_ring(dir: &Path, retention: usize) -> io::Result<()> {
-    let mut indexed: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if let Some(i) = window_index_of(&path) {
-            indexed.push((i, path));
-        }
-    }
-    indexed.sort();
-    let excess = indexed.len().saturating_sub(retention);
-    for (_, path) in indexed.into_iter().take(excess) {
-        fs::remove_file(path)?;
-    }
-    Ok(())
-}
-
 /// Commit-side view of one chunk's disposition, fed to
 /// [`RollupWriter::absorb`].
 pub(super) enum WindowCommit<'a> {
@@ -324,9 +302,9 @@ pub(super) enum WindowCommit<'a> {
 /// The runner-side rollup writer: accumulates per-commit deltas into the
 /// current window, closes windows on their fixed chunk boundary, and
 /// runs the drift watch and the detector bank. After [`Self::open`] it
-/// touches no file: what a closed window persists (the window, its
-/// incidents, ring pruning) is pushed, in disk order, onto the job list
-/// the commit path hands to the durable writer.
+/// touches no file: what a closed window persists (the window, then
+/// its incidents) is pushed, in disk order, onto the write list the
+/// commit path hands to the durable writer.
 pub(super) struct RollupWriter {
     cfg: RollupConfig,
     accum: WindowAccum,
@@ -370,8 +348,6 @@ impl RollupWriter {
         // Detection continuity across resume: re-fold the already-closed
         // windows (strictly before the cursor's window) through a fresh
         // engine, discarding their incidents — they are already on disk.
-        // Exact only with retention == 0; pruned rings restart the
-        // detectors from the oldest retained window.
         let engine = cfg.detect.clone().map(|dc| {
             let mut e = DetectEngine::new(dc);
             for w in ring.iter().filter(|w| w.window_index < window) {
@@ -429,7 +405,7 @@ impl RollupWriter {
         ingest: &IngestTotals,
         fault_counts: &[u64; 5],
         commit: WindowCommit<'_>,
-        jobs: &mut Vec<DurableJob>,
+        writes: &mut Vec<DurableWrite>,
     ) {
         let a = &mut self.accum;
         a.chunks += 1;
@@ -465,27 +441,21 @@ impl RollupWriter {
             }
         }
         if a.chunks >= self.cfg.window_chunks {
-            self.close(jobs);
+            self.close(writes);
         }
     }
 
     /// Close the final partial window at end of stream, if non-empty.
-    pub fn flush(&mut self, jobs: &mut Vec<DurableJob>) {
+    pub fn flush(&mut self, writes: &mut Vec<DurableWrite>) {
         if self.accum.chunks > 0 {
-            self.close(jobs);
+            self.close(writes);
         }
     }
 
-    fn close(&mut self, jobs: &mut Vec<DurableJob>) {
-        jobs.push(DurableJob::Write(window_write(&self.cfg.dir, &self.accum)));
+    fn close(&mut self, writes: &mut Vec<DurableWrite>) {
+        writes.push(window_write(&self.cfg.dir, &self.accum));
         self.windows_written.inc();
-        self.observe_incidents(jobs);
-        if self.cfg.retention != 0 {
-            jobs.push(DurableJob::Prune {
-                dir: self.cfg.dir.clone(),
-                retention: self.cfg.retention,
-            });
-        }
+        self.observe_incidents(writes);
         self.watch_drift();
         let next = self.accum.window_index + 1;
         let next_start = self.accum.start_chunk + self.accum.chunks;
@@ -495,9 +465,8 @@ impl RollupWriter {
     /// Feed the just-closed window to the detector bank; persist any
     /// incidents in the incident log and surface them via metrics and
     /// the flight recorder. Incident files are only written for windows
-    /// that fired (and are left alone by retention pruning — forensics
-    /// outlive the ring).
-    fn observe_incidents(&mut self, jobs: &mut Vec<DurableJob>) {
+    /// that fired.
+    fn observe_incidents(&mut self, writes: &mut Vec<DurableWrite>) {
         let Some(engine) = &mut self.engine else {
             return;
         };
@@ -505,11 +474,11 @@ impl RollupWriter {
         if records.is_empty() {
             return;
         }
-        jobs.push(DurableJob::Write(incident_write(
+        writes.push(incident_write(
             &self.cfg.dir,
             self.accum.window_index,
             &records,
-        )));
+        ));
         for r in &records {
             let i = r.incident.kind.index();
             self.incident_counts[i].inc();
@@ -537,7 +506,7 @@ impl RollupWriter {
         if let Some(prev) = self.prev_shares {
             for (i, class) in TrafficClass::ALL.iter().enumerate() {
                 let delta = (shares[i] - prev[i]).abs();
-                if delta > self.cfg.drift_threshold {
+                if delta > DRIFT_THRESHOLD {
                     self.drift_breaches[i].inc();
                     self.tracer.event(
                         "class_share_drift",
@@ -679,14 +648,12 @@ mod tests {
         let reg = MetricsRegistry::new();
         let tracer = Tracer::with_capacity(64);
         let obs = RunnerObs::new(Arc::clone(&reg), Arc::clone(&tracer));
-        let mut cfg = RollupConfig::new(&dir, 2);
-        cfg.retention = 3;
-        cfg.drift_threshold = 0.30;
+        let cfg = RollupConfig::new(&dir, 2);
         let mut writer = RollupWriter::open(cfg, &obs, 0, None).unwrap();
 
         // 10 chunks of 100 valid flows, then 2 chunks all-bogon: the
         // last window's shares jump by 1.0 in two classes.
-        let mut jobs = Vec::new();
+        let mut writes = Vec::new();
         for i in 0..12u64 {
             let class_flows = if i < 10 { [0, 0, 0, 100] } else { [100, 0, 0, 0] };
             writer.absorb(
@@ -698,22 +665,21 @@ mod tests {
                     matrix: None,
                     detect: None,
                 },
-                &mut jobs,
+                &mut writes,
             );
         }
-        // 6 closes, each a window write then a prune, in that order.
-        assert_eq!(jobs.len(), 12);
-        for job in &jobs {
-            job.run().unwrap();
+        // 6 closes, each a window write.
+        assert_eq!(writes.len(), 6);
+        for w in &writes {
+            write_durable(w).unwrap();
         }
         let (windows, faults) = read_ring(&dir).unwrap();
         assert!(faults.is_empty());
-        // 6 windows closed, retention keeps the newest 3.
         assert_eq!(
             windows.iter().map(|w| w.window_index).collect::<Vec<_>>(),
-            vec![3, 4, 5]
+            (0..=5).collect::<Vec<_>>()
         );
-        assert_eq!(windows[2].class_flows, [200, 0, 0, 0]);
+        assert_eq!(windows[5].class_flows, [200, 0, 0, 0]);
         let snap = reg.snapshot();
         assert_eq!(
             snap.counter("spoofwatch_rollup_windows_total", &[]),

@@ -444,7 +444,6 @@ fn live_chaos_soak() {
         shed_exit: 1,
         refuse_enter: 4,
         refuse_exit: 2,
-        shed_keep_one_in: 4,
     };
 
     // Session 1: corrupted link, overload, killed after 10 commits.

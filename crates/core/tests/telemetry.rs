@@ -64,7 +64,6 @@ fn config() -> RunnerConfig {
         checkpoint_every: 3,
         stall_timeout_ms: 0,
         restart_backoff_base_ms: 1,
-        restart_backoff_max_ms: 4,
         ..RunnerConfig::default()
     }
 }

@@ -25,7 +25,7 @@ use spoofwatch_net::codec::{self, FLOW_WIRE_LEN};
 use spoofwatch_net::ingest::{resilient_walk, RecordFormat};
 use spoofwatch_net::{FaultKind, FlowRecord, IngestHealth};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 pub(crate) const MAGIC: &[u8; 4] = b"IPFX";
 /// Version this codec writes.
@@ -169,40 +169,6 @@ fn known_prefix(data: &[u8], layout: &Layout) -> FlowRecord {
             padded[..V1_RECORD_LEN].copy_from_slice(&data[..V1_RECORD_LEN]);
             codec::decode_flow(&padded)
         }
-    }
-}
-
-/// Streaming writer (current layout).
-pub struct IpfixWriter<W: Write> {
-    inner: W,
-    written: u64,
-}
-
-impl<W: Write> IpfixWriter<W> {
-    /// Write the header and return the writer.
-    pub fn new(mut inner: W) -> io::Result<Self> {
-        inner.write_all(MAGIC)?;
-        inner.write_all(&VERSION.to_be_bytes())?;
-        inner.write_all(&(RECORD_LEN as u16).to_be_bytes())?;
-        Ok(IpfixWriter { inner, written: 0 })
-    }
-
-    /// Append one record.
-    pub fn write_record(&mut self, f: &FlowRecord) -> io::Result<()> {
-        self.inner.write_all(&encode_record(f))?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Records written so far.
-    pub fn count(&self) -> u64 {
-        self.written
-    }
-
-    /// Flush and return the underlying writer.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.inner.flush()?;
-        Ok(self.inner)
     }
 }
 
@@ -704,15 +670,5 @@ mod tests {
         for f in plausible_sample(50) {
             assert!(plausible_record(&f));
         }
-    }
-
-    #[test]
-    fn writer_counts() {
-        let mut w = IpfixWriter::new(Vec::new()).unwrap();
-        assert_eq!(w.count(), 0);
-        for f in sample() {
-            w.write_record(&f).unwrap();
-        }
-        assert_eq!(w.count(), 2);
     }
 }

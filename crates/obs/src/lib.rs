@@ -13,9 +13,6 @@
 //! - [`trace`]: span/event tracing into a bounded ring buffer that
 //!   doubles as a flight recorder — when a worker panics or the
 //!   watchdog flags a stall, the last N events dump as JSONL.
-//! - [`sample`]: a seeded reservoir sampler for bounded exemplar
-//!   collection (e.g. decision-provenance records attached to class
-//!   counters) whose disabled form costs one branch per offer.
 //! - [`clock`]: the [`Clock`] abstraction (real + manual test clock)
 //!   that makes the runner's watchdog and backoff deterministic under
 //!   test.
@@ -36,14 +33,12 @@
 pub mod clock;
 pub mod expo;
 pub mod metrics;
-pub mod sample;
 pub mod trace;
 
 pub use clock::{Clock, ManualClock, RealClock};
 pub use expo::{
     fetch_metrics, parse_exposition, serve, serve_with, Exposition, MetricsServer, ServeOptions,
 };
-pub use sample::ReservoirSampler;
 pub use metrics::{
     Counter, FamilySnapshot, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricsRegistry,
     SeriesSnapshot, SeriesValue, Snapshot,
