@@ -154,8 +154,9 @@ echo "==> contract floors (release-mode timing floors, each against an in-test r
 # disabled metric updates < 20 ns, frozen LPM >= 2x the trie and the
 # fused classify faster than two walks, batch classify >= 3x per-flow,
 # detect payload accumulation < 250 ns/record and < 5% on the serial
-# commit path. One test thread: two at once on a 2-core host distort
-# the absolute ceilings.
+# commit path, and the interned classifier build >= 2x the
+# per-announcement reference build (11 floors). One test thread: two at
+# once on a 2-core host distort the absolute ceilings.
 cargo test -q --release -p spoofwatch-net -p spoofwatch-obs -p spoofwatch-ixp \
     -p spoofwatch-core --lib -- --ignored floor_ --test-threads=1
 

@@ -6,8 +6,9 @@
 //! reserved ASNs, which real collectors see regularly and which would
 //! poison the AS graph.
 
-use crate::Announcement;
+use crate::{Announcement, AsPath};
 use serde::Serialize;
+use spoofwatch_net::{Asn, Ipv4Prefix};
 
 /// Why an announcement was dropped, with counters for reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -43,6 +44,50 @@ impl FilterStats {
     }
 }
 
+/// The verdict of the filter's path checks, which read the AS path
+/// alone: the routed table runs them once per distinct path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathCheck {
+    /// The path passes.
+    Ok,
+    /// Empty AS path.
+    Empty,
+    /// The path contains a loop.
+    Loop,
+    /// The path contains a reserved/private ASN.
+    ReservedAsn,
+}
+
+impl PathCheck {
+    /// Check an AS path as announced (prepending and all).
+    pub fn of(path: &AsPath) -> PathCheck {
+        if path.is_empty() {
+            PathCheck::Empty
+        } else if path.has_loop() {
+            PathCheck::Loop
+        } else if path.has_reserved_asn() {
+            PathCheck::ReservedAsn
+        } else {
+            PathCheck::Ok
+        }
+    }
+
+    /// Check a path given with prepending already collapsed, so any
+    /// repeated hop is a loop. Same verdict as [`PathCheck::of`] on any
+    /// path that collapses to `hops`.
+    pub fn of_collapsed(hops: &[Asn]) -> PathCheck {
+        if hops.is_empty() {
+            PathCheck::Empty
+        } else if (1..hops.len()).any(|i| hops[i..].contains(&hops[i - 1])) {
+            PathCheck::Loop
+        } else if hops.iter().any(|a| a.is_reserved()) {
+            PathCheck::ReservedAsn
+        } else {
+            PathCheck::Ok
+        }
+    }
+}
+
 /// The configurable sanity filter.
 #[derive(Debug, Clone)]
 pub struct SanityFilter {
@@ -73,35 +118,34 @@ impl SanityFilter {
     /// Check one announcement, updating counters. Returns `true` if it
     /// should be kept.
     pub fn accept(&mut self, a: &Announcement) -> bool {
-        if a.prefix.len() > self.max_len {
-            self.stats.too_specific += 1;
-            return false;
-        }
-        if a.prefix.len() < self.min_len {
-            self.stats.too_coarse += 1;
-            return false;
-        }
-        if a.path.is_empty() {
-            self.stats.empty_path += 1;
-            return false;
-        }
-        if a.path.has_loop() {
-            self.stats.path_loop += 1;
-            return false;
-        }
-        if a.path.has_reserved_asn() {
-            self.stats.reserved_asn += 1;
-            return false;
-        }
-        self.stats.accepted += 1;
-        true
+        self.accept_checked(a.prefix, PathCheck::of(&a.path))
+    }
+
+    /// [`accept`](Self::accept) for an announcement of `prefix` whose
+    /// path checks already ran. The prefix length checks come first, so
+    /// every announcement is counted under exactly one reason.
+    pub fn accept_checked(&mut self, prefix: Ipv4Prefix, path: PathCheck) -> bool {
+        let stats = &mut self.stats;
+        let (counter, keep) = if prefix.len() > self.max_len {
+            (&mut stats.too_specific, false)
+        } else if prefix.len() < self.min_len {
+            (&mut stats.too_coarse, false)
+        } else {
+            match path {
+                PathCheck::Ok => (&mut stats.accepted, true),
+                PathCheck::Empty => (&mut stats.empty_path, false),
+                PathCheck::Loop => (&mut stats.path_loop, false),
+                PathCheck::ReservedAsn => (&mut stats.reserved_asn, false),
+            }
+        };
+        *counter += 1;
+        keep
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AsPath;
 
     fn ann(prefix: &str, path: &[u32]) -> Announcement {
         Announcement::new(prefix.parse().unwrap(), AsPath::from(path.to_vec()))
@@ -137,6 +181,30 @@ mod tests {
         assert_eq!(f.stats.reserved_asn, 1);
         assert_eq!(f.stats.empty_path, 1);
         assert_eq!(f.stats.total(), 3);
+    }
+
+    #[test]
+    fn collapsed_checks_agree_with_raw_ones() {
+        for raw in [
+            &[][..],
+            &[1, 2, 3],
+            &[1, 1, 2, 2, 3],
+            &[1, 2, 1],
+            &[1, 2, 2, 1],
+            &[3, 1, 2, 3],
+            &[1, 64512, 3],
+            &[1, 23456, 23456],
+            &[1, 64512, 1],
+            &[7],
+        ] {
+            let path = AsPath::from(raw.to_vec());
+            let hops: Vec<_> = path.dedup_hops().collect();
+            assert_eq!(
+                PathCheck::of_collapsed(&hops),
+                PathCheck::of(&path),
+                "{raw:?}"
+            );
+        }
     }
 
     #[test]

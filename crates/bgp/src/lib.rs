@@ -39,7 +39,7 @@ mod table;
 
 pub use announce::{Announcement, Update};
 pub use collector::RouteCollector;
-pub use filter::{FilterStats, SanityFilter};
-pub use path::AsPath;
+pub use filter::{FilterStats, PathCheck, SanityFilter};
+pub use path::{AsPath, InternedPaths};
 pub use rib::Rib;
 pub use table::{RouteInfo, RoutedTable};

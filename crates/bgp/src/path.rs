@@ -1,7 +1,9 @@
 //! AS paths.
 
 use serde::{Deserialize, Serialize};
+use spoofwatch_net::mix::{fold, K};
 use spoofwatch_net::Asn;
+use std::collections::HashMap;
 use std::fmt;
 
 /// An AS path as carried in a BGP announcement: the sequence of ASes the
@@ -104,6 +106,110 @@ impl AsPath {
     }
 }
 
+/// The distinct AS paths of an announcement corpus, each stored once
+/// with prepending collapsed, and how many input paths carried each.
+///
+/// Collectors repeat a path for every prefix its origin announces and in
+/// every snapshot they take, so a corpus holds far fewer distinct paths
+/// than announcements (the default synthetic Internet at seed 7: 668 477
+/// of 3 575 793). Everything the routed table and relationship inference
+/// read from a path (hops, origin, adjacencies, loops, reserved ASNs) is
+/// a function of its collapsed hops, so both can run once per distinct
+/// path here. The hops of all distinct paths live back to back in one
+/// arena rather than one allocation per path, which would leave the
+/// heap fragmented once the build's temporaries are freed.
+#[derive(Debug)]
+pub struct InternedPaths {
+    /// Every distinct path's collapsed hops, back to back.
+    hops: Vec<Asn>,
+    /// Path `i` is `hops[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<u32>,
+    /// How many input paths collapsed to path `i`.
+    counts: Vec<u64>,
+    /// The distinct path of every input path, in input order.
+    ids: Vec<u32>,
+}
+
+impl InternedPaths {
+    /// Intern `paths`. Ids are dense and assigned in order of first
+    /// appearance.
+    pub fn new<'a>(paths: impl IntoIterator<Item = &'a AsPath>) -> Self {
+        const NONE: u32 = u32::MAX;
+        let mut out = InternedPaths {
+            hops: Vec::new(),
+            bounds: vec![0],
+            counts: Vec::new(),
+            ids: Vec::new(),
+        };
+        // Hash of a collapsed path → the newest distinct path with that
+        // hash; `older[id]` chains the others (a 64-bit collision).
+        let mut newest: HashMap<u64, u32> = HashMap::new();
+        let mut older: Vec<u32> = Vec::new();
+        for path in paths {
+            // Collapse onto the arena's tail; dropped again if known.
+            let start = out.hops.len();
+            let mut hash = K[0];
+            for hop in path.dedup_hops() {
+                out.hops.push(hop);
+                hash = fold(hash ^ u64::from(hop.0), K[1]);
+            }
+            // Runs are common (an origin's prefixes in a row), so try
+            // the previous path before the map.
+            let mut known = match out.ids.last() {
+                Some(&last) if out.hops(last) == &out.hops[start..] => last,
+                _ => newest.get(&hash).copied().unwrap_or(NONE),
+            };
+            while known != NONE && out.hops(known) != &out.hops[start..] {
+                known = older[known as usize];
+            }
+            let id = if known == NONE {
+                let id = u32::try_from(out.counts.len()).expect("< 2^32 distinct paths");
+                let end = u32::try_from(out.hops.len()).expect("< 2^32 interned hops");
+                out.bounds.push(end);
+                out.counts.push(0);
+                older.push(newest.insert(hash, id).unwrap_or(NONE));
+                id
+            } else {
+                out.hops.truncate(start);
+                known
+            };
+            out.counts[id as usize] += 1;
+            out.ids.push(id);
+        }
+        out
+    }
+
+    /// Number of distinct paths.
+    pub fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Whether no path was interned.
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
+
+    /// The collapsed hops of distinct path `id`, nearest first.
+    pub fn hops(&self, id: u32) -> &[Asn] {
+        let i = id as usize;
+        &self.hops[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+
+    /// The distinct path id of every input path, in input order.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Every distinct path's collapsed hops with its multiplicity, in id
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[Asn], u64)> + '_ {
+        self.bounds
+            .windows(2)
+            .zip(&self.counts)
+            .map(|(b, &n)| (&self.hops[b[0] as usize..b[1] as usize], n))
+    }
+}
+
 impl fmt::Display for AsPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
@@ -178,6 +284,29 @@ mod tests {
         assert!(path(&[100, 64512, 300]).has_reserved_asn());
         assert!(path(&[100, 23456]).has_reserved_asn());
         assert!(!path(&[100, 200]).has_reserved_asn());
+    }
+
+    #[test]
+    fn interning_collapses_prepending_and_counts_carriers() {
+        let ps = [
+            path(&[1, 2, 3]),
+            path(&[1, 1, 2, 3, 3]),
+            path(&[4, 3]),
+            path(&[]),
+            path(&[1, 2, 2, 3]),
+            path(&[]),
+        ];
+        let interned = InternedPaths::new(ps.iter());
+        assert_eq!(interned.len(), 3);
+        assert_eq!(interned.ids(), &[0, 0, 1, 2, 0, 2]);
+        assert_eq!(interned.hops(0), &[Asn(1), Asn(2), Asn(3)]);
+        assert_eq!(interned.hops(1), &[Asn(4), Asn(3)]);
+        assert!(interned.hops(2).is_empty());
+        let counts: Vec<u64> = interned.iter().map(|(_, n)| n).collect();
+        assert_eq!(counts, vec![3, 1, 2]);
+        for (p, &id) in ps.iter().zip(interned.ids()) {
+            assert!(p.dedup_hops().eq(interned.hops(id).iter().copied()));
+        }
     }
 
     #[test]

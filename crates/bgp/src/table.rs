@@ -1,9 +1,9 @@
 //! The merged multi-collector view of the routed Internet.
 
-use crate::{Announcement, SanityFilter};
+use crate::{Announcement, InternedPaths, PathCheck, SanityFilter};
 use spoofwatch_net::{Asn, Ipv4Prefix};
 use spoofwatch_trie::PrefixTrie;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Per-prefix routing knowledge accumulated across all collectors and all
 /// snapshots/updates of the measurement window.
@@ -59,6 +59,100 @@ impl RoutedTable {
     /// accumulates every announcement seen in the window to get an
     /// as-complete-as-possible picture).
     pub fn build<'a, I: IntoIterator<Item = &'a Announcement>>(announcements: I) -> Self {
+        let announcements: Vec<&Announcement> = announcements.into_iter().collect();
+        let paths = InternedPaths::new(announcements.iter().map(|a| &a.path));
+        Self::from_interned(announcements, &paths)
+    }
+
+    /// [`build`](Self::build) over announcements whose paths `paths`
+    /// interned, in the same order. The path checks, `ases` and `edges`
+    /// cost once per distinct path; the filter's statistics and each
+    /// prefix's row still reflect every announcement. The result equals
+    /// [`build_reference`](Self::build_reference)'s, trie insertion
+    /// order included.
+    pub fn from_interned<'a, I: IntoIterator<Item = &'a Announcement>>(
+        announcements: I,
+        paths: &InternedPaths,
+    ) -> Self {
+        let checks: Vec<PathCheck> = paths
+            .iter()
+            .map(|(hops, _)| PathCheck::of_collapsed(hops))
+            .collect();
+        let mut filter = SanityFilter::new();
+        let mut edges = HashSet::new();
+        // Whether an accepted announcement has carried the path yet.
+        let mut carried = vec![false; paths.len()];
+        // Prefixes in order of their first accepted announcement, and
+        // `row << 32 | path id` for every accepted announcement.
+        let mut rows: HashMap<Ipv4Prefix, u32> = HashMap::new();
+        let mut prefixes: Vec<Ipv4Prefix> = Vec::new();
+        let mut pairs: Vec<u64> = Vec::new();
+        let mut announcements = announcements.into_iter();
+        for &id in paths.ids() {
+            let a = announcements
+                .next()
+                .expect("one announcement per interned path");
+            if !filter.accept_checked(a.prefix, checks[id as usize]) {
+                continue;
+            }
+            let hops = paths.hops(id);
+            if !std::mem::replace(&mut carried[id as usize], true) {
+                edges.extend(hops.windows(2).map(|w| (w[0], w[1])));
+            }
+            let row = *rows.entry(a.prefix).or_insert_with(|| {
+                prefixes.push(a.prefix);
+                u32::try_from(prefixes.len() - 1).expect("< 2^32 prefixes")
+            });
+            pairs.push(u64::from(row) << 32 | u64::from(id));
+        }
+        assert!(
+            announcements.next().is_none(),
+            "one interned path per announcement"
+        );
+
+        // Fold each prefix's distinct paths into its row, inserting rows
+        // in first-accepted order as the reference does.
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut trie: PrefixTrie<RouteInfo> = PrefixTrie::new();
+        let mut ases = Vec::new();
+        let (mut origins, mut on_path) = (Vec::new(), Vec::new());
+        for group in pairs.chunk_by(|a, b| a >> 32 == b >> 32) {
+            origins.clear();
+            on_path.clear();
+            for &pair in group {
+                let hops = paths.hops(pair as u32);
+                origins.extend(hops.last());
+                on_path.extend_from_slice(hops);
+            }
+            for set in [&mut origins, &mut on_path] {
+                set.sort_unstable();
+                set.dedup();
+            }
+            // Every hop of an accepted path is on its prefix's row.
+            ases.extend_from_slice(&on_path);
+            // `to_vec` allocates exactly: the rows outlive the build.
+            let info = RouteInfo {
+                origins: origins.to_vec(),
+                on_path: on_path.to_vec(),
+            };
+            trie.insert(prefixes[(group[0] >> 32) as usize], info);
+        }
+        ases.sort_unstable();
+        ases.dedup();
+        RoutedTable {
+            trie,
+            edges,
+            ases: ases.into_iter().collect(),
+            filter_stats: filter.stats,
+        }
+    }
+
+    /// The reference build, one announcement at a time: every path
+    /// check, hop and adjacency is redone for every announcement. Kept
+    /// as the oracle that [`from_interned`](Self::from_interned) is
+    /// tested and timed against.
+    pub fn build_reference<'a, I: IntoIterator<Item = &'a Announcement>>(announcements: I) -> Self {
         let mut filter = SanityFilter::new();
         let mut trie: PrefixTrie<RouteInfo> = PrefixTrie::new();
         let mut edges = HashSet::new();

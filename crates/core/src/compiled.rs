@@ -52,12 +52,15 @@ use crate::freshness::RibFreshness;
 use crate::pipeline::Classifier;
 use spoofwatch_bgp::{RouteInfo, RoutedTable};
 use spoofwatch_net::Ipv4Prefix;
+use spoofwatch_obs::MetricsRegistry;
 use spoofwatch_trie::{FrozenLpm, PrefixSet, PrefixTrie};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Batch code for "no routed or bogon match" — see
 /// [`CompiledClassifier::batch_code`].
@@ -319,8 +322,13 @@ pub struct EpochClassifier {
     swap: Arc<EpochSwap<Classifier>>,
     /// Timestamp (study time, the `RibFreshness` clock) of the newest
     /// RIB snapshot incorporated into the current-or-building epoch.
-    built_at: AtomicU64,
+    /// Shared with the rebuild thread, which restores the previous value
+    /// if its build panics.
+    built_at: Arc<AtomicU64>,
     rebuild: Mutex<Option<JoinHandle<u64>>>,
+    /// Where rebuilds are counted and timed: the process-global registry
+    /// unless [`with_metrics`](Self::with_metrics) names another.
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl EpochClassifier {
@@ -329,9 +337,16 @@ impl EpochClassifier {
     pub fn new(initial: Classifier, built_at: u64) -> EpochClassifier {
         EpochClassifier {
             swap: Arc::new(EpochSwap::new(initial)),
-            built_at: AtomicU64::new(built_at),
+            built_at: Arc::new(AtomicU64::new(built_at)),
             rebuild: Mutex::new(None),
+            metrics: Arc::clone(spoofwatch_obs::global()),
         }
+    }
+
+    /// Count and time rebuilds on `registry` instead of the global one.
+    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> EpochClassifier {
+        self.metrics = registry;
+        self
     }
 
     /// The underlying swap cell — hand this to
@@ -373,7 +388,9 @@ impl EpochClassifier {
     /// coalesces later triggers instead of stacking threads.
     /// `snapshot_ts` is recorded as the new `built_at` immediately, so
     /// `refresh_due` stops firing for data the in-flight build already
-    /// covers.
+    /// covers. If `build` panics, nothing is published, `built_at` goes
+    /// back to its previous value so the snapshot stays due, and
+    /// `spoofwatch_classifier_rebuild_failures_total` counts the failure.
     pub fn refresh<F>(&self, snapshot_ts: u64, build: F) -> bool
     where
         F: FnOnce() -> Classifier + Send + 'static,
@@ -388,12 +405,37 @@ impl EpochClassifier {
         if let Some(done) = guard.take() {
             let _ = done.join(); // reap the finished predecessor
         }
-        self.built_at.store(snapshot_ts, Ordering::SeqCst);
+        let previous = self.built_at.swap(snapshot_ts, Ordering::SeqCst);
+        let built_at = Arc::clone(&self.built_at);
         let swap = Arc::clone(&self.swap);
+        let reg = Arc::clone(&self.metrics);
         *guard = Some(std::thread::spawn(move || {
-            let next = build();
+            let started = Instant::now();
+            let next = match panic::catch_unwind(AssertUnwindSafe(build)) {
+                Ok(next) => next,
+                Err(payload) => {
+                    let _ = built_at.compare_exchange(
+                        snapshot_ts,
+                        previous,
+                        Ordering::SeqCst,
+                        Ordering::SeqCst,
+                    );
+                    reg.counter(
+                        "spoofwatch_classifier_rebuild_failures_total",
+                        "Classifier rebuilds whose build panicked; nothing was published",
+                        &[],
+                    )
+                    .inc();
+                    panic::resume_unwind(payload);
+                }
+            };
+            reg.histogram(
+                "spoofwatch_classifier_build_duration_ns",
+                "Wall time of each refresh-protocol classifier build, in nanoseconds",
+                &[],
+            )
+            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
             let epoch = swap.publish(next);
-            let reg = spoofwatch_obs::global();
             reg.counter(
                 "spoofwatch_classifier_rebuilds_total",
                 "Classifier epochs rebuilt and published by the refresh protocol",
@@ -412,8 +454,8 @@ impl EpochClassifier {
     }
 
     /// Block until the in-flight rebuild (if any) has published,
-    /// returning the epoch it produced. Test and shutdown hook; the
-    /// streaming path never needs to wait.
+    /// returning the epoch it produced, or `None` if its build panicked.
+    /// Test and shutdown hook; the streaming path never needs to wait.
     pub fn wait_for_rebuild(&self) -> Option<u64> {
         let handle = self
             .rebuild
@@ -435,6 +477,64 @@ mod tests {
         pub(crate) fn clear_infos(&mut self) {
             self.infos.clear();
         }
+    }
+
+    fn one_prefix_classifier() -> Classifier {
+        use spoofwatch_asgraph::As2Org;
+        use spoofwatch_bgp::{Announcement, AsPath};
+        let route = Announcement::new(
+            "20.0.0.0/8".parse().expect("prefix"),
+            AsPath::from(vec![1, 2]),
+        );
+        Classifier::build(&[route], &As2Org::new())
+    }
+
+    #[test]
+    fn panicking_rebuild_leaves_its_snapshot_due_and_counts_the_failure() {
+        use crate::freshness::FreshnessConfig;
+        let reg = MetricsRegistry::new();
+        let epoch =
+            EpochClassifier::new(one_prefix_classifier(), 1_000).with_metrics(Arc::clone(&reg));
+        let mut freshness = RibFreshness::new(FreshnessConfig::default());
+        freshness.register("rrc00");
+        freshness.record_snapshot("rrc00", 2_000);
+        assert!(epoch.refresh_due(&freshness, 5_000));
+
+        assert!(epoch.refresh(2_000, || panic!("injected build failure")));
+        assert_eq!(epoch.wait_for_rebuild(), None, "nothing published");
+        assert_eq!(epoch.epoch(), 0);
+        assert_eq!(epoch.built_at(), 1_000, "the snapshot is not incorporated");
+        assert!(epoch.refresh_due(&freshness, 5_000), "so it is still due");
+        let snap = reg.snapshot();
+        let counter = |name: &str| snap.counter(name, &[]);
+        let failures = counter("spoofwatch_classifier_rebuild_failures_total");
+        assert_eq!(failures, Some(1), "and the failure is counted");
+        assert_eq!(counter("spoofwatch_classifier_rebuilds_total"), None);
+
+        // The retry incorporates it.
+        assert!(epoch.refresh(2_000, one_prefix_classifier));
+        assert_eq!(epoch.wait_for_rebuild(), Some(1));
+        assert_eq!(epoch.built_at(), 2_000);
+        assert!(!epoch.refresh_due(&freshness, 5_000));
+    }
+
+    #[test]
+    fn refresh_times_each_published_build() {
+        let reg = MetricsRegistry::new();
+        let epoch = EpochClassifier::new(one_prefix_classifier(), 0).with_metrics(Arc::clone(&reg));
+        assert!(epoch.refresh(1, move || {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            one_prefix_classifier()
+        }));
+        assert_eq!(epoch.wait_for_rebuild(), Some(1));
+        let snap = reg.snapshot();
+        let builds = snap
+            .histogram("spoofwatch_classifier_build_duration_ns", &[])
+            .expect("registered by the rebuild");
+        assert_eq!(builds.count, 1);
+        assert!(builds.sum >= 2_000_000, "the build slept 2 ms");
+        let rebuilds = snap.counter("spoofwatch_classifier_rebuilds_total", &[]);
+        assert_eq!(rebuilds, Some(1));
     }
 
     #[test]
