@@ -126,6 +126,17 @@ if non_test 'thread::sleep' crates/ixp/src/live.rs | grep .; then
     echo "ixp::live sleeps; pacing and pauses are ChunkSender due times"; exit 1
 fi
 
+echo "==> one consumer rule set (the link consumer's clock rules are ChunkReceiver's)"
+# core::runner::link keeps I/O, the admission buffer, the overload ladder
+# and telemetry: it asks the receiver what is due (poll) and whether the
+# sender is lost (gave_up), and keeps no link timer or threshold of its
+# own.
+for pattern in 'on_silence(' '.credit(' 'last_frame_ns' 'stall_ns' 'beacon_ns'; do
+    if non_test "$pattern" crates/core/src/runner/link.rs | grep .; then
+        echo "runner::link applies a link clock rule itself; it is ChunkReceiver's"; exit 1
+    fi
+done
+
 echo "==> option budget (at most 54 runtime options)"
 # Public fields of every `pub struct *Config` and of `LiveLadder` in
 # spoofwatch-core and the live producer, test code (from a file's first

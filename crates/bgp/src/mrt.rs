@@ -20,7 +20,7 @@ use bytes::{Buf, BufMut};
 use spoofwatch_net::ingest::{resilient_walk, RecordFormat};
 use spoofwatch_net::{Asn, FaultKind, IngestHealth, Ipv4Prefix};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 const MAGIC: &[u8; 4] = b"MRTL";
 const VERSION: u16 = 1;
@@ -71,33 +71,6 @@ impl std::error::Error for MrtError {}
 impl From<io::Error> for MrtError {
     fn from(e: io::Error) -> Self {
         MrtError::Io(e)
-    }
-}
-
-/// Streaming writer.
-pub struct MrtWriter<W: Write> {
-    inner: W,
-}
-
-impl<W: Write> MrtWriter<W> {
-    /// Write the file header and return the writer.
-    pub fn new(mut inner: W) -> io::Result<Self> {
-        inner.write_all(MAGIC)?;
-        inner.write_all(&VERSION.to_be_bytes())?;
-        Ok(MrtWriter { inner })
-    }
-
-    /// Append one update record.
-    pub fn write_update(&mut self, update: &Update) -> io::Result<()> {
-        let body = encode_body(update);
-        self.inner.write_all(&(body.len() as u32).to_be_bytes())?;
-        self.inner.write_all(&body)
-    }
-
-    /// Flush and return the underlying writer.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.inner.flush()?;
-        Ok(self.inner)
     }
 }
 

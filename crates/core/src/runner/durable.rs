@@ -12,7 +12,13 @@
 //! * **Order.** One queue, one consumer: writes reach the disk in the
 //!   order the commit path produced them (window W → incidents W →
 //!   checkpoint), so the disk always holds a *prefix* of that order — a
-//!   state the inline code could also have been killed in.
+//!   state the inline code could also have been killed in. Against a
+//!   killed process that holds as written. Against a power loss it rests
+//!   on the filesystem persisting its metadata operations in order:
+//!   [`write_durable`] fsyncs each file but never its directory, so a
+//!   rename may be lost while a later one survives. ROADMAP item 7's
+//!   segment log fsyncs each segment's directory once; a directory fsync
+//!   per write here would add one fsync to every write.
 //! * **Commit point.** A write counts once the writer has acknowledged
 //!   it, not once it is queued: [`DurableQueue::finish`] drains and
 //!   joins, and the runner calls it on every return path.

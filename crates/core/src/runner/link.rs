@@ -5,30 +5,31 @@
 //! ([`spoofwatch_ixp::live`]) under the same rules ([`ChunkReceiver`]),
 //! so they run the same thread layout: one control thread owns the
 //! transport and the receiver, admits chunks in order into a bounded
-//! admission buffer and grants credit as the runner pops it; the runner,
-//! on the caller's thread, reads that buffer through [`LinkSource`]. What
-//! differs between the modes is a value in [`LinkPolicy`]: the credit
-//! window and resume throttle, the stall bound, whether the standing
-//! grant doubles as a liveness beacon, whether an overload ladder may
-//! shed, a chunk budget that starts a graceful drain, and whether a
-//! lost link aborts the run or lets it drain. Grants are paced alike:
-//! an advancing grant goes out at most once per poll slice.
-//! Whatever the shell sends once the run is over (`Bye`, or a shard's
-//! ring and report) is the loop's last act, so the beacon keeps vouching
-//! for the consumer while that tail is being prepared.
+//! admission buffer and sends whatever control message the receiver has
+//! due as the runner pops it; the runner, on the caller's thread, reads
+//! that buffer through [`LinkSource`]. Every clock rule — the credit
+//! window and its 2 ms grant slice, the go-back-N nudge, the stall
+//! bound, the beacon and the drain budget — is the receiver's, built
+//! from the [`ReceiverRules`] the shell passes in; this loop keeps only
+//! I/O, the admission buffer, the overload ladder and the telemetry.
+//! What else differs between the modes is [`LinkPolicy`]: whether an
+//! overload ladder may shed and withhold credit, and whether a lost link
+//! aborts the run or lets it drain. Whatever the shell sends once the
+//! run is over (`Bye`, or a shard's ring and report) is the loop's last
+//! act, so the beacon keeps vouching for the consumer while that tail is
+//! being prepared.
 //!
-//! Failure handling, once for both modes: silence while chunks are owed
-//! nudges a go-back-N `Resume` after twice the throttle and, past the
-//! stall bound, declares the sender lost; a failed send or receive, or a
-//! `Fatal` from the sender, loses the link too. A lost link ends the
-//! stream once the buffer is empty, and under [`OnLoss::Abort`] also
-//! interrupts the runner at its next chunk boundary, so no terminal
-//! checkpoint or final partial rollup window is written.
+//! A lost link — the receiver's silence rule, a failed send or receive,
+//! or a `Fatal` from the sender — ends the stream once the buffer is
+//! empty, and under [`OnLoss::Abort`] also interrupts the runner at its
+//! next chunk boundary, so no terminal checkpoint or final partial
+//! rollup window is written.
 
 use super::live::{LiveLadder, OverloadState};
+use super::obs::RunnerObs;
 use super::{fnv, ChunkSource, StudyRunner};
 use spoofwatch_ixp::chunked::FlowChunk;
-use spoofwatch_ixp::link::{ChunkReceiver, Received};
+use spoofwatch_ixp::link::{ChunkReceiver, Received, ReceiverRules, GRANT_SLICE_NS};
 use spoofwatch_ixp::live::Msg;
 use spoofwatch_net::ShardTransport;
 use spoofwatch_obs::{Clock, Counter, Gauge, MetricsRegistry, Tracer};
@@ -39,11 +40,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
-/// Poll slice for the control loop. A sender that has used up its
-/// credit sends nothing, so this is how late a grant can follow the
-/// runner's progress; short enough that a 16-chunk window does not run
-/// dry before it reopens.
-const POLL: Duration = Duration::from_millis(2);
+/// Poll slice for the control loop: the receiver's grant slice. A sender
+/// that has used up its credit sends nothing, so this is how late a
+/// grant can follow the runner's progress; short enough that a 16-chunk
+/// window does not run dry before it reopens.
+const POLL: Duration = Duration::from_nanos(GRANT_SLICE_NS);
 
 /// Consumer-stall telemetry: flag (event + counter) when admitted
 /// chunks sit unconsumed this long — the link-side mirror of the
@@ -64,25 +65,12 @@ pub(super) enum OnLoss {
     Drain,
 }
 
-/// The consumer's policy: everything in which a shard worker and a live
-/// session differ.
+/// What a shard worker and a live session do differently around the
+/// receiver's rules.
 pub(super) struct LinkPolicy<'a> {
-    /// Credit window: chunks the sender may run ahead of what the runner
-    /// has popped. Bounds the admission buffer.
-    pub window: u64,
-    /// Minimum spacing of go-back-N `Resume`s; silence past twice this
-    /// while chunks are owed nudges one.
-    pub resume_throttle_ms: u64,
-    /// Silence while chunks are owed past which the sender is lost.
-    pub stall_ms: u64,
-    /// Re-send the standing grant at least this often, as a liveness
-    /// beacon the sender can time out on.
-    pub beacon_ms: Option<u64>,
     /// Overload ladder over buffer occupancy; `None` never sheds and
     /// never withholds credit.
     pub ladder: Option<&'a LiveLadder>,
-    /// Graceful drain (`Stop`) after admitting this many chunks.
-    pub stop_after_chunks: Option<u64>,
     /// What a lost link means to the run.
     pub on_loss: OnLoss,
 }
@@ -299,17 +287,18 @@ impl ChunkSource for LinkSource<'_> {
     }
 }
 
-/// Run `body` against the chunks `transport` delivers, under `policy`.
-/// `body` gets the runner (wired to the loss flag under
-/// [`OnLoss::Abort`]) and the link's source, and returns its value plus
-/// the payloads to send once the run is over; the control thread sends
-/// them, in order, as its last act. The `spoofwatch_live_*` series go to
-/// `metrics` (a shell that exports none passes
-/// [`MetricsRegistry::disabled`]). The transport's handshake is the
-/// shell's, done before this is called.
+/// Run `body` against the chunks `transport` delivers, under a receiver
+/// built from `rules` and the shell's `policy`. `body` gets the runner
+/// (wired to the loss flag under [`OnLoss::Abort`]) and the link's
+/// source, and returns its value plus the payloads to send once the run
+/// is over; the control thread sends them, in order, as its last act.
+/// The `spoofwatch_live_*` series go to `metrics` (a shell that exports
+/// none passes [`MetricsRegistry::disabled`]). The transport's handshake
+/// is the shell's, done before this is called.
 pub(super) fn consume<R>(
     transport: ShardTransport,
     fingerprint: u64,
+    rules: ReceiverRules,
     policy: &LinkPolicy<'_>,
     runner: StudyRunner<'_>,
     metrics: &MetricsRegistry,
@@ -337,12 +326,20 @@ pub(super) fn consume<R>(
         seed: runner.config().seed,
         shed_metric: metrics.shed_records.clone(),
     };
+    let receiver = ChunkReceiver::new(rules);
     let (value, mut out) = thread::scope(|s| {
-        let shared = &shared;
-        let (metrics, tracer, clock) = (&metrics, &*obs.tracer, &*obs.clock);
+        let (shared, metrics, obs) = (&shared, &metrics, &obs);
         let (tail_tx, tail_rx) = mpsc::sync_channel(1);
         let control = s.spawn(move || {
-            control_loop(transport, shared, tail_rx, policy, metrics, tracer, clock)
+            control_loop(
+                transport,
+                receiver,
+                shared,
+                tail_rx,
+                policy.ladder,
+                metrics,
+                obs,
+            )
         });
         // A panic in `body` drops `tail_tx` unsent, which hangs the
         // control thread up too, so the scope can join it and re-raise.
@@ -406,10 +403,6 @@ impl LadderCtl<'_> {
     }
 }
 
-fn ms_to_ns(ms: u64) -> u64 {
-    ms.max(1).saturating_mul(1_000_000)
-}
-
 /// Send one control message; a failed send loses the link.
 fn send(link: &mut ShardTransport, shared: &Admission, tracer: &Tracer, msg: &Msg) -> bool {
     let sent = link.send(&msg.encode()).is_ok();
@@ -420,49 +413,70 @@ fn send(link: &mut ShardTransport, shared: &Admission, tracer: &Tracer, msg: &Ms
 }
 
 /// The control thread: the only code that touches the transport after
-/// the handshake.
+/// the handshake. Each pass applies the runner's seek, asks the receiver
+/// whether the sender is lost and otherwise sends what it has due, then
+/// reads the link for one poll slice and admits what arrived.
 fn control_loop(
     mut link: ShardTransport,
+    mut receiver: ChunkReceiver,
     shared: &Admission,
     tail_rx: Receiver<Vec<Vec<u8>>>,
-    policy: &LinkPolicy<'_>,
+    ladder: Option<&LiveLadder>,
     lm: &LiveMetrics,
-    tracer: &Tracer,
-    clock: &dyn Clock,
+    obs: &RunnerObs,
 ) -> LinkOutcome {
+    let (tracer, clock) = (&*obs.tracer, &*obs.clock);
     let mut out = LinkOutcome::default();
     let start_ns = clock.now_ns();
     let mut ladder = LadderCtl {
-        ladder: policy.ladder,
+        ladder,
         state: OverloadState::Normal,
         state_since: start_ns,
     };
-    let throttle_ns = ms_to_ns(policy.resume_throttle_ms);
-    let stall_ns = ms_to_ns(policy.stall_ms);
-    let beacon_ns = policy.beacon_ms.map(ms_to_ns);
-    let mut receiver = ChunkReceiver::new(policy.window, throttle_ns);
-    let mut admitted = 0u64;
-    let mut stop_sent = false;
-    let mut last_frame_ns = start_ns;
-    let mut last_credit_ns = start_ns;
     let mut last_consumed = shared.consumed.load(Ordering::Relaxed);
     let mut consumed_since = start_ns;
     let mut consumer_stall_flagged = false;
     lm.overload_state.set(0);
 
     let tail = loop {
-        // Reposition request from the runner (startup resume); chunks
-        // are owed, and silence counts, from here.
+        // Reposition request from the runner (startup resume).
         if let Some((byte_cursor, seq)) = lock(&shared.seek_req).take() {
-            last_frame_ns = clock.now_ns();
-            receiver.seek(byte_cursor, seq, last_frame_ns);
+            receiver.seek(byte_cursor, seq, clock.now_ns());
         }
-        // Go-back-N requests the receiver queued: that seek, or a gap, a
-        // damaged frame or the silence nudge last pass.
-        if let Some(resume) = receiver.take_resume() {
-            if send(&mut link, shared, tracer, &resume) {
-                out.resumes_sent += 1;
-                lm.resumes.inc();
+        let now = clock.now_ns();
+        let consumed = shared.consumed.load(Ordering::Relaxed);
+        let lost = shared.lost.load(Ordering::Relaxed);
+        if !lost && receiver.gave_up(now) {
+            out.producer_stalls += 1;
+            lm.producer_stalls.inc();
+            let silent_ms = receiver.silent_ns(now) / 1_000_000;
+            tracer.event("link_stall", &[("silent_ms", silent_ms.into())]);
+            shared.mark_lost(tracer, "stall watchdog");
+        } else if !lost {
+            let may_grant = ladder.state < OverloadState::Refuse;
+            while let Some(msg) = receiver.poll(now, consumed, may_grant) {
+                if matches!(msg, Msg::Stop) {
+                    out.stop_requested = true;
+                    let admitted = receiver.admitted();
+                    tracer.event(
+                        "live_stop_requested",
+                        &[("admitted_chunks", admitted.into())],
+                    );
+                }
+                if !send(&mut link, shared, tracer, &msg) {
+                    break;
+                }
+                match msg {
+                    Msg::Resume { .. } => {
+                        out.resumes_sent += 1;
+                        lm.resumes.inc();
+                    }
+                    Msg::Credit { .. } => {
+                        out.credits_granted += 1;
+                        lm.credits.inc();
+                    }
+                    _ => {}
+                }
             }
         }
 
@@ -472,52 +486,36 @@ fn control_loop(
             Err(TryRecvError::Empty) => {}
         }
 
-        // Graceful-drain trigger: the chunk budget.
-        let stop_due = policy.stop_after_chunks.is_some_and(|n| admitted >= n);
-        if stop_due && !stop_sent && receiver.positioned() {
-            stop_sent = true;
-            out.stop_requested = true;
-            tracer.event(
-                "live_stop_requested",
-                &[("admitted_chunks", admitted.into())],
-            );
-            send(&mut link, shared, tracer, &Msg::Stop);
-        }
-
         // Drain the link.
         if shared.lost.load(Ordering::Relaxed) {
             // The link is gone; just wait for the runner.
             thread::sleep(POLL);
         } else {
             match link.recv(POLL) {
-                Ok(Some(payload)) => {
-                    last_frame_ns = clock.now_ns();
-                    match receiver.on_frame(&payload, last_frame_ns) {
-                        Received::Chunk(chunk) => {
-                            admitted += 1;
-                            lm.admitted.inc();
-                            let mut buf = lock(&shared.buffer);
-                            buf.push_back(chunk);
-                            // Escalate before the runner can pop what was
-                            // just admitted.
-                            ladder.observe(buf.len(), &mut out, lm, tracer, clock, shared);
-                            shared.available.notify_all();
-                        }
-                        Received::Finished => {
-                            shared.finished.store(true, Ordering::Relaxed);
-                            shared.notify();
-                        }
-                        Received::Other(Msg::Fatal { code, detail }) => {
-                            tracer.event("link_fatal", &[("code", (code as u64).into())]);
-                            shared.mark_lost(tracer, &format!("sender fatal {code}: {detail}"));
-                        }
-                        Received::Undecodable => {
-                            out.protocol_faults += 1;
-                            lm.protocol_faults.inc();
-                        }
-                        Received::Other(_) | Received::Dropped => {}
+                Ok(Some(payload)) => match receiver.on_frame(&payload, clock.now_ns()) {
+                    Received::Chunk(chunk) => {
+                        lm.admitted.inc();
+                        let mut buf = lock(&shared.buffer);
+                        buf.push_back(chunk);
+                        // Escalate before the runner can pop what was
+                        // just admitted.
+                        ladder.observe(buf.len(), &mut out, lm, tracer, clock, shared);
+                        shared.available.notify_all();
                     }
-                }
+                    Received::Finished => {
+                        shared.finished.store(true, Ordering::Relaxed);
+                        shared.notify();
+                    }
+                    Received::Other(Msg::Fatal { code, detail }) => {
+                        tracer.event("link_fatal", &[("code", (code as u64).into())]);
+                        shared.mark_lost(tracer, &format!("sender fatal {code}: {detail}"));
+                    }
+                    Received::Undecodable => {
+                        out.protocol_faults += 1;
+                        lm.protocol_faults.inc();
+                    }
+                    Received::Other(_) | Received::Dropped => {}
+                },
                 Ok(None) => {}
                 Err(_) => shared.mark_lost(tracer, "link died"),
             }
@@ -527,51 +525,6 @@ fn control_loop(
         // admission already escalated).
         let occ = lock(&shared.buffer).len();
         ladder.observe(occ, &mut out, lm, tracer, clock, shared);
-
-        let finished = shared.finished.load(Ordering::Relaxed);
-        let lost = shared.lost.load(Ordering::Relaxed);
-        let now = clock.now_ns();
-
-        // Credit: while the session is open and below Refuse, at most
-        // once a poll slice when the runner's progress moves the grant;
-        // and, with a beacon, the standing grant again once a period has
-        // passed without one.
-        let consumed = shared.consumed.load(Ordering::Relaxed);
-        let since_credit_ns = now.saturating_sub(last_credit_ns);
-        let grant_due = !stop_sent
-            && !finished
-            && ladder.state < OverloadState::Refuse
-            && since_credit_ns >= POLL.as_nanos() as u64;
-        let beacon_due = beacon_ns.is_some_and(|period| since_credit_ns >= period);
-        if !lost && (grant_due || beacon_due) {
-            if let Some(credit) = receiver.credit(consumed, beacon_due) {
-                if send(&mut link, shared, tracer, &credit) {
-                    last_credit_ns = now;
-                    out.credits_granted += 1;
-                    lm.credits.inc();
-                }
-            }
-        }
-
-        // Stall watchdog: silence while chunks (or a drain's Finish) are
-        // owed.
-        if receiver.positioned() && !finished && !lost {
-            let owed = receiver.owed() || stop_sent;
-            let silent_ns = now.saturating_sub(last_frame_ns);
-            if owed && silent_ns > stall_ns {
-                out.producer_stalls += 1;
-                lm.producer_stalls.inc();
-                tracer.event(
-                    "link_stall",
-                    &[("silent_ms", (silent_ns / 1_000_000).into())],
-                );
-                shared.mark_lost(tracer, "stall watchdog");
-            } else if owed && silent_ns > throttle_ns.saturating_mul(2) {
-                // Nudge before the watchdog: the sender may have missed
-                // our Resume or sent into a lossy link.
-                receiver.on_silence(now);
-            }
-        }
 
         // Consumer-stall watchdog (telemetry: the runner's own watchdog
         // supervises the actual stall).
@@ -616,19 +569,21 @@ mod tests {
         thread::spawn(move || {
             let classifier = Classifier::build(&[], &As2Org::new());
             let (consumer, _sender) = ShardTransport::channel_pair(*b"LNKT", 4);
-            let policy = LinkPolicy {
+            let rules = ReceiverRules {
                 window: 4,
                 resume_throttle_ms: 100,
                 stall_ms: 1_000,
                 beacon_ms: Some(10),
-                ladder: None,
                 stop_after_chunks: None,
+            };
+            let policy = LinkPolicy {
+                ladder: None,
                 on_loss: OnLoss::Abort,
             };
             let runner = StudyRunner::new(&classifier, RunnerConfig::default());
             let metrics = MetricsRegistry::disabled();
             let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-                consume(consumer, 0, &policy, runner, &metrics, |_, _| {
+                consume(consumer, 0, rules, &policy, runner, &metrics, |_, _| {
                     if true {
                         panic!("the run failed");
                     }

@@ -44,6 +44,7 @@ use super::{
 };
 use crate::pipeline::Classifier;
 use serde::Serialize;
+use spoofwatch_ixp::link::ReceiverRules;
 use spoofwatch_ixp::live::{self, Msg};
 use spoofwatch_net::{FlowRecord, ShardTransport, TrafficClass};
 use std::fmt;
@@ -441,17 +442,25 @@ fn serve_live_inner(
         })
         .unwrap_or_default();
 
-    let policy = LinkPolicy {
+    let rules = ReceiverRules {
         window: window as u64,
         resume_throttle_ms: cfg.resume_throttle_ms,
         stall_ms: cfg.producer_stall_ms,
         beacon_ms: None,
-        ladder: Some(&ladder),
         stop_after_chunks: cfg.stop_after_chunks,
+    };
+    let policy = LinkPolicy {
+        ladder: Some(&ladder),
         on_loss: OnLoss::Drain,
     };
-    let (run_result, link) =
-        link::consume(transport, fingerprint, &policy, runner, &cfg.obs.metrics, |runner, source| {
+    let (run_result, link) = link::consume(
+        transport,
+        fingerprint,
+        rules,
+        &policy,
+        runner,
+        &cfg.obs.metrics,
+        |runner, source| {
             let result = match classify {
                 None => runner.run(source, store),
                 Some(f) => runner.run_with(source, store, f),
@@ -463,7 +472,8 @@ fn serve_live_inner(
                 Err(_) => Vec::new(),
             };
             (result, tail)
-        });
+        },
+    );
 
     let report = run_result?;
     let live_shed = link.shed_records;

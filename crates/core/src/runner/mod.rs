@@ -460,6 +460,9 @@ pub struct StudyRunner<'a> {
     obs: RunnerObs,
     rollup: Option<RollupConfig>,
     abort: Option<Arc<AtomicBool>>,
+    /// Whether the rollup writer runs the detector bank when
+    /// [`RollupConfig::detect`] is set (see [`Self::without_detector_bank`]).
+    detector_bank: bool,
 }
 
 /// Where the runner's classify closures get their classifier from: a
@@ -495,6 +498,7 @@ impl<'a> StudyRunner<'a> {
             obs: RunnerObs::disabled(),
             rollup: None,
             abort: None,
+            detector_bank: true,
         }
     }
 
@@ -508,6 +512,7 @@ impl<'a> StudyRunner<'a> {
             obs: RunnerObs::disabled(),
             rollup: None,
             abort: None,
+            detector_bank: true,
         }
     }
 
@@ -522,6 +527,19 @@ impl<'a> StudyRunner<'a> {
     /// the run progresses (see [`rollup`]).
     pub fn with_rollups(mut self, cfg: RollupConfig) -> Self {
         self.rollup = Some(cfg);
+        self
+    }
+
+    /// Accumulate the detect payloads of [`RollupConfig::detect`] into
+    /// the ring but run no detector bank over the closed windows. A shard
+    /// worker's windows hold only its partition: the study's incidents
+    /// are the fold of the merged ring ([`detect_over_windows`]), and a
+    /// bank over a partition would log, count and trace incidents the
+    /// study never had.
+    ///
+    /// [`detect_over_windows`]: crate::detect::detect_over_windows
+    pub(crate) fn without_detector_bank(mut self) -> Self {
+        self.detector_bank = false;
         self
     }
 
@@ -671,12 +689,13 @@ impl<'a> StudyRunner<'a> {
         };
         source.seek(state.byte_cursor, state.committed_chunks);
         let rollup_writer = match &self.rollup {
-            Some(rcfg) => Some(RollupWriter::open(
-                rcfg.clone(),
-                obs,
-                state.committed_chunks,
-                saved_accum,
-            )?),
+            Some(rcfg) => {
+                let mut rcfg = rcfg.clone();
+                // The writer's engine is the detector bank; payloads
+                // accumulate whenever `self.rollup` asks for detection.
+                rcfg.detect = rcfg.detect.filter(|_| self.detector_bank);
+                Some(RollupWriter::open(rcfg, obs, state.committed_chunks, saved_accum)?)
+            }
             None => None,
         };
         rm.committed_chunks.set(state.committed_chunks as i64);

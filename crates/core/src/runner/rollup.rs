@@ -643,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn writer_closes_on_boundary_prunes_and_watches_drift() {
+    fn writer_closes_on_boundary_and_watches_drift() {
         let dir = ring_dir("writer");
         let reg = MetricsRegistry::new();
         let tracer = Tracer::with_capacity(64);

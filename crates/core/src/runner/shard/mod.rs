@@ -72,7 +72,7 @@ use crate::provenance::DisagreementMatrix;
 use crate::stats::MemberBreakdown;
 use proto::{encode_report, report_window_batches, ReportMsg, ShardReport};
 use spoofwatch_ixp::chunked::{ChunkedIpfixReader, FlowChunk};
-use spoofwatch_ixp::link::ChunkSender;
+use spoofwatch_ixp::link::{ChunkSender, ReceiverRules};
 use spoofwatch_ixp::live::{self, Msg, SendEnd, SendPlan, FATAL_IDENTITY, FATAL_INTERNAL};
 use spoofwatch_net::mix::{fold, K};
 use spoofwatch_net::wire::{ShardEndpoint, ShardTransport};
@@ -1089,26 +1089,36 @@ pub fn serve_shard(
     }
     let mut runner = StudyRunner::new(classifier, runner_cfg).with_obs(cfg.obs.clone());
     if let Some(rollup) = &cfg.rollup {
-        runner = runner.with_rollups(rollup.clone());
+        // The study's incidents are the fold of the merged ring.
+        runner = runner.with_rollups(rollup.clone()).without_detector_bank();
     }
-    let policy = LinkPolicy {
+    let rules = ReceiverRules {
         window: SHARD_WINDOW,
         resume_throttle_ms: cfg.chunk_timeout_ms,
         stall_ms: SHARD_STALL_MS,
         beacon_ms: Some(cfg.heartbeat_ms),
-        ladder: None,
         stop_after_chunks: None,
+    };
+    let policy = LinkPolicy {
+        ladder: None,
         // A dead link must not finalize: a respawn would merge the
         // closed partial window.
         on_loss: OnLoss::Abort,
     };
     // A shard worker exports no `spoofwatch_live_*` series.
     let metrics = MetricsRegistry::disabled();
-    let (delivered, link) =
-        link::consume(transport, fingerprint, &policy, runner, &metrics, |runner, source| {
+    let (delivered, link) = link::consume(
+        transport,
+        fingerprint,
+        rules,
+        &policy,
+        runner,
+        &metrics,
+        |runner, source| {
             let result = runner.run(source, store);
             deliver_outcome(result, source.lost(), cfg, store)
-        });
+        },
+    );
     match delivered {
         Ok(()) if !link.tail_sent => Err(ShardWorkerError::Disconnected),
         delivered => delivered,
@@ -1434,5 +1444,89 @@ mod tests {
             merge_windows(&[vec![mk(10, 3), w1], vec![mk(20, 5)]]),
             Err(ShardError::MergeMismatch { .. })
         ));
+    }
+
+    /// A shard worker's windows hold only its partition. It accumulates
+    /// the detect payloads the merge needs but runs no detector bank: its
+    /// ring holds no incident file and its registry counts no incident,
+    /// while the merged ring still folds to the single-node incident log.
+    #[test]
+    fn a_shard_worker_runs_no_detector_bank_on_its_partition() {
+        use crate::detect::{detect_over_windows, read_incident_log, DetectConfig};
+        use spoofwatch_internet::{Internet, InternetConfig};
+        use spoofwatch_ixp::{ipfix, Trace, TrafficConfig};
+        use spoofwatch_net::InProcHub;
+        use spoofwatch_obs::Tracer;
+        use std::path::{Path, PathBuf};
+        use std::sync::Arc;
+
+        const CHUNK: usize = 100;
+        let net = Internet::generate(InternetConfig::tiny(11));
+        let mut tc = TrafficConfig::tiny(12);
+        tc.regular_flows = 3_000;
+        tc.flood_max_packets = 400;
+        tc.ntp_total_triggers = 400;
+        let bytes = ipfix::encode(&Trace::generate(&net, &tc).flows);
+        let classifier = Arc::new(Classifier::build(&net.announcements, &net.orgs_dataset));
+        let dir = std::env::temp_dir()
+            .join(format!("spoofwatch-shard-bank-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runner_cfg = RunnerConfig {
+            workers: 2,
+            stall_timeout_ms: 0,
+            ..RunnerConfig::default()
+        };
+        let rollup = |ring: &Path| {
+            let mut r = RollupConfig::new(ring, 2);
+            r.detect = Some(DetectConfig::default());
+            r
+        };
+
+        let store = CheckpointStore::open(dir.join("single-ckpt")).expect("open store");
+        StudyRunner::new(&classifier, runner_cfg.clone())
+            .with_rollups(rollup(&dir.join("single-ring")))
+            .run(&mut ChunkedIpfixReader::new(&bytes, CHUNK), &store)
+            .expect("single-node run");
+        let (reference, torn) = read_incident_log(&dir.join("single-ring")).expect("incident log");
+        assert!(torn.is_empty() && !reference.is_empty(), "incidents fire on this trace");
+
+        let hub = InProcHub::new(SHARD_WIRE_MAGIC, 8);
+        let registries = [MetricsRegistry::new(), MetricsRegistry::new()];
+        let tracers = [Tracer::with_capacity(1 << 14), Tracer::with_capacity(1 << 14)];
+        let rings: Vec<PathBuf> = (0..2).map(|k| dir.join(format!("s{k}-ring"))).collect();
+        let merged = thread::scope(|s| {
+            let spawn = |k: u32| {
+                let transport = hub.connect().expect("hub connect");
+                let (classifier, dir) = (Arc::clone(&classifier), &dir);
+                let i = k as usize;
+                let mut wc = ShardWorkerConfig::new(k, runner_cfg.clone());
+                wc.rollup = Some(rollup(&rings[i]));
+                wc.obs = RunnerObs::new(Arc::clone(&registries[i]), Arc::clone(&tracers[i]));
+                s.spawn(move || {
+                    let store = CheckpointStore::open(dir.join(format!("s{k}-ckpt")))
+                        .expect("open store");
+                    let _ = serve_shard(&classifier, &wc, &store, transport);
+                });
+            };
+            ShardCoordinator::new(&bytes, ShardConfig::new(ShardPlan::new(2, 0x5eed), CHUNK))
+                .run(&hub, &spawn)
+                .expect("2-shard run")
+        });
+        assert!(merged.shards.iter().all(|s| s.completed));
+        for (k, ring) in rings.iter().enumerate() {
+            let logs: Vec<String> = std::fs::read_dir(ring)
+                .expect("read ring")
+                .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+                .filter(|name| name.starts_with("incidents-"))
+                .collect();
+            assert!(logs.is_empty(), "shard {k} logged incidents: {logs:?}");
+            let incidents = registries[k].snapshot().counter_sum("spoofwatch_incident_total");
+            assert_eq!(incidents, 0, "shard {k} counted incidents");
+            let (events, _) = tracers[k].events();
+            assert!(events.iter().all(|e| e.name != "incident"), "shard {k} traced incidents");
+        }
+        let folded = detect_over_windows(&merged.windows, &DetectConfig::default());
+        assert_eq!(folded, reference, "the merged fold is the single-node incident log");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
