@@ -137,6 +137,23 @@ for pattern in 'on_silence(' '.credit(' 'last_frame_ns' 'stall_ns' 'beacon_ns'; 
     fi
 done
 
+echo "==> one commit rule set (the feeder's reorder, accounting and cadence are Committer's)"
+# core::runner::commit::Committer is the one place that orders worker
+# outcomes, books them, and decides when a window or a checkpoint is
+# handed off; runner/mod.rs's feeder is its shell. The committer itself
+# touches no channel, thread, file or clock, so the seeded schedules in
+# its tests run the rules a run runs.
+for pattern in 'fn commit_ready' 'CommitCtx' 'arrived'; do
+    if non_test "$pattern" crates/core/src/runner/mod.rs | grep .; then
+        echo "runner/mod.rs commits outcomes itself; that is runner::commit::Committer's"; exit 1
+    fi
+done
+for pattern in 'mpsc' 'thread::' 'fs::' 'now_ns'; do
+    if non_test "$pattern" crates/core/src/runner/commit.rs | grep .; then
+        echo "runner::commit does I/O, threading or timing; it is a pure rule set"; exit 1
+    fi
+done
+
 echo "==> option budget (at most 54 runtime options)"
 # Public fields of every `pub struct *Config` and of `LiveLadder` in
 # spoofwatch-core and the live producer, test code (from a file's first

@@ -14,9 +14,9 @@
 //!   with two-slot rotation). An interrupted run resumes from the last
 //!   valid checkpoint and produces a bit-identical [`RunReport`]; a torn
 //!   checkpoint file is detected and skipped back to its predecessor.
-//!   The commit thread only encodes; one ordered writer thread per run
-//!   does every fsync ([`durable`]), and a run returns only after that
-//!   thread has acknowledged all it was handed.
+//!   The feeder is a shell over the pure commit rules ([`commit`]), which
+//!   only encode; one ordered writer thread per run does every fsync
+//!   ([`durable`]) and is joined, all it was handed acknowledged.
 //! * **Supervision** — each worker wraps chunk classification in
 //!   `catch_unwind`: a poisoned chunk is quarantined into the
 //!   [`RunnerHealth`] taxonomy and the worker restarts with bounded
@@ -37,6 +37,7 @@
 //! ```
 
 mod checkpoint;
+mod commit;
 mod durable;
 mod link;
 pub mod live;
@@ -54,16 +55,14 @@ use crate::compiled::EpochSwap;
 use crate::detect::WindowDetect;
 use crate::pipeline::Classifier;
 use crate::provenance::{DisagreementMatrix, MethodVariant};
-use rollup::{RollupWriter, WindowCommit};
 use crate::stats::MemberBreakdown;
-use checkpoint::CheckpointRef;
+use commit::{ChunkMeta, Committer, Outcome, OutcomeKind};
 use durable::DurableQueue;
-use obs::{MemberLabels, RunMetrics};
+use obs::RunMetrics;
 use serde::Serialize;
 use spoofwatch_ixp::chunked::{ChunkedIpfixReader, FlowChunk};
 use spoofwatch_net::{FlowRecord, InferenceMethod, IngestHealth, OrgMode, TrafficClass};
 use spoofwatch_obs::{Clock, Tracer};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::ops::AddAssign;
@@ -373,83 +372,6 @@ fn org_tag(o: OrgMode) -> u64 {
     }
 }
 
-/// What a worker reports back for one chunk.
-enum OutcomeKind {
-    /// Classified; the partial per-member breakdown and (when tracked)
-    /// the chunk's disagreement matrix and detection payload ride along.
-    Processed(
-        MemberBreakdown,
-        Option<DisagreementMatrix>,
-        // Boxed: the payload is ~2 KiB of inline sketches, and the
-        // outcome moves through a channel on every chunk.
-        Option<Box<WindowDetect>>,
-    ),
-    /// The classification panicked; the chunk is poisoned.
-    Quarantined,
-}
-
-struct Outcome {
-    seq: u64,
-    kind: OutcomeKind,
-}
-
-/// Feeder-side metadata kept per in-flight chunk so commits need nothing
-/// from the worker beyond the outcome.
-struct PendingMeta {
-    records: u64,
-    byte_end: u64,
-    ingest: IngestTotals,
-    fault_counts: [u64; 5],
-}
-
-/// The deterministic state the checkpoint persists.
-#[derive(Default)]
-struct RunState {
-    committed_chunks: u64,
-    byte_cursor: u64,
-    records: FlowAccounting,
-    chunks: FlowAccounting,
-    ingest: IngestTotals,
-    breakdown: MemberBreakdown,
-    disagreement: Option<DisagreementMatrix>,
-}
-
-impl RunState {
-    /// The run state a checkpoint restores, and the in-progress rollup
-    /// window that rode with it.
-    fn from_checkpoint(cp: Checkpoint) -> (RunState, Option<WindowAccum>) {
-        let state = RunState {
-            committed_chunks: cp.committed_chunks,
-            byte_cursor: cp.byte_cursor,
-            records: cp.records,
-            chunks: cp.chunks,
-            ingest: cp.ingest,
-            breakdown: MemberBreakdown {
-                per_member: cp.per_member,
-            },
-            disagreement: cp.disagreement,
-        };
-        (state, cp.rollup_accum)
-    }
-
-    /// The checkpoint of this state in wire form, with the rollup
-    /// writer's in-progress window; encoded in place, nothing cloned.
-    fn encode_checkpoint(&self, config_hash: u64, rollup_accum: Option<&WindowAccum>) -> Vec<u8> {
-        CheckpointRef {
-            config_hash,
-            committed_chunks: self.committed_chunks,
-            byte_cursor: self.byte_cursor,
-            records: self.records,
-            chunks: self.chunks,
-            ingest: self.ingest,
-            per_member: &self.breakdown.per_member,
-            disagreement: self.disagreement.as_ref(),
-            rollup_accum,
-        }
-        .encode()
-    }
-}
-
 /// The supervised streaming runner. Build once per study; `run` both
 /// starts fresh studies and resumes interrupted ones — if the checkpoint
 /// store holds a valid checkpoint for the same config and trace, the
@@ -674,36 +596,34 @@ impl<'a> StudyRunner<'a> {
         let (loaded, faults) = store.load_latest();
         health.checkpoints_rejected = faults.len() as u64;
         rm.checkpoints_rejected.add(health.checkpoints_rejected);
-        let (mut state, saved_accum) = match loaded {
-            Some((cp, _slot)) => {
-                if cp.config_hash != config_hash {
-                    return Err(RunnerError::ConfigMismatch {
-                        expected: config_hash,
-                        found: cp.config_hash,
-                    });
-                }
-                health.resumed_at_chunk = Some(cp.committed_chunks);
-                RunState::from_checkpoint(cp)
-            }
-            None => (RunState::default(), None),
-        };
-        source.seek(state.byte_cursor, state.committed_chunks);
-        let rollup_writer = match &self.rollup {
+        let resume = loaded.map(|(cp, _slot)| cp);
+        if let Some(cp) = resume.as_ref().filter(|cp| cp.config_hash != config_hash) {
+            return Err(RunnerError::ConfigMismatch {
+                expected: config_hash,
+                found: cp.config_hash,
+            });
+        }
+        health.resumed_at_chunk = resume.as_ref().map(|cp| cp.committed_chunks);
+        let cursor = resume.as_ref().map_or(0, |cp| cp.byte_cursor);
+        source.seek(cursor, health.resumed_at_chunk.unwrap_or(0));
+        let ring;
+        let rollup = match &self.rollup {
             Some(rcfg) => {
-                let mut rcfg = rcfg.clone();
+                std::fs::create_dir_all(&rcfg.dir)?;
+                ring = read_ring(&rcfg.dir)?.0;
                 // The writer's engine is the detector bank; payloads
                 // accumulate whenever `self.rollup` asks for detection.
-                rcfg.detect = rcfg.detect.filter(|_| self.detector_bank);
-                Some(RollupWriter::open(rcfg, obs, state.committed_chunks, saved_accum)?)
+                let detect = rcfg.detect.clone().filter(|_| self.detector_bank);
+                Some((RollupConfig { detect, ..rcfg.clone() }, ring.as_slice()))
             }
             None => None,
         };
-        rm.committed_chunks.set(state.committed_chunks as i64);
+        let mut committer = Committer::new(cfg, config_hash, resume, rollup, store, &rm, obs);
         obs.tracer.event(
             "run_start",
             &[
                 ("workers", (workers as u64).into()),
-                ("resumed_at_chunk", state.committed_chunks.into()),
+                ("resumed_at_chunk", committer.state.committed_chunks.into()),
                 ("resumed", health.resumed_at_chunk.is_some().into()),
             ],
         );
@@ -714,7 +634,7 @@ impl<'a> StudyRunner<'a> {
         let (out_tx, out_rx) = mpsc::channel::<Outcome>();
         let restarts = AtomicU64::new(0);
         let stalls = AtomicU64::new(0);
-        let committed = AtomicU64::new(state.committed_chunks);
+        let committed = AtomicU64::new(committer.state.committed_chunks);
         let done = AtomicBool::new(false);
 
         let run_result: Result<bool, RunnerError> = thread::scope(|s| {
@@ -736,104 +656,51 @@ impl<'a> StudyRunner<'a> {
             });
 
             let queue = DurableQueue::spawn(s, apply, &rm, obs);
-            let mut cobs = CommitCtx {
-                rm: &rm,
-                obs,
-                members: MemberLabels::new(),
-                rollup: rollup_writer,
-                store,
-                config_hash,
-                queue: &queue,
-                writes: Vec::new(),
-            };
             let mut feed = || -> Result<bool, RunnerError> {
-                let mut pending: BTreeMap<u64, PendingMeta> = BTreeMap::new();
-                let mut arrived: BTreeMap<u64, Outcome> = BTreeMap::new();
-
-                let abort = self.abort.clone();
-                let interrupt_due = move |state: &RunState| {
-                    cfg.interrupt_after_chunks
-                        .is_some_and(|n| state.committed_chunks >= n)
-                        || abort.as_ref().is_some_and(|f| f.load(Ordering::Relaxed))
-                };
-                if interrupt_due(&state) {
-                    return Ok(true);
-                }
-
-                while let Some(chunk) = source.next_chunk() {
-                    let seq = chunk.seq;
-                    // A run dispatches each chunk once, however often a
-                    // link walked or replayed its bytes on the way here.
-                    chunk.health.record_metrics_to(&obs.metrics, "ipfix_chunked");
-                    let mut ingest = IngestTotals::default();
-                    ingest.absorb(&chunk.health);
-                    pending.insert(
-                        seq,
-                        PendingMeta {
-                            records: chunk.flows.len() as u64,
-                            byte_end: chunk.byte_end,
-                            ingest,
-                            fault_counts: chunk.health.fault_counts,
-                        },
-                    );
-                    // Bounded blocking send: a full queue is the
-                    // backpressure, and nothing is ever dropped here.
-                    if chunk_tx.send(chunk).is_ok() {
-                        rm.queue_depth.add(1);
-                    }
-                    while let Ok(o) = out_rx.try_recv() {
-                        arrived.insert(o.seq, o);
-                    }
-                    commit_ready(
-                        &mut state,
-                        &mut pending,
-                        &mut arrived,
-                        cfg,
-                        &committed,
-                        &mut cobs,
-                    )?;
-                    if interrupt_due(&state) {
+                let mut writes = Vec::new();
+                let mut source_open = true;
+                loop {
+                    // The one stop check, which also runs between the
+                    // source's end and finalizing: an abort racing end of
+                    // stream must not finalize, since the severed source
+                    // may have been cut short.
+                    let aborted = self.abort.as_ref().is_some_and(|f| f.load(Ordering::Relaxed));
+                    if aborted || committer.interrupted() {
                         return Ok(true);
                     }
-                }
-
-                // Source exhausted: wait out the in-flight chunks.
-                while !pending.is_empty() {
-                    if !arrived.contains_key(&state.committed_chunks) {
-                        match out_rx.recv_timeout(Duration::from_millis(50)) {
-                            Ok(o) => {
-                                arrived.insert(o.seq, o);
+                    if !source_open && committer.in_flight() == 0 {
+                        break;
+                    }
+                    match source_open.then(|| source.next_chunk()) {
+                        Some(Some(chunk)) => {
+                            // A run dispatches each chunk once, however
+                            // often a link walked or replayed its bytes.
+                            chunk.health.record_metrics_to(&obs.metrics, "ipfix_chunked");
+                            committer.dispatch(chunk.seq, ChunkMeta::of(&chunk));
+                            // Counted before the send, which a worker can
+                            // beat. The bounded blocking send is the
+                            // backpressure; nothing is dropped here.
+                            rm.queue_depth.add(1);
+                            if chunk_tx.send(chunk).is_err() {
+                                rm.queue_depth.sub(1);
                             }
-                            Err(_) => continue, // watchdog tracks real stalls
+                            while let Ok(o) = out_rx.try_recv() {
+                                committer.arrive(o);
+                            }
                         }
+                        Some(None) => source_open = false,
+                        // Source ended: wait out the in-flight chunks.
+                        None => match out_rx.recv_timeout(Duration::from_millis(50)) {
+                            Ok(o) => committer.arrive(o),
+                            Err(_) => continue, // watchdog tracks real stalls
+                        },
                     }
-                    commit_ready(
-                        &mut state,
-                        &mut pending,
-                        &mut arrived,
-                        cfg,
-                        &committed,
-                        &mut cobs,
-                    )?;
-                    if interrupt_due(&state) {
-                        return Ok(true);
-                    }
+                    committer.commit_ready(&mut writes);
+                    committed.store(committer.state.committed_chunks, Ordering::Relaxed);
+                    writes.drain(..).try_for_each(|w| queue.submit(w))?;
                 }
-
-                // An abort racing end-of-stream must not finalize: the
-                // severed source may have been cut mid-trace.
-                if interrupt_due(&state) {
-                    return Ok(true);
-                }
-
-                // Completed: close the final partial rollup window, then
-                // persist the terminal checkpoint so a rerun resumes at
-                // end-of-stream instead of recomputing.
-                if let Some(w) = cobs.rollup.as_mut() {
-                    w.flush(&mut cobs.writes);
-                }
-                cobs.hand_off_window_writes()?;
-                cobs.hand_off_checkpoint(&state)?;
+                committer.finish(&mut writes);
+                writes.drain(..).try_for_each(|w| queue.submit(w))?;
                 Ok(false)
             };
             let result = feed();
@@ -854,6 +721,7 @@ impl<'a> StudyRunner<'a> {
             written.result.map_err(RunnerError::Io).and(result)
         });
 
+        let state = committer.state;
         health.records = state.records;
         health.chunks = state.chunks;
         health.worker_restarts = restarts.load(Ordering::Relaxed);
@@ -879,151 +747,6 @@ impl<'a> StudyRunner<'a> {
             disagreement: state.disagreement,
         })
     }
-}
-
-/// Observability, rollup and persistence context threaded through the
-/// feeder's commit path.
-struct CommitCtx<'x> {
-    rm: &'x RunMetrics,
-    obs: &'x RunnerObs,
-    /// Cardinality-budgeted per-member label tracker.
-    members: MemberLabels,
-    /// Windowed rollup writer, when the run was built `with_rollups`.
-    rollup: Option<RollupWriter>,
-    store: &'x CheckpointStore,
-    config_hash: u64,
-    queue: &'x DurableQueue<'x, 'x>,
-    /// What the rollup writer wants persisted for the windows it just
-    /// closed, in disk order; emptied by every hand-off.
-    writes: Vec<DurableWrite>,
-}
-
-impl CommitCtx<'_> {
-    /// Hand the closed windows' writes to the durable writer — always
-    /// ahead of the checkpoint that records those windows as closed.
-    fn hand_off_window_writes(&mut self) -> io::Result<()> {
-        self.writes.drain(..).try_for_each(|w| self.queue.submit(w))
-    }
-
-    /// Encode `state` and hand the checkpoint to the durable writer.
-    fn hand_off_checkpoint(&self, state: &RunState) -> io::Result<()> {
-        let accum = self.rollup.as_ref().map(RollupWriter::accum);
-        let encoded = state.encode_checkpoint(self.config_hash, accum);
-        self.queue.submit(self.store.write_of(encoded))
-    }
-}
-
-/// Commit every outcome that is next in sequence order, handing off
-/// checkpoints at the configured cadence. Returns whether anything was
-/// committed.
-fn commit_ready(
-    state: &mut RunState,
-    pending: &mut BTreeMap<u64, PendingMeta>,
-    arrived: &mut BTreeMap<u64, Outcome>,
-    cfg: &RunnerConfig,
-    committed: &AtomicU64,
-    cobs: &mut CommitCtx<'_>,
-) -> Result<bool, RunnerError> {
-    let rm = cobs.rm;
-    let mut any = false;
-    loop {
-        // Stop committing exactly at the simulated-crash threshold so
-        // interrupts land on a deterministic boundary.
-        if cfg
-            .interrupt_after_chunks
-            .is_some_and(|n| state.committed_chunks >= n)
-        {
-            break;
-        }
-        let Some(outcome) = arrived.remove(&state.committed_chunks) else {
-            break;
-        };
-        let Some(meta) = pending.remove(&outcome.seq) else {
-            debug_assert!(false, "outcome without pending meta");
-            continue;
-        };
-        state.chunks.offered += 1;
-        state.records.offered += meta.records;
-        rm.chunks.offered.inc();
-        rm.records.offered.add(meta.records);
-        state.ingest += meta.ingest;
-        match outcome.kind {
-            OutcomeKind::Processed(partial, matrix, detect) => {
-                state.chunks.processed += 1;
-                state.records.processed += meta.records;
-                rm.chunks.processed.inc();
-                rm.records.processed.add(meta.records);
-                if cobs.obs.metrics.is_enabled() {
-                    for (asn, rows) in &partial.per_member {
-                        let mut member_flows = 0u64;
-                        for (idx, cc) in rows.iter().enumerate() {
-                            rm.classified_flows[idx].add(cc.flows);
-                            member_flows += cc.flows;
-                        }
-                        cobs.members.record(&cobs.obs.metrics, *asn, member_flows);
-                    }
-                }
-                if let Some(m) = &matrix {
-                    m.export(&cobs.obs.metrics);
-                    state
-                        .disagreement
-                        .get_or_insert_with(DisagreementMatrix::new)
-                        .merge(m);
-                }
-                if let Some(w) = cobs.rollup.as_mut() {
-                    let mut class_flows = [0u64; 4];
-                    for rows in partial.per_member.values() {
-                        for (into, cc) in class_flows.iter_mut().zip(rows) {
-                            *into += cc.flows;
-                        }
-                    }
-                    w.absorb(
-                        meta.records,
-                        &meta.ingest,
-                        &meta.fault_counts,
-                        WindowCommit::Processed {
-                            class_flows,
-                            matrix: matrix.as_ref(),
-                            detect: detect.as_deref(),
-                        },
-                        &mut cobs.writes,
-                    );
-                }
-                state.breakdown.merge(&partial.per_member);
-            }
-            OutcomeKind::Quarantined => {
-                state.chunks.quarantined += 1;
-                state.records.quarantined += meta.records;
-                rm.chunks.quarantined.inc();
-                rm.records.quarantined.add(meta.records);
-                if let Some(w) = cobs.rollup.as_mut() {
-                    w.absorb(
-                        meta.records,
-                        &meta.ingest,
-                        &meta.fault_counts,
-                        WindowCommit::Quarantined,
-                        &mut cobs.writes,
-                    );
-                }
-                // The worker already dumped the flight ring at panic
-                // time; the commit event records the final disposition.
-                cobs.obs.tracer.event(
-                    "chunk_quarantined",
-                    &[("seq", outcome.seq.into()), ("records", meta.records.into())],
-                );
-            }
-        }
-        state.committed_chunks += 1;
-        state.byte_cursor = meta.byte_end;
-        committed.store(state.committed_chunks, Ordering::Relaxed);
-        rm.committed_chunks.set(state.committed_chunks as i64);
-        any = true;
-        cobs.hand_off_window_writes()?;
-        if state.committed_chunks.is_multiple_of(cfg.checkpoint_every.max(1)) {
-            cobs.hand_off_checkpoint(state)?;
-        }
-    }
-    Ok(any)
 }
 
 /// One supervised worker: classify chunks, quarantine panics, restart
@@ -1167,6 +890,7 @@ fn watchdog_loop(
 mod tests {
     use super::*;
     use spoofwatch_net::Asn;
+    use std::collections::BTreeMap;
 
     #[test]
     fn accounting_reconciles() {
@@ -1247,6 +971,119 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
         }
         assert!(best < Duration::from_millis(10), "1-chunk run took {best:?}");
+    }
+
+    /// A worker can take a chunk before the feeder's `send` returns: the
+    /// feeder counts the chunk into the queue gauge before sending it, so
+    /// no worker ever reads the gauge below zero.
+    #[test]
+    fn queue_depth_gauge_never_reads_negative() {
+        use crate::pipeline::Classifier;
+        use spoofwatch_asgraph::As2Org;
+        use spoofwatch_bgp::{Announcement, AsPath};
+        use spoofwatch_obs::{MetricsRegistry, Tracer};
+        use std::sync::atomic::AtomicI64;
+        let ann = Announcement::new("20.0.0.0/8".parse().unwrap(), AsPath::from(vec![3]));
+        let classifier = Classifier::build(&[ann], &As2Org::new());
+        let flows: Vec<FlowRecord> = (0..4_000u32)
+            .map(|i| FlowRecord {
+                ts: i,
+                src: 0x1400_0000 + i,
+                dst: 0x0A00_0001,
+                proto: spoofwatch_net::Proto::Udp,
+                sport: 1000,
+                dport: 53,
+                packets: 1,
+                bytes: 60,
+                pkt_size: 60,
+                member: Asn(3),
+                ttl: 60,
+            })
+            .collect();
+        let bytes = spoofwatch_ixp::ipfix::encode(&flows);
+        let reg = MetricsRegistry::new();
+        let depth = reg.gauge(
+            "spoofwatch_runner_queue_depth",
+            "Chunks currently sitting in the bounded worker queue",
+            &[],
+        );
+        let cfg = RunnerConfig {
+            workers: 2,
+            queue_depth: 1,
+            checkpoint_every: 1_000,
+            stall_timeout_ms: 0,
+            ..RunnerConfig::default()
+        };
+        let runner =
+            StudyRunner::new(&classifier, cfg).with_obs(RunnerObs::new(reg, Tracer::disabled()));
+        let dir =
+            std::env::temp_dir().join(format!("spoofwatch-queue-depth-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("open store");
+        let lowest = AtomicI64::new(0);
+        let report = runner
+            .run_with(&mut ChunkedIpfixReader::new(&bytes, 1), &store, |flows| {
+                lowest.fetch_min(depth.get(), Ordering::Relaxed);
+                vec![TrafficClass::Valid; flows.len()]
+            })
+            .expect("run completes");
+        assert_eq!(report.health.chunks.processed, 4_000);
+        assert!(lowest.into_inner() >= 0, "a worker read the queue gauge below zero");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rerunning a finished study resumes at its terminal checkpoint and
+    /// writes it again byte for byte, also when the last rollup window
+    /// was partial: the terminal checkpoint carries the empty window after
+    /// it, and the resumed writer must keep that window, not reset to the
+    /// partial one.
+    #[test]
+    fn rerunning_a_finished_study_rewrites_its_terminal_checkpoint_unchanged() {
+        use crate::pipeline::Classifier;
+        use spoofwatch_asgraph::As2Org;
+        use spoofwatch_bgp::{Announcement, AsPath};
+        let ann = Announcement::new("20.0.0.0/8".parse().unwrap(), AsPath::from(vec![3]));
+        let classifier = Classifier::build(&[ann], &As2Org::new());
+        let flows: Vec<FlowRecord> = (0..10u32)
+            .map(|i| FlowRecord {
+                ts: i,
+                src: 0x1400_0000 + i,
+                dst: 0x0A00_0001,
+                proto: spoofwatch_net::Proto::Udp,
+                sport: 1000,
+                dport: 53,
+                packets: 1,
+                bytes: 60,
+                pkt_size: 60,
+                member: Asn(3),
+                ttl: 60,
+            })
+            .collect();
+        let bytes = spoofwatch_ixp::ipfix::encode(&flows);
+        let dir = std::env::temp_dir().join(format!("spoofwatch-rerun-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(dir.join("ckpt")).expect("open store");
+        let cfg = RunnerConfig {
+            stall_timeout_ms: 0,
+            ..RunnerConfig::default()
+        };
+        // 10 one-record chunks in windows of 4: the last window holds 2.
+        let runner = StudyRunner::new(&classifier, cfg)
+            .with_rollups(RollupConfig::new(dir.join("ring"), 4));
+        let first = runner
+            .run(&mut ChunkedIpfixReader::new(&bytes, 1), &store)
+            .expect("first run");
+        let terminal = std::fs::read(store.current_path()).expect("terminal checkpoint");
+        let again = runner
+            .run(&mut ChunkedIpfixReader::new(&bytes, 1), &store)
+            .expect("rerun");
+        assert_eq!(again.health.resumed_at_chunk, Some(10));
+        assert!(again.same_result(&first));
+        assert!(
+            std::fs::read(store.current_path()).expect("reread") == terminal,
+            "the rerun rewrote the terminal checkpoint with other bytes"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

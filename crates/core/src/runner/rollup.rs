@@ -9,10 +9,10 @@
 //! version | payload length | payload | crc32, written tmp + fsync +
 //! rename). The ring is therefore torn-file-safe: a crash mid-write
 //! tears only a tmp file, and [`read_ring`] reports any corrupt window
-//! alongside the valid ones instead of trusting it. The runner's commit
-//! path only encodes a closed window; the file is written by the run's
-//! ordered durable writer ([`super::durable`]), ahead of the checkpoint
-//! that records the window as closed.
+//! alongside the valid ones instead of trusting it. The writer touches
+//! no file: the runner's commit rules ([`super::commit`]) encode a closed
+//! window, its ordered durable writer ([`super::durable`]) writes it
+//! ahead of the checkpoint that records it closed.
 //!
 //! Resume exactness: the in-progress accumulator rides inside the
 //! runner's [`super::Checkpoint`], and commits are strictly sequential,
@@ -301,10 +301,10 @@ pub(super) enum WindowCommit<'a> {
 
 /// The runner-side rollup writer: accumulates per-commit deltas into the
 /// current window, closes windows on their fixed chunk boundary, and
-/// runs the drift watch and the detector bank. After [`Self::open`] it
-/// touches no file: what a closed window persists (the window, then
-/// its incidents) is pushed, in disk order, onto the write list the
-/// commit path hands to the durable writer.
+/// runs the drift watch and the detector bank. It touches no file: what
+/// a closed window persists (the window, then its incidents) is pushed,
+/// in disk order, onto the write list the commit path hands to the
+/// durable writer.
 pub(super) struct RollupWriter {
     cfg: RollupConfig,
     accum: WindowAccum,
@@ -322,24 +322,25 @@ pub(super) struct RollupWriter {
 }
 
 impl RollupWriter {
-    /// Open the ring directory and position the writer at
-    /// `committed_chunks`, restoring the checkpointed in-progress
-    /// accumulator when it matches the window the cursor falls in.
-    pub fn open(
+    /// Position a writer at `committed_chunks`, restoring a checkpointed
+    /// accumulator that ends there. `ring` is the windows on disk, which
+    /// the caller reads ([`read_ring`]) after creating the directory.
+    pub fn new(
         cfg: RollupConfig,
         obs: &RunnerObs,
         committed_chunks: u64,
         saved: Option<WindowAccum>,
-    ) -> io::Result<RollupWriter> {
-        fs::create_dir_all(&cfg.dir)?;
+        ring: &[WindowAccum],
+    ) -> RollupWriter {
         let window = committed_chunks / cfg.window_chunks;
-        let start = window * cfg.window_chunks;
+        // A saved accumulator ends at the cursor; a terminal one is the
+        // empty window after the last, possibly partial, one.
         let accum = saved
-            .filter(|a| a.window_index == window && a.start_chunk == start)
-            .unwrap_or_else(|| WindowAccum::start(window, start));
+            .filter(|a| a.start_chunk + a.chunks == committed_chunks)
+            .unwrap_or_else(|| WindowAccum::start(window, window * cfg.window_chunks));
+        let window = accum.window_index;
         // Drift continuity across resume: the most recent non-empty
         // window already on disk before the cursor seeds prev_shares.
-        let (ring, _faults) = read_ring(&cfg.dir)?;
         let prev_shares = ring
             .iter()
             .rev()
@@ -356,7 +357,7 @@ impl RollupWriter {
             e
         });
         let reg = &obs.metrics;
-        Ok(RollupWriter {
+        RollupWriter {
             accum,
             prev_shares,
             tracer: Arc::clone(&obs.tracer),
@@ -388,7 +389,7 @@ impl RollupWriter {
                 )
             }),
             cfg,
-        })
+        }
     }
 
     /// The in-progress accumulator (checkpointed alongside the runner
@@ -649,7 +650,7 @@ mod tests {
         let tracer = Tracer::with_capacity(64);
         let obs = RunnerObs::new(Arc::clone(&reg), Arc::clone(&tracer));
         let cfg = RollupConfig::new(&dir, 2);
-        let mut writer = RollupWriter::open(cfg, &obs, 0, None).unwrap();
+        let mut writer = RollupWriter::new(cfg, &obs, 0, None, &[]);
 
         // 10 chunks of 100 valid flows, then 2 chunks all-bogon: the
         // last window's shares jump by 1.0 in two classes.
@@ -726,11 +727,11 @@ mod tests {
         let mut saved = WindowAccum::start(2, 8);
         saved.chunks = 1;
         saved.class_flows = [0, 0, 0, 7];
-        let writer = RollupWriter::open(cfg.clone(), &obs, 9, Some(saved.clone())).unwrap();
+        let writer = RollupWriter::new(cfg.clone(), &obs, 9, Some(saved.clone()), &[]);
         assert_eq!(writer.accum(), &saved);
         // Mismatched accum (stale window index) starts fresh.
         let stale = WindowAccum::start(1, 4);
-        let writer = RollupWriter::open(cfg, &obs, 9, Some(stale)).unwrap();
+        let writer = RollupWriter::new(cfg, &obs, 9, Some(stale), &[]);
         assert_eq!(writer.accum(), &WindowAccum::start(2, 8));
         let _ = fs::remove_dir_all(dir);
     }

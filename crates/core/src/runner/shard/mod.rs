@@ -248,8 +248,11 @@ pub struct ShardStatus {
     pub lost: bool,
     /// Deaths observed (each one costs a respawn attempt).
     pub deaths: u32,
-    /// Deaths by silence: times the send loop's silence rule gave the
-    /// shard up after `liveness_timeout_ms`.
+    /// Deaths by silence: send loops that gave the shard up
+    /// ([`live::SendEnd::Silent`]) because no frame from it, its
+    /// `Credit` beacon included, arrived within `liveness_timeout_ms`.
+    /// There is no heartbeat message; the name stays because reports,
+    /// `/metrics` and the benchmark read it.
     pub heartbeat_misses: u64,
     /// Frame-level faults observed on the shard's links.
     pub wire_faults: u64,
