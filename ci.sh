@@ -79,18 +79,25 @@ echo "==> end-to-end benchmark package (builds against the workspace's public AP
 # emitted metric names, units and bounds with BENCHMARK.json (~1 min).
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> one walk, one record layout (the decoders carry no copy of either)"
+echo "==> one walk, one record layout, one decoder per format (the decoders carry no copy of any)"
 # net::ingest::resilient_walk is the only caller of quarantine() and
-# note_resync(); net::codec is the only place the 36-byte record's
-# fields are laid out. A decoder that grows its own loop or its own
-# field list again fails here.
+# note_resync(), and each format's decode_resilient is its only decoder:
+# no streaming `impl<R: Read>` reader or per-record `next_*` loop beside
+# it. net::codec lays out the 36-byte record and is the one big-endian
+# cursor, so no file imports the vendored `bytes` stub. A decoder that
+# grows its own loop, reader or field list again fails here.
 decoders="crates/ixp/src/ipfix.rs crates/ixp/src/chunked.rs crates/packet/src/pcap.rs crates/bgp/src/mrt.rs"
 # shellcheck disable=SC2086
 if grep -nE '\.(note_resync|quarantine)\(' $decoders; then
     echo "a decoder books quarantine/resync itself; that is resilient_walk's job"; exit 1
 fi
-if grep -nE '^\s*use bytes\b|\bbytes::' crates/ixp/src/ipfix.rs; then
-    echo "ipfix.rs lays out record fields itself; net::codec defines the record"; exit 1
+formats="crates/ixp/src/ipfix.rs crates/bgp/src/mrt.rs crates/packet/src/pcap.rs"
+# shellcheck disable=SC2086
+if grep -nE 'impl<R: (std::io::)?Read>|fn next_(record|update|packet)\b' $formats; then
+    echo "a format has a second, fail-stop reader; decode_resilient is its one decoder"; exit 1
+fi
+if grep -rnE '^\s*use bytes\b|\bbytes::' crates/*/src tests examples; then
+    echo "a file imports the bytes stub; net::codec is the one cursor and record layout"; exit 1
 fi
 
 echo "==> one link consumer (serve_shard and serve_live share one control loop)"

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use spoofwatch_bgp::{mrt, Announcement, AsPath, Rib, Update};
-use spoofwatch_net::{AppliedFault, Asn, FaultInjector, Ipv4Prefix};
+use spoofwatch_net::{AppliedFault, Asn, FaultInjector, IngestStatus, Ipv4Prefix};
 use std::collections::HashMap;
 
 /// Byte span of every record in a clean MRT-lite stream (walked via the
@@ -71,24 +71,31 @@ fn arb_update() -> impl Strategy<Value = Update> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// MRT-lite encode→decode is the identity.
+    /// MRT-lite encode→decode is the identity, with clean health.
     #[test]
     fn mrt_roundtrip(updates in prop::collection::vec(arb_update(), 0..40)) {
         let bytes = mrt::encode(&updates);
-        prop_assert_eq!(mrt::decode(&bytes).unwrap(), updates);
+        let (decoded, health) = mrt::decode_resilient(&bytes);
+        prop_assert_eq!(health.status(), IngestStatus::Ok);
+        prop_assert!(health.reconciles());
+        prop_assert_eq!(decoded, updates);
     }
 
-    /// Arbitrary bytes never panic the decoder.
+    /// Arbitrary bytes behind a valid header never panic the walk, and
+    /// every record it accepts re-encodes to exactly the bytes it
+    /// credited — no phantom, no non-canonical record.
     #[test]
     fn mrt_decode_never_panics(data in prop::collection::vec(any::<u8>(), 0..300)) {
-        let _ = mrt::decode(&data);
+        let mut bytes = mrt::encode(&[]);
+        bytes.extend_from_slice(&data);
+        let (decoded, health) = mrt::decode_resilient(&bytes);
+        prop_assert!(health.reconciles(), "{health}");
+        prop_assert_eq!(mrt::encode(&decoded).len() as u64, health.ok_bytes);
     }
 
-    /// Single-byte corruption of a valid stream never panics and never
-    /// silently decodes to the original stream with different bytes
-    /// unless the flipped byte is genuinely a don't-care (there are none
-    /// in this format except inside hop values/timestamps — which change
-    /// the decoded value, still fine). We only require: no panic.
+    /// Corrupting one byte of a valid stream never panics: a damaged
+    /// header abandons the input, a damaged record costs at most that
+    /// record, and the accounting reconciles either way.
     #[test]
     fn mrt_corruption_never_panics(
         updates in prop::collection::vec(arb_update(), 1..10),
@@ -98,7 +105,13 @@ proptest! {
         let mut bytes = mrt::encode(&updates);
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= flip;
-        let _ = mrt::decode(&bytes);
+        let (decoded, health) = mrt::decode_resilient(&bytes);
+        prop_assert!(health.reconciles(), "{health}");
+        if pos < 6 {
+            prop_assert_eq!(health.status(), IngestStatus::Unrecoverable);
+        } else {
+            prop_assert!(decoded.len() + 1 >= updates.len(), "{health}");
+        }
     }
 
     /// RIB state after an update sequence equals a HashMap model keyed by

@@ -239,7 +239,9 @@ mod tests {
     fn mrt_roundtrip_of_churn_stream() {
         let (_, f) = fleet();
         let bytes = spoofwatch_bgp::mrt::encode(&f.updates);
-        let decoded = spoofwatch_bgp::mrt::decode(&bytes).expect("clean stream");
+        let (decoded, health) = spoofwatch_bgp::mrt::decode_resilient(&bytes);
+        assert_eq!(health.status(), spoofwatch_net::IngestStatus::Ok);
+        assert!(health.reconciles());
         assert_eq!(decoded, f.updates);
     }
 }

@@ -4,34 +4,33 @@
 use proptest::prelude::*;
 use spoofwatch_ixp::ipfix;
 use spoofwatch_ixp::PacketSampler;
-use spoofwatch_net::{AppliedFault, Asn, FaultInjector, FlowRecord, Proto};
+use spoofwatch_net::{AppliedFault, Asn, FaultInjector, FlowRecord, IngestStatus, Proto};
 
+/// Any record the decoder accepts: plausibility (`packets >= 1`,
+/// `20 <= pkt_size <= 9216`, `bytes == packets * pkt_size`) is the
+/// format's only corruption signal, so these are exactly the records
+/// that round-trip, and every exporter in the tree writes them.
 fn arb_flow() -> impl Strategy<Value = FlowRecord> {
     (
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u8>(),
-        any::<u16>(),
-        any::<u16>(),
-        any::<u32>(),
-        any::<u64>(),
-        any::<u16>(),
-        any::<u32>(),
+        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u8>()),
+        (any::<u16>(), any::<u16>(), 1u32..=u32::MAX, 20u16..=9216),
+        (any::<u32>(), any::<u8>()),
     )
         .prop_map(
-            |(ts, src, dst, proto, sport, dport, packets, bytes, pkt_size, member)| FlowRecord {
-                ts,
-                src,
-                dst,
-                proto: Proto::from_number(proto),
-                sport,
-                dport,
-                packets,
-                bytes,
-                pkt_size,
-                member: Asn(member),
-                ttl: 0,
+            |((ts, src, dst, proto), (sport, dport, packets, pkt_size), (member, ttl))| {
+                FlowRecord {
+                    ts,
+                    src,
+                    dst,
+                    proto: Proto::from_number(proto),
+                    sport,
+                    dport,
+                    packets,
+                    bytes: packets as u64 * pkt_size as u64,
+                    pkt_size,
+                    member: Asn(member),
+                    ttl,
+                }
             },
         )
 }
@@ -140,33 +139,50 @@ proptest! {
         prop_assert!(health.reconciles(), "{health}");
     }
 
-    /// IPFIX-lite encode→decode is the identity for arbitrary records.
+    /// IPFIX-lite encode→decode is the identity for every plausible
+    /// record, with clean health.
     #[test]
     fn ipfix_roundtrip(flows in prop::collection::vec(arb_flow(), 0..50)) {
         let bytes = ipfix::encode(&flows);
-        prop_assert_eq!(ipfix::decode(&bytes).unwrap(), flows);
+        let (decoded, health) = ipfix::decode_resilient(&bytes);
+        prop_assert_eq!(health.status(), IngestStatus::Ok);
+        prop_assert!(health.reconciles());
+        prop_assert_eq!(decoded, flows);
     }
 
-    /// Arbitrary bytes never panic the decoder.
+    /// Arbitrary bytes behind a valid v1 or v2 header never panic the
+    /// walk, and whatever it accepts is a plausible record on the stride.
     #[test]
-    fn ipfix_decode_never_panics(data in prop::collection::vec(any::<u8>(), 0..300)) {
-        let _ = ipfix::decode(&data);
+    fn ipfix_decode_never_panics(
+        data in prop::collection::vec(any::<u8>(), 0..300),
+        v1 in any::<bool>(),
+    ) {
+        let (mut bytes, record_len) = if v1 {
+            (ipfix::encode_v1(&[]), ipfix::V1_RECORD_LEN)
+        } else {
+            (ipfix::encode(&[]), ipfix::RECORD_LEN)
+        };
+        let header_len = bytes.len() as u64;
+        bytes.extend_from_slice(&data);
+        let (decoded, health) = ipfix::decode_resilient(&bytes);
+        prop_assert!(health.reconciles(), "{health}");
+        prop_assert!(decoded.iter().all(ipfix::plausible_record));
+        prop_assert_eq!(health.ok_bytes, header_len + decoded.len() as u64 * record_len as u64);
     }
 
-    /// Truncating a valid stream yields a clean prefix or a truncation
-    /// error — never phantom records.
+    /// A cut anywhere yields a prefix of the input's records plus a
+    /// quarantined torn tail — never a phantom record.
     #[test]
     fn ipfix_truncation_yields_prefix(
         flows in prop::collection::vec(arb_flow(), 1..20),
         cut_frac in 0.0f64..1.0,
     ) {
         let bytes = ipfix::encode(&flows);
-        let cut = ipfix::HEADER_LEN
-            + ((bytes.len() - ipfix::HEADER_LEN) as f64 * cut_frac) as usize;
-        if let Ok(decoded) = ipfix::decode(&bytes[..cut]) {
-            prop_assert!(decoded.len() <= flows.len());
-            prop_assert_eq!(&decoded[..], &flows[..decoded.len()]);
-        }
+        let body = ((bytes.len() - ipfix::HEADER_LEN) as f64 * cut_frac) as usize;
+        let (decoded, health) = ipfix::decode_resilient(&bytes[..ipfix::HEADER_LEN + body]);
+        prop_assert!(health.reconciles());
+        prop_assert_eq!(&decoded[..], &flows[..body / ipfix::RECORD_LEN]);
+        prop_assert_eq!(health.quarantined_bytes, (body % ipfix::RECORD_LEN) as u64);
     }
 
     /// The sampler never produces more sampled than true packets, and

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Why a buffer failed to parse as a packet or capture file.
+/// Why a buffer failed to parse as a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketError {
     /// Buffer shorter than the fixed header, or shorter than a length
@@ -17,10 +17,6 @@ pub enum PacketError {
     BadLength,
     /// Checksum validation failed.
     BadChecksum,
-    /// A pcap file did not start with a known magic number.
-    BadMagic(u32),
-    /// A pcap record claims more bytes than its snap length allows.
-    BadRecord,
 }
 
 impl fmt::Display for PacketError {
@@ -31,8 +27,6 @@ impl fmt::Display for PacketError {
             PacketError::BadHeaderLen(l) => write!(f, "bad IPv4 header length {l}"),
             PacketError::BadLength => f.write_str("inconsistent length field"),
             PacketError::BadChecksum => f.write_str("checksum mismatch"),
-            PacketError::BadMagic(m) => write!(f, "unknown pcap magic {m:#010x}"),
-            PacketError::BadRecord => f.write_str("malformed pcap record"),
         }
     }
 }
@@ -46,6 +40,6 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(PacketError::Truncated.to_string(), "buffer truncated");
-        assert!(PacketError::BadMagic(0xdeadbeef).to_string().contains("0xdeadbeef"));
+        assert_eq!(PacketError::BadVersion(6).to_string(), "IP version 6, expected 4");
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::checksum;
 use crate::PacketError;
-use bytes::BufMut;
+use spoofwatch_net::codec::put_u16;
 
 /// ICMP header length (type, code, checksum, rest-of-header).
 pub const HEADER_LEN: usize = 8;
@@ -56,15 +56,14 @@ impl IcmpHeader {
 
     /// Append header + payload with a correct checksum (ICMP checksums
     /// cover the whole message, no pseudo-header).
-    pub fn emit<B: BufMut>(&self, buf: &mut B, payload: &[u8]) {
-        let mut hdr = [0u8; HEADER_LEN];
-        hdr[0] = self.icmp_type;
-        hdr[1] = self.code;
-        hdr[4..8].copy_from_slice(&self.rest);
-        let c = checksum::finish(checksum::sum(&hdr) + checksum::sum(payload));
-        hdr[2..4].copy_from_slice(&c.to_be_bytes());
-        buf.put_slice(&hdr);
-        buf.put_slice(payload);
+    pub fn emit(&self, buf: &mut Vec<u8>, payload: &[u8]) {
+        let start = buf.len();
+        buf.extend_from_slice(&[self.icmp_type, self.code]);
+        put_u16(buf, 0); // checksum, zero for computation
+        buf.extend_from_slice(&self.rest);
+        buf.extend_from_slice(payload);
+        let c = checksum::checksum(&buf[start..]);
+        buf[start + 2..start + 4].copy_from_slice(&c.to_be_bytes());
     }
 
     /// Parse and validate an ICMP message, returning header and payload.

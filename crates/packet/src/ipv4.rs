@@ -2,7 +2,7 @@
 
 use crate::checksum;
 use crate::PacketError;
-use bytes::BufMut;
+use spoofwatch_net::codec::{put_u16, put_u32};
 
 /// Minimum (and, in everything we emit, actual) IPv4 header length.
 pub const HEADER_LEN: usize = 20;
@@ -57,21 +57,18 @@ impl Ipv4Header {
     }
 
     /// Append the 20-byte header, with correct checksum, to `buf`.
-    pub fn emit<B: BufMut>(&self, buf: &mut B) {
-        let mut hdr = [0u8; HEADER_LEN];
-        hdr[0] = 0x45; // version 4, IHL 5
-        hdr[1] = self.dscp_ecn;
-        hdr[2..4].copy_from_slice(&self.total_len.to_be_bytes());
-        hdr[4..6].copy_from_slice(&self.ident.to_be_bytes());
-        hdr[6..8].copy_from_slice(&self.flags_frag.to_be_bytes());
-        hdr[8] = self.ttl;
-        hdr[9] = self.proto;
-        // hdr[10..12] checksum, zero for computation
-        hdr[12..16].copy_from_slice(&self.src.to_be_bytes());
-        hdr[16..20].copy_from_slice(&self.dst.to_be_bytes());
-        let c = checksum::checksum(&hdr);
-        hdr[10..12].copy_from_slice(&c.to_be_bytes());
-        buf.put_slice(&hdr);
+    pub fn emit(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
+        buf.extend_from_slice(&[0x45, self.dscp_ecn]); // version 4, IHL 5
+        put_u16(buf, self.total_len);
+        put_u16(buf, self.ident);
+        put_u16(buf, self.flags_frag);
+        buf.extend_from_slice(&[self.ttl, self.proto]);
+        put_u16(buf, 0); // checksum, zero for computation
+        put_u32(buf, self.src);
+        put_u32(buf, self.dst);
+        let c = checksum::checksum(&buf[start..]);
+        buf[start + 10..start + 12].copy_from_slice(&c.to_be_bytes());
     }
 
     /// Parse and validate an IPv4 packet, returning the header and the

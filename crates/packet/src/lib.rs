@@ -2,15 +2,16 @@
 //!
 //! Wire formats for the packet-level side of the system: IPv4, TCP, UDP,
 //! and ICMPv4 headers with full checksum generation and validation, a
-//! classic libpcap file writer/reader, packet crafting helpers for the
-//! traffic generators and the active spoofing prober, and flow extraction
-//! (packet bytes → [`spoofwatch_net::FlowRecord`] fields).
+//! classic libpcap file writer and resilient decoder, packet crafting
+//! helpers for the traffic generators and the active spoofing prober, and
+//! flow extraction (packet bytes → [`spoofwatch_net::FlowRecord`] fields).
 //!
 //! The design follows smoltcp's philosophy: plain structs encoded to and
 //! parsed from byte slices with explicit validation and no compile-time
-//! tricks. Parsing never panics on malformed input — every failure mode is
-//! a [`PacketError`] variant, and the test suite includes truncation and
-//! corruption injection for each format.
+//! tricks. Parsing never panics on malformed input — every header failure
+//! mode is a [`PacketError`] variant, a damaged capture is quarantined
+//! span by span (`spoofwatch_net::IngestHealth`), and the test suite
+//! includes truncation and corruption injection for each format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +32,6 @@ pub mod udp;
 pub use error::PacketError;
 pub use icmp::IcmpHeader;
 pub use ipv4::Ipv4Header;
-pub use pcap::{PcapPacket, PcapReader, PcapWriter};
+pub use pcap::{PcapPacket, PcapWriter};
 pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::UdpHeader;

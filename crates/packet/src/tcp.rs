@@ -2,7 +2,7 @@
 
 use crate::checksum;
 use crate::PacketError;
-use bytes::BufMut;
+use spoofwatch_net::codec::{put_u16, put_u32};
 
 /// Minimum (and, in everything we emit, actual) TCP header length.
 pub const HEADER_LEN: usize = 20;
@@ -70,24 +70,21 @@ impl TcpHeader {
     }
 
     /// Append header + payload with a correct pseudo-header checksum.
-    pub fn emit<B: BufMut>(&self, buf: &mut B, src: u32, dst: u32, payload: &[u8]) {
-        let len = (HEADER_LEN + payload.len()) as u16;
-        let mut hdr = [0u8; HEADER_LEN];
-        hdr[0..2].copy_from_slice(&self.sport.to_be_bytes());
-        hdr[2..4].copy_from_slice(&self.dport.to_be_bytes());
-        hdr[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        hdr[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        hdr[12] = 5 << 4; // data offset 5 words
-        hdr[13] = self.flags.0;
-        hdr[14..16].copy_from_slice(&self.window.to_be_bytes());
-        // hdr[16..18] checksum; hdr[18..20] urgent pointer (zero)
-        let acc = checksum::pseudo_header(src, dst, 6, len)
-            + checksum::sum(&hdr)
-            + checksum::sum(payload);
+    pub fn emit(&self, buf: &mut Vec<u8>, src: u32, dst: u32, payload: &[u8]) {
+        let start = buf.len();
+        put_u16(buf, self.sport);
+        put_u16(buf, self.dport);
+        put_u32(buf, self.seq);
+        put_u32(buf, self.ack);
+        buf.extend_from_slice(&[5 << 4, self.flags.0]); // data offset 5 words
+        put_u16(buf, self.window);
+        put_u32(buf, 0); // checksum (zero for computation), urgent pointer
+        buf.extend_from_slice(payload);
+        let segment = &buf[start..];
+        let acc = checksum::pseudo_header(src, dst, 6, segment.len() as u16)
+            + checksum::sum(segment);
         let c = checksum::finish(acc);
-        hdr[16..18].copy_from_slice(&c.to_be_bytes());
-        buf.put_slice(&hdr);
-        buf.put_slice(payload);
+        buf[start + 16..start + 18].copy_from_slice(&c.to_be_bytes());
     }
 
     /// Parse and validate a TCP segment, returning the header and payload

@@ -2,7 +2,7 @@
 
 use crate::checksum;
 use crate::PacketError;
-use bytes::BufMut;
+use spoofwatch_net::codec::put_u16;
 
 /// UDP header length.
 pub const HEADER_LEN: usize = 8;
@@ -20,24 +20,22 @@ pub struct UdpHeader {
 
 impl UdpHeader {
     /// Append header + payload with a correct pseudo-header checksum.
-    pub fn emit<B: BufMut>(&self, buf: &mut B, src: u32, dst: u32, payload: &[u8]) {
+    pub fn emit(&self, buf: &mut Vec<u8>, src: u32, dst: u32, payload: &[u8]) {
+        let start = buf.len();
         let len = (HEADER_LEN + payload.len()) as u16;
-        let mut hdr = [0u8; HEADER_LEN];
-        hdr[0..2].copy_from_slice(&self.sport.to_be_bytes());
-        hdr[2..4].copy_from_slice(&self.dport.to_be_bytes());
-        hdr[4..6].copy_from_slice(&len.to_be_bytes());
-        let acc = checksum::pseudo_header(src, dst, 17, len)
-            + checksum::sum(&hdr)
-            + checksum::sum(payload);
+        put_u16(buf, self.sport);
+        put_u16(buf, self.dport);
+        put_u16(buf, len);
+        put_u16(buf, 0); // checksum, zero for computation
+        buf.extend_from_slice(payload);
+        let acc = checksum::pseudo_header(src, dst, 17, len) + checksum::sum(&buf[start..]);
         let mut c = checksum::finish(acc);
         if c == 0 {
             // RFC 768: transmitted zero means "no checksum"; an all-zero
             // result is sent as all ones.
             c = 0xFFFF;
         }
-        hdr[6..8].copy_from_slice(&c.to_be_bytes());
-        buf.put_slice(&hdr);
-        buf.put_slice(payload);
+        buf[start + 6..start + 8].copy_from_slice(&c.to_be_bytes());
     }
 
     /// Parse and validate a UDP datagram, returning the header and

@@ -2,10 +2,9 @@
 //! fault-injection recovery for the resilient pcap decoder.
 
 use proptest::prelude::*;
-use spoofwatch_net::{AppliedFault, FaultInjector};
+use spoofwatch_net::{AppliedFault, FaultInjector, IngestStatus};
 use spoofwatch_packet::flow::extract_flow;
-use spoofwatch_packet::{craft, pcap, PcapPacket, PcapReader, PcapWriter};
-use std::io::Cursor;
+use spoofwatch_packet::{craft, pcap, PcapPacket, PcapWriter};
 
 /// Byte span of every record in a clean classic-pcap stream
 /// (24-byte global header, then 16-byte record headers + bodies).
@@ -85,21 +84,21 @@ proptest! {
         let _ = extract_flow(&data);
     }
 
-    /// Arbitrary byte soup must never panic the pcap reader.
+    /// Arbitrary bytes behind a valid global header never panic the
+    /// walk, and every packet it accepts re-encodes to exactly the bytes
+    /// it credited.
     #[test]
     fn pcap_reader_never_panics(data in prop::collection::vec(any::<u8>(), 0..400)) {
-        if let Ok(mut r) = PcapReader::new(Cursor::new(data)) {
-            // Bounded: each iteration consumes ≥16 bytes or errors.
-            for _ in 0..64 {
-                match r.next_packet() {
-                    Ok(Some(_)) => continue,
-                    _ => break,
-                }
-            }
-        }
+        let mut bytes = write_capture(&[]);
+        bytes.extend_from_slice(&data);
+        let (pkts, health) = pcap::decode_resilient(&bytes);
+        prop_assert!(health.reconciles(), "{health}");
+        let credited = pkts.iter().map(|p| 16 + p.data.len() as u64).sum::<u64>();
+        prop_assert_eq!(24 + credited, health.ok_bytes);
     }
 
-    /// Pcap write→read round-trips arbitrary packet sets byte-exactly.
+    /// Pcap write→read round-trips arbitrary packet sets byte-exactly,
+    /// with clean health.
     #[test]
     fn pcap_roundtrip(
         pkts in prop::collection::vec(
@@ -111,41 +110,26 @@ proptest! {
             .into_iter()
             .map(|(s, us, d)| PcapPacket::full(s, us, d))
             .collect();
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        for p in &pkts {
-            w.write_packet(p).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        let mut r = PcapReader::new(Cursor::new(bytes)).unwrap();
-        let got = r.collect_packets().unwrap();
+        let (got, health) = pcap::decode_resilient(&write_capture(&pkts));
+        prop_assert_eq!(health.status(), IngestStatus::Ok);
+        prop_assert!(health.reconciles());
         prop_assert_eq!(got, pkts);
     }
 
-    /// Truncating a valid capture anywhere must yield an error or a clean
-    /// shorter read — never a panic, never phantom packets.
+    /// A cut anywhere yields a prefix of the capture's packets plus a
+    /// quarantined torn tail — never a phantom packet.
     #[test]
     fn pcap_truncation_safe(cut_frac in 0.0f64..1.0) {
         let pkts = vec![
             PcapPacket::full(1, 2, vec![1; 30]),
             PcapPacket::full(3, 4, vec![2; 50]),
         ];
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        for p in &pkts {
-            w.write_packet(p).unwrap();
-        }
-        let bytes = w.finish().unwrap();
+        let bytes = write_capture(&pkts);
         let cut = (bytes.len() as f64 * cut_frac) as usize;
-        match PcapReader::new(Cursor::new(&bytes[..cut])) {
-            Err(_) => {}
-            Ok(mut r) => {
-                let mut n = 0;
-                while let Ok(Some(p)) = r.next_packet() {
-                    prop_assert_eq!(&p, &pkts[n]);
-                    n += 1;
-                }
-                prop_assert!(n <= pkts.len());
-            }
-        }
+        let (got, health) = pcap::decode_resilient(&bytes[..cut]);
+        prop_assert!(health.reconciles());
+        let whole = [24 + 16 + 30, bytes.len()].iter().filter(|&&end| end <= cut).count();
+        prop_assert_eq!(&got[..], &pkts[..whole]);
     }
 
     /// One injected fault of any kind loses at most the records in the

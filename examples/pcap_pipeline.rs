@@ -11,10 +11,9 @@ use rand::{RngExt, SeedableRng};
 use spoofwatch::core::Classifier;
 use spoofwatch::internet::{Internet, InternetConfig};
 use spoofwatch::ixp::sampler::PacketSampler;
-use spoofwatch::net::{fmt_addr, FlowRecord, Proto};
+use spoofwatch::net::{fmt_addr, FlowRecord, IngestStatus, Proto};
 use spoofwatch::packet::flow::extract_flow;
-use spoofwatch::packet::{craft, PcapPacket, PcapReader, PcapWriter};
-use std::io::Cursor;
+use spoofwatch::packet::{craft, pcap, PcapPacket, PcapWriter};
 
 fn main() {
     let net = Internet::generate(InternetConfig::tiny(31));
@@ -46,8 +45,9 @@ fn main() {
     }
     let bytes = w.finish().expect("finish");
     println!("pcap: {} packets, {} bytes on disk", packets.len(), bytes.len());
-    let mut r = PcapReader::new(Cursor::new(bytes)).expect("magic");
-    let readback = r.collect_packets().expect("clean file");
+    let (readback, health) = pcap::decode_resilient(&bytes);
+    assert_eq!(health.status(), IngestStatus::Ok, "clean file: {health}");
+    assert!(health.reconciles());
     assert_eq!(readback.len(), packets.len());
 
     // 3. Parse headers (checksums validated) and classify each packet's

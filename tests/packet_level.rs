@@ -6,10 +6,9 @@ use rand::{RngExt, SeedableRng};
 use spoofwatch::core::Classifier;
 use spoofwatch::internet::{bogon, Internet, InternetConfig};
 use spoofwatch::ixp::PacketSampler;
-use spoofwatch::net::{FlowRecord, TrafficClass};
+use spoofwatch::net::{FlowRecord, IngestStatus, TrafficClass};
 use spoofwatch::packet::flow::extract_flow;
-use spoofwatch::packet::{craft, PcapPacket, PcapReader, PcapWriter};
-use std::io::Cursor;
+use spoofwatch::packet::{craft, pcap, PcapPacket, PcapWriter};
 
 #[test]
 fn crafted_packets_classify_like_flows() {
@@ -40,8 +39,9 @@ fn crafted_packets_classify_like_flows() {
     for (i, (pkt, _)) in cases.iter().enumerate() {
         w.write_packet(&PcapPacket::full(i as u32, 0, pkt.clone())).unwrap();
     }
-    let mut r = PcapReader::new(Cursor::new(w.finish().unwrap())).unwrap();
-    let readback = r.collect_packets().unwrap();
+    let (readback, health) = pcap::decode_resilient(&w.finish().unwrap());
+    assert_eq!(health.status(), IngestStatus::Ok);
+    assert!(health.reconciles());
     assert_eq!(readback.len(), cases.len());
 
     for (pkt, (_, want)) in readback.iter().zip(&cases) {

@@ -5,7 +5,7 @@ use spoofwatch::bgp::{mrt, Update};
 use spoofwatch::core::Classifier;
 use spoofwatch::internet::{Internet, InternetConfig};
 use spoofwatch::ixp::{ipfix, Trace, TrafficConfig};
-use spoofwatch::net::{Asn, InferenceMethod, OrgMode};
+use spoofwatch::net::{Asn, InferenceMethod, IngestStatus, OrgMode};
 
 #[test]
 fn classifier_survives_mrt_roundtrip() {
@@ -24,7 +24,9 @@ fn classifier_survives_mrt_roundtrip() {
         })
         .collect();
     let bytes = mrt::encode(&updates);
-    let decoded = mrt::decode(&bytes).expect("clean file");
+    let (decoded, health) = mrt::decode_resilient(&bytes);
+    assert_eq!(health.status(), IngestStatus::Ok);
+    assert!(health.reconciles());
     let decoded_announcements: Vec<_> = decoded
         .into_iter()
         .map(|u| match u {
@@ -49,9 +51,11 @@ fn trace_survives_ipfix_roundtrip() {
     let net = Internet::generate(InternetConfig::tiny(55));
     let trace = Trace::generate(&net, &TrafficConfig::tiny(3));
     let bytes = ipfix::encode(&trace.flows);
-    let decoded = ipfix::decode(&bytes).expect("clean file");
+    let (decoded, health) = ipfix::decode_resilient(&bytes);
+    assert_eq!(health.status(), IngestStatus::Ok);
+    assert!(health.reconciles());
     assert_eq!(decoded, trace.flows);
-    // 35 bytes per record plus the 6-byte header.
+    // 36 bytes per record plus the 8-byte header.
     assert_eq!(bytes.len(), ipfix::HEADER_LEN + trace.flows.len() * ipfix::RECORD_LEN);
 }
 
