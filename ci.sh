@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: build, full test suite, lint policy for decode hot paths,
-# the self-verifying examples, the contract floors, and the end-to-end
-# benchmark package's smoke test.
+# every example, the contract floors, and the end-to-end benchmark
+# package's smoke test.
 #
 # Note: the root manifest is both the workspace and a package;
 # `default-members` names the full workspace, so `--workspace` below is
@@ -30,48 +30,62 @@ cargo clippy -q -p spoofwatch-net -p spoofwatch-bgp -p spoofwatch-ixp \
     -p spoofwatch-packet -p spoofwatch-core -p spoofwatch-analysis \
     -p spoofwatch-obs -- -D clippy::unwrap_used
 
-echo "==> fault-injection smoke (dirty ingest walkthrough)"
-cargo run -q --release --example dirty_ingest > /dev/null
+echo "==> one entry point per job (every example in the table; repro_all the one experiment binary)"
+# Each example is a walkthrough: it prints what it does, and the suites
+# under crates/*/tests and tests/ prove it. Every example runs here, from
+# one table of `name [args]`; an example left out of the table, or a
+# second experiment binary beside repro_all (which runs all of them),
+# fails this step.
+examples=(
+    "quickstart"
+    "ixp_study"
+    "filter_audit"
+    "spoofer_crosscheck"
+    "pcap_pipeline"
+    "dirty_ingest"
+    "resumable_study"
+    "telemetry_study"
+    "telemetry_query --demo"
+    "sharded_study"
+    "live_study"
+    "attack_forensics"
+)
+for file in examples/*.rs; do
+    name="$(basename "$file" .rs)"
+    if ! printf '%s\n' "${examples[@]}" | awk '{ print $1 }' | grep -qxF "$name"; then
+        echo "$file is not in ci.sh's example table"; exit 1
+    fi
+done
+if find crates/bench/src/bin -mindepth 1 ! -name repro_all.rs | grep .; then
+    echo "crates/bench/src/bin holds more than repro_all.rs; repro_all runs every experiment"; exit 1
+fi
 
-echo "==> crash-recovery smoke (run, interrupt, tear, resume, compare)"
-cargo run -q --release --example resumable_study > /dev/null
-
-echo "==> observability smoke (metrics endpoint, reconciliation, flight recorder)"
+echo "==> examples (each runs to completion)"
+# ixp_study serves /metrics while it runs and writes the scraped
+# snapshot when these two variables are set; no other example reads
+# them. An example's stderr is shown only when it fails (telemetry_study
+# prints the backtrace of the panic it injects).
 snapshot="$(mktemp)"
-SPOOFWATCH_METRICS_ADDR=127.0.0.1:0 SPOOFWATCH_METRICS_SNAPSHOT="$snapshot" \
-    cargo run -q --release --example ixp_study > /dev/null
+log="$(mktemp)"
+for row in "${examples[@]}"; do
+    read -r -a argv <<< "$row"
+    echo "  $row"
+    SPOOFWATCH_METRICS_ADDR=127.0.0.1:0 SPOOFWATCH_METRICS_SNAPSHOT="$snapshot" \
+        cargo run -q --release --example "${argv[0]}" -- "${argv[@]:1}" > /dev/null 2> "$log" \
+        || { cat "$log"; echo "example failed: $row"; exit 1; }
+done
 test -s "$snapshot" || { echo "metrics snapshot is empty"; exit 1; }
 grep -q '^spoofwatch_classified_flows_total' "$snapshot" \
     || { echo "metrics snapshot lacks classify counters"; exit 1; }
-rm -f "$snapshot"
-cargo run -q --release --example telemetry_study > /dev/null 2>&1
+# A mistyped ring directory is an error, not an empty study.
+for mode in "" "--incidents"; do
+    # shellcheck disable=SC2086
+    if cargo run -q --release --example telemetry_query -- /nonexistent $mode > /dev/null 2>&1; then
+        echo "telemetry_query read a missing directory as an empty ring ($mode)"; exit 1
+    fi
+done
+rm -f "$snapshot" "$log"
 
-echo "==> rollup smoke (windowed ring: generate, crash, resume, query, reconcile)"
-# --demo asserts the window count tiles the committed chunks, that the
-# ring's sums reconcile with the run report, and that the resumed ring
-# is bit-identical to an uninterrupted run's.
-cargo run -q --release --example telemetry_query -- --demo > /dev/null
-
-echo "==> sharded study smoke (bit-identity, shard-loss accounting)"
-# The example proves a 3-shard UDS run bit-identical to single-node,
-# then kills a shard past its retry budget and checks the degraded
-# accounting invariant and report caveats. It exits nonzero on any
-# mismatch.
-cargo run -q --release --example sharded_study > /dev/null
-
-echo "==> live study smoke (line rate, overload recovery, graceful drain)"
-# The example proves a line-rate live session bit-identical to file
-# replay, forces the ladder through Shed and back, demonstrates a
-# graceful Stop drain, and renders the report's live-session block. It
-# exits nonzero on any mismatch.
-cargo run -q --release --example live_study > /dev/null
-
-echo "==> online detection smoke (forensics walkthrough)"
-# The forensics example replays a scripted pulse-wave attack (a seeded
-# random->selective spoofing flip) through the streaming runner's online
-# detectors and exits nonzero unless both spoof modes are discriminated
-# and every incident carries a full provenance bundle.
-cargo run -q --release --example attack_forensics > /dev/null
 echo "==> end-to-end benchmark package (builds against the workspace's public API, --quick smoke)"
 # benchmark/ is a package of its own outside the workspace, so nothing
 # above notices when a public signature it uses changes. Its test runs
@@ -161,13 +175,13 @@ for pattern in 'mpsc' 'thread::' 'fs::' 'now_ns'; do
     fi
 done
 
-echo "==> option budget (at most 54 runtime options)"
+echo "==> option budget (at most 53 runtime options)"
 # Public fields of every `pub struct *Config` and of `LiveLadder` in
 # spoofwatch-core and the live producer, test code (from a file's first
 # #[cfg(test)] on) excluded. An option that no run, example or benchmark
 # sets to a second value is a constant instead. A change that needs a
 # new option raises the budget here and says why.
-option_budget=54
+option_budget=53
 # shellcheck disable=SC2046
 options="$(awk '
     FNR == 1 { inside = 0 }

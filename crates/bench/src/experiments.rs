@@ -1,5 +1,5 @@
-//! One function per paper table/figure; the `exp-*` binaries are thin
-//! wrappers and `repro-all` chains everything.
+//! One function per paper table/figure; [`ALL`] lists them in report
+//! order, and the `repro_all` binary runs that list.
 
 use crate::{Comparison, Scenario};
 use spoofwatch_analysis as analysis;
@@ -11,6 +11,29 @@ use spoofwatch_net::flow::ports;
 use spoofwatch_net::{OrgMode, TrafficClass};
 use spoofwatch_spoofer::{crosscheck, SpooferCampaign};
 use std::collections::HashSet;
+
+/// One experiment: the comparisons it makes over a scenario.
+pub type Experiment = fn(&Scenario) -> Vec<Comparison>;
+
+/// Every experiment, by the section name `repro_all` prints, in order.
+pub const ALL: [(&str, Experiment); 16] = [
+    ("fig1a", fig1a),
+    ("fig2", fig2),
+    ("table1", table1),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fphunt", fphunt),
+    ("spoofer", spoofer),
+    ("survey", survey),
+    ("evaluation", evaluation),
+    ("ablation", ablation),
+];
 
 fn pct(x: f64) -> String {
     analysis::render::pct(x)

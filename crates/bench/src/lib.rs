@@ -1,7 +1,7 @@
 //! # spoofwatch-bench
 //!
-//! The experiment harness: one `exp-*` binary per table/figure of the
-//! paper (run `repro-all` for everything).
+//! The experiment harness: one function per table/figure of the paper
+//! ([`experiments::ALL`]), all run by the `repro_all` binary.
 //!
 //! Every experiment runs over the same deterministic [`Scenario`]: the
 //! default synthetic Internet (~2000 ASes, 727 IXP members, 34

@@ -7,24 +7,9 @@ use spoofwatch_bench::{experiments, Scenario};
 #[test]
 fn all_experiments_run_on_quick_scenario() {
     let s = Scenario::quick(3);
-    let runs: Vec<(&str, fn(&Scenario) -> Vec<spoofwatch_bench::Comparison>)> = vec![
-        ("fig1a", experiments::fig1a),
-        ("fig2", experiments::fig2),
-        ("table1", experiments::table1),
-        ("fig4", experiments::fig4),
-        ("fig5", experiments::fig5),
-        ("fig6", experiments::fig6),
-        ("fig7", experiments::fig7),
-        ("fig8", experiments::fig8),
-        ("fig9", experiments::fig9),
-        ("fig10", experiments::fig10),
-        ("fig11", experiments::fig11),
-        ("fphunt", experiments::fphunt),
-        ("spoofer", experiments::spoofer),
-        ("survey", experiments::survey),
-        ("evaluation", experiments::evaluation),
-    ];
-    for (name, f) in runs {
+    // The ablation ignores the scenario and sweeps 1 000-AS worlds of its
+    // own; the rest run over the quick one.
+    for (name, f) in experiments::ALL.into_iter().filter(|(name, _)| *name != "ablation") {
         let comparisons = f(&s);
         assert!(!comparisons.is_empty(), "{name} produced no comparisons");
         for c in &comparisons {

@@ -35,6 +35,7 @@
 //! ([`write_incident_file`] / [`read_incident_log`]).
 
 use crate::provenance::DisagreementMatrix;
+use crate::runner::rollup::scan_indexed;
 use crate::runner::{write_durable, DurableWrite, WindowAccum, WriteKind};
 use serde::Serialize;
 use spoofwatch_net::codec::WireReader;
@@ -42,7 +43,6 @@ use spoofwatch_net::wire::{frame_decode, frame_encode, FrameError};
 use spoofwatch_net::{Asn, FlowRecord, Proto, TrafficClass};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -1191,41 +1191,14 @@ pub fn decode_incident_file(data: &[u8]) -> Result<Vec<IncidentRecord>, Incident
 pub fn read_incident_log(
     dir: &Path,
 ) -> io::Result<(Vec<IncidentRecord>, Vec<(PathBuf, IncidentLogError)>)> {
-    let mut files: Vec<(u64, PathBuf)> = Vec::new();
-    let mut faults = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), faults)),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let path = entry?.path();
-        if let Some(i) = incident_index_of(&path) {
-            files.push((i, path));
-        }
-    }
-    files.sort();
-    let mut records = Vec::new();
-    for (_, path) in files {
-        let bytes = fs::read(&path)?;
-        match decode_incident_file(&bytes) {
-            Ok(mut r) => records.append(&mut r),
-            Err(e) => faults.push((path, e)),
-        }
-    }
-    Ok((records, faults))
-}
-
-/// The window index encoded in an incident file's name, if it is one.
-fn incident_index_of(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    let digits = name.strip_prefix("incidents-")?.strip_suffix(".bin")?;
-    digits.parse().ok()
+    let (per_file, faults) = scan_indexed(dir, "incidents-", decode_incident_file)?;
+    Ok((per_file.into_iter().flatten().collect(), faults))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use spoofwatch_net::Proto;
 
     /// splitmix64 finalizer — bit-uniform pseudo-random sources for the

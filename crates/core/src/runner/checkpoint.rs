@@ -30,25 +30,6 @@ use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"SWCP";
 
-/// Wrap `payload` in the shared length-framed, CRC-protected envelope
-/// (`magic | version | payload_len | payload | crc32`). Checkpoints,
-/// rollup windows, and (since the wire codec was promoted to
-/// `spoofwatch_net::wire`) shard-link messages all use the same frame
-/// with different magics.
-pub(super) fn frame_encode(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
-    wire::frame_encode(magic, payload)
-}
-
-/// Unwrap and verify a framed envelope, returning the payload slice.
-/// Every failure mode a torn or bit-flipped file can produce maps to a
-/// [`CheckpointError`]; never panics on arbitrary bytes.
-pub(super) fn frame_decode<'a>(
-    magic: &[u8; 4],
-    data: &'a [u8],
-) -> Result<&'a [u8], CheckpointError> {
-    wire::frame_decode(magic, data).map_err(CheckpointError::from)
-}
-
 impl From<wire::FrameError> for CheckpointError {
     fn from(e: wire::FrameError) -> Self {
         match e {
@@ -221,7 +202,7 @@ impl CheckpointRef<'_> {
             }
         }
 
-        frame_encode(MAGIC, &payload)
+        wire::frame_encode(MAGIC, &payload)
     }
 }
 
@@ -247,7 +228,7 @@ impl Checkpoint {
     /// [`CheckpointError`]; this function never panics on arbitrary
     /// bytes.
     pub fn decode(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        let mut r = WireReader::new(frame_decode(MAGIC, data)?);
+        let mut r = WireReader::new(wire::frame_decode(MAGIC, data)?);
         Checkpoint::decode_payload(&mut r)
             .filter(|_| r.done())
             .ok_or(CheckpointError::Malformed)
@@ -531,7 +512,7 @@ mod tests {
         let mut payload = Vec::new();
         payload.extend_from_slice(&bytes[wire::HEADER_LEN..bytes.len() - 4]);
         payload.push(0b100);
-        let framed = frame_encode(MAGIC, &payload);
+        let framed = wire::frame_encode(MAGIC, &payload);
         assert_eq!(
             Checkpoint::decode(&framed),
             Err(CheckpointError::Malformed)

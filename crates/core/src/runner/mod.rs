@@ -19,9 +19,9 @@
 //!   ([`durable`]) and is joined, all it was handed acknowledged.
 //! * **Supervision** — each worker wraps chunk classification in
 //!   `catch_unwind`: a poisoned chunk is quarantined into the
-//!   [`RunnerHealth`] taxonomy and the worker restarts with bounded
-//!   exponential backoff (mirroring [`crate::RibFreshness`]'s retry
-//!   ladder). A watchdog thread flags stalled progress.
+//!   [`RunnerHealth`] taxonomy and the same worker takes the next chunk
+//!   at once (chunks are independent, so there is nothing to wait out).
+//!   A watchdog thread flags stalled progress.
 //! * **Backpressure** — bounded queue, lossless: when the source
 //!   outruns the classifiers the feeder blocks on the full queue and
 //!   throughput degrades to the classifiers' rate. A file or shard
@@ -73,11 +73,6 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-/// Restart-backoff cap after worker panics, milliseconds: delays double
-/// per consecutive panic from [`RunnerConfig::restart_backoff_base_ms`]
-/// up to this bound, mirroring [`crate::FreshnessConfig`].
-const RESTART_BACKOFF_MAX_MS: u64 = 200;
-
 /// A resumable source of flow chunks.
 ///
 /// Implementations must be deterministic: after `seek(cursor, seq)` to a
@@ -125,9 +120,6 @@ pub struct RunnerConfig {
     pub queue_depth: usize,
     /// Chunks between checkpoints (minimum 1).
     pub checkpoint_every: u64,
-    /// First restart-backoff delay after a worker panic, milliseconds
-    /// (delays double per consecutive panic up to 200 ms).
-    pub restart_backoff_base_ms: u64,
     /// Watchdog: flag a stall when no chunk commits for this long
     /// (0 disables the watchdog).
     pub stall_timeout_ms: u64,
@@ -151,7 +143,6 @@ impl Default for RunnerConfig {
             workers: 0,
             queue_depth: 8,
             checkpoint_every: 16,
-            restart_backoff_base_ms: 5,
             stall_timeout_ms: 30_000,
             interrupt_after_chunks: None,
             track_disagreement: false,
@@ -243,8 +234,9 @@ pub struct RunnerHealth {
     pub records: FlowAccounting,
     /// Chunk-level accounting.
     pub chunks: FlowAccounting,
-    /// Worker restarts after caught panics (per-process; not carried
-    /// across resumes).
+    /// Caught worker panics, each of which quarantined its chunk
+    /// (per-process; not carried across resumes). The worker thread
+    /// itself carries on with the next chunk.
     pub worker_restarts: u64,
     /// Watchdog stall flags (per-process).
     pub watchdog_stalls: u64,
@@ -439,7 +431,7 @@ impl<'a> StudyRunner<'a> {
     }
 
     /// Attach an observability bundle: metrics registry, tracer/flight
-    /// recorder, and the clock the watchdog and backoff run on.
+    /// recorder, and the clock the watchdog and stage timings run on.
     pub fn with_obs(mut self, obs: RunnerObs) -> Self {
         self.obs = obs;
         self
@@ -749,9 +741,8 @@ impl<'a> StudyRunner<'a> {
     }
 }
 
-/// One supervised worker: classify chunks, quarantine panics, restart
-/// with bounded exponential backoff (slept on the observability clock,
-/// so tests with a manual clock never block for real).
+/// One supervised worker: classify chunks, and quarantine a chunk whose
+/// classification panics, then carry on with the next one.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<F>(
     rx: Arc<Mutex<Receiver<FlowChunk>>>,
@@ -766,7 +757,6 @@ fn worker_loop<F>(
     F: Fn(&[FlowRecord]) -> (Vec<TrafficClass>, Option<DisagreementMatrix>) + Sync,
 {
     let tracer = obs.tracer.as_ref();
-    let mut consecutive_panics = 0u32;
     loop {
         let chunk = {
             let guard = rx.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -796,27 +786,16 @@ fn worker_loop<F>(
         }));
         rm.chunk_classify_ns.record(obs.clock.since_ns(t0));
         let kind = match result {
-            Ok((partial, matrix, detect)) => {
-                consecutive_panics = 0;
-                OutcomeKind::Processed(partial, matrix, detect)
-            }
+            Ok((partial, matrix, detect)) => OutcomeKind::Processed(partial, matrix, detect),
             Err(_) => {
-                // The chunk is poisoned: quarantine it and restart the
-                // worker after a bounded-exponential-backoff pause
-                // (base * 2^(panics-1), capped), mirroring RibFreshness.
+                // The chunk is poisoned: quarantine it and take the next
+                // one, which does not depend on it.
                 restarts.fetch_add(1, Ordering::Relaxed);
                 rm.worker_restarts.inc();
                 tracer.event("worker_panic", &[("seq", seq.into())]);
                 tracer.trigger_dump(&format!(
                     "worker panic: chunk seq {seq} quarantined"
                 ));
-                consecutive_panics = consecutive_panics.saturating_add(1);
-                let delay =
-                    crate::backoff::Backoff::new(cfg.restart_backoff_base_ms, RESTART_BACKOFF_MAX_MS)
-                        .delay(consecutive_panics as u64);
-                if delay > 0 {
-                    obs.clock.sleep(Duration::from_millis(delay));
-                }
                 OutcomeKind::Quarantined
             }
         };

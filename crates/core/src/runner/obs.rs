@@ -30,7 +30,8 @@ pub struct RunnerObs {
     pub metrics: Arc<MetricsRegistry>,
     /// Span/event recorder; dumps the flight ring on panic or stall.
     pub tracer: Arc<Tracer>,
-    /// Time source for the watchdog and restart backoff.
+    /// Time source for the watchdog, the stage latencies and the shard
+    /// coordinator's respawn backoff.
     pub clock: Arc<dyn Clock>,
 }
 
@@ -154,7 +155,7 @@ impl RunMetrics {
             ),
             worker_restarts: reg.counter(
                 "spoofwatch_runner_worker_restarts_total",
-                "Worker restarts after caught classification panics",
+                "Caught classification panics, each quarantining its chunk",
                 &[],
             ),
             watchdog_stalls: reg.counter(

@@ -26,10 +26,7 @@
 //! flight recorder event and bumps
 //! `spoofwatch_rollup_drift_breaches_total`.
 
-use super::checkpoint::{
-    frame_decode, frame_encode, get_accounting, get_ingest, put_accounting, put_ingest,
-    CheckpointError,
-};
+use super::checkpoint::{get_accounting, get_ingest, put_accounting, put_ingest, CheckpointError};
 use super::durable::{write_durable, DurableWrite, WriteKind};
 use super::obs::{class_label, RunnerObs};
 use super::{FlowAccounting, IngestTotals};
@@ -37,7 +34,7 @@ use crate::detect::{incident_write, DetectConfig, DetectEngine, IncidentKind, Wi
 use crate::provenance::DisagreementMatrix;
 use serde::Serialize;
 use spoofwatch_net::codec::WireReader;
-use spoofwatch_net::TrafficClass;
+use spoofwatch_net::{wire, TrafficClass};
 use spoofwatch_obs::{Counter, Gauge, Tracer};
 use std::fs;
 use std::io;
@@ -48,7 +45,7 @@ const ROLLUP_MAGIC: &[u8; 4] = b"SWRW";
 
 /// Absolute per-class traffic-share change (0.0–1.0) between
 /// consecutive windows that counts as drift.
-const DRIFT_THRESHOLD: f64 = 0.10;
+pub const DRIFT_THRESHOLD: f64 = 0.10;
 
 /// Policy for the rollup writer.
 #[derive(Debug, Clone)]
@@ -238,13 +235,13 @@ fn window_write(dir: &Path, w: &WindowAccum) -> DurableWrite {
         tmp: dir.join("window.tmp"),
         dest: dir.join(window_file_name(w.window_index)),
         keep_old: None,
-        bytes: frame_encode(ROLLUP_MAGIC, &payload),
+        bytes: wire::frame_encode(ROLLUP_MAGIC, &payload),
     }
 }
 
 /// Parse and verify one window file's bytes.
 pub fn decode_window(data: &[u8]) -> Result<WindowAccum, CheckpointError> {
-    let payload = frame_decode(ROLLUP_MAGIC, data)?;
+    let payload = wire::frame_decode(ROLLUP_MAGIC, data)?;
     let mut r = WireReader::new(payload);
     WindowAccum::decode_from(&mut r)
         .filter(|_| r.done())
@@ -254,35 +251,50 @@ pub fn decode_window(data: &[u8]) -> Result<WindowAccum, CheckpointError> {
 /// Read every window in a rollup directory, sorted by window index.
 /// Corrupt or torn files are reported as faults, never trusted; a
 /// missing directory reads as an empty ring.
+#[allow(clippy::type_complexity)]
 pub fn read_ring(dir: &Path) -> io::Result<(Vec<WindowAccum>, Vec<(PathBuf, CheckpointError)>)> {
-    let mut windows = Vec::new();
-    let mut faults = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((windows, faults)),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let path = entry?.path();
-        if window_index_of(&path).is_none() {
-            continue;
-        }
-        let bytes = fs::read(&path)?;
-        match decode_window(&bytes) {
-            Ok(w) => windows.push(w),
-            Err(e) => faults.push((path, e)),
-        }
-    }
+    let (mut windows, faults) = scan_indexed(dir, "window-", decode_window)?;
     windows.sort_by_key(|w| w.window_index);
-    faults.sort_by(|a, b| a.0.cmp(&b.0));
     Ok((windows, faults))
 }
 
-/// The window index encoded in a ring file's name, if it is one.
-fn window_index_of(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    let digits = name.strip_prefix("window-")?.strip_suffix(".bin")?;
-    digits.parse().ok()
+/// Decode every `{prefix}{index}.bin` file in `dir`, in index order,
+/// splitting what decodes from the files that do not. The ring and the
+/// incident log share a directory and this scan; a missing directory
+/// reads as empty (a run's first start has none yet).
+#[allow(clippy::type_complexity)]
+pub(crate) fn scan_indexed<T, E>(
+    dir: &Path,
+    prefix: &str,
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+) -> io::Result<(Vec<T>, Vec<(PathBuf, E)>)> {
+    let index_of = |path: &Path| -> Option<u64> {
+        let name = path.file_name()?.to_str()?;
+        name.strip_prefix(prefix)?.strip_suffix(".bin")?.parse().ok()
+    };
+    let mut files = Vec::new();
+    match fs::read_dir(dir) {
+        Ok(entries) => {
+            for entry in entries {
+                let path = entry?.path();
+                if let Some(i) = index_of(&path) {
+                    files.push((i, path));
+                }
+            }
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
+    }
+    files.sort();
+    let mut items = Vec::new();
+    let mut faults = Vec::new();
+    for (_, path) in files {
+        match decode(&fs::read(&path)?) {
+            Ok(item) => items.push(item),
+            Err(e) => faults.push((path, e)),
+        }
+    }
+    Ok((items, faults))
 }
 
 /// Commit-side view of one chunk's disposition, fed to

@@ -256,9 +256,7 @@ fn panicking_worker_quarantines_chunk_and_accounting_reconciles() {
     let scratch = Scratch::new("panic");
     let store = CheckpointStore::open(&scratch.0).expect("open store");
 
-    let mut cfg = config();
-    cfg.restart_backoff_base_ms = 0; // keep the test fast
-    let runner = StudyRunner::new(&c, cfg);
+    let runner = StudyRunner::new(&c, config());
     let method = runner.config().method;
     let org = runner.config().org;
     let mut source = ChunkedIpfixReader::new(&w.bytes, CHUNK);

@@ -267,6 +267,10 @@ fn incident_set_is_identical_across_file_resume_shard_and_live() {
             .any(|r| matches!(r.incident.kind, IncidentKind::TtlShift { .. })),
         "the TTL path change fired"
     );
+    assert!(
+        reference.iter().all(|r| !r.provenance.samples.is_empty()),
+        "every incident carries a provenance sample bundle"
+    );
 
     // Kill + resume at every window boundary (and once mid-window):
     // the resumed incident log is byte-identical to the reference's.

@@ -275,6 +275,15 @@ fn overload_ladder_sheds_recovers_and_emits_telemetry() {
     );
     assert!(study.session.time_in_state_ns[2] > 0, "time spent in Shed");
     assert!(study.session.max_buffered_chunks <= 4, "buffer bound held");
+    let trace_records: u64 = ChunkedIpfixReader::new(&w.bytes, CHUNK)
+        .collect_chunks()
+        .iter()
+        .map(|chunk| chunk.flows.len() as u64)
+        .sum();
+    assert_eq!(
+        study.session.records.offered, trace_records,
+        "the session's books cover the whole trace"
+    );
 
     // The required telemetry surface: the overload-state gauge exists
     // and every transition left a flight-recorder event.
@@ -516,6 +525,11 @@ fn live_chaos_soak() {
 
     assert!(study.session.stop_requested, "drain was stop-triggered");
     assert!(!study.session.producer_lost, "drain completed cleanly");
+    assert!(
+        study.session.chunks.offered >= 16,
+        "the drain admitted the whole chunk budget: {:?}",
+        study.session.chunks
+    );
     assert_eq!(
         study.session.resumed_at_chunk,
         Some(9),

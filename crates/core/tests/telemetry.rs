@@ -63,7 +63,6 @@ fn config() -> RunnerConfig {
         queue_depth: 4,
         checkpoint_every: 3,
         stall_timeout_ms: 0,
-        restart_backoff_base_ms: 1,
         ..RunnerConfig::default()
     }
 }
@@ -237,8 +236,7 @@ fn watchdog_stall_detection_is_deterministic_under_manual_clock() {
     // manual clock, whose tick sleeps advance virtual time instantly —
     // it burns through its 50 ms budget in microseconds of real time
     // and flags the stall long before the worker finishes. No timing
-    // race: virtual time only moves when the watchdog (or a backoff)
-    // sleeps.
+    // race: virtual time only moves when the watchdog sleeps.
     let stalled_once = AtomicU64::new(0);
     let mut source = ChunkedIpfixReader::new(&w.bytes, CHUNK);
     let report = runner

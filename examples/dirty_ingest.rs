@@ -6,20 +6,27 @@
 //! cargo run --example dirty_ingest
 //! ```
 
+mod common;
+
+use common::{section, World};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use spoofwatch_analysis::report::{IngestSummary, StudyReport};
 use spoofwatch_bgp::mrt;
-use spoofwatch_core::{Classifier, FreshnessConfig, RibFreshness};
-use spoofwatch_internet::{Internet, InternetConfig};
-use spoofwatch_ixp::{ipfix, Trace, TrafficConfig};
+use spoofwatch_core::{FreshnessConfig, RibFreshness};
+use spoofwatch_ixp::ipfix;
 use spoofwatch_net::FaultInjector;
 use spoofwatch_packet::{pcap, PcapPacket, PcapWriter};
 
 fn main() {
-    // A synthetic world: topology, announcements, and a labelled trace.
-    let net = Internet::generate(InternetConfig::tiny(5));
-    let trace = Trace::generate(&net, &TrafficConfig::tiny(6));
+    // A synthetic world: topology, announcements, a labelled trace, its
+    // IPFIX export, and the classifier built from the announcements.
+    let World {
+        net,
+        trace,
+        bytes,
+        classifier,
+    } = World::tiny(5, 6);
     println!(
         "generated {} flows across {} IXP members\n",
         trace.flows.len(),
@@ -29,7 +36,7 @@ fn main() {
     // ---- 1. Three feeds, each corrupted in transit --------------------
 
     // IPFIX flow export with 0.5% of bytes hit by bit flips.
-    let mut flow_bytes = ipfix::encode(&trace.flows);
+    let mut flow_bytes = bytes.to_vec();
     let hits = FaultInjector::new(1)
         .protect_prefix(ipfix::HEADER_LEN)
         .corrupt_percent(&mut flow_bytes, 0.5);
@@ -112,7 +119,6 @@ fn main() {
 
     // The study runs over the full trace; the recovered flow subset and
     // the feed health ride along in the report's ingest section.
-    let classifier = Classifier::build(&net.announcements, &net.orgs_dataset);
     let (tagged, stats) = classifier.classify_trace_degraded(
         &trace.flows,
         spoofwatch_net::InferenceMethod::FullCone,
@@ -135,11 +141,5 @@ fn main() {
             table_confidence: confidence,
             degraded: Some(stats),
         });
-    let text = report.render();
-    let tail = text
-        .split("## Ingest health")
-        .nth(1)
-        .map(|s| format!("## Ingest health{s}"))
-        .unwrap_or_default();
-    println!("{tail}");
+    println!("{}\n", section(&report.render(), "Ingest health"));
 }

@@ -7,32 +7,25 @@
 //! cargo run --release --example filter_audit
 //! ```
 
+mod common;
+
+use common::World;
 use rand::SeedableRng;
 use spoofwatch::analysis;
 use spoofwatch::core::fphunt::{hunt, HuntConfig};
 use spoofwatch::core::stray::StrayReport;
-use spoofwatch::core::{Classifier, MemberBreakdown};
-use spoofwatch::internet::{traceroute, Internet, InternetConfig};
-use spoofwatch::ixp::{Trace, TrafficConfig};
+use spoofwatch::core::MemberBreakdown;
+use spoofwatch::internet::traceroute;
 use spoofwatch::net::{InferenceMethod, OrgMode, TrafficClass};
 use std::collections::HashSet;
 
 fn main() {
-    let net = Internet::generate(InternetConfig {
-        seed: 37,
-        num_ases: 800,
-        num_ixp_members: 300,
-        ..InternetConfig::default()
-    });
-    let trace = Trace::generate(
-        &net,
-        &TrafficConfig {
-            seed: 37,
-            regular_flows: 120_000,
-            ..TrafficConfig::default()
-        },
-    );
-    let classifier = Classifier::build(&net.announcements, &net.orgs_dataset);
+    let World {
+        net,
+        trace,
+        classifier,
+        ..
+    } = World::mid(37, 120_000);
     let classes = classifier.classify_trace(
         &trace.flows,
         InferenceMethod::FullCone,

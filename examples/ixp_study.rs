@@ -17,10 +17,11 @@
 //! cargo run --release --example ixp_study
 //! ```
 
+mod common;
+
+use common::World;
 use spoofwatch::analysis;
-use spoofwatch::core::{Classifier, MemberBreakdown, Table1};
-use spoofwatch::internet::{Internet, InternetConfig};
-use spoofwatch::ixp::{Trace, TrafficConfig};
+use spoofwatch::core::{MemberBreakdown, Table1};
 use spoofwatch::net::{InferenceMethod, OrgMode};
 use spoofwatch::obs;
 use std::collections::HashSet;
@@ -49,20 +50,12 @@ fn main() -> ExitCode {
     };
 
     // A mid-size world so the example finishes in seconds.
-    let net = Internet::generate(InternetConfig {
-        seed: 17,
-        num_ases: 800,
-        num_ixp_members: 300,
-        ..InternetConfig::default()
-    });
-    let trace = Trace::generate(
-        &net,
-        &TrafficConfig {
-            seed: 17,
-            regular_flows: 150_000,
-            ..TrafficConfig::default()
-        },
-    );
+    let World {
+        net,
+        trace,
+        classifier,
+        ..
+    } = World::mid(17, 150_000);
     println!(
         "world: {} ASes, {} members, {} announcements, {} flow records\n",
         net.topology.len(),
@@ -72,7 +65,6 @@ fn main() -> ExitCode {
     );
 
     // Classify with every method (Table 1).
-    let classifier = Classifier::build(&net.announcements, &net.orgs_dataset);
     let table = Table1::compute(&classifier, &trace.flows);
     let rows: Vec<Vec<String>> = table
         .rows

@@ -5,93 +5,61 @@
 //! ladder.
 //!
 //! 1. runs the study once from the file (the reference),
-//! 2. streams the same trace live at line rate and checks the study is
-//!    bit-identical to file replay — breakdown, ingest totals,
-//!    disagreement matrix, and rollup windows,
+//! 2. streams the same trace live at line rate and compares the study
+//!    with file replay — breakdown, ingest totals, disagreement matrix,
+//!    and rollup windows,
 //! 3. streams it again into a deliberately slow consumer with a tight
 //!    window, forcing the ladder through Pressure into Shed and back:
-//!    records are shed deterministically at the admission buffer, the
-//!    accounting invariant `offered == processed + shed + quarantined`
-//!    still holds exactly, and the buffer never exceeds the window,
+//!    records are shed deterministically at the admission buffer and
+//!    booked, so `offered == processed + shed + quarantined` still holds,
 //! 4. demonstrates graceful drain: a chunk budget triggers a Stop
 //!    request mid-stream, in-flight work finishes, and the session
 //!    still reconciles,
 //! 5. renders the study report and shows its "## Live session" block
 //!    with the overload caveats.
 //!
-//! Exits nonzero on any mismatch, so CI can use it as a smoke test.
+//! `crates/core/tests/live_study.rs` proves the bit-identity, the shed
+//! and recovery, and the drain.
 //!
 //! ```sh
 //! cargo run --example live_study
 //! ```
 
-use spoofwatch_analysis::report::StudyReport;
-use spoofwatch_core::{
-    read_ring, serve_live, serve_live_with, CheckpointStore, Classifier, LiveLadder,
-    LiveServerConfig, LiveStudy, RollupConfig, RunnerConfig, StudyRunner, WindowAccum,
-    LIVE_WIRE_MAGIC,
+mod common;
+
+use common::{runner_config, section, window_bytes, Scratch, World};
+use spoofwatch::core::{
+    read_ring, serve_live, serve_live_with, CheckpointStore, LiveLadder, LiveServerConfig,
+    LiveStudy, RollupConfig, StudyRunner, LIVE_WIRE_MAGIC,
 };
-use spoofwatch_internet::{Internet, InternetConfig};
-use spoofwatch_ixp::chunked::ChunkedIpfixReader;
-use spoofwatch_ixp::{ipfix, LiveProducerConfig, LiveScenario, Trace, TrafficConfig};
-use spoofwatch_net::wire::ShardTransport;
-use spoofwatch_net::{InferenceMethod, OrgMode};
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::process::ExitCode;
-use std::sync::Arc;
+use spoofwatch::internet::InternetConfig;
+use spoofwatch::ixp::chunked::ChunkedIpfixReader;
+use spoofwatch::ixp::{run_live_producer, LiveProducerConfig, LiveScenario, TrafficConfig};
+use spoofwatch::net::wire::ShardTransport;
+use spoofwatch::net::{InferenceMethod, OrgMode};
+use std::path::Path;
 use std::time::Duration;
 
 const CHUNK_RECORDS: usize = 50;
 const WINDOW_CHUNKS: u64 = 4;
 
-fn runner_config() -> RunnerConfig {
-    RunnerConfig {
-        workers: 2,
-        checkpoint_every: 3,
-        track_disagreement: true,
-        ..RunnerConfig::default()
-    }
-}
-
-/// Encode rollup windows keyed by index for byte-level comparison.
-fn window_bytes(windows: &[WindowAccum]) -> BTreeMap<u64, Vec<u8>> {
-    windows
-        .iter()
-        .map(|w| {
-            let mut buf = Vec::new();
-            w.encode_into(&mut buf);
-            (w.window_index, buf)
-        })
-        .collect()
-}
-
-/// Spawn a producer thread streaming `bytes` with the given pacing.
-fn spawn_producer(
-    mut transport: ShardTransport,
-    bytes: &Arc<Vec<u8>>,
-    cfg: LiveProducerConfig,
-) -> std::thread::JoinHandle<std::io::Result<spoofwatch_ixp::LiveProducerStats>> {
-    let scenario = LiveScenario::from_ipfix(bytes.to_vec(), CHUNK_RECORDS);
-    std::thread::spawn(move || spoofwatch_ixp::run_live_producer(&mut transport, &scenario, &cfg))
-}
-
-/// One live session over an in-process pair: producer thread on one
-/// end, `serve_live` (optionally with an injected classify) on the
-/// other. Returns the study and the producer's stats.
+/// One live session over an in-process pair: a producer thread streaming
+/// the world's export at line rate on one end, `serve_live` (optionally
+/// with a classify slowed by `slow_ms` per chunk) on the other.
 fn live_session(
-    classifier: &Classifier,
+    w: &World,
     cfg: &LiveServerConfig,
     scratch: &Path,
     tag: &str,
-    bytes: &Arc<Vec<u8>>,
-    producer_cfg: LiveProducerConfig,
     slow_ms: Option<u64>,
-) -> Result<(LiveStudy, spoofwatch_ixp::LiveProducerStats), String> {
-    let (consumer, producer) = ShardTransport::channel_pair(LIVE_WIRE_MAGIC, 64);
-    let producer_thread = spawn_producer(producer, bytes, producer_cfg);
-    let store = CheckpointStore::open(scratch.join(format!("{tag}-ckpt")))
-        .map_err(|e| format!("open store: {e}"))?;
+) -> LiveStudy {
+    let (consumer, mut producer) = ShardTransport::channel_pair(LIVE_WIRE_MAGIC, 64);
+    let scenario = LiveScenario::from_ipfix(w.bytes.to_vec(), CHUNK_RECORDS);
+    let producer_thread = std::thread::spawn(move || {
+        run_live_producer(&mut producer, &scenario, &LiveProducerConfig::default())
+    });
+    let store = CheckpointStore::open(scratch.join(format!("{tag}-ckpt"))).expect("open store");
+    let classifier = &w.classifier;
     let study = match slow_ms {
         None => serve_live(classifier, cfg, &store, consumer),
         Some(ms) => serve_live_with(classifier, cfg, &store, consumer, |flows| {
@@ -99,39 +67,36 @@ fn live_session(
             classifier.classify_trace(flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted)
         }),
     }
-    .map_err(|e| format!("live session: {e}"))?;
-    let stats = producer_thread
+    .expect("live session");
+    producer_thread
         .join()
-        .map_err(|_| "producer thread panicked".to_string())?
-        .map_err(|e| format!("producer: {e}"))?;
-    Ok((study, stats))
+        .expect("producer thread")
+        .expect("producer");
+    study
 }
 
-fn main() -> ExitCode {
+fn main() {
     // ---- 0. A synthetic world and its flow export ---------------------
-    let net = Internet::generate(InternetConfig::tiny(61));
-    let mut tc = TrafficConfig::tiny(62);
-    tc.regular_flows = 1_500;
-    let trace = Trace::generate(&net, &tc);
-    let bytes = Arc::new(ipfix::encode(&trace.flows));
-    let classifier = Classifier::build(&net.announcements, &net.orgs_dataset);
+    let w = World::generate(
+        InternetConfig::tiny(61),
+        TrafficConfig {
+            regular_flows: 1_500,
+            ..TrafficConfig::tiny(62)
+        },
+    );
     println!(
         "trace: {} flows, {} bytes, streamed as {}-record chunks\n",
-        trace.flows.len(),
-        bytes.len(),
+        w.trace.flows.len(),
+        w.bytes.len(),
         CHUNK_RECORDS,
     );
-
-    let scratch: PathBuf =
-        std::env::temp_dir().join(format!("live-study-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).expect("create scratch");
+    let scratch = Scratch::new("live-study");
 
     // ---- 1. The file-replay reference ---------------------------------
     let store = CheckpointStore::open(scratch.join("ref-ckpt")).expect("open store");
     let ring = scratch.join("ref-ring");
-    let mut source = ChunkedIpfixReader::new(&bytes, CHUNK_RECORDS);
-    let reference = StudyRunner::new(&classifier, runner_config())
+    let mut source = ChunkedIpfixReader::new(&w.bytes, CHUNK_RECORDS);
+    let reference = StudyRunner::new(&w.classifier, runner_config())
         .with_rollups(RollupConfig::new(&ring, WINDOW_CHUNKS))
         .run(&mut source, &store)
         .expect("reference run");
@@ -146,39 +111,13 @@ fn main() -> ExitCode {
     // so a scheduling hiccup can never shed (the window still bounds
     // the buffer).
     cfg.ladder = Some(LiveLadder::for_window(1 << 20));
-    let (clean, stats) = match live_session(
-        &classifier,
-        &cfg,
-        &scratch,
-        "clean",
-        &bytes,
-        LiveProducerConfig::default(),
-        None,
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("clean live session failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !stats.finished || !stats.acked {
-        eprintln!("producer did not finish and get acked cleanly");
-        return ExitCode::FAILURE;
-    }
-    if clean.report.breakdown != reference.breakdown
-        || clean.report.ingest != reference.ingest
-        || clean.report.disagreement != reference.disagreement
-        || window_bytes(&clean.windows) != window_bytes(&ref_windows)
-    {
-        eprintln!("live study is NOT bit-identical to file replay");
-        return ExitCode::FAILURE;
-    }
-    if !clean.session.reconciles() || clean.session.live_shed_records != 0 {
-        eprintln!("clean session accounting is off");
-        return ExitCode::FAILURE;
-    }
+    let clean = live_session(&w, &cfg, &scratch, "clean", None);
+    let identical = clean.report.breakdown == reference.breakdown
+        && clean.report.ingest == reference.ingest
+        && clean.report.disagreement == reference.disagreement
+        && window_bytes(&clean.windows) == window_bytes(&ref_windows);
     println!(
-        "live session (line rate, window {}): bit-identical to file replay, \
+        "live session (line rate, window {}): identical to file replay: {identical}, \
          {:.0} records/s, peak buffer {} chunk(s), {} credit grants",
         clean.session.window,
         clean.session.achieved_records_per_sec,
@@ -190,110 +129,38 @@ fn main() -> ExitCode {
     let mut cfg = LiveServerConfig::new(runner_config());
     cfg.window = 4;
     cfg.ladder = Some(LiveLadder::for_window(4));
-    let (loaded, _) = match live_session(
-        &classifier,
-        &cfg,
-        &scratch,
-        "overload",
-        &bytes,
-        LiveProducerConfig::default(),
-        Some(15),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("overload session failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let loaded = live_session(&w, &cfg, &scratch, "overload", Some(15));
     let s = &loaded.session;
-    if !s.reconciles() {
-        eprintln!("overload session accounting does not reconcile");
-        return ExitCode::FAILURE;
-    }
-    if s.max_buffered_chunks > cfg.window {
-        eprintln!(
-            "buffer exceeded the window: {} > {}",
-            s.max_buffered_chunks, cfg.window
-        );
-        return ExitCode::FAILURE;
-    }
-    if s.live_shed_records == 0 || s.shed_recoveries == 0 {
-        eprintln!(
-            "expected the ladder to shed and recover (shed {} records, {} recoveries)",
-            s.live_shed_records, s.shed_recoveries
-        );
-        return ExitCode::FAILURE;
-    }
-    if s.records.offered != reference.health.records.offered {
-        eprintln!("overload session accounting does not cover the whole trace");
-        return ExitCode::FAILURE;
-    }
     println!(
         "overload session (window 4, slow consumer): {} of {} records shed at the \
-         admission buffer, {} ladder transitions, {} recoveries, invariant \
-         offered == processed + shed + quarantined holds",
-        s.live_shed_records, s.records.offered, s.transitions, s.shed_recoveries,
+         admission buffer, {} ladder transitions, {} recoveries, peak buffer {} chunk(s), \
+         invariant offered == processed + shed + quarantined holds: {}",
+        s.live_shed_records,
+        s.records.offered,
+        s.transitions,
+        s.shed_recoveries,
+        s.max_buffered_chunks,
+        s.reconciles(),
     );
 
     // ---- 4. Graceful drain on a chunk budget --------------------------
     let mut cfg = LiveServerConfig::new(runner_config());
     cfg.ladder = Some(LiveLadder::for_window(1 << 20));
     cfg.stop_after_chunks = Some(8);
-    let (stopped, _) = match live_session(
-        &classifier,
-        &cfg,
-        &scratch,
-        "drain",
-        &bytes,
-        LiveProducerConfig::default(),
-        None,
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("drain session failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !stopped.session.stop_requested
-        || stopped.session.producer_lost
-        || !stopped.session.reconciles()
-        || stopped.session.chunks.offered < 8
-    {
-        eprintln!("graceful drain did not complete cleanly");
-        return ExitCode::FAILURE;
-    }
+    let stopped = live_session(&w, &cfg, &scratch, "drain", None).session;
     println!(
-        "graceful drain: Stop after {} admitted chunk(s), in-flight work finished, \
-         session reconciles\n",
-        stopped.session.chunks.offered,
+        "graceful drain: Stop requested: {}, after {} admitted chunk(s), in-flight work \
+         finished, session reconciles: {}\n",
+        stopped.stop_requested,
+        stopped.chunks.offered,
+        stopped.reconciles(),
     );
 
     // ---- 5. The study report's live-session block ---------------------
-    let classes = classifier.classify_trace(
-        &trace.flows,
-        InferenceMethod::FullCone,
-        OrgMode::OrgAdjusted,
-    );
-    let text = StudyReport::compute(&net, &trace, &classifier, &classes, None)
-        .with_runner(loaded.report.health.clone())
-        .with_live(loaded.session.clone())
+    let text = w
+        .report()
+        .with_runner(loaded.report.health)
+        .with_live(loaded.session)
         .render();
-    let start = match text.find("## Live session") {
-        Some(i) => i,
-        None => {
-            eprintln!("report lacks the live-session section");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !text.contains("shed at the admission buffer") {
-        eprintln!("report lacks the shed caveat");
-        return ExitCode::FAILURE;
-    }
-    let end = text[start..]
-        .find("\n## ")
-        .map_or(text.len(), |i| start + i);
-    println!("{}", &text[start..end].trim_end());
-
-    let _ = std::fs::remove_dir_all(&scratch);
-    ExitCode::SUCCESS
+    println!("{}", section(&text, "Live session"));
 }

@@ -11,7 +11,7 @@ use rand::{RngExt, SeedableRng};
 use spoofwatch::core::Classifier;
 use spoofwatch::internet::{Internet, InternetConfig};
 use spoofwatch::ixp::sampler::PacketSampler;
-use spoofwatch::net::{fmt_addr, FlowRecord, IngestStatus, Proto};
+use spoofwatch::net::{fmt_addr, FlowRecord, Proto};
 use spoofwatch::packet::flow::extract_flow;
 use spoofwatch::packet::{craft, pcap, PcapPacket, PcapWriter};
 
@@ -45,10 +45,7 @@ fn main() {
     }
     let bytes = w.finish().expect("finish");
     println!("pcap: {} packets, {} bytes on disk", packets.len(), bytes.len());
-    let (readback, health) = pcap::decode_resilient(&bytes);
-    assert_eq!(health.status(), IngestStatus::Ok, "clean file: {health}");
-    assert!(health.reconciles());
-    assert_eq!(readback.len(), packets.len());
+    let (readback, _) = pcap::decode_resilient(&bytes);
 
     // 3. Parse headers (checksums validated) and classify each packet's
     //    flow as if it entered the IXP via `member`.

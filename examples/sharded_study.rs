@@ -1,81 +1,70 @@
 //! Multi-node walkthrough for the sharded study: a coordinator
 //! partitions one IPFIX trace across shard workers over a framed,
 //! CRC-protected Unix-socket transport, each worker runs the supervised
-//! streaming runner over its partition, and the merged result is proven
-//! bit-identical to a single-node run.
+//! streaming runner over its partition, and the coordinator merges the
+//! results.
 //!
 //! 1. runs the study single-node (the reference),
-//! 2. runs it again split across 3 shard workers over UDS and checks
+//! 2. runs it again split across 3 shard workers over UDS and compares
 //!    the merged breakdown, ingest totals, disagreement matrix, and
-//!    rollup windows equal the reference exactly,
+//!    rollup windows with the reference,
 //! 3. runs it once more with one shard dying mid-stream past its retry
 //!    budget, and shows the graceful degradation: the study still
 //!    completes, the extended accounting invariant
 //!    `offered == processed + shed + quarantined + lost` holds, and the
 //!    rendered report carries loud caveats.
 //!
-//! Exits nonzero on any mismatch, so CI can use it as a smoke test.
+//! `crates/core/tests/shard_study.rs` proves the bit-identity and the
+//! degraded accounting.
 //!
 //! ```sh
 //! cargo run --example sharded_study
 //! ```
 
-use spoofwatch_analysis::report::StudyReport;
-use spoofwatch_core::{
-    serve_shard, CheckpointStore, Classifier, DeathPoint, RollupConfig, RunnerConfig,
-    ShardConfig, ShardCoordinator, ShardPlan, ShardWorkerConfig, StudyRunner, SHARD_WIRE_MAGIC,
+mod common;
+
+use common::{runner_config, section, window_bytes, Scratch, World};
+use spoofwatch::core::{
+    read_ring, serve_shard, CheckpointStore, DeathPoint, RollupConfig, ShardConfig,
+    ShardCoordinator, ShardPlan, ShardStudyReport, ShardWorkerConfig, StudyRunner,
+    SHARD_WIRE_MAGIC,
 };
-use spoofwatch_internet::{Internet, InternetConfig};
-use spoofwatch_ixp::chunked::ChunkedIpfixReader;
-use spoofwatch_ixp::{ipfix, Trace, TrafficConfig};
-use spoofwatch_net::{InferenceMethod, OrgMode, UdsEndpoint};
-use std::path::PathBuf;
-use std::process::ExitCode;
+use spoofwatch::ixp::chunked::ChunkedIpfixReader;
+use spoofwatch::net::UdsEndpoint;
+use std::path::Path;
 use std::sync::Arc;
 
 const CHUNK_RECORDS: usize = 100;
 const WINDOW_CHUNKS: u64 = 4;
 const SHARDS: u32 = 3;
 
-fn runner_config() -> RunnerConfig {
-    RunnerConfig {
-        workers: 2,
-        checkpoint_every: 3,
-        track_disagreement: true,
-        ..RunnerConfig::default()
-    }
-}
-
 /// Run the sharded study over UDS. `die_at` plants a death point in one
 /// shard's workers to demonstrate loss past the retry budget.
 fn sharded_run(
-    bytes: &Arc<Vec<u8>>,
-    classifier: &Arc<Classifier>,
-    scratch: &PathBuf,
+    w: &World,
+    scratch: &Path,
     tag: &str,
     die_at: Option<(u32, DeathPoint)>,
-) -> Result<spoofwatch_core::ShardStudyReport, spoofwatch_core::ShardError> {
+) -> ShardStudyReport {
     let sock = scratch.join(format!("{tag}.sock"));
-    let endpoint = UdsEndpoint::bind(&sock, SHARD_WIRE_MAGIC)?;
+    let endpoint = UdsEndpoint::bind(&sock, SHARD_WIRE_MAGIC).expect("bind socket");
     let mut cfg = ShardConfig::new(ShardPlan::new(SHARDS, 0x1417), CHUNK_RECORDS);
     cfg.backoff_base_ms = 10;
     cfg.backoff_max_ms = 100;
     cfg.retry_budget = if die_at.is_some() { 1 } else { 3 };
 
-    let scratch = scratch.clone();
-    let classifier = Arc::clone(classifier);
+    let scratch = scratch.to_path_buf();
+    let classifier = Arc::clone(&w.classifier);
     let tag = tag.to_string();
     let spawn = move |shard_id: u32| {
         let sock = sock.clone();
         let classifier = Arc::clone(&classifier);
         let ckpt = scratch.join(format!("{tag}-shard{shard_id}-ckpt"));
         let ring = scratch.join(format!("{tag}-shard{shard_id}-ring"));
-        let die = die_at
-            .and_then(|(victim, point)| (victim == shard_id).then_some(point));
+        let die = die_at.and_then(|(victim, point)| (victim == shard_id).then_some(point));
         std::thread::spawn(move || {
-            let transport = match UdsEndpoint::connect(&sock, SHARD_WIRE_MAGIC) {
-                Ok(t) => t,
-                Err(_) => return, // coordinator already gone
+            let Ok(transport) = UdsEndpoint::connect(&sock, SHARD_WIRE_MAGIC) else {
+                return; // coordinator already gone
             };
             let mut cfg = ShardWorkerConfig::new(shard_id, runner_config());
             cfg.rollup = Some(RollupConfig::new(&ring, WINDOW_CHUNKS));
@@ -84,130 +73,57 @@ fn sharded_run(
             let _ = serve_shard(&classifier, &cfg, &store, transport);
         });
     };
-    ShardCoordinator::new(bytes, cfg).run(&endpoint, &spawn)
+    ShardCoordinator::new(&w.bytes, cfg)
+        .run(&endpoint, &spawn)
+        .expect("sharded run completes")
 }
 
-fn main() -> ExitCode {
+fn main() {
     // ---- 0. A synthetic world and its flow export ---------------------
-    let net = Internet::generate(InternetConfig::tiny(51));
-    let trace = Trace::generate(&net, &TrafficConfig::tiny(52));
-    let bytes = Arc::new(ipfix::encode(&trace.flows));
-    let classifier = Arc::new(Classifier::build(&net.announcements, &net.orgs_dataset));
+    let w = World::tiny(51, 52);
     println!(
         "trace: {} flows, {} bytes, {} shard workers over UDS\n",
-        trace.flows.len(),
-        bytes.len(),
+        w.trace.flows.len(),
+        w.bytes.len(),
         SHARDS,
     );
-
-    let scratch = std::env::temp_dir().join(format!("sharded-study-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).expect("create scratch");
+    let scratch = Scratch::new("sharded-study");
 
     // ---- 1. The single-node reference ---------------------------------
     let store = CheckpointStore::open(scratch.join("single-ckpt")).expect("open store");
     let ring = scratch.join("single-ring");
-    let mut source = ChunkedIpfixReader::new(&bytes, CHUNK_RECORDS);
-    let reference = StudyRunner::new(&classifier, runner_config())
+    let mut source = ChunkedIpfixReader::new(&w.bytes, CHUNK_RECORDS);
+    let reference = StudyRunner::new(&w.classifier, runner_config())
         .with_rollups(RollupConfig::new(&ring, WINDOW_CHUNKS))
         .run(&mut source, &store)
         .expect("single-node run");
-    let (ref_windows, _) = spoofwatch_core::read_ring(&ring).expect("read reference ring");
+    let (ref_windows, _) = read_ring(&ring).expect("read reference ring");
     println!("single-node reference: {}", reference.health);
 
     // ---- 2. The same study, split across shards -----------------------
-    let merged = match sharded_run(&bytes, &classifier, &scratch, "clean", None) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("sharded run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let windows_match = {
-        let enc = |ws: &[spoofwatch_core::WindowAccum]| {
-            ws.iter()
-                .map(|w| {
-                    let mut buf = Vec::new();
-                    w.encode_into(&mut buf);
-                    (w.window_index, buf)
-                })
-                .collect::<std::collections::BTreeMap<_, _>>()
-        };
-        enc(&merged.windows) == enc(&ref_windows)
-    };
-    if merged.breakdown != reference.breakdown
-        || merged.ingest != reference.ingest
-        || merged.disagreement != reference.disagreement
-        || !windows_match
-        || merged.degraded()
-    {
-        eprintln!("sharded result is NOT bit-identical to the single-node reference");
-        return ExitCode::FAILURE;
-    }
+    let merged = sharded_run(&w, &scratch, "clean", None);
+    let identical = merged.breakdown == reference.breakdown
+        && merged.ingest == reference.ingest
+        && merged.disagreement == reference.disagreement
+        && window_bytes(&merged.windows) == window_bytes(&ref_windows);
     println!(
         "sharded run ({} shards): merged breakdown, ingest, disagreement, and {} rollup \
-         windows are bit-identical to the reference",
+         windows identical to the reference: {identical}",
         SHARDS,
         merged.windows.len(),
     );
 
     // ---- 3. Degradation: one shard dies past its retry budget ---------
-    let degraded = match sharded_run(
-        &bytes,
-        &classifier,
-        &scratch,
-        "lossy",
-        Some((1, DeathPoint::AfterChunks(2))),
-    ) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("degraded run failed outright (it should complete): {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !degraded.degraded() || !degraded.reconciles() {
-        eprintln!(
-            "expected a degraded-but-reconciling run, got lost={} reconciles={}",
-            degraded.lost_shards(),
-            degraded.reconciles(),
-        );
-        return ExitCode::FAILURE;
-    }
-    if degraded.records.offered != reference.health.records.offered {
-        eprintln!("degraded accounting does not cover the whole trace");
-        return ExitCode::FAILURE;
-    }
+    let degraded = sharded_run(&w, &scratch, "lossy", Some((1, DeathPoint::AfterChunks(2))));
     println!(
         "\nshard loss: {} of {} records lost, invariant offered == processed + shed + \
-         quarantined + lost holds at record and sub-chunk level",
-        degraded.records.lost, degraded.records.offered,
+         quarantined + lost holds at record and sub-chunk level: {}",
+        degraded.records.lost,
+        degraded.records.offered,
+        degraded.reconciles(),
     );
 
     // The rendered study report carries the caveats.
-    let classes = classifier.classify_trace(
-        &trace.flows,
-        InferenceMethod::FullCone,
-        OrgMode::OrgAdjusted,
-    );
-    let text = StudyReport::compute(&net, &trace, &classifier, &classes, None)
-        .with_shards(degraded)
-        .render();
-    let start = match text.find("## Distribution & shard health") {
-        Some(i) => i,
-        None => {
-            eprintln!("report lacks the shard section");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !text.contains("*Caveat: shard 1/3 was lost") {
-        eprintln!("report lacks the shard-loss caveat");
-        return ExitCode::FAILURE;
-    }
-    let end = text[start..]
-        .find("\n## ")
-        .map_or(text.len(), |i| start + i);
-    println!("\n{}", &text[start..end].trim_end());
-
-    let _ = std::fs::remove_dir_all(&scratch);
-    ExitCode::SUCCESS
+    let text = w.report().with_shards(degraded).render();
+    println!("\n{}", section(&text, "Distribution & shard health"));
 }

@@ -6,31 +6,23 @@
 //! cargo run --release --example spoofer_crosscheck
 //! ```
 
-use spoofwatch::core::{Classifier, MemberBreakdown};
-use spoofwatch::internet::{Internet, InternetConfig};
-use spoofwatch::ixp::{Trace, TrafficConfig};
+mod common;
+
+use common::World;
+use spoofwatch::core::MemberBreakdown;
 use spoofwatch::net::{InferenceMethod, OrgMode, TrafficClass};
 use spoofwatch::spoofer::{crosscheck, SpoofKind, SpooferCampaign};
 use std::collections::HashSet;
 
 fn main() {
-    let net = Internet::generate(InternetConfig {
-        seed: 29,
-        num_ases: 800,
-        num_ixp_members: 300,
-        ..InternetConfig::default()
-    });
+    let World {
+        net,
+        trace,
+        classifier,
+        ..
+    } = World::mid(29, 100_000);
 
     // Passive side: classify a trace, note members with spoofed traffic.
-    let trace = Trace::generate(
-        &net,
-        &TrafficConfig {
-            seed: 29,
-            regular_flows: 100_000,
-            ..TrafficConfig::default()
-        },
-    );
-    let classifier = Classifier::build(&net.announcements, &net.orgs_dataset);
     let classes = classifier.classify_trace(
         &trace.flows,
         InferenceMethod::FullCone,

@@ -1,6 +1,6 @@
 //! Query tool for windowed telemetry rollup rings.
 //!
-//! Reads the window ring a [`spoofwatch_core::StudyRunner`] writes when
+//! Reads the window ring a [`spoofwatch::core::StudyRunner`] writes when
 //! configured `with_rollups`, and renders per-window class shares, the
 //! decoder fault taxonomy, window-over-window drift, and the merged
 //! method-disagreement matrix — as an aligned table or as CSV.
@@ -15,25 +15,27 @@
 //! cargo run --example telemetry_query -- /path/to/ring --incidents
 //!
 //! # Self-contained demo: generate a world, run a study with rollups
-//! # and online detection, crash it partway, resume, and verify the
-//! # ring and the incident log reconcile with the run report and are
-//! # bit-identical to an uninterrupted run's:
+//! # and online detection, and render its ring and incident log:
 //! cargo run --example telemetry_query -- --demo
 //! ```
 //!
-//! Exits nonzero on torn windows (inspection mode) or any verification
-//! failure (demo mode), so CI can use `--demo` as a smoke test.
+//! Exits nonzero when the directory does not exist or holds torn files.
+//! `crates/core/tests/rollups.rs` proves the ring reconciles with the run
+//! report and survives interrupt and resume bit for bit.
 
-use spoofwatch_analysis::incidents::IncidentTimeline;
-use spoofwatch_analysis::timeseries::WindowSeries;
-use spoofwatch_core::{
-    read_incident_log, read_ring, CheckpointStore, Classifier, DetectConfig, DisagreementMatrix,
-    RollupConfig, RunnerConfig, RunnerError, StudyRunner, WindowAccum,
+mod common;
+
+use common::{Scratch, World};
+use spoofwatch::analysis::incidents::IncidentTimeline;
+use spoofwatch::analysis::timeseries::WindowSeries;
+use spoofwatch::core::runner::rollup::DRIFT_THRESHOLD;
+use spoofwatch::core::{
+    read_incident_log, read_ring, CheckpointStore, DetectConfig, DisagreementMatrix,
+    IncidentRecord, RollupConfig, RunnerConfig, StudyRunner, WindowAccum,
 };
-use spoofwatch_internet::{Internet, InternetConfig};
-use spoofwatch_ixp::chunked::ChunkedIpfixReader;
-use spoofwatch_ixp::{ipfix, Trace, TrafficConfig};
-use spoofwatch_net::{FaultInjector, FaultKind};
+use spoofwatch::ixp::chunked::ChunkedIpfixReader;
+use spoofwatch::net::FaultKind;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -44,10 +46,19 @@ fn main() -> ExitCode {
     let incidents = args.iter().any(|a| a == "--incidents");
     let dir = args.iter().find(|a| !a.starts_with("--"));
 
-    match (demo, dir) {
+    match (demo, dir.map(Path::new)) {
         (true, _) => run_demo(),
-        (false, Some(dir)) if incidents => inspect_incidents(Path::new(dir)),
-        (false, Some(dir)) => inspect(Path::new(dir), csv),
+        // The readers take a missing directory for an empty one (a run's
+        // first start); here it is a mistyped path.
+        (false, Some(dir)) if !dir.is_dir() => {
+            eprintln!("no such ring directory: {}", dir.display());
+            ExitCode::FAILURE
+        }
+        (false, Some(dir)) if incidents => show(dir, read_incident_log, render_incidents),
+        (false, Some(dir)) if csv => show(dir, read_ring, |windows| {
+            WindowSeries::from_windows(windows).render_csv()
+        }),
+        (false, Some(dir)) => show(dir, read_ring, render_ring),
         (false, None) => {
             eprintln!("usage: telemetry_query <ring-dir> [--csv | --incidents] | --demo");
             ExitCode::FAILURE
@@ -55,20 +66,26 @@ fn main() -> ExitCode {
     }
 }
 
-/// Read a ring directory's incident log and render the timeline plus
-/// every incident's forensic drill-down.
-fn inspect_incidents(dir: &Path) -> ExitCode {
-    let (records, faults) = match read_incident_log(dir) {
+/// Read one kind of file from a ring directory (its windows or its
+/// incident log), name each torn file on stderr, and print the rest
+/// rendered. Fails when the directory cannot be read or a file is torn.
+#[allow(clippy::type_complexity)]
+fn show<T, E: std::fmt::Display>(
+    dir: &Path,
+    read: fn(&Path) -> io::Result<(Vec<T>, Vec<(PathBuf, E)>)>,
+    render: impl Fn(&[T]) -> String,
+) -> ExitCode {
+    let (items, faults) = match read(dir) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("cannot read incident log {}: {e}", dir.display());
+            eprintln!("cannot read {}: {e}", dir.display());
             return ExitCode::FAILURE;
         }
     };
     for (path, err) in &faults {
-        eprintln!("torn incident file rejected: {}: {err}", path.display());
+        eprintln!("torn file rejected: {}: {err}", path.display());
     }
-    print!("{}", render_incidents(&records));
+    print!("{}", render(&items));
     if faults.is_empty() {
         ExitCode::SUCCESS
     } else {
@@ -77,7 +94,7 @@ fn inspect_incidents(dir: &Path) -> ExitCode {
 }
 
 /// Timeline table followed by each incident's drill-down.
-fn render_incidents(records: &[spoofwatch_core::IncidentRecord]) -> String {
+fn render_incidents(records: &[IncidentRecord]) -> String {
     let timeline = IncidentTimeline::new(records.to_vec());
     let mut out = format!(
         "# Incident log: {} incidents\n\n{}",
@@ -94,30 +111,6 @@ fn render_incidents(records: &[spoofwatch_core::IncidentRecord]) -> String {
         }
     }
     out
-}
-
-/// Read one ring directory and render it.
-fn inspect(dir: &Path, csv: bool) -> ExitCode {
-    let (windows, faults) = match read_ring(dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot read ring {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    for (path, err) in &faults {
-        eprintln!("torn window rejected: {}: {err}", path.display());
-    }
-    if csv {
-        print!("{}", WindowSeries::from_windows(&windows).render_csv());
-    } else {
-        print!("{}", render_ring(&windows));
-    }
-    if faults.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 /// The human-readable view: share table, fault taxonomy, drift, and the
@@ -146,8 +139,10 @@ fn render_ring(windows: &[WindowAccum]) -> String {
         ));
     }
 
-    let drift = series.drift(0.10);
-    out.push_str("\n## Window-over-window drift (threshold 0.10)\n\n");
+    let drift = series.drift(DRIFT_THRESHOLD);
+    out.push_str(&format!(
+        "\n## Window-over-window drift (threshold {DRIFT_THRESHOLD:.2})\n\n"
+    ));
     if drift.is_empty() {
         out.push_str("- none\n");
     }
@@ -172,136 +167,35 @@ fn render_ring(windows: &[WindowAccum]) -> String {
     out
 }
 
-/// End-to-end demo doubling as the CI smoke test: the ring a crashed
-/// and resumed run leaves behind must reconcile with the run report and
-/// be byte-identical to an uninterrupted run's ring.
+/// The self-contained demo: one run with rollups and online detection
+/// over a lightly corrupted trace, then the ring and incident views of
+/// the directory it wrote.
 fn run_demo() -> ExitCode {
-    let net = Internet::generate(InternetConfig::tiny(61));
-    let trace = Trace::generate(&net, &TrafficConfig::tiny(62));
-    let mut bytes = ipfix::encode(&trace.flows);
-    FaultInjector::new(63)
-        .protect_prefix(ipfix::HEADER_LEN)
-        .corrupt_percent(&mut bytes, 0.1);
-    let classifier = Classifier::build(&net.announcements, &net.orgs_dataset);
+    let w = World::tiny(61, 62).corrupted(63, 0.1);
     let cfg = RunnerConfig {
         workers: 4,
         checkpoint_every: 4,
         track_disagreement: true,
         ..RunnerConfig::default()
     };
-    let chunk_records = 200;
-    let window_chunks = 3;
-    let scratch = std::env::temp_dir().join(format!("telemetry-query-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    let rollups = |dir: &Path| {
-        let mut r = RollupConfig::new(dir, window_chunks);
-        r.detect = Some(DetectConfig::default());
-        r
-    };
-
-    // Reference: uninterrupted run with rollups and online detection.
-    let ref_ring = scratch.join("ref-ring");
-    let store = CheckpointStore::open(scratch.join("ref-ckpt")).expect("open store");
-    let mut source = ChunkedIpfixReader::new(&bytes, chunk_records);
-    let reference = StudyRunner::new(&classifier, cfg.clone())
-        .with_rollups(rollups(&ref_ring))
-        .run(&mut source, &store)
-        .expect("reference run");
-
-    // Crash partway, then resume into the same ring.
+    let scratch = Scratch::new("telemetry-query");
     let ring = scratch.join("ring");
+    let mut rollups = RollupConfig::new(&ring, 3);
+    rollups.detect = Some(DetectConfig::default());
     let store = CheckpointStore::open(scratch.join("ckpt")).expect("open store");
-    let mut crash_cfg = cfg.clone();
-    crash_cfg.interrupt_after_chunks = Some(reference.health.chunks.offered / 2);
-    let mut source = ChunkedIpfixReader::new(&bytes, chunk_records);
-    match StudyRunner::new(&classifier, crash_cfg)
-        .with_rollups(rollups(&ring))
+    let mut source = ChunkedIpfixReader::new(&w.bytes, 200);
+    let report = StudyRunner::new(&w.classifier, cfg)
+        .with_rollups(rollups)
         .run(&mut source, &store)
-    {
-        Err(RunnerError::Interrupted { committed_chunks }) => {
-            println!("simulated crash after {committed_chunks} committed chunks");
-        }
-        other => {
-            eprintln!("expected a simulated crash, got {other:?}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let mut source = ChunkedIpfixReader::new(&bytes, chunk_records);
-    let resumed = StudyRunner::new(&classifier, cfg)
-        .with_rollups(rollups(&ring))
-        .run(&mut source, &store)
-        .expect("resumed run");
-    println!("resumed run: {}", resumed.health);
+        .expect("study run");
+    println!("run: {}\n", report.health);
 
-    // ---- Verification -------------------------------------------------
-    let (windows, faults) = read_ring(&ring).expect("read ring");
-    if !faults.is_empty() {
-        eprintln!("MISMATCH: {} torn windows in the resumed ring", faults.len());
-        return ExitCode::FAILURE;
-    }
-    let offered = resumed.health.chunks.offered;
-    let expected_windows = offered.div_ceil(window_chunks);
-    if windows.len() as u64 != expected_windows {
-        eprintln!(
-            "MISMATCH: expected {expected_windows} windows for {offered} chunks, found {}",
-            windows.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    let chunk_sum: u64 = windows.iter().map(|w| w.chunks).sum();
-    let record_sum: u64 = windows.iter().map(|w| w.records.offered).sum();
-    if chunk_sum != offered || record_sum != resumed.health.records.offered {
-        eprintln!(
-            "MISMATCH: window sums ({chunk_sum} chunks, {record_sum} records) do not \
-             reconcile with the report ({offered} chunks, {} records)",
-            resumed.health.records.offered
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("ring reconciles: {expected_windows} windows tile all {offered} chunks ✓");
-
-    // The acceptance bar: per-window class shares (in fact the whole
-    // window files AND the incident log — ring_bytes collects both) are
-    // bit-exact across interrupt-and-resume.
-    if ring_bytes(&ref_ring) != ring_bytes(&ring) {
-        eprintln!("MISMATCH: resumed ring is not byte-identical to the reference ring");
-        return ExitCode::FAILURE;
-    }
-    let resumed_csv = WindowSeries::from_windows(&windows).render_csv();
-    let (ref_windows, _) = read_ring(&ref_ring).expect("read reference ring");
-    let reference_csv = WindowSeries::from_windows(&ref_windows).render_csv();
-    if resumed_csv != reference_csv {
-        eprintln!("MISMATCH: per-window class shares diverged after resume");
-        return ExitCode::FAILURE;
-    }
-    println!("resumed ring is bit-identical to the uninterrupted reference ✓\n");
-
-    print!("{}", render_ring(&windows));
-    let (incidents, torn) = read_incident_log(&ring).expect("read incident log");
-    if !torn.is_empty() {
-        eprintln!("MISMATCH: {} torn incident files", torn.len());
-        return ExitCode::FAILURE;
-    }
+    let ring_status = show(&ring, read_ring, render_ring);
     println!();
-    print!("{}", render_incidents(&incidents));
-    let _ = std::fs::remove_dir_all(&scratch);
-    ExitCode::SUCCESS
-}
-
-/// Byte content of every window file, sorted by name.
-fn ring_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
-        .expect("read ring dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p: &PathBuf| p.extension().is_some_and(|x| x == "bin"))
-        .map(|p| {
-            (
-                p.file_name().unwrap().to_string_lossy().into_owned(),
-                std::fs::read(&p).expect("read window"),
-            )
-        })
-        .collect();
-    out.sort();
-    out
+    let incident_status = show(&ring, read_incident_log, render_incidents);
+    if ring_status == ExitCode::SUCCESS {
+        incident_status
+    } else {
+        ring_status
+    }
 }

@@ -5,38 +5,29 @@
 //! 1. one registry receives decode, classify, and runner metrics;
 //! 2. a worker panic quarantines its chunk and triggers a flight-recorder
 //!    dump — the last N trace events as JSONL, recovered from disk here;
-//! 3. the Prometheus snapshot reconciles exactly with the runner's own
-//!    accounting, and the study report renders a Telemetry section.
+//! 3. the Prometheus snapshot's record counters sit beside the runner's
+//!    own accounting, and the study report renders a Telemetry section.
 //!
-//! Exits nonzero on any missed capture, so CI can use it as a smoke test.
+//! `crates/core/tests/telemetry.rs` proves that the dump carries the
+//! active span and that the snapshot reconciles exactly.
 //!
 //! ```sh
 //! cargo run --example telemetry_study
 //! ```
 
-use spoofwatch::analysis::report::StudyReport;
-use spoofwatch::core::{CheckpointStore, Classifier, RunnerConfig, RunnerObs, StudyRunner};
-use spoofwatch::internet::{Internet, InternetConfig};
+mod common;
+
+use common::{section, Scratch, World};
+use spoofwatch::core::{CheckpointStore, RunnerConfig, RunnerObs, StudyRunner};
 use spoofwatch::ixp::chunked::ChunkedIpfixReader;
-use spoofwatch::ixp::{ipfix, Trace, TrafficConfig};
-use spoofwatch::net::FaultInjector;
 use spoofwatch::obs;
-use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn main() -> ExitCode {
+fn main() {
     // ---- 0. A synthetic world and a lightly dirty flow export --------
-    let net = Internet::generate(InternetConfig::tiny(71));
-    let trace = Trace::generate(&net, &TrafficConfig::tiny(72));
-    let mut bytes = ipfix::encode(&trace.flows);
-    FaultInjector::new(73)
-        .protect_prefix(ipfix::HEADER_LEN)
-        .corrupt_percent(&mut bytes, 0.1);
-    let classifier = Classifier::build(&net.announcements, &net.orgs_dataset);
-
-    let scratch = std::env::temp_dir().join(format!("telemetry-study-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
+    let w = World::tiny(71, 72).corrupted(73, 0.1);
+    let scratch = Scratch::new("telemetry-study");
     let dump_path = scratch.join("flight.jsonl");
 
     // ---- 1. One registry for everything, flight recorder armed -------
@@ -46,7 +37,6 @@ fn main() -> ExitCode {
     let registry = obs::MetricsRegistry::new();
     obs::install_global(Arc::clone(&registry));
     let tracer = obs::Tracer::with_capacity(256);
-    std::fs::create_dir_all(&scratch).expect("create scratch dir");
     tracer.arm(&dump_path);
     println!(
         "flight recorder armed: last {} events -> {}\n",
@@ -57,7 +47,7 @@ fn main() -> ExitCode {
     // ---- 2. Run the study; one chunk's classification panics ---------
     let store = CheckpointStore::open(scratch.join("ckpt")).expect("open store");
     let runner = StudyRunner::new(
-        &classifier,
+        &w.classifier,
         RunnerConfig {
             workers: 4,
             checkpoint_every: 4,
@@ -67,36 +57,22 @@ fn main() -> ExitCode {
     .with_obs(RunnerObs::new(Arc::clone(&registry), Arc::clone(&tracer)));
 
     let panics = AtomicU64::new(0);
-    let mut source = ChunkedIpfixReader::new(&bytes, 200);
-    let report = match runner.run_with(&mut source, &store, |flows| {
-        if panics
-            .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            panic!("injected fault: classifier died mid-chunk");
-        }
-        flows.iter().map(|f| classifier.classify(f)).collect()
-    }) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut source = ChunkedIpfixReader::new(&w.bytes, 200);
+    let report = runner
+        .run_with(&mut source, &store, |flows| {
+            if panics
+                .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                panic!("injected fault: classifier died mid-chunk");
+            }
+            flows.iter().map(|f| w.classifier.classify(f)).collect()
+        })
+        .expect("run survives the injected panic");
     println!("run: {}", report.health);
 
     // ---- 3. The flight recorder caught the panic ----------------------
-    let dump = match std::fs::read_to_string(&dump_path) {
-        Ok(d) if !d.is_empty() => d,
-        _ => {
-            eprintln!("MISSED: panic did not produce a flight-recorder dump");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !(dump.contains("\"name\":\"chunk_classify\"") && dump.contains("\"panicked\":true")) {
-        eprintln!("MISSED: dump lacks the span active at panic time:\n{dump}");
-        return ExitCode::FAILURE;
-    }
+    let dump = std::fs::read_to_string(&dump_path).expect("flight-recorder dump");
     println!(
         "flight-recorder dump recovered from disk ({} JSONL lines):",
         dump.lines().count()
@@ -104,68 +80,36 @@ fn main() -> ExitCode {
     for line in dump.lines().take(4) {
         println!("  {line}");
     }
-    let panicked = dump
+    println!("  ...");
+    for line in dump
         .lines()
         .filter(|l| l.contains("\"panicked\":true") || l.contains("worker_panic"))
-        .collect::<Vec<_>>();
-    println!("  ...");
-    for line in &panicked {
+    {
         println!("  {line}");
     }
 
-    // ---- 4. Metrics reconcile with the runner's accounting ------------
+    // ---- 4. Metrics beside the runner's accounting --------------------
     let snap = registry.snapshot();
     let outcome = |o: &str| {
         snap.counter("spoofwatch_runner_records_total", &[("outcome", o)])
             .unwrap_or(0)
     };
-    let (offered, processed, shed, quarantined) = (
+    println!(
+        "\nsnapshot records: {} offered = {} processed + {} shed + {} quarantined \
+         (runner: {} offered, {} quarantined)",
         outcome("offered"),
         outcome("processed"),
         outcome("shed"),
         outcome("quarantined"),
+        report.health.records.offered,
+        report.health.records.quarantined,
     );
-    println!(
-        "\nsnapshot records: {offered} offered = {processed} processed + {shed} shed + \
-         {quarantined} quarantined",
-    );
-    if processed + shed + quarantined != offered
-        || offered != report.health.records.offered
-        || quarantined != report.health.records.quarantined
-    {
-        eprintln!("MISMATCH: snapshot counters diverge from runner accounting");
-        return ExitCode::FAILURE;
-    }
-    let text = snap.render_prometheus();
-    match obs::parse_exposition(&text).map(|e| e.validate().map(|()| e)) {
-        Ok(Ok(expo)) => println!(
-            "exposition: {} samples across {} families, validates ✓",
-            expo.samples.len(),
-            expo.types.len(),
-        ),
-        other => {
-            eprintln!("MISMATCH: rendered exposition invalid: {other:?}");
-            return ExitCode::FAILURE;
-        }
-    }
 
     // ---- 5. The study report's Telemetry section ----------------------
-    let classes = classifier.classify_trace(
-        &trace.flows,
-        RunnerConfig::default().method,
-        RunnerConfig::default().org,
-    );
-    let doc = StudyReport::compute(&net, &trace, &classifier, &classes, None)
-        .with_runner(report.health.clone())
+    let doc = w
+        .report()
+        .with_runner(report.health)
         .with_telemetry(registry.snapshot())
         .render();
-    let tail = doc
-        .split("## Telemetry")
-        .nth(1)
-        .map(|s| format!("## Telemetry{s}"))
-        .unwrap_or_default();
-    println!("\n{tail}");
-
-    let _ = std::fs::remove_dir_all(&scratch);
-    ExitCode::SUCCESS
+    println!("\n{}", section(&doc, "Telemetry"));
 }
