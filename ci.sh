@@ -22,8 +22,8 @@ cargo build --release --workspace
 echo "==> tests (workspace)"
 cargo test -q --workspace
 
-echo "==> clippy (workspace)"
-cargo clippy -q --workspace
+echo "==> clippy (workspace, every target: libs, bins, tests, examples)"
+cargo clippy -q --workspace --all-targets
 
 echo "==> clippy: no unwrap in decode + runner + analysis + obs paths (lib targets only)"
 cargo clippy -q -p spoofwatch-net -p spoofwatch-bgp -p spoofwatch-ixp \
@@ -201,10 +201,11 @@ echo "==> contract floors (release-mode timing floors, each against an in-test r
 # the trace fingerprint >= 5x and the shard key >= 2x byte-wise FNV-1a,
 # sliced CRC-32 and a frame round trip >= 4x the byte-wise path,
 # disabled metric updates < 20 ns, frozen LPM >= 2x the trie and the
-# fused classify faster than two walks, batch classify >= 3x per-flow,
-# detect payload accumulation < 250 ns/record and < 5% on the serial
-# commit path, and the interned classifier build >= 2x the
-# per-announcement reference build (11 floors). One test thread: two at
+# fused classify faster than two walks, the compiled table <= 8 MB on
+# the default world, batch classify >= 3x per-flow, detect payload
+# accumulation < 250 ns/record and < 5% on the serial commit path, and
+# the interned classifier build >= 2x the per-announcement reference
+# build (12 floors). One test thread: two at
 # once on a 2-core host distort the absolute ceilings.
 cargo test -q --release -p spoofwatch-net -p spoofwatch-obs -p spoofwatch-ixp \
     -p spoofwatch-core --lib -- --ignored floor_ --test-threads=1

@@ -144,8 +144,10 @@ impl Comparison {
     }
 }
 
-/// Print comparisons as a table and append them to the JSON results file
-/// (`target/experiments/<exp>.json`).
+/// Print comparisons as a table. When `$SPOOFWATCH_RESULTS` names a
+/// directory, also write them as JSON to `<dir>/<exp>.json` (creating
+/// the directory, replacing any earlier file); when it is unset, write
+/// nothing. Write failures are ignored.
 pub fn report(exp: &str, comparisons: &[Comparison]) {
     let rows: Vec<Vec<String>> = comparisons
         .iter()

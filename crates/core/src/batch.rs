@@ -1,14 +1,15 @@
 //! The batch-vectorized classify path over structure-of-arrays input.
 //!
 //! Record-at-a-time classification ([`Classifier::classify_with`])
-//! spends its time in three places: the fused LPM probe (an LLC miss on
-//! the 64 MiB level-1 array), the cone validity check (hash lookups +
+//! spends its time in three places: the fused LPM probe (two or three
+//! dependent loads into the ≈5 MB stride table, which random sources
+//! miss in cache), the cone validity check (hash lookups +
 //! bitset probe per origin), and per-record overhead. One kernel
 //! (`Classifier::kernel`) attacks all three:
 //!
 //! * **Columnar probes** — the [`FlowBatch`]'s `src` column goes through
 //!   `CompiledClassifier::leaf_codes_into`: a dense loop of independent
-//!   probes whose level-1 misses the core overlaps instead of
+//!   probes whose branch-free chunk loads the core overlaps instead of
 //!   serializing them behind per-record work.
 //! * **Memoized verdicts** — routed codes are interned info-arena
 //!   indices, so the cone verdict is a pure function of

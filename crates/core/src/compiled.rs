@@ -226,8 +226,9 @@ impl CompiledClassifier {
 
     /// The batch code a raw leaf code resolves to: [`BATCH_UNROUTED`],
     /// [`BATCH_BOGON`], or an info-arena index for
-    /// [`CompiledClassifier::info_at`]. The map is dense and orders of
-    /// magnitude smaller than the level-1 array, so it stays cache-hot.
+    /// [`CompiledClassifier::info_at`]. The map is dense, one `u32` per
+    /// entry — about 1 % of the lookup table's chunks — so it stays
+    /// cache-hot.
     #[inline]
     pub(crate) fn batch_code(&self, leaf_code: u32) -> u32 {
         self.code_map[leaf_code as usize]
@@ -640,6 +641,23 @@ mod tests {
                 "{bogon_pct}% bogon: frozen {frozen_t:?} vs trie {trie_t:?}: {ratio:.1}x < 2x"
             );
         }
+    }
+
+    /// Release-mode floor, which `ci.sh` runs with `--ignored`: the
+    /// compiled table of the default synthetic Internet (≈11 K entries)
+    /// takes at most 8 MB. Every slot of the table is written by its
+    /// build, so this nominal size is also its resident size.
+    #[test]
+    #[ignore = "release-mode floor; ci.sh runs it with --ignored"]
+    fn compiled_memory_floor_under_8mb() {
+        use spoofwatch_internet::{Internet, InternetConfig};
+        let net = Internet::generate(InternetConfig {
+            seed: 3,
+            ..InternetConfig::default()
+        });
+        let c = Classifier::build(&net.announcements, &net.orgs_dataset);
+        let bytes = c.compiled().memory_bytes();
+        assert!(bytes <= 8_000_000, "compiled table {bytes} B > 8 MB");
     }
 
     /// Release-mode floor, which `ci.sh` runs with `--ignored`: the

@@ -1512,7 +1512,7 @@ mod tests {
             assert!(decode_incident_file(&torn).is_err(), "flip at {i}");
         }
         // Directory read: sorted, faults reported, missing dir empty.
-        write_incident_file(&dir, 1, &[rec2.clone()]).unwrap();
+        write_incident_file(&dir, 1, std::slice::from_ref(&rec2)).unwrap();
         fs::write(dir.join(incident_file_name(9)), b"torn").unwrap();
         let (records, faults) = read_incident_log(&dir).unwrap();
         assert_eq!(records, vec![rec2.clone(), rec, rec2]);

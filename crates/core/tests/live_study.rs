@@ -154,10 +154,10 @@ fn mangled_pair(seed: u64) -> (ShardTransport, ShardTransport) {
             // after that, every 5th frame is corrupted and every 11th
             // vanishes entirely.
             if frame_idx > 1 {
-                if frame_idx % 11 == 0 {
+                if frame_idx.is_multiple_of(11) {
                     continue;
                 }
-                if frame_idx % 5 == 0 {
+                if frame_idx.is_multiple_of(5) {
                     injector.flip_in_frame(std::slice::from_mut(&mut frame));
                 }
             }
@@ -492,7 +492,6 @@ fn live_chaos_soak() {
             target_records_per_sec: 0,
             credit_stall_ms: 20_000,
             pauses: vec![(12, 350)],
-            ..LiveProducerConfig::default()
         },
     );
     // A starved runner (one worker, no internal queue slack) so bursts

@@ -448,10 +448,10 @@ fn mangled_pair(seed: u64) -> (ShardTransport, ShardTransport) {
             // after that, every 5th frame is corrupted and every 11th
             // vanishes entirely.
             if frame_idx > 1 {
-                if frame_idx % 11 == 0 {
+                if frame_idx.is_multiple_of(11) {
                     continue;
                 }
-                if frame_idx % 5 == 0 {
+                if frame_idx.is_multiple_of(5) {
                     injector.flip_in_frame(std::slice::from_mut(&mut frame));
                 }
             }

@@ -610,13 +610,15 @@ mod tests {
 
     #[test]
     fn chunk_roundtrips_with_flows_and_health() {
-        let mut health = IngestHealth::default();
-        health.input_len = 4096;
-        health.ok_records = 40;
-        health.ok_bytes = 4000;
-        health.resyncs = 2;
-        health.quarantined_bytes = 96;
-        health.fault_counts = [1, 0, 2, 0, 1];
+        let health = IngestHealth {
+            input_len: 4096,
+            ok_records: 40,
+            ok_bytes: 4000,
+            resyncs: 2,
+            quarantined_bytes: 96,
+            fault_counts: [1, 0, 2, 0, 1],
+            ..IngestHealth::default()
+        };
         roundtrip(Msg::Chunk(LiveChunk {
             seq: 9,
             byte_start: 36_864,

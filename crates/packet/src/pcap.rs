@@ -520,7 +520,7 @@ mod tests {
         let mut dirty = bytes.clone();
         // 11 nonzero garbage bytes between records 3 and 4.
         let at = 24 + (0..4).map(|i| 16 + pkts[i].data.len()).sum::<usize>();
-        dirty.splice(at..at, std::iter::repeat(0xEEu8).take(11));
+        dirty.splice(at..at, std::iter::repeat_n(0xEEu8, 11));
         let (got, health) = decode_resilient(&dirty);
         assert_eq!(got, pkts, "all packets recovered around the insertion");
         assert_eq!(health.status(), IngestStatus::Recovered);

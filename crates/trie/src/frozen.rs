@@ -1,12 +1,21 @@
 //! A compiled, read-only longest-prefix-match table.
 //!
 //! [`FrozenLpm`] flattens a [`PrefixTrie`](crate::PrefixTrie) into a
-//! DIR-24-8-style stride table: one 2^24-entry level-1 array indexed by
-//! the top 24 address bits, plus 256-entry spill chunks for buckets that
-//! contain prefixes longer than /24. Leaf-pushing during the build means
-//! a lookup is **one** array load for the common case and **two**
-//! dependent loads worst case — no pointer chasing, no per-bit walk —
-//! while returning exactly the `(prefix, value)` the trie would.
+//! 16-8-8 stride table: a 2^16-entry level-1 array indexed by the top 16
+//! address bits, and 256-slot chunks for levels 2 (bits 15..8) and 3
+//! (bits 7..0). Every /16 points at a level-2 chunk, so a lookup is
+//! **two** dependent loads with no branch between them, plus **one**
+//! more only where the /24 holds prefixes longer than /24 — no pointer
+//! chasing, no per-bit walk — while returning exactly the
+//! `(prefix, value)` the trie would.
+//!
+//! The table is sized to its contents. A /16 holding a /17–/32 entry
+//! gets a private level-2 chunk, leaf-pushed with its covering ≤/16
+//! code; every other /16 resolves to one code for all its addresses and
+//! points at the one chunk **shared** by all /16s with that code. A
+//! table of *n* ≤/16 entries and *m* private /16s thus holds at most
+//! *n* + 1 + *m* level-2 chunks, one level-3 chunk per /24 with a
+//! longer entry, and the fixed 256 KiB level 1.
 //!
 //! The table is immutable once built; updates go to the authoritative
 //! `PrefixTrie` and a fresh table is compiled from it (the epoch-swap
@@ -15,34 +24,37 @@
 //! ## Layout
 //!
 //! ```text
-//! l1: Vec<u32>, 2^24 slots            chunks: Vec<u32>, 256 per chunk
-//! ┌──────────────┐                    ┌───────────────────────┐
-//! │ addr >> 8    │──leaf code──────┐  │ chunk c, slot addr&255│──leaf code
-//! │              │──SPILL | c ─────┼─▶└───────────────────────┘
-//! └──────────────┘                 ▼
+//! l1: 2^16 × u32                  chunks: Vec<u32>, 256 slots per chunk
+//! ┌────────────┐                  ┌────────────────────────────┐
+//! │ addr >> 16 │──chunk index───▶ │ level 2, (addr >> 8) & 255 │──leaf code
+//! └────────────┘                  │                            │──SPILL | c ─┐
+//!                                 ├────────────────────────────┤             │
+//!                                 │ level 3 c, addr & 255      │◀────────────┘
+//!                                 └────────────────────────────┘──leaf code
 //!                        leaves: Vec<(Ipv4Prefix, T)>   (code - 1)
 //! ```
 //!
-//! Slot encoding (32 bits): `0` = no match; high bit set = spill chunk
-//! index in the low 31 bits; otherwise `leaf_index + 1`.
+//! Level-1 slots are plain chunk indices. Chunk slot encoding (32 bits):
+//! `0` = no match; high bit set = level-3 chunk index in the low 31
+//! bits (level-2 slots only); otherwise `leaf_index + 1`.
 //!
-//! The level-1 array is nominally 64 MiB, but it is allocated zeroed
-//! (`alloc_zeroed`), so pages never written stay virtual — a table built
-//! from a handful of prefixes costs only the pages its slot ranges touch.
+//! Every array is written in full by the build, so the nominal size
+//! [`FrozenLpm::memory_bytes`] reports is also what stays resident.
 
 use crate::{PrefixSet, PrefixTrie};
 use spoofwatch_net::Ipv4Prefix;
 
-/// High bit of a level-1 slot: the low 31 bits index a spill chunk.
+/// High bit of a level-2 slot: the low 31 bits index a level-3 chunk.
 const SPILL: u32 = 1 << 31;
-/// Number of level-1 slots (one per /24 bucket).
-const L1_SLOTS: usize = 1 << 24;
-/// Slots per spill chunk (one per address in a /24 bucket).
+/// Number of level-1 slots (one per /16).
+const L1_SLOTS: usize = 1 << 16;
+/// Slots per chunk (one per /24 of a /16 at level 2, one per address of
+/// a /24 at level 3).
 const CHUNK_SLOTS: usize = 256;
 
 /// An immutable longest-prefix-match table compiled from a set of
-/// `(prefix, value)` entries, answering any lookup in at most two
-/// dependent memory loads.
+/// `(prefix, value)` entries, answering any lookup in at most three
+/// dependent memory loads (two for every prefix up to /24).
 ///
 /// Build one with [`PrefixTrie::freeze`], [`PrefixSet::freeze`], or
 /// [`FrozenLpm::from_entries`]. Lookups agree exactly with
@@ -64,10 +76,11 @@ const CHUNK_SLOTS: usize = 256;
 /// ```
 #[derive(Clone)]
 pub struct FrozenLpm<T> {
-    /// One packed slot per /24 bucket; see module docs for the encoding.
-    l1: Vec<u32>,
-    /// Spill chunks, `CHUNK_SLOTS` consecutive slots each, for buckets
-    /// holding /25–/32 entries.
+    /// The level-2 chunk of each /16; a fixed-size array, so indexing
+    /// it by `addr >> 16` needs no bounds check.
+    l1: Box<[u32; L1_SLOTS]>,
+    /// Level-2 and level-3 chunks, `CHUNK_SLOTS` consecutive slots each;
+    /// see module docs for the encoding.
     chunks: Vec<u32>,
     /// The stored entries, ordered by ascending `(len, bits)`.
     leaves: Vec<(Ipv4Prefix, T)>,
@@ -79,8 +92,12 @@ impl<T> FrozenLpm<T> {
     ///
     /// The build sorts entries by ascending prefix length and paints
     /// each one over its slot range, so the most specific prefix
-    /// covering a bucket is the one left in the slot — the invariant
-    /// longest-prefix match reduces to a direct load.
+    /// covering a slot is the one left in it — the invariant
+    /// longest-prefix match reduces to a direct load. ≤/16 entries are
+    /// painted over a per-/16 code array first; each /16 then gets its
+    /// level-2 chunk (private if a longer entry lies inside it, else the
+    /// one shared by its code), and the longer entries are painted into
+    /// the private chunks.
     pub fn from_entries(entries: impl IntoIterator<Item = (Ipv4Prefix, T)>) -> Self {
         let mut leaves: Vec<(Ipv4Prefix, T)> = entries.into_iter().collect();
         // Ascending (len, bits): later (more specific) paints overwrite
@@ -90,44 +107,73 @@ impl<T> FrozenLpm<T> {
             (leaves.len() as u64) < SPILL as u64,
             "FrozenLpm supports at most 2^31 - 1 entries"
         );
+        let short = leaves.partition_point(|(p, _)| p.len() <= 16);
 
-        let mut l1 = vec![0u32; L1_SLOTS];
+        // The code each /16 resolves to from its ≤/16 entries alone.
+        let mut root = vec![0u32; L1_SLOTS];
+        for (i, (prefix, _)) in leaves[..short].iter().enumerate() {
+            let start = (prefix.bits() >> 16) as usize;
+            root[start..start + (1usize << (16 - prefix.len()))].fill(i as u32 + 1);
+        }
+        let mut private = vec![false; L1_SLOTS];
+        for (prefix, _) in &leaves[short..] {
+            private[(prefix.bits() >> 16) as usize] = true;
+        }
+
         let mut chunks: Vec<u32> = Vec::new();
-        for (i, (prefix, _)) in leaves.iter().enumerate() {
+        // The shared level-2 chunk of each ≤/16 code (index 0: no match).
+        let mut shared: Vec<Option<u32>> = vec![None; short + 1];
+        let l1: Vec<u32> = root
+            .iter()
+            .zip(&private)
+            .map(|(&code, &private)| {
+                if private {
+                    // Leaf-push: seeded with the covering ≤/16 code (or
+                    // no-match), so addresses outside the longer entries
+                    // still match it.
+                    new_chunk(&mut chunks, code)
+                } else {
+                    *shared[code as usize].get_or_insert_with(|| new_chunk(&mut chunks, code))
+                }
+            })
+            .collect();
+
+        for (i, (prefix, _)) in leaves.iter().enumerate().skip(short) {
             let code = i as u32 + 1;
             let len = prefix.len();
+            let level2 = l1[(prefix.bits() >> 16) as usize] as usize * CHUNK_SLOTS
+                + ((prefix.bits() >> 8) & 0xFF) as usize;
             if len <= 24 {
-                // All ≤/24 entries are painted before any spill chunk
-                // exists (sorted by length), so this is a plain fill.
-                let start = (prefix.bits() >> 8) as usize;
-                let count = 1usize << (24 - len);
-                l1[start..start + count].fill(code);
+                // All /17–/24 entries are painted before any level-3
+                // chunk exists (sorted by length), so this is a plain fill.
+                chunks[level2..level2 + (1usize << (24 - len))].fill(code);
             } else {
-                let bucket = (prefix.bits() >> 8) as usize;
-                let slot = l1[bucket];
+                let slot = chunks[level2];
                 let chunk = if slot & SPILL != 0 {
-                    (slot & !SPILL) as usize
+                    slot & !SPILL
                 } else {
-                    // Leaf-push: seed the new chunk with whatever ≤/24
-                    // entry (or no-match) the bucket resolved to, so
-                    // addresses outside the longer prefixes still match
-                    // their covering entry.
-                    let chunk = chunks.len() / CHUNK_SLOTS;
-                    chunks.resize(chunks.len() + CHUNK_SLOTS, slot);
-                    l1[bucket] = SPILL | chunk as u32;
+                    // Leaf-push the /24's code into its new level-3 chunk.
+                    let chunk = new_chunk(&mut chunks, slot);
+                    chunks[level2] = SPILL | chunk;
                     chunk
                 };
-                let start = chunk * CHUNK_SLOTS + (prefix.bits() & 0xFF) as usize;
-                let count = 1usize << (32 - len);
-                chunks[start..start + count].fill(code);
+                let start = chunk as usize * CHUNK_SLOTS + (prefix.bits() & 0xFF) as usize;
+                chunks[start..start + (1usize << (32 - len))].fill(code);
             }
         }
+        // Growth left spare capacity; drop it so `memory_bytes` is the
+        // allocation.
+        chunks.shrink_to_fit();
+        let l1 = l1
+            .into_boxed_slice()
+            .try_into()
+            .expect("one level-1 slot per /16");
         FrozenLpm { l1, chunks, leaves }
     }
 
     /// Longest-prefix match: the most specific stored prefix containing
-    /// `addr`, with its value. One level-1 load, plus one chunk load iff
-    /// the /24 bucket holds longer-than-/24 entries.
+    /// `addr`, with its value. A level-1 and a level-2 load, plus one
+    /// level-3 load iff the /24 holds longer-than-/24 entries.
     #[inline]
     pub fn lookup(&self, addr: u32) -> Option<(Ipv4Prefix, &T)> {
         let code = self.lookup_code(addr);
@@ -145,9 +191,10 @@ impl<T> FrozenLpm<T> {
     /// `code → entry` map) without touching the leaf tuples per probe.
     #[inline]
     pub fn lookup_code(&self, addr: u32) -> u32 {
-        let slot = self.l1[(addr >> 8) as usize];
+        let level2 = self.l1[(addr >> 16) as usize] as usize * CHUNK_SLOTS;
+        let slot = self.chunks[level2 + ((addr >> 8) & 0xFF) as usize];
         if slot & SPILL != 0 {
-            self.chunks[((slot & !SPILL) as usize) * CHUNK_SLOTS + (addr & 0xFF) as usize]
+            self.chunks[(slot & !SPILL) as usize * CHUNK_SLOTS + (addr & 0xFF) as usize]
         } else {
             slot
         }
@@ -164,9 +211,10 @@ impl<T> FrozenLpm<T> {
 
     /// Resolve a whole column of probes to leaf codes (see
     /// [`FrozenLpm::lookup_code`]), appending to `out`. The probes are
-    /// independent, so the out-of-order core overlaps their level-1
-    /// misses on the 64 MiB array by itself. The output is exactly what
-    /// per-probe [`FrozenLpm::lookup_code`] calls would produce.
+    /// independent and their first two loads branch-free, so the
+    /// out-of-order core overlaps their chunk misses by itself. The
+    /// output is exactly what per-probe [`FrozenLpm::lookup_code`]
+    /// calls would produce.
     pub fn lookup_codes_into(&self, addrs: &[u32], out: &mut Vec<u32>) {
         out.extend(addrs.iter().map(|&addr| self.lookup_code(addr)));
     }
@@ -193,15 +241,17 @@ impl<T> FrozenLpm<T> {
         self.leaves.iter().map(|(p, v)| (*p, v))
     }
 
-    /// Number of spill chunks (buckets containing /25–/32 entries).
-    pub fn spill_chunks(&self) -> usize {
+    /// Number of 256-slot chunks of levels 2 and 3: one per distinct
+    /// ≤/16 code a /16 without longer entries resolves to, one per /16
+    /// holding a /17–/32 entry, and one per /24 holding a /25–/32 entry.
+    pub fn chunks(&self) -> usize {
         self.chunks.len() / CHUNK_SLOTS
     }
 
-    /// Nominal heap footprint of the table arrays in bytes (the level-1
-    /// array counts in full even though untouched pages stay virtual).
+    /// Heap footprint of the table arrays in bytes. The build writes
+    /// every slot, so this is resident, not merely reserved.
     pub fn memory_bytes(&self) -> usize {
-        self.l1.len() * 4
+        L1_SLOTS * 4
             + self.chunks.len() * 4
             + self.leaves.len() * std::mem::size_of::<(Ipv4Prefix, T)>()
     }
@@ -209,10 +259,10 @@ impl<T> FrozenLpm<T> {
 
 impl<T> std::fmt::Debug for FrozenLpm<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Printing 2^24 slots would be useless; summarize instead.
+        // Printing the chunk slots would be useless; summarize instead.
         f.debug_struct("FrozenLpm")
             .field("entries", &self.leaves.len())
-            .field("spill_chunks", &self.spill_chunks())
+            .field("chunks", &self.chunks())
             .field("memory_bytes", &self.memory_bytes())
             .finish()
     }
@@ -226,7 +276,7 @@ impl<T> FromIterator<(Ipv4Prefix, T)> for FrozenLpm<T> {
 
 impl<T: Clone> PrefixTrie<T> {
     /// Compile this trie into a read-only [`FrozenLpm`] answering the
-    /// same lookups in at most two memory loads. The trie remains the
+    /// same lookups in at most three memory loads. The trie remains the
     /// authoritative, mutable structure; re-freeze after updates.
     pub fn freeze(&self) -> FrozenLpm<T> {
         FrozenLpm::from_entries(self.iter().map(|(p, v)| (p, v.clone())))
@@ -239,6 +289,17 @@ impl PrefixSet {
     pub fn freeze(&self) -> FrozenLpm<()> {
         FrozenLpm::from_entries(self.iter().map(|p| (p, ())))
     }
+}
+
+/// Append one chunk with every slot set to `seed`; returns its index.
+fn new_chunk(chunks: &mut Vec<u32>, seed: u32) -> u32 {
+    let chunk = chunks.len() / CHUNK_SLOTS;
+    assert!(
+        chunk < SPILL as usize,
+        "FrozenLpm supports at most 2^31 chunks"
+    );
+    chunks.resize(chunks.len() + CHUNK_SLOTS, seed);
+    chunk as u32
 }
 
 #[cfg(test)]
@@ -259,7 +320,7 @@ mod tests {
         assert!(f.is_empty());
         assert!(f.lookup(0).is_none());
         assert!(f.lookup(u32::MAX).is_none());
-        assert_eq!(f.spill_chunks(), 0);
+        assert_eq!(f.chunks(), 1, "every /16 shares the no-match chunk");
     }
 
     #[test]
@@ -269,7 +330,9 @@ mod tests {
         assert_eq!(f.lookup(0x0A01_0503).unwrap(), (p("10.1.0.0/16"), &1));
         assert_eq!(f.lookup(0x0A05_0503).unwrap(), (p("10.0.0.0/8"), &0));
         assert!(f.lookup(0x0B00_0000).is_none());
-        assert_eq!(f.spill_chunks(), 0, "all entries ≤ /24: no spill");
+        // Shared no-match and /8 chunks, and 10.1/16's private one; all
+        // entries ≤ /24, so no level-3 chunk.
+        assert_eq!(f.chunks(), 3);
     }
 
     #[test]
@@ -293,7 +356,8 @@ mod tests {
         assert_eq!(f.lookup(0x0A00_007F).unwrap(), (p("10.0.0.0/24"), &0));
         // Outside the bucket: miss.
         assert!(f.lookup(0x0A00_0100).is_none());
-        assert_eq!(f.spill_chunks(), 1, "one bucket spilled");
+        // Shared no-match chunk, 10.0/16's level 2, 10.0.0/24's level 3.
+        assert_eq!(f.chunks(), 3);
     }
 
     #[test]
@@ -313,19 +377,93 @@ mod tests {
         assert!(f.lookup(0x0A00_0001).is_none());
         assert!(f.lookup(0x0A00_00FE).is_none());
         assert!(f.lookup(0x0A00_0101).is_none());
-        assert_eq!(f.spill_chunks(), 2);
+        // Shared no-match chunk, 10.0/16's level 2, two level-3 chunks.
+        assert_eq!(f.chunks(), 4);
     }
 
     #[test]
     fn wide_short_prefix_under_long_ones() {
-        // A /7 spans many buckets; a /30 inside one of them must spill
-        // only that bucket while the /7 still answers its own range.
+        // A /7 spans many /16s; a /30 inside one of them must give only
+        // that /16 a private chunk while the /7 still answers its range.
         let f = frozen(&["10.0.0.0/7", "11.255.255.252/30"]);
         assert_eq!(f.lookup(0x0BFF_FFFD).unwrap(), (p("11.255.255.252/30"), &1));
         assert_eq!(f.lookup(0x0BFF_FFF0).unwrap(), (p("10.0.0.0/7"), &0));
         assert_eq!(f.lookup(0x0A00_0000).unwrap(), (p("10.0.0.0/7"), &0));
         assert!(f.lookup(0x0C00_0000).is_none());
-        assert_eq!(f.spill_chunks(), 1);
+        // Shared no-match and /7 chunks, 11.255/16's level 2, one level 3.
+        assert_eq!(f.chunks(), 4);
+    }
+
+    /// Builds the trie and the frozen table over `prefixes` and checks
+    /// they agree at every prefix's edges and just outside them.
+    fn assert_matches_trie(prefixes: &[&str]) -> FrozenLpm<usize> {
+        let trie: PrefixTrie<usize> = prefixes
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (p(s), i))
+            .collect();
+        let f = trie.freeze();
+        let mut addrs = vec![0u32, u32::MAX];
+        for s in prefixes {
+            let q = p(s);
+            addrs.extend([
+                q.first(),
+                q.last(),
+                q.first().wrapping_sub(1),
+                q.last().wrapping_add(1),
+            ]);
+        }
+        for addr in addrs {
+            assert_eq!(
+                f.lookup(addr).map(|(q, v)| (q, *v)),
+                trie.lookup(addr).map(|(q, v)| (q, *v)),
+                "addr {addr:#010x}"
+            );
+        }
+        f
+    }
+
+    #[test]
+    fn slash17_chunk_is_seeded_with_covering_slash15() {
+        let f = assert_matches_trie(&["10.0.0.0/15", "10.1.128.0/17"]);
+        assert_eq!(f.lookup(0x0A01_8001).unwrap(), (p("10.1.128.0/17"), &1));
+        assert_eq!(f.lookup(0x0A01_7FFF).unwrap(), (p("10.0.0.0/15"), &0));
+        assert_eq!(f.lookup(0x0A00_0001).unwrap(), (p("10.0.0.0/15"), &0));
+        // Shared no-match and /15 chunks, 10.1/16's private one.
+        assert_eq!(f.chunks(), 3);
+    }
+
+    #[test]
+    fn slash25_alone_in_its_slash16_adds_level_2_and_3() {
+        let f = assert_matches_trie(&["10.0.0.0/8", "10.1.2.128/25"]);
+        assert_eq!(f.lookup(0x0A01_0280).unwrap(), (p("10.1.2.128/25"), &1));
+        assert_eq!(f.lookup(0x0A01_027F).unwrap(), (p("10.0.0.0/8"), &0));
+        assert_eq!(f.lookup(0x0A01_0300).unwrap(), (p("10.0.0.0/8"), &0));
+        // Shared no-match and /8 chunks, 10.1/16's level 2, 10.1.2/24's
+        // level 3.
+        assert_eq!(f.chunks(), 4);
+    }
+
+    #[test]
+    fn slash16s_with_one_code_share_one_chunk() {
+        // 10.0/16 and 10.1/16 both resolve to the /15; 10.2/16 and
+        // 10.3/16 to their own /16 entries.
+        let f = assert_matches_trie(&["10.0.0.0/15", "10.2.0.0/16", "10.3.0.0/16"]);
+        assert_eq!(f.chunks(), 4);
+        let f = assert_matches_trie(&["10.0.0.0/8"]);
+        assert_eq!(f.chunks(), 2, "256 /16s, one chunk");
+    }
+
+    #[test]
+    fn empty_and_default_route_tables_hold_one_chunk() {
+        let f = assert_matches_trie(&[]);
+        assert_eq!(f.chunks(), 1);
+        let f = assert_matches_trie(&["0.0.0.0/0"]);
+        assert_eq!(f.chunks(), 1, "no /16 misses, so no no-match chunk");
+        assert_eq!(
+            f.memory_bytes(),
+            (1 << 16) * 4 + 256 * 4 + std::mem::size_of::<(Ipv4Prefix, usize)>()
+        );
     }
 
     #[test]

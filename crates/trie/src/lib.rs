@@ -25,11 +25,13 @@
 //!
 //! For the classification hot path there is a third, read-only type:
 //!
-//! * [`FrozenLpm<T>`] — a DIR-24-8-style stride table compiled from a
-//!   trie or set ([`PrefixTrie::freeze`] / [`PrefixSet::freeze`]) that
-//!   answers any longest-prefix match in at most two dependent memory
-//!   loads. The trie stays authoritative; the frozen table is rebuilt
-//!   and swapped in whenever the source data changes.
+//! * [`FrozenLpm<T>`] — a 16-8-8 stride table compiled from a trie or
+//!   set ([`PrefixTrie::freeze`] / [`PrefixSet::freeze`]) that answers
+//!   any longest-prefix match in two dependent memory loads, three
+//!   inside a /24 holding a longer prefix, and is sized to its entries
+//!   (/16s that resolve to one code share one chunk). The trie stays
+//!   authoritative; the frozen table is rebuilt and swapped in whenever
+//!   the source data changes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

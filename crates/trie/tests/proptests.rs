@@ -319,12 +319,54 @@ fn arb_tight_prefix() -> impl Strategy<Value = Ipv4Prefix> {
     })
 }
 
-/// Full-range prefixes with lengths 8..=32: exercises spill chunks and
-/// leaf-pushing in the frozen table without the multi-megaslot paints a
-/// /0 would cost per case (short lengths are covered deterministically
-/// by `frozen_boundary_ladder`).
+/// Full-range prefixes of every length /0–/32: exercises shared and
+/// private level-2 chunks, level-3 chunks and leaf-pushing in the frozen
+/// table. A /0 paints the 65 536 per-/16 codes, so short lengths cost
+/// little per case.
 fn arb_deep_prefix() -> impl Strategy<Value = Ipv4Prefix> {
-    (any::<u32>(), 8u8..=32).prop_map(|(bits, len)| Ipv4Prefix::new_truncating(bits, len))
+    (any::<u32>(), 0u8..=32).prop_map(|(bits, len)| Ipv4Prefix::new_truncating(bits, len))
+}
+
+/// Prefixes confined to 10.0.0.0/12 with lengths 12..=32: sixteen /16s,
+/// so prefixes nest inside one /16 at every stride edge — which the
+/// full-range `arb_deep_prefix` rarely produces.
+fn arb_slash12_prefix() -> impl Strategy<Value = Ipv4Prefix> {
+    (0u32..=0x000F_FFFF, 12u8..=32)
+        .prop_map(|(low, len)| Ipv4Prefix::new_truncating(0x0A00_0000 | low, len))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential over one /12: the frozen table must return the
+    /// trie's `(prefix, value)` at random addresses of the /12 and at
+    /// the edges of every prefix.
+    #[test]
+    fn frozen_matches_trie_within_one_slash12(
+        prefixes in prop::collection::vec((arb_slash12_prefix(), 0u32..1000), 1..60),
+        probes in prop::collection::vec(0x0A00_0000u32..=0x0A0F_FFFF, 1..40),
+    ) {
+        let trie: PrefixTrie<u32> = prefixes.iter().copied().collect();
+        let frozen = trie.freeze();
+        prop_assert_eq!(frozen.len(), trie.len());
+        let mut addrs = probes;
+        for (p, _) in &prefixes {
+            addrs.extend([
+                p.first(),
+                p.last(),
+                p.first().wrapping_sub(1),
+                p.last().wrapping_add(1),
+            ]);
+        }
+        for addr in addrs {
+            prop_assert_eq!(
+                frozen.lookup(addr).map(|(p, v)| (p, *v)),
+                trie.lookup(addr).map(|(p, v)| (p, *v)),
+                "addr {:#010x}",
+                addr
+            );
+        }
+    }
 }
 
 /// Deterministic boundary sweep: a nested ladder of all 33 prefix
@@ -365,8 +407,8 @@ fn frozen_boundary_ladder() {
 }
 
 /// The default route alone must answer every address, and removing it
-/// (rebuild) must miss every address — the /0 paint covers the whole
-/// level-1 array.
+/// (rebuild) must miss every address — the /0 paint covers every /16,
+/// which then all share one chunk.
 #[test]
 fn frozen_default_route_only() {
     let mut trie = PrefixTrie::new();
