@@ -22,8 +22,8 @@ cargo build --release --workspace
 echo "==> tests (workspace)"
 cargo test -q --workspace
 
-echo "==> clippy (workspace, every target: libs, bins, tests, examples)"
-cargo clippy -q --workspace --all-targets
+echo "==> clippy (workspace, every target: libs, bins, tests, examples; warnings fail)"
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "==> clippy: no unwrap in decode + runner + analysis + obs paths (lib targets only)"
 cargo clippy -q -p spoofwatch-net -p spoofwatch-bgp -p spoofwatch-ixp \
@@ -172,6 +172,24 @@ done
 for pattern in 'mpsc' 'thread::' 'fs::' 'now_ns'; do
     if non_test "$pattern" crates/core/src/runner/commit.rs | grep .; then
         echo "runner::commit does I/O, threading or timing; it is a pure rule set"; exit 1
+    fi
+done
+
+echo "==> one classify surface (the batch kernel, its oracle, and provenance)"
+# Every production classification goes through the batch kernel
+# (core::batch): classify_batch_into, classify_records_batched and
+# classify_variants_records_batched are its entry points, and
+# classify_trace the one that records spoofwatch_classified_flows_total.
+# classify_with_tries is the kernel's reference oracle and
+# classify_explain says why one flow got its class. A second ladder
+# beside them fails here.
+classify_surface="classify_batch_into classify_records_batched classify_variants_records_batched classify_trace classify_with_tries classify_explain"
+# shellcheck disable=SC2046
+classify_fns="$(non_test 'pub fn classify' $(find crates/*/src -name '*.rs'))"
+for name in $(echo "$classify_fns" | sed -nE 's/.*pub fn (classify[A-Za-z0-9_]*).*/\1/p' | sort -u); do
+    if ! printf '%s\n' $classify_surface | grep -qxF "$name"; then
+        echo "$classify_fns" | grep -E "pub fn ${name}[^A-Za-z0-9_]"
+        echo "pub fn $name is a classify entry point beside the kept six; call the batch kernel"; exit 1
     fi
 done
 

@@ -672,7 +672,10 @@ mod tests {
         assert!(!plain.contains("Method disagreement"));
         assert!(!plain.contains("provenance exemplars"));
 
-        let matrix = classifier.method_disagreement(&trace.flows);
+        let mut matrix = DisagreementMatrix::new();
+        for variants in classifier.classify_variants_records_batched(&trace.flows) {
+            matrix.record(&variants);
+        }
         assert!(matrix.reconciles());
         let explain =
             |f| classifier.classify_explain(f, InferenceMethod::FullCone, OrgMode::OrgAdjusted);

@@ -164,11 +164,6 @@ impl ReachCones {
         self.indexer.len()
     }
 
-    /// Number of origin ASes (bit width of the reach sets).
-    pub fn num_origins(&self) -> usize {
-        self.origin_units.len()
-    }
-
     /// The origin ASes in `member`'s cone, ascending. The member itself
     /// is included when it originates space.
     pub fn cone_origins(&self, member: Asn) -> Vec<Asn> {

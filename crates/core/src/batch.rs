@@ -1,11 +1,13 @@
-//! The batch-vectorized classify path over structure-of-arrays input.
+//! The classify path: one batch kernel over structure-of-arrays input.
 //!
-//! Record-at-a-time classification ([`Classifier::classify_with`])
-//! spends its time in three places: the fused LPM probe (two or three
-//! dependent loads into the ≈5 MB stride table, which random sources
-//! miss in cache), the cone validity check (hash lookups +
-//! bitset probe per origin), and per-record overhead. One kernel
-//! (`Classifier::kernel`) attacks all three:
+//! Every production classification goes through one kernel
+//! (`Classifier::kernel`); [`Classifier::classify_with_tries`] is its
+//! reference oracle, and [`Classifier::classify_explain`] says why one
+//! picked flow got its class. A record-at-a-time ladder would spend its
+//! time in three places: the fused LPM probe (two or three dependent
+//! loads into the ≈5 MB stride table, which random sources miss in
+//! cache), the cone validity check (hash lookups + bitset probe per
+//! origin), and per-record overhead. The kernel attacks all three:
 //!
 //! * **Columnar probes** — the [`FlowBatch`]'s `src` column goes through
 //!   `CompiledClassifier::leaf_codes_into`: a dense loop of independent
@@ -29,13 +31,15 @@
 //!
 //! ## Exactness
 //!
-//! The batch path equals the scalar one by construction: the code
-//! column is what per-address `lookup` calls decide; the memo key plus
+//! The kernel equals the oracle by construction: the code column is
+//! what per-address `lookup` calls decide (`tests/compiled_diff.rs`
+//! pins the compiled table to the two trie walks); the memo key plus
 //! the classifier's build `uid` captures every input of the pure
 //! `valid_under_parts`; and class assembly is the same Bogon → Unrouted
-//! → Invalid/Valid ladder. `tests/batch_diff.rs` pins this per flow
-//! across all five variants and with whole-run byte-identity (rollup
-//! rings, incident logs, disagreement matrices).
+//! → Invalid/Valid ladder. `tests/batch_diff.rs` pins the kernel to
+//! `classify_with_tries` per flow across all five variants, and with
+//! whole-run byte-identity (rollup rings, incident logs, disagreement
+//! matrices).
 
 use crate::compiled::{BATCH_BOGON, BATCH_UNROUTED};
 use crate::pipeline::Classifier;
@@ -244,8 +248,8 @@ impl Classifier {
 
     /// Classify a whole [`FlowBatch`] under one method variant,
     /// replacing `out` with one class per record (index-aligned with
-    /// the batch). Equal to `classify_with` on every gathered record;
-    /// see the module docs for the exactness argument.
+    /// the batch). Equal to `classify_with_tries` on every gathered
+    /// record; see the module docs for the exactness argument.
     pub fn classify_batch_into(
         &self,
         batch: &FlowBatch,
@@ -258,26 +262,10 @@ impl Classifier {
         self.kernel(batch, bit, scratch, out, |v| v.class(bit));
     }
 
-    /// Classify a whole [`FlowBatch`] under **all five** method
-    /// variants at once, replacing `out`. Slot `j` of record `i` equals
-    /// `classify_variants(record_i)[j]` — one code probe and at most
-    /// one memo fill serve all five.
-    pub fn classify_variants_batch_into(
-        &self,
-        batch: &FlowBatch,
-        scratch: &mut BatchScratch,
-        out: &mut Vec<[TrafficClass; 5]>,
-    ) {
-        self.kernel(batch, ALL_VARIANTS, scratch, out, |v| {
-            std::array::from_fn(|j| v.class(1 << j))
-        });
-    }
-
     /// Batch-classify a record slice through the per-thread scratch:
     /// transpose into the thread-local arena, run the columnar path,
-    /// return the classes. The drop-in vectorized replacement for a
-    /// `classify_with` loop — same output, ~3× the throughput, zero
-    /// steady-state allocations beyond the returned vector.
+    /// return the classes: zero steady-state allocations beyond the
+    /// returned vector.
     pub fn classify_records_batched(
         &self,
         flows: &[FlowRecord],
@@ -291,15 +279,19 @@ impl Classifier {
         out
     }
 
-    /// Batch-classify a record slice under all five variants through
-    /// the per-thread scratch. Row `i` equals `classify_variants(&flows[i])`.
+    /// Batch-classify a record slice under all five variants at once
+    /// through the per-thread scratch: slot `j` of row `i` is the class
+    /// of `flows[i]` under `METHOD_VARIANTS[j]`. One code probe and at
+    /// most one memo fill serve all five.
     pub fn classify_variants_records_batched(
         &self,
         flows: &[FlowRecord],
     ) -> Vec<[TrafficClass; 5]> {
         let mut out = Vec::new();
         with_transposed(flows, |batch, scratch| {
-            self.classify_variants_batch_into(batch, scratch, &mut out)
+            self.kernel(batch, ALL_VARIANTS, scratch, &mut out, |v| {
+                std::array::from_fn(|j| v.class(1 << j))
+            })
         });
         out
     }
@@ -368,7 +360,7 @@ mod tests {
 
     /// The kernel under *every* non-empty variant mask: Bogon and
     /// Unrouted are mask-independent, and a routed record's bits are
-    /// exactly the mask's variants that `classify_with` calls Valid —
+    /// exactly the mask's variants that the oracle calls Valid —
     /// also when the memo was left partly filled by a narrower or
     /// disjoint mask (the masks run in one scratch, 1 through 31).
     #[test]
@@ -381,7 +373,8 @@ mod tests {
         let expect: Vec<Verdict> = flows
             .iter()
             .map(|f| {
-                let classes = METHOD_VARIANTS.map(|v| classifier.classify_with(f, v.method, v.org));
+                let classes =
+                    METHOD_VARIANTS.map(|v| classifier.classify_with_tries(f, v.method, v.org));
                 match classes[0] {
                     TrafficClass::Bogon => Verdict::Bogon,
                     TrafficClass::Unrouted => Verdict::Unrouted,
@@ -407,24 +400,25 @@ mod tests {
     }
 
     /// Release-mode floor, which `ci.sh` runs with `--ignored`:
-    /// `classify_batch_into` is at least 3× a per-flow `classify_with`
-    /// loop over the same 20 000 synthetic flows, best of 7, the two
-    /// timed alternately. The loop makes one out-of-line call per flow,
-    /// as a caller outside this crate does: inlined into the timed loop,
-    /// `classify_with` reads about 10 % faster than the out-of-line call
-    /// the floor has always been measured against.
+    /// `classify_batch_into` is at least 3× a per-flow loop of the fused
+    /// ladder (`floors::classify_fused`: one compiled lookup and one
+    /// cone check) over the same 20 000 synthetic flows, best of 7, the
+    /// two timed alternately. The loop makes one out-of-line call per
+    /// flow: inlined into the timed loop, the ladder reads about 10 %
+    /// faster than the out-of-line call the floor has always been
+    /// measured against.
     #[test]
     #[ignore = "release-mode timing floor; ci.sh runs it with --ignored"]
     fn batch_floor_3x_classify_with() {
         use std::hint::black_box;
         #[inline(never)]
-        fn classify_with(
+        fn per_flow(
             c: &Classifier,
             f: &FlowRecord,
             method: InferenceMethod,
             org: OrgMode,
         ) -> TrafficClass {
-            c.classify_with(f, method, org)
+            crate::pipeline::floors::classify_fused(c, f, method, org)
         }
         let (c, flows) = crate::pipeline::floors::trace();
         let (method, org) = (InferenceMethod::FullCone, OrgMode::OrgAdjusted);
@@ -436,14 +430,14 @@ mod tests {
             || c.classify_batch_into(black_box(&batch), method, org, &mut scratch, &mut out),
             || {
                 let tally: usize =
-                    flows.iter().map(|f| classify_with(&c, black_box(f), method, org).index()).sum();
+                    flows.iter().map(|f| per_flow(&c, black_box(f), method, org).index()).sum();
                 black_box(tally);
             },
         );
         let ratio = scalar.as_secs_f64() / batched.as_secs_f64();
         assert!(
             ratio >= 3.0,
-            "classify_batch_into {batched:?} vs per-flow classify_with {scalar:?}: \
+            "classify_batch_into {batched:?} vs per-flow fused ladder {scalar:?}: \
              {ratio:.2}x < 3x"
         );
     }

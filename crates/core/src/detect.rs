@@ -40,7 +40,7 @@ use crate::runner::{write_durable, DurableWrite, WindowAccum, WriteKind};
 use serde::Serialize;
 use spoofwatch_net::codec::WireReader;
 use spoofwatch_net::wire::{frame_decode, frame_encode, FrameError};
-use spoofwatch_net::{Asn, FlowRecord, Proto, TrafficClass};
+use spoofwatch_net::{Asn, FlowRecord, TrafficClass};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -890,11 +890,6 @@ impl IncidentRecord {
                 matrix,
             },
         })
-    }
-
-    /// Decode a sample's protocol byte back to the flow type.
-    pub fn proto_of(sample: &SampledFlow) -> Proto {
-        Proto::from_number(sample.proto)
     }
 }
 

@@ -73,17 +73,6 @@ impl HuntFindings {
     pub fn num_links(&self) -> usize {
         self.whois_org_links.len() + self.acl_links.len() + self.looking_glass_links.len()
     }
-
-    /// The accepted `(member, origin)` pairs.
-    pub fn accepted_pairs(&self) -> HashSet<(Asn, Asn)> {
-        self.whois_org_links
-            .iter()
-            .chain(&self.acl_links)
-            .chain(&self.looking_glass_links)
-            .chain(&self.tunnel_suspects)
-            .copied()
-            .collect()
-    }
 }
 
 fn reduction(before: u64, after: u64) -> f64 {

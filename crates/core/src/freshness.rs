@@ -11,17 +11,16 @@
 //!   bounded-exponential-backoff retry bookkeeping for gap recovery;
 //! * [`Confidence`] grades the feed (`Fresh` / `Degraded` / `Stale`)
 //!   from the staleness of the worst still-working collectors;
-//! * [`Classifier::classify_trace_degraded`] annotates every
-//!   classification with that confidence, so downstream consumers can
-//!   tell "Unrouted, trust it" from "Unrouted, but the table is cold".
+//! * [`DegradedStats::of`] grades every verdict of a classified batch
+//!   with that confidence, so downstream consumers can tell "Unrouted,
+//!   trust it" from "Unrouted, but the table is cold".
 //!
 //! Only the routing-derived classes (Unrouted, Invalid, and cone-based
 //! Valid) degrade with the table; Bogon verdicts come from a static list
 //! and keep full confidence regardless of feed health.
 
-use crate::pipeline::Classifier;
 use serde::Serialize;
-use spoofwatch_net::{FlowRecord, InferenceMethod, OrgMode, TrafficClass};
+use spoofwatch_net::TrafficClass;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -243,18 +242,6 @@ impl RibFreshness {
     }
 }
 
-/// A traffic-class verdict together with the feed confidence it was
-/// made under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct Classification {
-    /// The paper's four-way verdict.
-    pub class: TrafficClass,
-    /// How much the verdict can be trusted given feed health. Bogon
-    /// verdicts are always `Fresh` (static list); routing-derived
-    /// verdicts inherit the table's grade.
-    pub confidence: Confidence,
-}
-
 /// Aggregate health of one degraded-mode classification run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DegradedStats {
@@ -272,49 +259,38 @@ pub struct DegradedStats {
     pub unrouted_tentative: u64,
 }
 
-impl Classifier {
-    /// Classify a batch while the routed table may be out of date,
-    /// annotating every verdict with the feed confidence so degraded
-    /// operation is visible instead of silent.
+impl DegradedStats {
+    /// Grade a batch classified while the routed table may be out of
+    /// date, so degraded operation is visible instead of silent.
     ///
-    /// Bogon verdicts keep `Fresh` confidence — the bogon list is
-    /// static. Every routing-derived verdict (Unrouted / Invalid /
-    /// Valid) inherits `table_confidence`. An `Unrouted` verdict under
+    /// A verdict's confidence is a function of its class alone: Bogon
+    /// verdicts keep `Fresh` confidence — the bogon list is static —
+    /// and every routing-derived verdict (Unrouted / Invalid / Valid)
+    /// inherits `table_confidence`. An `Unrouted` verdict under
     /// degraded or stale feeds is counted in
     /// [`DegradedStats::unrouted_tentative`]: it may merely be a
     /// prefix announced after the table went cold.
-    pub fn classify_trace_degraded(
-        &self,
-        flows: &[FlowRecord],
-        method: InferenceMethod,
-        org: OrgMode,
-        table_confidence: Confidence,
-    ) -> (Vec<Classification>, DegradedStats) {
-        let classes = self.classify_trace(flows, method, org);
+    pub fn of(classes: &[TrafficClass], table_confidence: Confidence) -> DegradedStats {
         let mut stats = DegradedStats {
             flows: classes.len() as u64,
             ..Default::default()
         };
-        let out: Vec<Classification> = classes
-            .into_iter()
-            .map(|class| {
-                let confidence = if class == TrafficClass::Bogon {
-                    Confidence::Fresh
-                } else {
-                    table_confidence
-                };
-                match confidence {
-                    Confidence::Fresh => stats.fresh += 1,
-                    Confidence::Degraded => stats.degraded += 1,
-                    Confidence::Stale => stats.stale += 1,
-                }
-                if class == TrafficClass::Unrouted && confidence != Confidence::Fresh {
-                    stats.unrouted_tentative += 1;
-                }
-                Classification { class, confidence }
-            })
-            .collect();
-        (out, stats)
+        for &class in classes {
+            let confidence = if class == TrafficClass::Bogon {
+                Confidence::Fresh
+            } else {
+                table_confidence
+            };
+            match confidence {
+                Confidence::Fresh => stats.fresh += 1,
+                Confidence::Degraded => stats.degraded += 1,
+                Confidence::Stale => stats.stale += 1,
+            }
+            if class == TrafficClass::Unrouted && confidence != Confidence::Fresh {
+                stats.unrouted_tentative += 1;
+            }
+        }
+        stats
     }
 }
 

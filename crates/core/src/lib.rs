@@ -14,7 +14,8 @@
 //!    AS-path graph) — each optionally adjusted for multi-AS
 //!    organizations ([`Classifier::build`]).
 //! 3. Classify every flow sequentially: **Bogon → Unrouted → Invalid →
-//!    Valid**, first match wins ([`Classifier::classify`]).
+//!    Valid**, first match wins, a batch at a time through one kernel
+//!    ([`batch`]; [`Classifier::classify_with_tries`] is its oracle).
 //! 4. Account per member and per class ([`stats`]), tag stray traffic
 //!    from router interfaces ([`stray`]), and hunt false positives with
 //!    WHOIS/looking-glass evidence ([`fphunt`]).
@@ -48,7 +49,7 @@ pub use detect::{
     detect_over_windows, read_incident_log, DetectConfig, DetectEngine, Incident, IncidentKind,
     IncidentRecord, Provenance, SampledFlow, SpoofMode, WindowDetect,
 };
-pub use freshness::{Classification, Confidence, DegradedStats, FreshnessConfig, RibFreshness};
+pub use freshness::{Confidence, DegradedStats, FreshnessConfig, RibFreshness};
 pub use pipeline::Classifier;
 pub use provenance::{
     DecisionRecord, DisagreementMatrix, MatchedRule, MethodVariant, PairMatrix, VerdictVector,

@@ -2,8 +2,7 @@
 
 use crate::compiled::{CompiledClassifier, CompiledLookup};
 use crate::provenance::{
-    DecisionRecord, DisagreementMatrix, MatchedRule, MethodVariant, VerdictVector,
-    METHOD_VARIANTS,
+    DecisionRecord, MatchedRule, MethodVariant, VerdictVector, METHOD_VARIANTS,
 };
 use crate::relinfer::Relationships;
 use spoofwatch_asgraph::{augment_with_orgs, As2Org, ReachCones};
@@ -154,34 +153,10 @@ impl Classifier {
         self.cones.get(method, org)
     }
 
-    /// Classify one flow with the paper's production settings: Full
-    /// Cone, org-adjusted (§4.3 chooses this as the most conservative).
-    pub fn classify(&self, flow: &FlowRecord) -> TrafficClass {
-        self.classify_with(flow, InferenceMethod::FullCone, OrgMode::OrgAdjusted)
-    }
-
-    /// Classify one flow with an explicit method. The Naive method
-    /// ignores `org` (the paper applies the org adjustment to the cone
-    /// methods only).
-    pub fn classify_with(
-        &self,
-        flow: &FlowRecord,
-        method: InferenceMethod,
-        org: OrgMode,
-    ) -> TrafficClass {
-        match self.compiled.lookup(flow.src) {
-            CompiledLookup::Bogon { .. } => TrafficClass::Bogon,
-            CompiledLookup::Unrouted => TrafficClass::Unrouted,
-            CompiledLookup::Routed { info, .. } => {
-                routed_class(self.valid_under_parts(flow.member, info, MethodVariant { method, org }))
-            }
-        }
-    }
-
-    /// The reference two-trie-walk implementation of
-    /// [`Classifier::classify_with`]: bogon set, then routed table,
-    /// then cone check, exactly as the paper's Figure 3 sequences them.
-    /// The production path goes through the compiled single-walk
+    /// The reference oracle of the classify ladder: bogon set, then
+    /// routed table, then cone check, as two trie walks, exactly as the
+    /// paper's Figure 3 sequences them. Production classifies through
+    /// the batch kernel (`crate::batch`) over the compiled single-walk
     /// lookup; this one exists so differential tests and the
     /// `fused_classify_floor` test can pin the two against each other.
     pub fn classify_with_tries(
@@ -200,8 +175,8 @@ impl Classifier {
     }
 
     /// The validity verdict for one routed source under one method
-    /// variant — the shared leaf of both scalar ladders and of the
-    /// batch kernel's memo fill (`crate::batch`), which has a member
+    /// variant — the shared leaf of the oracle, of `classify_explain`
+    /// and of the batch kernel's memo fill (`crate::batch`), which has a member
     /// column and an interned info index, never a whole `FlowRecord`.
     /// `ConeSet::get` is total: `None` means Naive, anything else
     /// resolves to a precomputed cone — no panic path.
@@ -216,12 +191,12 @@ impl Classifier {
     /// Figure 3 pipeline fired, with its evidence — the matched reserved
     /// range for Bogon, the /8 bucket of the longest-match miss for
     /// Unrouted, and the full per-variant verdict vector for routed
-    /// flows. The class always equals `classify_with` on the same
-    /// arguments.
+    /// flows. The class always equals the oracle
+    /// ([`Classifier::classify_with_tries`]) on the same arguments.
     ///
-    /// This path does strictly more work than `classify_with` (five
-    /// validity checks instead of one), so the hot path never calls it:
-    /// it explains the flows a caller picks.
+    /// This path does strictly more work than the batch kernel (five
+    /// validity checks per flow, no memo), so the hot path never calls
+    /// it: it explains the flows a caller picks.
     pub fn classify_explain(
         &self,
         flow: &FlowRecord,
@@ -260,34 +235,6 @@ impl Classifier {
         } else {
             record(TrafficClass::Invalid, MatchedRule::Invalid { prefix, verdicts })
         }
-    }
-
-    /// Classify one flow under all five method variants at once: the
-    /// verdict vector of [`Classifier::classify_explain`] projected to
-    /// classes. Slot `i` equals `classify_with(flow,
-    /// METHOD_VARIANTS[i].method, METHOD_VARIANTS[i].org)`.
-    pub fn classify_variants(&self, flow: &FlowRecord) -> [TrafficClass; 5] {
-        // Whichever variant is asked for, Bogon and Unrouted fire first
-        // and a routed flow's vector covers all five.
-        let record = self.classify_explain(flow, InferenceMethod::Naive, OrgMode::Plain);
-        match record.rule {
-            MatchedRule::Valid { verdicts, .. } | MatchedRule::Invalid { verdicts, .. } => {
-                std::array::from_fn(|i| routed_class(verdicts.is_valid_under(i)))
-            }
-            MatchedRule::Bogon { .. } | MatchedRule::Unrouted { .. } => [record.class; 5],
-        }
-    }
-
-    /// The method-disagreement matrix over a batch: per-variant-pair
-    /// class-transition counts (paper §4.3's sensitivity analysis as
-    /// telemetry), folded over one all-variants pass of the batch
-    /// kernel.
-    pub fn method_disagreement(&self, flows: &[FlowRecord]) -> DisagreementMatrix {
-        let mut matrix = DisagreementMatrix::new();
-        for variants in self.classify_variants_records_batched(flows) {
-            matrix.record(&variants);
-        }
-        matrix
     }
 
     /// Classify a batch (order-preserving) on the calling thread: one
@@ -370,14 +317,35 @@ fn method_label(m: InferenceMethod) -> &'static str {
 
 /// What the release-mode timing floors of this crate share (the
 /// `*_floor_*` tests, which `ci.sh` runs with `--ignored`): one
-/// synthetic trace and one timer.
+/// synthetic trace, one timer, and the per-flow fused ladder both
+/// classify floors time as their scalar reference.
 #[cfg(test)]
 pub(crate) mod floors {
-    use super::Classifier;
+    use super::{routed_class, Classifier};
+    use crate::compiled::CompiledLookup;
+    use crate::provenance::MethodVariant;
     use spoofwatch_internet::{Internet, InternetConfig};
     use spoofwatch_ixp::{Trace, TrafficConfig};
-    use spoofwatch_net::FlowRecord;
+    use spoofwatch_net::{FlowRecord, InferenceMethod, OrgMode, TrafficClass};
     use std::time::{Duration, Instant};
+
+    /// One flow through the compiled single-walk lookup and one cone
+    /// check: the record-at-a-time ladder the batch kernel replaced,
+    /// kept as the floors' per-flow reference.
+    pub(crate) fn classify_fused(
+        c: &Classifier,
+        flow: &FlowRecord,
+        method: InferenceMethod,
+        org: OrgMode,
+    ) -> TrafficClass {
+        match c.compiled.lookup(flow.src) {
+            CompiledLookup::Bogon { .. } => TrafficClass::Bogon,
+            CompiledLookup::Unrouted => TrafficClass::Unrouted,
+            CompiledLookup::Routed { info, .. } => {
+                routed_class(c.valid_under_parts(flow.member, info, MethodVariant { method, org }))
+            }
+        }
+    }
 
     /// 20 000 regular flows over the tiny synthetic Internet, and the
     /// classifier built from its announcements.
@@ -436,6 +404,19 @@ mod tests {
         }
     }
 
+    /// One flow through the production path (the batch kernel), checked
+    /// against the oracle on the way.
+    fn classify_one(
+        c: &Classifier,
+        f: &FlowRecord,
+        method: InferenceMethod,
+        org: OrgMode,
+    ) -> TrafficClass {
+        let class = c.classify_records_batched(std::slice::from_ref(f), method, org)[0];
+        assert_eq!(class, c.classify_with_tries(f, method, org), "kernel vs oracle");
+        class
+    }
+
     /// A small world mirroring the paper's Figure 1c plus an extra
     /// origin: A(1)–B(2) peer on top; C(3) under A; D(4) under B.
     fn classifier() -> Classifier {
@@ -463,12 +444,15 @@ mod tests {
     fn sequential_precedence() {
         let c = classifier();
         // Bogon beats everything, even if it were routed.
-        assert_eq!(c.classify(&flow("10.1.2.3", 1)), TrafficClass::Bogon);
-        assert_eq!(c.classify(&flow("192.168.7.7", 1)), TrafficClass::Bogon);
+        let classify = |src| {
+            classify_one(&c, &flow(src, 1), InferenceMethod::FullCone, OrgMode::OrgAdjusted)
+        };
+        assert_eq!(classify("10.1.2.3"), TrafficClass::Bogon);
+        assert_eq!(classify("192.168.7.7"), TrafficClass::Bogon);
         // Unrouted: routable but unannounced.
-        assert_eq!(c.classify(&flow("99.0.0.1", 1)), TrafficClass::Unrouted);
+        assert_eq!(classify("99.0.0.1"), TrafficClass::Unrouted);
         // Routed + member valid.
-        assert_eq!(c.classify(&flow("40.0.0.1", 1)), TrafficClass::Valid);
+        assert_eq!(classify("40.0.0.1"), TrafficClass::Valid);
     }
 
     #[test]
@@ -477,12 +461,12 @@ mod tests {
         // Figure 1c: traffic from D's p2 forwarded by A.
         let f = flow("30.0.0.1", 1);
         assert_eq!(
-            c.classify_with(&f, InferenceMethod::FullCone, OrgMode::Plain),
+            classify_one(&c, &f, InferenceMethod::FullCone, OrgMode::Plain),
             TrafficClass::Valid,
             "full cone accepts the peer's customer"
         );
         assert_eq!(
-            c.classify_with(&f, InferenceMethod::CustomerCone, OrgMode::Plain),
+            classify_one(&c, &f, InferenceMethod::CustomerCone, OrgMode::Plain),
             TrafficClass::Invalid,
             "customer cone intentionally does not"
         );
@@ -494,12 +478,12 @@ mod tests {
         // AS 4 (D) appears on an announcement path of C's prefix
         // ("4 2 1 3"), so Naive accepts C-sourced traffic from member 4.
         assert_eq!(
-            c.classify_with(&flow("20.0.0.1", 4), InferenceMethod::Naive, OrgMode::Plain),
+            classify_one(&c, &flow("20.0.0.1", 4), InferenceMethod::Naive, OrgMode::Plain),
             TrafficClass::Valid
         );
         // AS 9 never appears anywhere.
         assert_eq!(
-            c.classify_with(&flow("20.0.0.1", 9), InferenceMethod::Naive, OrgMode::Plain),
+            classify_one(&c, &flow("20.0.0.1", 9), InferenceMethod::Naive, OrgMode::Plain),
             TrafficClass::Invalid
         );
     }
@@ -509,7 +493,7 @@ mod tests {
         let c = classifier();
         for method in InferenceMethod::ALL {
             assert_eq!(
-                c.classify_with(&flow("30.0.0.1", 4), method, OrgMode::Plain),
+                classify_one(&c, &flow("30.0.0.1", 4), method, OrgMode::Plain),
                 TrafficClass::Valid,
                 "{method}"
             );
@@ -527,11 +511,11 @@ mod tests {
         let c = Classifier::build(&announcements, &orgs);
         let f = flow("20.0.0.1", 4);
         assert_eq!(
-            c.classify_with(&f, InferenceMethod::FullCone, OrgMode::Plain),
+            classify_one(&c, &f, InferenceMethod::FullCone, OrgMode::Plain),
             TrafficClass::Invalid
         );
         assert_eq!(
-            c.classify_with(&f, InferenceMethod::FullCone, OrgMode::OrgAdjusted),
+            classify_one(&c, &f, InferenceMethod::FullCone, OrgMode::OrgAdjusted),
             TrafficClass::Valid
         );
     }
@@ -553,7 +537,7 @@ mod tests {
         let par = c.classify_trace(&flows, InferenceMethod::FullCone, OrgMode::Plain);
         let ser: Vec<_> = flows
             .iter()
-            .map(|f| c.classify_with(f, InferenceMethod::FullCone, OrgMode::Plain))
+            .map(|f| c.classify_with_tries(f, InferenceMethod::FullCone, OrgMode::Plain))
             .collect();
         assert_eq!(par, ser);
     }
@@ -569,54 +553,34 @@ mod tests {
         // Member 8 carries origin 7 (edge 8→7), and 7 originates
         // 20.0.0.0/8 too, so member 8 is valid for it.
         assert_eq!(
-            c.classify_with(&flow("20.0.0.1", 8), InferenceMethod::FullCone, OrgMode::Plain),
+            classify_one(&c, &flow("20.0.0.1", 8), InferenceMethod::FullCone, OrgMode::Plain),
             TrafficClass::Valid
         );
     }
 
     #[test]
     fn degraded_classification_annotates_confidence() {
-        use crate::freshness::Confidence;
+        use crate::freshness::{Confidence, DegradedStats};
         let c = classifier();
         let flows = vec![
             flow("10.1.2.3", 1),  // bogon
             flow("99.0.0.1", 1),  // unrouted
             flow("40.0.0.1", 1),  // valid
         ];
-        let (tagged, stats) = c.classify_trace_degraded(
-            &flows,
-            InferenceMethod::FullCone,
-            OrgMode::OrgAdjusted,
-            Confidence::Stale,
-        );
-        assert_eq!(tagged.len(), 3);
-        assert_eq!(tagged[0].class, TrafficClass::Bogon);
-        assert_eq!(
-            tagged[0].confidence,
-            Confidence::Fresh,
-            "bogon list is static, unaffected by feed health"
-        );
-        assert_eq!(tagged[1].class, TrafficClass::Unrouted);
-        assert_eq!(tagged[1].confidence, Confidence::Stale);
-        assert_eq!(tagged[2].confidence, Confidence::Stale);
+        let classes = c.classify_trace(&flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted);
+        let stats = DegradedStats::of(&classes, Confidence::Stale);
         assert_eq!(stats.flows, 3);
+        // The bogon list is static, unaffected by feed health; the
+        // routing-derived verdicts inherit the table's grade.
         assert_eq!(stats.fresh, 1);
         assert_eq!(stats.stale, 2);
+        assert_eq!(stats.degraded, 0);
         assert_eq!(stats.unrouted_tentative, 1);
 
-        // Against a fresh table the annotations are all full-confidence.
-        let (tagged, stats) = c.classify_trace_degraded(
-            &flows,
-            InferenceMethod::FullCone,
-            OrgMode::OrgAdjusted,
-            Confidence::Fresh,
-        );
-        assert!(tagged.iter().all(|t| t.confidence == Confidence::Fresh));
+        // Against a fresh table every verdict is full-confidence.
+        let stats = DegradedStats::of(&classes, Confidence::Fresh);
+        assert_eq!(stats.fresh, 3);
         assert_eq!(stats.unrouted_tentative, 0);
-        // The underlying verdicts match the plain path exactly.
-        let plain = c.classify_trace(&flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted);
-        let classes: Vec<_> = tagged.iter().map(|t| t.class).collect();
-        assert_eq!(classes, plain);
     }
 
     #[test]
@@ -650,7 +614,7 @@ mod tests {
         for f in &mixed_flows() {
             for v in crate::provenance::METHOD_VARIANTS {
                 let rec = c.classify_explain(f, v.method, v.org);
-                assert_eq!(rec.class, c.classify_with(f, v.method, v.org), "{rec}");
+                assert_eq!(rec.class, c.classify_with_tries(f, v.method, v.org), "{rec}");
                 assert_eq!(rec.src, f.src);
                 assert_eq!(rec.member, f.member);
                 assert_eq!(rec.variant, v);
@@ -704,7 +668,7 @@ mod tests {
                 for (i, v) in crate::provenance::METHOD_VARIANTS.iter().enumerate() {
                     assert_eq!(
                         verdicts.is_valid_under(i),
-                        c.classify_with(&flow("30.0.0.1", 1), v.method, v.org)
+                        classify_one(&c, &flow("30.0.0.1", 1), v.method, v.org)
                             == TrafficClass::Valid,
                         "verdict slot {i} ({v})"
                     );
@@ -717,10 +681,10 @@ mod tests {
     #[test]
     fn variants_match_per_variant_classify() {
         let c = classifier();
-        for f in &mixed_flows() {
-            let all = c.classify_variants(f);
+        let flows = mixed_flows();
+        for (f, all) in flows.iter().zip(c.classify_variants_records_batched(&flows)) {
             for (i, v) in crate::provenance::METHOD_VARIANTS.iter().enumerate() {
-                assert_eq!(all[i], c.classify_with(f, v.method, v.org), "slot {i}");
+                assert_eq!(all[i], c.classify_with_tries(f, v.method, v.org), "slot {i}");
             }
         }
     }
@@ -735,8 +699,7 @@ mod tests {
     }
 
     /// A large trace through `classify_trace`: one inline kernel call,
-    /// order preserved, equal to the scalar ladder under all five
-    /// variants.
+    /// order preserved, equal to the oracle under all five variants.
     #[test]
     fn large_trace_matches_scalar_under_every_variant() {
         let c = classifier();
@@ -745,7 +708,7 @@ mod tests {
             let got = c.classify_trace(&flows, v.method, v.org);
             assert_eq!(got.len(), flows.len());
             for (f, class) in flows.iter().zip(&got) {
-                assert_eq!(*class, c.classify_with(f, v.method, v.org), "{v}");
+                assert_eq!(*class, c.classify_with_tries(f, v.method, v.org), "{v}");
             }
         }
     }
@@ -776,7 +739,7 @@ mod tests {
             healthy.classify_trace(&flows[..5], InferenceMethod::FullCone, OrgMode::Plain),
             flows[..5]
                 .iter()
-                .map(|f| healthy.classify_with(f, InferenceMethod::FullCone, OrgMode::Plain))
+                .map(|f| healthy.classify_with_tries(f, InferenceMethod::FullCone, OrgMode::Plain))
                 .collect::<Vec<_>>()
         );
     }
@@ -863,9 +826,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Acceptance criterion: the disagreement matrix reconciles
-        /// exactly with pairwise `classify_trace` runs over the same
-        /// flows.
+        /// The disagreement matrix folded over one all-variants kernel
+        /// pass reconciles exactly with pairwise `classify_trace` runs
+        /// over the same flows.
         #[test]
         fn disagreement_matrix_reconciles_with_pairwise_traces(
             picks in proptest::collection::vec((0usize..7, 1u32..6), 0..120),
@@ -878,7 +841,10 @@ mod tests {
             ];
             let flows: Vec<FlowRecord> =
                 picks.iter().map(|&(s, m)| flow(srcs[s], m)).collect();
-            let m = c.method_disagreement(&flows);
+            let mut m = crate::provenance::DisagreementMatrix::new();
+            for variants in c.classify_variants_records_batched(&flows) {
+                m.record(&variants);
+            }
             prop_assert_eq!(m.flows, flows.len() as u64);
             prop_assert!(m.reconciles());
             // Every pair's transition matrix must equal the one built

@@ -1,5 +1,6 @@
 //! Per-class and per-member accounting of classified traffic.
 
+use crate::provenance::MethodVariant;
 use crate::Classifier;
 use serde::Serialize;
 use spoofwatch_net::{Asn, FlowRecord, InferenceMethod, OrgMode, TrafficClass};
@@ -87,48 +88,37 @@ impl Table1 {
             packets: u64,
             members: HashSet<Asn>,
         }
+        impl Acc {
+            fn add(&mut self, f: &FlowRecord) {
+                self.bytes += f.bytes;
+                self.packets += f.packets as u64;
+                self.members.insert(f.member);
+            }
+        }
         let mut bogon = Acc::default();
         let mut unrouted = Acc::default();
         let mut invalid: BTreeMap<&'static str, Acc> = BTreeMap::new();
-        let methods: [(&'static str, InferenceMethod); 3] = [
-            ("Invalid FULL", InferenceMethod::FullCone),
-            ("Invalid NAIVE", InferenceMethod::Naive),
-            ("Invalid CC", InferenceMethod::CustomerCone),
+        // Each column's slot in a row of the all-variants kernel pass.
+        let methods: [(&'static str, usize); 3] = [
+            ("Invalid FULL", MethodVariant::index_of(InferenceMethod::FullCone, org)),
+            ("Invalid NAIVE", MethodVariant::index_of(InferenceMethod::Naive, org)),
+            ("Invalid CC", MethodVariant::index_of(InferenceMethod::CustomerCone, org)),
         ];
 
-        for f in flows {
+        for (f, classes) in flows.iter().zip(classifier.classify_variants_records_batched(flows)) {
             total_bytes += f.bytes;
             total_packets += f.packets as u64;
             all_members.insert(f.member);
-            // Bogon/unrouted are method-independent; compute once via
-            // the production method and reuse.
-            let base = classifier.classify_with(f, InferenceMethod::FullCone, org);
-            match base {
-                TrafficClass::Bogon => {
-                    bogon.bytes += f.bytes;
-                    bogon.packets += f.packets as u64;
-                    bogon.members.insert(f.member);
-                    continue;
-                }
-                TrafficClass::Unrouted => {
-                    unrouted.bytes += f.bytes;
-                    unrouted.packets += f.packets as u64;
-                    unrouted.members.insert(f.member);
-                    continue;
-                }
-                _ => {}
-            }
-            for (label, method) in methods {
-                let class = if method == InferenceMethod::FullCone {
-                    base
-                } else {
-                    classifier.classify_with(f, method, org)
-                };
-                if class == TrafficClass::Invalid {
-                    let acc = invalid.entry(label).or_default();
-                    acc.bytes += f.bytes;
-                    acc.packets += f.packets as u64;
-                    acc.members.insert(f.member);
+            // Bogon/unrouted are method-independent: every slot agrees.
+            match classes[0] {
+                TrafficClass::Bogon => bogon.add(f),
+                TrafficClass::Unrouted => unrouted.add(f),
+                _ => {
+                    for (label, slot) in methods {
+                        if classes[slot] == TrafficClass::Invalid {
+                            invalid.entry(label).or_default().add(f);
+                        }
+                    }
                 }
             }
         }
@@ -205,17 +195,6 @@ impl MemberBreakdown {
                 *dst += src;
             }
         }
-    }
-
-    /// Classify then accumulate.
-    pub fn compute(
-        classifier: &Classifier,
-        flows: &[FlowRecord],
-        method: InferenceMethod,
-        org: OrgMode,
-    ) -> MemberBreakdown {
-        let classes = classifier.classify_trace(flows, method, org);
-        Self::from_classes(flows, &classes)
     }
 
     /// Members that contributed at least one packet of the class.
@@ -311,6 +290,50 @@ mod tests {
         assert_eq!(t.row("Invalid FULL").unwrap().packets, 0);
     }
 
+    /// Table 1 over a generated world equals a per-flow tally of the
+    /// oracle (`classify_with_tries`), column by column, under both org
+    /// modes. The columns differ from each other on this trace, so a
+    /// column that reads another variant's slot fails here.
+    #[test]
+    fn table1_equals_a_per_flow_tally_of_the_oracle() {
+        use spoofwatch_internet::{Internet, InternetConfig};
+        use spoofwatch_ixp::{Trace, TrafficConfig};
+        let net = Internet::generate(InternetConfig::tiny(21));
+        let flows = Trace::generate(&net, &TrafficConfig::tiny(22)).flows;
+        let c = Classifier::build(&net.announcements, &net.orgs_dataset);
+        let columns = [
+            ("Bogon", TrafficClass::Bogon, InferenceMethod::FullCone),
+            ("Unrouted", TrafficClass::Unrouted, InferenceMethod::FullCone),
+            ("Invalid FULL", TrafficClass::Invalid, InferenceMethod::FullCone),
+            ("Invalid NAIVE", TrafficClass::Invalid, InferenceMethod::Naive),
+            ("Invalid CC", TrafficClass::Invalid, InferenceMethod::CustomerCone),
+        ];
+        let mut seen = HashSet::new();
+        for org in [OrgMode::Plain, OrgMode::OrgAdjusted] {
+            let t = Table1::compute_with_org(&c, &flows, org);
+            for (label, class, method) in columns {
+                let hits: Vec<&FlowRecord> = flows
+                    .iter()
+                    .filter(|f| c.classify_with_tries(f, method, org) == class)
+                    .collect();
+                let members: HashSet<Asn> = hits.iter().map(|f| f.member).collect();
+                let row = t.row(label).unwrap();
+                let want = (
+                    members.len() as u64,
+                    hits.iter().map(|f| f.bytes).sum::<u64>(),
+                    hits.iter().map(|f| f.packets as u64).sum::<u64>(),
+                );
+                assert_eq!((row.members, row.bytes, row.packets), want, "{label} under {org:?}");
+                assert!(row.packets > 0, "{label} under {org:?} is empty");
+                seen.insert(row.packets);
+            }
+        }
+        // Bogon, Unrouted and Invalid NAIVE repeat across org modes (the
+        // adjustment applies to the cone methods only); the other ten
+        // cells are seven distinct tallies.
+        assert_eq!(seen.len(), 3 + 4, "columns must differ to pin the slots");
+    }
+
     #[test]
     fn member_breakdown_fractions() {
         let c = classifier();
@@ -318,12 +341,8 @@ mod tests {
             flow("10.0.0.1", 7, 1, 40),
             flow("20.0.0.1", 7, 3, 40),
         ];
-        let b = MemberBreakdown::compute(
-            &c,
-            &flows,
-            InferenceMethod::FullCone,
-            OrgMode::OrgAdjusted,
-        );
+        let classes = c.classify_trace(&flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted);
+        let b = MemberBreakdown::from_classes(&flows, &classes);
         assert_eq!(b.total_packets(Asn(7)), 4);
         assert!((b.class_fraction(Asn(7), TrafficClass::Bogon) - 0.25).abs() < 1e-9);
         assert_eq!(b.members_with(TrafficClass::Bogon).len(), 1);

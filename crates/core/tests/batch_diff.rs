@@ -1,12 +1,12 @@
 //! Differential proof for the batch-vectorized classify path.
 //!
-//! `crate::batch`'s columnar classifiers (columnar code probes +
-//! memoized cone verdicts) must be **byte-identical** to the scalar
-//! pipeline: per flow against `classify_with` / `classify_variants`
-//! under all five method variants, across epoch swaps sharing one
-//! scratch, and end-to-end through the `StudyRunner` — same run report,
-//! same rollup-ring bytes, same incident log — against a scalar
-//! `run_with` closure.
+//! The batch kernel (columnar code probes + memoized cone verdicts),
+//! the one production classify path, must be **byte-identical** to the
+//! oracle: per flow against `classify_with_tries` under all five
+//! method variants, one at a time and all at once, across epoch swaps
+//! sharing one scratch, and end-to-end through the `StudyRunner` —
+//! same run report, same rollup-ring bytes, same incident log — against
+//! a per-flow oracle `run_with` closure.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -65,6 +65,11 @@ fn world(seed: u64, random_probes: usize) -> (Classifier, Vec<FlowRecord>) {
     (classifier, flows)
 }
 
+/// One flow's class under each of the five variants, from the oracle.
+fn oracle_variants(classifier: &Classifier, f: &FlowRecord) -> [TrafficClass; 5] {
+    METHOD_VARIANTS.map(|v| classifier.classify_with_tries(f, v.method, v.org))
+}
+
 #[test]
 fn batch_classify_is_byte_identical_across_all_variants() {
     let (classifier, flows) = world(11, 50_000);
@@ -78,7 +83,7 @@ fn batch_classify_is_byte_identical_across_all_variants() {
         for (f, &got) in flows.iter().zip(&out) {
             assert_eq!(
                 got,
-                classifier.classify_with(f, v.method, v.org),
+                classifier.classify_with_tries(f, v.method, v.org),
                 "src {:#010x} member {} under {v}",
                 f.src,
                 f.member.0
@@ -96,13 +101,10 @@ fn batch_classify_is_byte_identical_across_all_variants() {
 #[test]
 fn batch_variants_match_scalar_variants_and_explain() {
     let (classifier, flows) = world(12, 20_000);
-    let batch = FlowBatch::from_records(&flows);
-    let mut scratch = BatchScratch::new();
-    let mut out = Vec::new();
-    classifier.classify_variants_batch_into(&batch, &mut scratch, &mut out);
+    let out = classifier.classify_variants_records_batched(&flows);
     assert_eq!(out.len(), flows.len());
     for (i, f) in flows.iter().enumerate() {
-        assert_eq!(out[i], classifier.classify_variants(f), "row {i}");
+        assert_eq!(out[i], oracle_variants(&classifier, f), "row {i}");
     }
     // Spot-check the explain path agrees with the batched verdicts
     // (classify_explain routes through the same valid_under leaf).
@@ -112,7 +114,6 @@ fn batch_variants_match_scalar_variants_and_explain() {
             assert_eq!(rec.class, variants[j], "explain vs batch slot {j}");
         }
     }
-    assert_eq!(classifier.classify_variants_records_batched(&flows), out);
 }
 
 #[test]
@@ -130,11 +131,11 @@ fn shared_scratch_survives_epoch_swaps() {
         for v in METHOD_VARIANTS {
             a.classify_batch_into(&batch_a, v.method, v.org, &mut scratch, &mut out);
             for (f, &got) in flows_a.iter().zip(&out) {
-                assert_eq!(got, a.classify_with(f, v.method, v.org), "round {round} on A");
+                assert_eq!(got, a.classify_with_tries(f, v.method, v.org), "round {round} on A");
             }
             b.classify_batch_into(&batch_b, v.method, v.org, &mut scratch, &mut out);
             for (f, &got) in flows_b.iter().zip(&out) {
-                assert_eq!(got, b.classify_with(f, v.method, v.org), "round {round} on B");
+                assert_eq!(got, b.classify_with_tries(f, v.method, v.org), "round {round} on B");
             }
         }
     }
@@ -143,7 +144,7 @@ fn shared_scratch_survives_epoch_swaps() {
 proptest! {
     /// Arbitrary (src, member) probes — including degenerate members
     /// and bogon/unrouted boundary space the generated trace never
-    /// emits — classify identically through the batch and scalar paths
+    /// emits — classify identically through the kernel and the oracle
     /// under every method variant.
     #[test]
     fn batch_equals_scalar_on_arbitrary_probes(
@@ -160,13 +161,11 @@ proptest! {
         for v in METHOD_VARIANTS {
             classifier.classify_batch_into(&batch, v.method, v.org, &mut scratch, &mut out);
             for (f, &got) in flows.iter().zip(&out) {
-                prop_assert_eq!(got, classifier.classify_with(f, v.method, v.org));
+                prop_assert_eq!(got, classifier.classify_with_tries(f, v.method, v.org));
             }
         }
-        let mut variants = Vec::new();
-        classifier.classify_variants_batch_into(&batch, &mut scratch, &mut variants);
-        for (f, row) in flows.iter().zip(&variants) {
-            prop_assert_eq!(*row, classifier.classify_variants(f));
+        for (f, row) in flows.iter().zip(classifier.classify_variants_records_batched(&flows)) {
+            prop_assert_eq!(row, oracle_variants(&classifier, f));
         }
     }
 }
@@ -212,10 +211,10 @@ fn ring_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 
 #[test]
 fn batched_runner_is_byte_identical_to_scalar_run_with() {
-    // The runner's `run()` now classifies through the batch path; prove
+    // The runner's `run()` classifies through the batch kernel; prove
     // the whole artifact chain — run report, rollup-ring bytes, and
-    // incident log — equals a scalar `run_with` closure on the same
-    // (corrupted) input.
+    // incident log — equals a per-flow oracle `run_with` closure on the
+    // same (corrupted) input.
     let net = Internet::generate(InternetConfig::tiny(21));
     let mut tc = TrafficConfig::tiny(22);
     tc.regular_flows = 1_500;
@@ -260,7 +259,7 @@ fn batched_runner_is_byte_identical_to_scalar_run_with() {
         .run_with(&mut source, &store, |flows| {
             flows
                 .iter()
-                .map(|f| classifier.classify_with(f, method, org))
+                .map(|f| classifier.classify_with_tries(f, method, org))
                 .collect()
         })
         .expect("scalar run");
@@ -308,11 +307,11 @@ fn batched_disagreement_matrix_matches_scalar() {
         .run(&mut source, &store)
         .expect("tracked run");
 
-    // Scalar reference matrix: per-flow classify_variants.
+    // Reference matrix: per-flow oracle rows.
     let (flows, _) = ipfix::decode_resilient(&bytes);
     let mut want = spoofwatch_core::DisagreementMatrix::new();
     for f in &flows {
-        want.record(&classifier.classify_variants(f));
+        want.record(&oracle_variants(&classifier, f));
     }
     assert_eq!(report.disagreement, Some(want));
 }

@@ -1,17 +1,18 @@
 //! Differential proof for the compiled classify fast path.
 //!
 //! The compiled single-walk lookup ([`spoofwatch_core::CompiledClassifier`]
-//! fused from bogon set + routed table) must be **byte-identical** to
-//! the reference two-trie-walk pipeline on every flow, for every method
-//! variant. This harness pins the two against each other on well over
-//! 10⁵ flows: a synthetic-Internet trace (realistic prefix locality and
-//! ground-truth spoofing mixes) plus uniform-random source addresses
-//! (which hammer bogon boundaries, unrouted gaps, and spill chunks the
-//! trace never touches).
+//! fused from bogon set + routed table), as read by the batch kernel
+//! and by `classify_explain`, must be **byte-identical** to the oracle
+//! `classify_with_tries` (the two-trie-walk pipeline) on every flow,
+//! for every method variant. This harness pins them against each other
+//! on well over 10⁵ flows: a synthetic-Internet trace (realistic prefix
+//! locality and ground-truth spoofing mixes) plus uniform-random source
+//! addresses (which hammer bogon boundaries, unrouted gaps, and spill
+//! chunks the trace never touches).
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use spoofwatch_core::{Classifier, MatchedRule, METHOD_VARIANTS};
+use spoofwatch_core::{Classifier, MatchedRule, MethodVariant, METHOD_VARIANTS};
 use spoofwatch_internet::{bogon, Internet, InternetConfig};
 use spoofwatch_ixp::{Trace, TrafficConfig};
 use spoofwatch_net::{parse_addr, Asn, FlowRecord, Proto, TrafficClass};
@@ -62,9 +63,11 @@ fn compiled_classes_are_byte_identical_across_all_variants() {
     let (classifier, flows) = world();
     assert!(flows.len() > 100_000, "need >10^5 probe flows");
     let mut per_class = [0u64; 4];
-    for f in &flows {
-        for v in METHOD_VARIANTS {
-            let fast = classifier.classify_with(f, v.method, v.org);
+    // The production kernel probes the compiled table once per record
+    // for all five variants.
+    let rows = classifier.classify_variants_records_batched(&flows);
+    for (f, fast) in flows.iter().zip(&rows) {
+        for (v, &fast) in METHOD_VARIANTS.iter().zip(fast) {
             let reference = classifier.classify_with_tries(f, v.method, v.org);
             assert_eq!(
                 fast, reference,
@@ -72,7 +75,7 @@ fn compiled_classes_are_byte_identical_across_all_variants() {
                 f.src, f.member.0
             );
         }
-        per_class[classifier.classify(f).index()] += 1;
+        per_class[fast[4].index()] += 1;
     }
     // The probe set must actually exercise every class, or the
     // equivalence above proves less than it claims.
@@ -85,28 +88,32 @@ fn compiled_classes_are_byte_identical_across_all_variants() {
 fn compiled_variants_and_explain_agree_with_reference() {
     let (classifier, flows) = world();
     let bogons = bogon::bogon_set();
-    // classify_variants shares one fused lookup across all five
-    // variants; classify_explain adds evidence. Sample every 7th flow
-    // (the full set is covered by the per-variant test above).
+    // classify_explain runs its own compiled lookup and all five cone
+    // checks, and adds evidence. Sample every 7th flow (the full set
+    // goes through the kernel in the test above).
     for f in flows.iter().step_by(7) {
-        let all = classifier.classify_variants(f);
-        for (i, v) in METHOD_VARIANTS.iter().enumerate() {
+        for v in METHOD_VARIANTS {
+            let rec = classifier.classify_explain(f, v.method, v.org);
             assert_eq!(
-                all[i],
+                rec.class,
                 classifier.classify_with_tries(f, v.method, v.org),
-                "variants slot {i} for src {:#010x}",
+                "explain under {v} for src {:#010x}",
                 f.src
             );
-        }
-        let rec = classifier.classify_explain(f, METHOD_VARIANTS[0].method, METHOD_VARIANTS[0].org);
-        if let MatchedRule::Bogon { range } = rec.rule {
-            assert_eq!(
-                Some(range),
-                bogons.lookup(f.src),
-                "compiled bogon evidence must be the most specific covering range"
-            );
+            if let MatchedRule::Bogon { range } = rec.rule {
+                assert_eq!(
+                    Some(range),
+                    bogons.lookup(f.src),
+                    "compiled bogon evidence must be the most specific covering range"
+                );
+            }
         }
     }
+}
+
+/// One flow through the production kernel under one variant.
+fn kernel_class(classifier: &Classifier, f: &FlowRecord, v: MethodVariant) -> TrafficClass {
+    classifier.classify_records_batched(std::slice::from_ref(f), v.method, v.org)[0]
 }
 
 #[test]
@@ -121,7 +128,7 @@ fn compiled_pins_the_paper_boundary_addresses() {
         for addr in [first, last] {
             for v in METHOD_VARIANTS {
                 assert_eq!(
-                    classifier.classify_with(&flow(addr, 1), v.method, v.org),
+                    kernel_class(&classifier, &flow(addr, 1), v),
                     TrafficClass::Bogon,
                     "{addr:#010x} inside {range}"
                 );
@@ -132,7 +139,7 @@ fn compiled_pins_the_paper_boundary_addresses() {
             let f = flow(addr, 1);
             for v in METHOD_VARIANTS {
                 assert_eq!(
-                    classifier.classify_with(&f, v.method, v.org),
+                    kernel_class(&classifier, &f, v),
                     classifier.classify_with_tries(&f, v.method, v.org),
                     "one-off boundary {addr:#010x} outside {range} under {v}"
                 );
@@ -143,6 +150,6 @@ fn compiled_pins_the_paper_boundary_addresses() {
     for src in ["127.0.0.1", "255.255.255.255", "192.0.2.1"] {
         let f = flow(parse_addr(src).expect("literal"), 1);
         assert_eq!(f.src, parse_addr(src).expect("literal"));
-        assert_eq!(classifier.classify(&f), TrafficClass::Bogon, "{src}");
+        assert_eq!(kernel_class(&classifier, &f, METHOD_VARIANTS[4]), TrafficClass::Bogon, "{src}");
     }
 }

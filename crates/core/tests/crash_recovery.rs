@@ -271,7 +271,7 @@ fn panicking_worker_quarantines_chunk_and_accounting_reconciles() {
                         !(f.bytes % 2 == 1 && f.member.0 % 3 == 0),
                         "poison pill"
                     );
-                    c.classify_with(f, method, org)
+                    c.classify_with_tries(f, method, org)
                 })
                 .collect::<Vec<TrafficClass>>()
         })
@@ -303,10 +303,7 @@ fn one_slot_queue_under_slow_classifier_loses_nothing() {
     let report = runner
         .run_with(&mut source, &store, |flows| {
             std::thread::sleep(std::time::Duration::from_millis(5));
-            flows
-                .iter()
-                .map(|f| c.classify_with(f, method, org))
-                .collect::<Vec<TrafficClass>>()
+            c.classify_records_batched(flows, method, org)
         })
         .expect("blocking run");
 

@@ -109,7 +109,7 @@ fn world(seed: u64) -> World {
                 let candidate: u32 = rng.random();
                 let probe = flow(candidate, victim, leaky, 80, 50, &mut rng);
                 if classifier
-                    .classify_with(&probe, InferenceMethod::FullCone, OrgMode::OrgAdjusted)
+                    .classify_with_tries(&probe, InferenceMethod::FullCone, OrgMode::OrgAdjusted)
                     .is_illegitimate()
                 {
                     break candidate;

@@ -23,7 +23,9 @@ use spoofwatch_core::{
 };
 use spoofwatch_asgraph::As2Org;
 use spoofwatch_ixp::chunked::FlowChunk;
-use spoofwatch_net::{parse_addr, Asn, FlowRecord, IngestHealth, Proto, TrafficClass};
+use spoofwatch_net::{
+    parse_addr, Asn, FlowRecord, InferenceMethod, IngestHealth, OrgMode, Proto, TrafficClass,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -63,6 +65,12 @@ fn classifier_a() -> Classifier {
 /// classifies Unrouted.
 fn classifier_b() -> Classifier {
     Classifier::build(&[ann("40.0.0.0/8", &[3])], &As2Org::new())
+}
+
+/// A record slice through the production classify path (the batch
+/// kernel), Full Cone org-adjusted.
+fn classify(c: &Classifier, flows: &[FlowRecord]) -> Vec<TrafficClass> {
+    c.classify_records_batched(flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted)
 }
 
 fn probe_flow() -> FlowRecord {
@@ -234,20 +242,21 @@ fn swap_under_load_never_tears_a_chunk() {
     };
     for _ in 0..CHUNKS {
         let guard = swap.load();
-        let first = guard.classify(&chunk[0]);
+        let classes = classify(&guard, &chunk);
+        let first = classes[0];
         assert!(
             first == TrafficClass::Valid || first == TrafficClass::Unrouted,
             "unexpected class {first} under swap"
         );
         assert!(
-            chunk.iter().all(|f| guard.classify(f) == first),
+            classes.iter().all(|&c| c == first),
             "verdicts tore within a chunk despite the per-chunk guard"
         );
         classified.fetch_add(1, Ordering::Release);
     }
     publisher.join().expect("publisher");
     assert_eq!(swap.epoch(), PUBLICATIONS, "every publication landed");
-    assert_eq!(swap.load().classify(&probe_flow()), TrafficClass::Valid);
+    assert_eq!(classify(&swap.load(), &[probe_flow()])[0], TrafficClass::Valid);
 }
 
 #[test]
@@ -256,7 +265,7 @@ fn refresh_protocol_rebuilds_off_thread_and_coalesces() {
     assert_eq!(epoch.epoch(), 0);
     assert_eq!(epoch.built_at(), 1_000);
     assert_eq!(
-        epoch.current().classify(&probe_flow()),
+        classify(&epoch.current(), &[probe_flow()])[0],
         TrafficClass::Valid
     );
 
@@ -283,7 +292,7 @@ fn refresh_protocol_rebuilds_off_thread_and_coalesces() {
     );
     // While the rebuild is blocked, readers still see epoch A.
     assert_eq!(
-        epoch.current().classify(&probe_flow()),
+        classify(&epoch.current(), &[probe_flow()])[0],
         TrafficClass::Valid
     );
     // built_at moved forward immediately, so the same snapshot no
@@ -294,7 +303,7 @@ fn refresh_protocol_rebuilds_off_thread_and_coalesces() {
     assert_eq!(epoch.wait_for_rebuild(), Some(1), "published as epoch 1");
     assert_eq!(epoch.epoch(), 1);
     assert_eq!(
-        epoch.current().classify(&probe_flow()),
+        classify(&epoch.current(), &[probe_flow()])[0],
         TrafficClass::Unrouted,
         "readers now see epoch B"
     );
@@ -302,7 +311,7 @@ fn refresh_protocol_rebuilds_off_thread_and_coalesces() {
     assert!(epoch.refresh(3_000, classifier_a));
     assert_eq!(epoch.wait_for_rebuild(), Some(2));
     assert_eq!(
-        epoch.current().classify(&probe_flow()),
+        classify(&epoch.current(), &[probe_flow()])[0],
         TrafficClass::Valid
     );
 }

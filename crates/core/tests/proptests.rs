@@ -105,6 +105,11 @@ fn flow(src: u32, member: u32) -> FlowRecord {
     }
 }
 
+/// One flow through the production classify path (the batch kernel).
+fn classify(c: &Classifier, f: &FlowRecord, method: InferenceMethod, org: OrgMode) -> TrafficClass {
+    c.classify_records_batched(std::slice::from_ref(f), method, org)[0]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -121,7 +126,12 @@ proptest! {
         let classifier = Classifier::build(&corpus, &As2Org::new());
         let bogons = bogon::bogon_set();
         for src in probes {
-            let class = classifier.classify(&flow(src, member));
+            let class = classify(
+                &classifier,
+                &flow(src, member),
+                InferenceMethod::FullCone,
+                OrgMode::OrgAdjusted,
+            );
             let is_bogon = bogons.contains_addr(src);
             let routed = classifier.table().lookup(src);
             match class {
@@ -155,15 +165,15 @@ proptest! {
         let classifier = Classifier::build(&corpus, &As2Org::new());
         for (src, member) in probes {
             let f = flow(src, member);
-            let full = classifier.classify_with(&f, InferenceMethod::FullCone, OrgMode::Plain);
-            let naive = classifier.classify_with(&f, InferenceMethod::Naive, OrgMode::Plain);
+            let full = classify(&classifier, &f, InferenceMethod::FullCone, OrgMode::Plain);
+            let naive = classify(&classifier, &f, InferenceMethod::Naive, OrgMode::Plain);
             // Naive valid ⇒ member on some path of the prefix ⇒ member
             // reaches the origin in the path graph ⇒ FULL valid.
             if naive == TrafficClass::Valid {
                 prop_assert_eq!(full, TrafficClass::Valid, "src {:#x} member {}", src, member);
             }
             let full_org =
-                classifier.classify_with(&f, InferenceMethod::FullCone, OrgMode::OrgAdjusted);
+                classify(&classifier, &f, InferenceMethod::FullCone, OrgMode::OrgAdjusted);
             if full == TrafficClass::Valid {
                 prop_assert_eq!(full_org, TrafficClass::Valid);
             }
@@ -182,9 +192,9 @@ proptest! {
         let classifier = Classifier::build(&corpus, &orgs);
         for (src, member) in probes {
             let f = flow(src, member);
-            let plain = classifier.classify_with(&f, InferenceMethod::FullCone, OrgMode::Plain);
+            let plain = classify(&classifier, &f, InferenceMethod::FullCone, OrgMode::Plain);
             let adjusted =
-                classifier.classify_with(&f, InferenceMethod::FullCone, OrgMode::OrgAdjusted);
+                classify(&classifier, &f, InferenceMethod::FullCone, OrgMode::OrgAdjusted);
             if plain == TrafficClass::Valid {
                 prop_assert_eq!(adjusted, TrafficClass::Valid);
             }
@@ -194,8 +204,8 @@ proptest! {
             // identical to plain.
             let no_orgs = Classifier::build(&corpus, &As2Org::new());
             prop_assert_eq!(
-                no_orgs.classify_with(&f, InferenceMethod::FullCone, OrgMode::OrgAdjusted),
-                no_orgs.classify_with(&f, InferenceMethod::FullCone, OrgMode::Plain),
+                classify(&no_orgs, &f, InferenceMethod::FullCone, OrgMode::OrgAdjusted),
+                classify(&no_orgs, &f, InferenceMethod::FullCone, OrgMode::Plain),
             );
         }
     }

@@ -105,7 +105,10 @@ fn tracked_disagreement_matches_batch_matrix_and_exports() {
         .expect("tracked run");
 
     let (flows, _) = ipfix::decode_resilient(&w.bytes);
-    let batch = c.method_disagreement(&flows);
+    let mut batch = spoofwatch_core::DisagreementMatrix::new();
+    for variants in c.classify_variants_records_batched(&flows) {
+        batch.record(&variants);
+    }
     let tracked = report.disagreement.expect("matrix tracked");
     assert_eq!(tracked, batch, "streaming matrix must equal the batch one");
     assert!(tracked.reconciles());

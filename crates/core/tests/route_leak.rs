@@ -32,6 +32,11 @@ fn flow(src: &str, member: u32) -> FlowRecord {
     }
 }
 
+/// One flow through the production classify path (the batch kernel).
+fn classify(c: &Classifier, f: &FlowRecord, method: InferenceMethod, org: OrgMode) -> TrafficClass {
+    c.classify_records_batched(std::slice::from_ref(f), method, org)[0]
+}
+
 #[test]
 fn leaked_paths_widen_the_leakers_cone() {
     // Clean world: provider 1 with customer 2; provider 3 with customer
@@ -46,12 +51,12 @@ fn leaked_paths_widen_the_leakers_cone() {
     let before = Classifier::build(&clean, &As2Org::new());
     // Without a leak, AS 2 cannot source 20/8 (9's space).
     assert_eq!(
-        before.classify_with(&flow("20.0.0.1", 2), InferenceMethod::FullCone, OrgMode::Plain),
+        classify(&before, &flow("20.0.0.1", 2), InferenceMethod::FullCone, OrgMode::Plain),
         TrafficClass::Invalid
     );
     // Provider 3 cannot source it either.
     assert_eq!(
-        before.classify_with(&flow("20.0.0.1", 3), InferenceMethod::FullCone, OrgMode::Plain),
+        classify(&before, &flow("20.0.0.1", 3), InferenceMethod::FullCone, OrgMode::Plain),
         TrafficClass::Invalid
     );
 
@@ -66,19 +71,19 @@ fn leaked_paths_widen_the_leakers_cone() {
     // syntactically fine) and the leak widens cones along it.
     for member in [2u32, 3] {
         assert_eq!(
-            after.classify_with(&flow("20.0.0.1", member), InferenceMethod::FullCone, OrgMode::Plain),
+            classify(&after, &flow("20.0.0.1", member), InferenceMethod::FullCone, OrgMode::Plain),
             TrafficClass::Valid,
             "leak path legitimizes member {member}"
         );
     }
     // Unrelated members stay invalid.
     assert_eq!(
-        after.classify_with(&flow("20.0.0.1", 42), InferenceMethod::FullCone, OrgMode::Plain),
+        classify(&after, &flow("20.0.0.1", 42), InferenceMethod::FullCone, OrgMode::Plain),
         TrafficClass::Invalid
     );
     // The Naive method also absorbs the leak (2 and 3 are now on-path).
     assert_eq!(
-        after.classify_with(&flow("20.0.0.1", 3), InferenceMethod::Naive, OrgMode::Plain),
+        classify(&after, &flow("20.0.0.1", 3), InferenceMethod::Naive, OrgMode::Plain),
         TrafficClass::Valid
     );
 }
@@ -102,7 +107,7 @@ fn poisoned_paths_are_filtered_not_fatal() {
     assert_eq!(c.table().filter_stats.too_specific, 1);
     // Dropped prefixes are unrouted as far as the pipeline cares.
     assert_eq!(
-        c.classify(&flow("30.0.0.1", 1)),
+        classify(&c, &flow("30.0.0.1", 1), InferenceMethod::FullCone, OrgMode::OrgAdjusted),
         TrafficClass::Unrouted
     );
 }

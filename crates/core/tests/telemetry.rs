@@ -14,7 +14,7 @@ use spoofwatch_core::{Classifier, CheckpointStore, RunnerConfig, RunnerObs, Stud
 use spoofwatch_internet::{Internet, InternetConfig};
 use spoofwatch_ixp::chunked::ChunkedIpfixReader;
 use spoofwatch_ixp::{ipfix, Trace, TrafficConfig};
-use spoofwatch_net::TrafficClass;
+use spoofwatch_net::{InferenceMethod, OrgMode, TrafficClass};
 use spoofwatch_obs::{Clock, ManualClock, MetricsRegistry, Snapshot, Tracer};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,7 +99,7 @@ fn snapshot_counters_reconcile_exactly_with_runner_accounting() {
             {
                 panic!("injected classification fault");
             }
-            flows.iter().map(|f| c.classify(f)).collect()
+            c.classify_records_batched(flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted)
         })
         .expect("run completes despite the injected panic");
 
@@ -191,7 +191,7 @@ fn forced_panic_dumps_flight_recorder_with_active_span() {
             {
                 panic!("injected fault for the flight recorder");
             }
-            flows.iter().map(|f| c.classify(f)).collect()
+            c.classify_records_batched(flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted)
         })
         .expect("run completes");
     assert_eq!(report.health.chunks.quarantined, 1);
@@ -247,7 +247,7 @@ fn watchdog_stall_detection_is_deterministic_under_manual_clock() {
             {
                 std::thread::sleep(std::time::Duration::from_millis(300));
             }
-            flows.iter().map(|f| c.classify(f)).collect()
+            c.classify_records_batched(flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted)
         })
         .expect("run completes");
 

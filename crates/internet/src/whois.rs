@@ -74,11 +74,6 @@ impl WhoisRegistry {
         self.policies.insert(asn, policy);
     }
 
-    /// The organization record of an AS.
-    pub fn org_record(&self, asn: Asn) -> Option<&OrgRecord> {
-        self.org_records.get(&asn)
-    }
-
     /// Whether the WHOIS data reveals two ASes as the same organization —
     /// "matching company names or contact points" (§4.4). Matches on
     /// exact name or contact equality.

@@ -72,12 +72,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// Whether this is the zero-length default route.
-    #[inline]
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// The netmask as a `u32` (e.g. `/24` → `0xFFFF_FF00`).
     #[inline]
     pub fn netmask(&self) -> u32 {

@@ -13,9 +13,9 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use spoofwatch_analysis::report::{IngestSummary, StudyReport};
 use spoofwatch_bgp::mrt;
-use spoofwatch_core::{FreshnessConfig, RibFreshness};
+use spoofwatch_core::{DegradedStats, FreshnessConfig, RibFreshness};
 use spoofwatch_ixp::ipfix;
-use spoofwatch_net::FaultInjector;
+use spoofwatch_net::{FaultInjector, InferenceMethod, OrgMode};
 use spoofwatch_packet::{pcap, PcapPacket, PcapWriter};
 
 fn main() {
@@ -119,13 +119,9 @@ fn main() {
 
     // The study runs over the full trace; the recovered flow subset and
     // the feed health ride along in the report's ingest section.
-    let (tagged, stats) = classifier.classify_trace_degraded(
-        &trace.flows,
-        spoofwatch_net::InferenceMethod::FullCone,
-        spoofwatch_net::OrgMode::OrgAdjusted,
-        confidence,
-    );
-    let classes: Vec<_> = tagged.iter().map(|t| t.class).collect();
+    let classes =
+        classifier.classify_trace(&trace.flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted);
+    let stats = DegradedStats::of(&classes, confidence);
     println!(
         "degraded classification: {} flows, {} tentative Unrouted verdicts\n",
         stats.flows, stats.unrouted_tentative

@@ -11,7 +11,7 @@ use rand::{RngExt, SeedableRng};
 use spoofwatch::core::Classifier;
 use spoofwatch::internet::{Internet, InternetConfig};
 use spoofwatch::ixp::sampler::PacketSampler;
-use spoofwatch::net::{fmt_addr, FlowRecord, Proto};
+use spoofwatch::net::{fmt_addr, FlowRecord, InferenceMethod, OrgMode, Proto};
 use spoofwatch::packet::flow::extract_flow;
 use spoofwatch::packet::{craft, pcap, PcapPacket, PcapWriter};
 
@@ -47,10 +47,10 @@ fn main() {
     println!("pcap: {} packets, {} bytes on disk", packets.len(), bytes.len());
     let (readback, _) = pcap::decode_resilient(&bytes);
 
-    // 3. Parse headers (checksums validated) and classify each packet's
-    //    flow as if it entered the IXP via `member`.
+    // 3. Parse headers (checksums validated), sample, and classify each
+    //    kept packet's flow as if it entered the IXP via `member`.
     let sampler = PacketSampler::new(3); // aggressive sampling for a demo
-    let mut kept = 0;
+    let mut flows = Vec::new();
     for pkt in &readback {
         let f = extract_flow(&pkt.data).expect("crafted packets are valid");
         let flow = FlowRecord {
@@ -67,12 +67,14 @@ fn main() {
             ttl: f.ttl,
         };
         // Emulate per-packet sampling: most packets vanish.
-        if sampler.sample_flow(&mut rng, flow, 1).is_none() {
-            continue;
+        if sampler.sample_flow(&mut rng, flow, 1).is_some() {
+            flows.push(flow);
         }
-        kept += 1;
-        let class = classifier.classify(&flow);
-        let proto = match f.proto {
+    }
+    let kept = flows.len();
+    let classes = classifier.classify_trace(&flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted);
+    for (flow, class) in flows.iter().zip(classes) {
+        let proto = match flow.proto {
             Proto::Tcp => "TCP",
             Proto::Udp => "UDP",
             Proto::Icmp => "ICMP",
@@ -80,11 +82,11 @@ fn main() {
         };
         println!(
             "{:>15} -> {:>15} {:>4} dport {:>5} {:>4}B  => {class}",
-            fmt_addr(f.src),
-            fmt_addr(f.dst),
+            fmt_addr(flow.src),
+            fmt_addr(flow.dst),
             proto,
-            f.dport,
-            f.size,
+            flow.dport,
+            flow.pkt_size,
         );
     }
     println!(

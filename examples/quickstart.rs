@@ -48,15 +48,20 @@ fn main() {
         member,
         ttl: 0,
     };
-    for src in ["192.168.1.1", "10.9.9.9", "224.0.0.5", "203.0.113.7"] {
-        println!("src {src:>15} via {member} → {}", classifier.classify(&mk(src)));
-    }
-    // A source the member legitimately carries (its own space).
-    if let Some(info) = net.topology.info(member) {
-        if let Some(p) = info.prefixes.first() {
-            let own = spoofwatch::net::fmt_addr(p.first() + 1);
-            println!("src {own:>15} via {member} → {}", classifier.classify(&mk(&own)));
-        }
+    // A source the member legitimately carries (its own space) last.
+    let own = net
+        .topology
+        .info(member)
+        .and_then(|info| info.prefixes.first())
+        .map(|p| spoofwatch::net::fmt_addr(p.first() + 1));
+    let srcs: Vec<&str> = ["192.168.1.1", "10.9.9.9", "224.0.0.5", "203.0.113.7"]
+        .into_iter()
+        .chain(own.as_deref())
+        .collect();
+    let flows: Vec<FlowRecord> = srcs.iter().map(|src| mk(src)).collect();
+    let classes = classifier.classify_trace(&flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted);
+    for (src, class) in srcs.iter().zip(classes) {
+        println!("src {src:>15} via {member} → {class}");
     }
 
     // 4. Classify a whole generated trace and compare the three methods.

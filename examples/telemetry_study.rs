@@ -20,6 +20,7 @@ mod common;
 use common::{section, Scratch, World};
 use spoofwatch::core::{CheckpointStore, RunnerConfig, RunnerObs, StudyRunner};
 use spoofwatch::ixp::chunked::ChunkedIpfixReader;
+use spoofwatch::net::{InferenceMethod, OrgMode};
 use spoofwatch::obs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,7 +67,8 @@ fn main() {
             {
                 panic!("injected fault: classifier died mid-chunk");
             }
-            flows.iter().map(|f| w.classifier.classify(f)).collect()
+            w.classifier
+                .classify_records_batched(flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted)
         })
         .expect("run survives the injected panic");
     println!("run: {}", report.health);

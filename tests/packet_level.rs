@@ -6,9 +6,16 @@ use rand::{RngExt, SeedableRng};
 use spoofwatch::core::Classifier;
 use spoofwatch::internet::{bogon, Internet, InternetConfig};
 use spoofwatch::ixp::PacketSampler;
-use spoofwatch::net::{FlowRecord, IngestStatus, TrafficClass};
+use spoofwatch::net::{FlowRecord, InferenceMethod, IngestStatus, OrgMode, TrafficClass};
 use spoofwatch::packet::flow::extract_flow;
 use spoofwatch::packet::{craft, pcap, PcapPacket, PcapWriter};
+
+/// One flow through the production classify path (the batch kernel),
+/// Full Cone org-adjusted.
+fn classify(c: &Classifier, f: &FlowRecord) -> TrafficClass {
+    let (method, org) = (InferenceMethod::FullCone, OrgMode::OrgAdjusted);
+    c.classify_records_batched(std::slice::from_ref(f), method, org)[0]
+}
 
 #[test]
 fn crafted_packets_classify_like_flows() {
@@ -59,7 +66,7 @@ fn crafted_packets_classify_like_flows() {
             member,
             ttl: f.ttl,
         };
-        assert_eq!(classifier.classify(&flow), want.unwrap());
+        assert_eq!(classify(&classifier, &flow), want.unwrap());
     }
 }
 
@@ -87,8 +94,8 @@ fn sampling_preserves_class_but_scales_counts() {
         .sample_flow(&mut rng, flow, 1_000_000)
         .expect("a million packets always sample");
     // Classification depends only on (src, member): identical pre/post.
-    assert_eq!(classifier.classify(&flow), classifier.classify(&sampled));
-    assert_eq!(classifier.classify(&sampled), TrafficClass::Bogon);
+    assert_eq!(classify(&classifier, &flow), classify(&classifier, &sampled));
+    assert_eq!(classify(&classifier, &sampled), TrafficClass::Bogon);
     // Counts scale to ~1/100 with binomial noise.
     assert!((8_000..12_000).contains(&sampled.packets), "{}", sampled.packets);
     assert_eq!(sampled.bytes, sampled.packets as u64 * 40);

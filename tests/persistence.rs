@@ -38,12 +38,11 @@ fn classifier_survives_mrt_roundtrip() {
 
     let original = Classifier::build(&net.announcements, &net.orgs_dataset);
     let rebuilt = Classifier::build(&decoded_announcements, &net.orgs_dataset);
-    for f in trace.flows.iter().take(5_000) {
-        assert_eq!(
-            original.classify_with(f, InferenceMethod::FullCone, OrgMode::OrgAdjusted),
-            rebuilt.classify_with(f, InferenceMethod::FullCone, OrgMode::OrgAdjusted),
-        );
-    }
+    let flows = &trace.flows[..5_000.min(trace.flows.len())];
+    assert_eq!(
+        original.classify_records_batched(flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted),
+        rebuilt.classify_records_batched(flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted),
+    );
 }
 
 #[test]
