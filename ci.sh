@@ -25,6 +25,9 @@ cargo test -q --workspace
 echo "==> clippy (workspace, every target: libs, bins, tests, examples; warnings fail)"
 cargo clippy -q --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (workspace docs build; broken or private intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
+
 echo "==> clippy: no unwrap in decode + runner + analysis + obs paths (lib targets only)"
 cargo clippy -q -p spoofwatch-net -p spoofwatch-bgp -p spoofwatch-ixp \
     -p spoofwatch-packet -p spoofwatch-core -p spoofwatch-analysis \
@@ -193,13 +196,21 @@ for name in $(echo "$classify_fns" | sed -nE 's/.*pub fn (classify[A-Za-z0-9_]*)
     fi
 done
 
-echo "==> option budget (at most 53 runtime options)"
+echo "==> option budget (at most 36 runtime options)"
 # Public fields of every `pub struct *Config` and of `LiveLadder` in
 # spoofwatch-core and the live producer, test code (from a file's first
 # #[cfg(test)] on) excluded. An option that no run, example or benchmark
 # sets to a second value is a constant instead. A change that needs a
 # new option raises the budget here and says why.
-option_budget=53
+# Nine of the 36 are still set to a second value by tests alone, which
+# shorten wall-clock bounds or pin a pipelining schedule:
+# RunnerConfig::{queue_depth, stall_timeout_ms},
+# ShardWorkerConfig::{heartbeat_ms, chunk_timeout_ms},
+# LiveServerConfig::{producer_stall_ms, resume_throttle_ms} and
+# LiveProducerConfig::{credit_stall_ms, target_records_per_sec, pauses}.
+# They become constants once the tests have a clock seam to run the
+# production values without the wait.
+option_budget=36
 # shellcheck disable=SC2046
 options="$(awk '
     FNR == 1 { inside = 0 }

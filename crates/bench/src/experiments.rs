@@ -3,7 +3,7 @@
 
 use crate::{Comparison, Scenario};
 use spoofwatch_analysis as analysis;
-use spoofwatch_core::fphunt::{hunt, HuntConfig};
+use spoofwatch_core::fphunt::hunt;
 use spoofwatch_core::stray::StrayReport;
 use spoofwatch_core::{MemberBreakdown, Table1};
 use spoofwatch_internet::traceroute;
@@ -459,7 +459,6 @@ pub fn fphunt(s: &Scenario) -> Vec<Comparison> {
         &s.classes,
         &s.net.whois,
         &s.net.looking_glass_links,
-        &HuntConfig::default(),
     );
     println!(
         "§4.4 hunt: {} org links (WHOIS), {} ACL links, {} looking-glass links, {} route objects, {} tunnels",

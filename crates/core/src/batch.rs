@@ -15,7 +15,7 @@
 //!   serializing them behind per-record work.
 //! * **Memoized verdicts** — routed codes are interned info-arena
 //!   indices, so the cone verdict is a pure function of
-//!   `(member, info index, variant)`. [`VerdictMemo`] is a direct-mapped
+//!   `(member, info index, variant)`. `VerdictMemo` is a direct-mapped
 //!   cache over that key, filled by one routine that computes only the
 //!   variants of the caller's mask the slot does not know yet; flow
 //!   locality makes most verdicts a single compare + bit test.
@@ -25,7 +25,7 @@
 //!   classification performs **zero heap allocations** (asserted by
 //!   `tests/batch_alloc.rs` with a counting allocator).
 //!
-//! The kernel yields one [`Verdict`] per record; the public entry
+//! The kernel yields one `Verdict` per record; the public entry
 //! points project it — one variant's bit to a [`TrafficClass`], or all
 //! five bits to a class row.
 //!

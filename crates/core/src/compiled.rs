@@ -487,11 +487,10 @@ mod tests {
 
     #[test]
     fn panicking_rebuild_leaves_its_snapshot_due_and_counts_the_failure() {
-        use crate::freshness::FreshnessConfig;
         let reg = MetricsRegistry::new();
         let epoch =
             EpochClassifier::new(one_prefix_classifier(), 1_000).with_metrics(Arc::clone(&reg));
-        let mut freshness = RibFreshness::new(FreshnessConfig::default());
+        let mut freshness = RibFreshness::new();
         freshness.register("rrc00");
         freshness.record_snapshot("rrc00", 2_000);
         assert!(epoch.refresh_due(&freshness, 5_000));

@@ -623,7 +623,7 @@ impl IncidentKind {
         }
     }
 
-    /// All metric label values, by [`IncidentKind::index`].
+    /// All metric label values, by `IncidentKind::index`.
     pub const LABELS: [&'static str; 4] =
         ["class_drift", "member_drift", "spoof_burst", "ttl_shift"];
 }

@@ -15,26 +15,14 @@ use spoofwatch_internet::whois::WhoisRegistry;
 use spoofwatch_net::{Asn, FlowRecord, Ipv4Prefix, TrafficClass};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Hunt parameters.
-#[derive(Debug, Clone)]
-pub struct HuntConfig {
-    /// How many top members (by Invalid share of their traffic) to
-    /// investigate — the paper examines the top 40.
-    pub top_n: usize,
-    /// A single foreign origin must account for at least this share of
-    /// a member's Invalid packets to be flagged as a tunnel/uncommon
-    /// setup when no registry evidence exists.
-    pub tunnel_dominance: f64,
-}
+/// How many top members (by Invalid share of their traffic) the hunt
+/// investigates — the paper examines the top 40.
+const TOP_N: usize = 40;
 
-impl Default for HuntConfig {
-    fn default() -> Self {
-        HuntConfig {
-            top_n: 40,
-            tunnel_dominance: 0.8,
-        }
-    }
-}
+/// A single foreign origin must account for at least this share of a
+/// member's Invalid packets to be flagged as a tunnel/uncommon setup
+/// when no registry evidence exists.
+const TUNNEL_DOMINANCE: f64 = 0.8;
 
 /// What the hunt found and what accepting it does to Invalid.
 #[derive(Debug, Clone, Default, Serialize)]
@@ -84,7 +72,8 @@ fn reduction(before: u64, after: u64) -> f64 {
 }
 
 /// Run the hunt over a classified trace and compute the corrected
-/// classification.
+/// classification. The hunt investigates the 40 members with the
+/// highest Invalid share of their own traffic.
 ///
 /// Returns the findings and the corrected class array (matched Invalid
 /// flows become Valid, everything else is untouched).
@@ -94,7 +83,6 @@ pub fn hunt(
     classes: &[TrafficClass],
     whois: &WhoisRegistry,
     looking_glass: &[(Asn, Asn)],
-    cfg: &HuntConfig,
 ) -> (HuntFindings, Vec<TrafficClass>) {
     assert_eq!(flows.len(), classes.len());
     let mut findings = HuntFindings::default();
@@ -116,7 +104,7 @@ pub fn hunt(
         .map(|(m, (inv, tot))| (*m, *inv as f64 / (*tot).max(1) as f64))
         .collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    let suspects: Vec<Asn> = ranked.iter().take(cfg.top_n).map(|(m, _)| *m).collect();
+    let suspects: Vec<Asn> = ranked.iter().take(TOP_N).map(|(m, _)| *m).collect();
     let suspect_set: HashSet<Asn> = suspects.iter().copied().collect();
 
     // ---- Per-suspect origin statistics of Invalid traffic. -------------
@@ -175,7 +163,7 @@ pub fn hunt(
                 findings.looking_glass_links.push((member, origin));
                 accepted.insert((member, origin));
             } else if member_invalid > 0
-                && pkts as f64 / member_invalid as f64 >= cfg.tunnel_dominance
+                && pkts as f64 / member_invalid as f64 >= TUNNEL_DOMINANCE
                 && origin_bytes
                     .get(&(member, origin))
                     .is_some_and(|b| *b >= pkts * 150)
@@ -320,14 +308,7 @@ mod tests {
                 .count(),
             3
         );
-        let (findings, corrected) = hunt(
-            &classifier,
-            &flows,
-            &classes,
-            &whois,
-            &[],
-            &HuntConfig::default(),
-        );
+        let (findings, corrected) = hunt(&classifier, &flows, &classes, &whois, &[]);
         assert_eq!(findings.whois_org_links, vec![(Asn(5), Asn(2))]);
         assert_eq!(findings.acl_links, vec![(Asn(6), Asn(3))]);
         assert_eq!(findings.tunnel_suspects, vec![(Asn(7), Asn(3))]);
@@ -352,24 +333,20 @@ mod tests {
             prefix: "20.5.5.0/24".parse().unwrap(),
             holder: Asn(9),
         });
-        let flows = vec![flow("20.5.5.1", 9, 10)];
+        // 100 B packets: below the tunnel heuristic's 150 B/packet floor,
+        // so only the route object can explain the flow.
+        let flows = vec![FlowRecord {
+            bytes: 1_000,
+            pkt_size: 100,
+            ..flow("20.5.5.1", 9, 10)
+        }];
         let classes = classifier.classify_trace(
             &flows,
             spoofwatch_net::InferenceMethod::FullCone,
             spoofwatch_net::OrgMode::OrgAdjusted,
         );
         assert_eq!(classes[0], TrafficClass::Invalid);
-        let (findings, corrected) = hunt(
-            &classifier,
-            &flows,
-            &classes,
-            &whois,
-            &[],
-            &HuntConfig {
-                tunnel_dominance: 2.0, // disable the tunnel heuristic
-                ..HuntConfig::default()
-            },
-        );
+        let (findings, corrected) = hunt(&classifier, &flows, &classes, &whois, &[]);
         assert_eq!(
             findings.route_object_exceptions,
             vec![(Asn(9), "20.5.5.0/24".parse().unwrap())]
@@ -381,6 +358,17 @@ mod tests {
     fn looking_glass_links_accepted() {
         let (classifier, _, flows) = setup();
         let whois = WhoisRegistry::new(); // no registry evidence at all
+
+        // 100 B packets: below the tunnel heuristic's 150 B/packet floor,
+        // so no dominant origin is excused as a tunnel.
+        let flows: Vec<FlowRecord> = flows
+            .into_iter()
+            .map(|f| FlowRecord {
+                bytes: f.packets as u64 * 100,
+                pkt_size: 100,
+                ..f
+            })
+            .collect();
         let classes = classifier.classify_trace(
             &flows,
             spoofwatch_net::InferenceMethod::FullCone,
@@ -392,10 +380,6 @@ mod tests {
             &classes,
             &whois,
             &[(Asn(2), Asn(5))], // either orientation must match
-            &HuntConfig {
-                tunnel_dominance: 2.0,
-                ..HuntConfig::default()
-            },
         );
         assert_eq!(findings.looking_glass_links, vec![(Asn(5), Asn(2))]);
         // Only the looking-glass pair got corrected.

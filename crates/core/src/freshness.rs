@@ -24,36 +24,21 @@ use spoofwatch_net::TrafficClass;
 use std::collections::HashMap;
 use std::fmt;
 
-/// Thresholds and retry policy for feed-health grading.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct FreshnessConfig {
-    /// Feed age (seconds) up to which the table counts as fresh.
-    pub fresh_secs: u64,
-    /// Feed age past which the table counts as stale (between the two
-    /// bounds it is degraded).
-    pub stale_secs: u64,
-    /// First retry delay after a collector gap, seconds.
-    pub retry_base_secs: u64,
-    /// Retry delays double per attempt but never exceed this bound.
-    pub retry_max_secs: u64,
-    /// Attempts after which a collector is declared dropped out (no
-    /// further retries are scheduled).
-    pub max_retries: u32,
-}
+// RIB snapshots land every 8 h (RIPE RIS); two missed cycles is
+// degraded, a missed day is stale.
 
-impl Default for FreshnessConfig {
-    fn default() -> Self {
-        // RIB snapshots land every 8 h (RIPE RIS); two missed cycles is
-        // degraded, a missed day is stale.
-        FreshnessConfig {
-            fresh_secs: 16 * 3600,
-            stale_secs: 24 * 3600,
-            retry_base_secs: 60,
-            retry_max_secs: 3600,
-            max_retries: 8,
-        }
-    }
-}
+/// Feed age (seconds) up to which the table counts as fresh.
+const FRESH_SECS: u64 = 16 * 3600;
+/// Feed age past which the table counts as stale (between the two
+/// bounds it is degraded).
+const STALE_SECS: u64 = 24 * 3600;
+/// First retry delay after a collector gap, seconds.
+const RETRY_BASE_SECS: u64 = 60;
+/// Retry delays double per attempt but never exceed this bound.
+const RETRY_MAX_SECS: u64 = 3600;
+/// Attempts after which a collector is declared dropped out (no
+/// further retries are scheduled).
+const MAX_RETRIES: u32 = 8;
 
 /// Feed-health grade attached to degraded-mode classifications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
@@ -90,24 +75,15 @@ struct CollectorState {
 }
 
 /// Tracks how current the routed table's inputs are, per collector.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RibFreshness {
-    cfg: FreshnessConfig,
     collectors: HashMap<String, CollectorState>,
 }
 
 impl RibFreshness {
-    /// Fresh tracker with the given policy.
-    pub fn new(cfg: FreshnessConfig) -> Self {
-        RibFreshness {
-            cfg,
-            collectors: HashMap::new(),
-        }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> &FreshnessConfig {
-        &self.cfg
+    /// Fresh tracker with no collector known yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Register a collector (idempotent). Unregistered collectors are
@@ -135,22 +111,18 @@ impl RibFreshness {
 
     /// Record a failed fetch from `collector` at time `ts` and schedule
     /// the next retry with bounded exponential backoff
-    /// (`base * 2^(failures-1)`, capped at `retry_max_secs`). After
-    /// `max_retries` consecutive failures the collector is declared
-    /// dropped out and no further retry is scheduled.
+    /// (`60 s * 2^(failures-1)`, capped at one hour). After 8
+    /// consecutive failures the collector is declared dropped out and no
+    /// further retry is scheduled.
     pub fn record_gap(&mut self, collector: &str, ts: u64) {
         self.register(collector);
-        let (base, cap, max_retries) = (
-            self.cfg.retry_base_secs,
-            self.cfg.retry_max_secs,
-            self.cfg.max_retries,
-        );
         if let Some(c) = self.collectors.get_mut(collector) {
             c.failures = c.failures.saturating_add(1);
-            c.next_retry_at = if c.failures >= max_retries {
+            c.next_retry_at = if c.failures >= MAX_RETRIES {
                 None // dropped out
             } else {
-                let delay = crate::backoff::Backoff::new(base, cap).delay(c.failures as u64);
+                let delay = crate::backoff::Backoff::new(RETRY_BASE_SECS, RETRY_MAX_SECS)
+                    .delay(c.failures as u64);
                 Some(ts + delay)
             };
         }
@@ -164,13 +136,13 @@ impl RibFreshness {
             .is_some_and(|t| now >= t)
     }
 
-    /// Collectors with `max_retries` consecutive failures and no retry
+    /// Collectors with 8 consecutive failures and no retry
     /// pending: they no longer contribute to freshness at all.
     pub fn dropped_out(&self) -> Vec<&str> {
         let mut out: Vec<&str> = self
             .collectors
             .iter()
-            .filter(|(_, c)| c.failures >= self.cfg.max_retries)
+            .filter(|(_, c)| c.failures >= MAX_RETRIES)
             .map(|(name, _)| name.as_str())
             .collect();
         out.sort_unstable();
@@ -189,12 +161,13 @@ impl RibFreshness {
             .min()
     }
 
-    /// Grade the routed table's trustworthiness at time `now`. No
-    /// snapshot at all is `Stale`.
+    /// Grade the routed table's trustworthiness at time `now`: fresh up
+    /// to 16 h, stale past 24 h, degraded between.
+    /// No snapshot at all is `Stale`.
     pub fn confidence(&self, now: u64) -> Confidence {
         match self.best_age(now) {
-            Some(age) if age <= self.cfg.fresh_secs => Confidence::Fresh,
-            Some(age) if age <= self.cfg.stale_secs => Confidence::Degraded,
+            Some(age) if age <= FRESH_SECS => Confidence::Fresh,
+            Some(age) if age <= STALE_SECS => Confidence::Degraded,
             _ => Confidence::Stale,
         }
     }
@@ -298,56 +271,56 @@ impl DegradedStats {
 mod tests {
     use super::*;
 
-    fn cfg() -> FreshnessConfig {
-        FreshnessConfig {
-            fresh_secs: 100,
-            stale_secs: 300,
-            retry_base_secs: 10,
-            retry_max_secs: 80,
-            max_retries: 5,
-        }
-    }
-
     #[test]
     fn confidence_tracks_best_collector() {
-        let mut f = RibFreshness::new(cfg());
+        let mut f = RibFreshness::new();
         assert_eq!(f.confidence(0), Confidence::Stale, "no snapshot yet");
-        f.record_snapshot("rrc00", 1000);
-        f.record_snapshot("rrc01", 500); // older, must not drag us down
-        assert_eq!(f.best_age(1050), Some(50));
-        assert_eq!(f.confidence(1050), Confidence::Fresh);
-        assert_eq!(f.confidence(1000 + 200), Confidence::Degraded);
-        assert_eq!(f.confidence(1000 + 301), Confidence::Stale);
+        f.record_snapshot("rrc00", 100_000);
+        f.record_snapshot("rrc01", 50_000); // older, must not drag us down
+        assert_eq!(f.best_age(105_000), Some(5_000));
+        assert_eq!(f.confidence(105_000), Confidence::Fresh);
+        assert_eq!(f.confidence(100_000 + 57_600), Confidence::Fresh, "16 h");
+        assert_eq!(f.confidence(100_000 + 57_601), Confidence::Degraded);
+        assert_eq!(f.confidence(100_000 + 86_400), Confidence::Degraded, "24 h");
+        assert_eq!(f.confidence(100_000 + 86_401), Confidence::Stale);
     }
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let mut f = RibFreshness::new(cfg());
+        let mut f = RibFreshness::new();
         f.record_snapshot("rrc00", 0);
-        // Failure 1: retry after base (10 s).
-        f.record_gap("rrc00", 100);
-        assert!(!f.retry_due("rrc00", 105));
-        assert!(f.retry_due("rrc00", 110));
-        // Failure 2: 20 s. Failure 3: 40 s. Failure 4: 80 s (cap).
-        f.record_gap("rrc00", 110);
-        assert!(f.retry_due("rrc00", 130));
-        f.record_gap("rrc00", 130);
-        assert!(!f.retry_due("rrc00", 169));
-        assert!(f.retry_due("rrc00", 170));
-        f.record_gap("rrc00", 170);
-        assert!(!f.retry_due("rrc00", 249));
-        assert!(f.retry_due("rrc00", 250), "delay capped at retry_max");
+        // Failure 1: retry after base (60 s).
+        f.record_gap("rrc00", 1_000);
+        assert!(!f.retry_due("rrc00", 1_059));
+        assert!(f.retry_due("rrc00", 1_060));
+        // Failure 2: 120 s. Failure 3: 240 s. Failure 4: 480 s.
+        f.record_gap("rrc00", 1_060);
+        assert!(f.retry_due("rrc00", 1_180));
+        f.record_gap("rrc00", 1_180);
+        assert!(!f.retry_due("rrc00", 1_419));
+        assert!(f.retry_due("rrc00", 1_420));
+        f.record_gap("rrc00", 1_420);
+        assert!(!f.retry_due("rrc00", 1_899));
+        assert!(f.retry_due("rrc00", 1_900));
+        // Failure 5: 960 s. Failure 6: 1 920 s. Failure 7: 3 600 s (cap).
+        f.record_gap("rrc00", 1_900);
+        assert!(f.retry_due("rrc00", 2_860));
+        f.record_gap("rrc00", 2_860);
+        assert!(f.retry_due("rrc00", 4_780));
+        f.record_gap("rrc00", 4_780);
+        assert!(!f.retry_due("rrc00", 8_379));
+        assert!(f.retry_due("rrc00", 8_380), "delay capped at retry_max");
     }
 
     #[test]
     fn dropout_after_max_retries() {
-        let mut f = RibFreshness::new(cfg());
+        let mut f = RibFreshness::new();
         f.record_snapshot("rrc00", 0);
         f.record_snapshot("rrc01", 0);
         let mut t = 10;
-        for _ in 0..5 {
+        for _ in 0..8 {
             f.record_gap("rrc01", t);
-            t += 1000;
+            t += 10_000;
         }
         assert_eq!(f.dropped_out(), vec!["rrc01"]);
         assert!(!f.retry_due("rrc01", u64::MAX), "no retry after dropout");
@@ -358,22 +331,22 @@ mod tests {
 
     #[test]
     fn snapshot_resets_backoff() {
-        let mut f = RibFreshness::new(cfg());
+        let mut f = RibFreshness::new();
         f.record_gap("rrc00", 0);
-        f.record_gap("rrc00", 10);
-        f.record_snapshot("rrc00", 50);
+        f.record_gap("rrc00", 60);
+        f.record_snapshot("rrc00", 200);
         assert!(!f.retry_due("rrc00", u64::MAX));
         // The next gap starts the ladder over at the base delay.
-        f.record_gap("rrc00", 100);
-        assert!(f.retry_due("rrc00", 110));
-        assert!(!f.retry_due("rrc00", 109));
+        f.record_gap("rrc00", 1_000);
+        assert!(f.retry_due("rrc00", 1_060));
+        assert!(!f.retry_due("rrc00", 1_059));
     }
 
     #[test]
     fn default_config_caps_delay_at_one_hour() {
         // Default ladder: 60, 120, 240, 480, 960, 1920 — the 7th failure
         // would schedule 3840 s but must clamp to retry_max (3600 s).
-        let mut f = RibFreshness::new(FreshnessConfig::default());
+        let mut f = RibFreshness::new();
         f.record_snapshot("rrc00", 0);
         let mut t = 0u64;
         for i in 0..6 {
@@ -390,7 +363,7 @@ mod tests {
 
     #[test]
     fn default_config_drops_out_exactly_on_eighth_gap() {
-        let mut f = RibFreshness::new(FreshnessConfig::default());
+        let mut f = RibFreshness::new();
         f.record_snapshot("rrc00", 0);
         let mut t = 0u64;
         for _ in 0..7 {
@@ -408,7 +381,7 @@ mod tests {
 
     #[test]
     fn default_config_recovery_restarts_ladder_at_base() {
-        let mut f = RibFreshness::new(FreshnessConfig::default());
+        let mut f = RibFreshness::new();
         // A long gap streak, one short of dropout...
         let mut t = 0u64;
         for _ in 0..7 {
@@ -428,7 +401,7 @@ mod tests {
 
     #[test]
     fn snapshot_time_never_regresses() {
-        let mut f = RibFreshness::new(cfg());
+        let mut f = RibFreshness::new();
         f.record_snapshot("rrc00", 1000);
         f.record_snapshot("rrc00", 400); // out-of-order delivery
         assert_eq!(f.best_age(1000), Some(0));

@@ -49,7 +49,7 @@ pub use detect::{
     detect_over_windows, read_incident_log, DetectConfig, DetectEngine, Incident, IncidentKind,
     IncidentRecord, Provenance, SampledFlow, SpoofMode, WindowDetect,
 };
-pub use freshness::{Confidence, DegradedStats, FreshnessConfig, RibFreshness};
+pub use freshness::{Confidence, DegradedStats, RibFreshness};
 pub use pipeline::Classifier;
 pub use provenance::{
     DecisionRecord, DisagreementMatrix, MatchedRule, MethodVariant, PairMatrix, VerdictVector,

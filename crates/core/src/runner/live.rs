@@ -1,7 +1,7 @@
 //! Socket-fed live study mode with overload control and graceful drain.
 //!
 //! [`serve_live`] is the live shell around the one link consumer
-//! ([`super::link`]): it does the handshake with an `ixp` producer that
+//! (`runner::link`): it does the handshake with an `ixp` producer that
 //! streams paced IPFIX chunks over a [`ShardTransport`] frame link, hands
 //! the link to the consumer loop with the live policy, and turns what
 //! the loop and the supervised [`StudyRunner`] did into a [`LiveStudy`]
@@ -103,23 +103,24 @@ impl OverloadState {
 }
 
 /// Occupancy thresholds for the overload ladder, with hysteresis: each
-/// state's `*_exit` sits strictly below its `*_enter`, and
-/// de-escalation steps down one rung per evaluation, so a buffer
-/// oscillating around a boundary does not flap the state.
+/// state's exit sits strictly below its entry, and de-escalation steps
+/// down one rung per evaluation, so a buffer oscillating around a
+/// boundary does not flap the state. [`LiveLadder::for_window`] is the
+/// one way to build it.
 #[derive(Debug, Clone, Serialize)]
 pub struct LiveLadder {
     /// Enter `Pressure` at this buffered-chunk occupancy.
-    pub pressure_enter: usize,
+    pressure_enter: usize,
     /// Leave `Pressure` (for `Normal`) at or below this occupancy.
-    pub pressure_exit: usize,
+    pressure_exit: usize,
     /// Enter `Shed` at this occupancy.
-    pub shed_enter: usize,
+    shed_enter: usize,
     /// Leave `Shed` (for `Pressure`) at or below this occupancy.
-    pub shed_exit: usize,
+    shed_exit: usize,
     /// Enter `Refuse` at this occupancy.
-    pub refuse_enter: usize,
+    refuse_enter: usize,
     /// Leave `Refuse` (for `Shed`) at or below this occupancy.
-    pub refuse_exit: usize,
+    refuse_exit: usize,
 }
 
 impl LiveLadder {
@@ -187,8 +188,6 @@ pub struct LiveServerConfig {
     pub window: usize,
     /// Overload thresholds; `None` derives [`LiveLadder::for_window`].
     pub ladder: Option<LiveLadder>,
-    /// How long to wait for the producer's `Welcome`.
-    pub handshake_timeout_ms: u64,
     /// Producer-stall watchdog: a producer holding unspent credit (or
     /// owing a `Finish` during drain) that stays silent this long is
     /// declared lost; the study drains what was admitted and completes
@@ -211,7 +210,6 @@ impl LiveServerConfig {
             obs: RunnerObs::disabled(),
             window: 8,
             ladder: None,
-            handshake_timeout_ms: 5_000,
             producer_stall_ms: 5_000,
             resume_throttle_ms: 200,
             stop_after_chunks: None,
@@ -398,6 +396,11 @@ where
     serve_live_inner(classifier, cfg, store, transport, Some(&classify))
 }
 
+/// How long [`serve_live`] waits for the producer's `Welcome`. The
+/// live producer fingerprints its whole trace before it answers, so
+/// this is the longest of the link handshakes.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(5_000);
+
 type ClassifyFn<'f> = &'f (dyn Fn(&[FlowRecord]) -> Vec<TrafficClass> + Sync);
 
 fn serve_live_inner(
@@ -414,9 +417,9 @@ fn serve_live_inner(
         .unwrap_or_else(|| LiveLadder::for_window(window));
     let tracer = Arc::clone(&cfg.obs.tracer);
 
-    let handshake = Duration::from_millis(cfg.handshake_timeout_ms.max(1));
-    let (fingerprint, chunk_records, target_rps) = live::open_stream(&mut transport, 0, handshake)
-        .map_err(|e| LiveError::Handshake(e.to_string()))?;
+    let (fingerprint, chunk_records, target_rps) =
+        live::open_stream(&mut transport, 0, HANDSHAKE_TIMEOUT)
+            .map_err(|e| LiveError::Handshake(e.to_string()))?;
     tracer.event(
         "live_session_start",
         &[
@@ -545,14 +548,14 @@ mod tests {
 
     #[test]
     fn ladder_defaults_have_hysteresis() {
-        for w in [1usize, 2, 4, 8, 16, 64] {
+        for w in 1usize..=1024 {
             let l = LiveLadder::for_window(w);
             assert!(l.pressure_exit < l.pressure_enter, "w={w}");
             assert!(l.shed_exit < l.shed_enter, "w={w}");
             assert!(l.refuse_exit < l.refuse_enter, "w={w}");
             assert!(l.pressure_enter <= l.shed_enter, "w={w}");
             assert!(l.shed_enter <= l.refuse_enter, "w={w}");
-            assert_eq!(l.refuse_enter, w.max(1), "refuse sits at the bound");
+            assert_eq!(l.refuse_enter, w, "refuse sits at the bound");
         }
     }
 

@@ -14,9 +14,9 @@
 //!   with two-slot rotation). An interrupted run resumes from the last
 //!   valid checkpoint and produces a bit-identical [`RunReport`]; a torn
 //!   checkpoint file is detected and skipped back to its predecessor.
-//!   The feeder is a shell over the pure commit rules ([`commit`]), which
+//!   The feeder is a shell over the pure commit rules (`commit`), which
 //!   only encode; one ordered writer thread per run does every fsync
-//!   ([`durable`]) and is joined, all it was handed acknowledged.
+//!   (`durable`) and is joined, all it was handed acknowledged.
 //! * **Supervision** — each worker wraps chunk classification in
 //!   `catch_unwind`: a poisoned chunk is quarantined into the
 //!   [`RunnerHealth`] taxonomy and the same worker takes the next chunk

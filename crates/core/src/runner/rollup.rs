@@ -10,8 +10,8 @@
 //! rename). The ring is therefore torn-file-safe: a crash mid-write
 //! tears only a tmp file, and [`read_ring`] reports any corrupt window
 //! alongside the valid ones instead of trusting it. The writer touches
-//! no file: the runner's commit rules ([`super::commit`]) encode a closed
-//! window, its ordered durable writer ([`super::durable`]) writes it
+//! no file: the runner's commit rules (`runner::commit`) encode a closed
+//! window, its ordered durable writer (`runner::durable`) writes it
 //! ahead of the checkpoint that records it closed.
 //!
 //! Resume exactness: the in-progress accumulator rides inside the

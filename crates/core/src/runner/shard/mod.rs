@@ -39,8 +39,8 @@
 //!   (no terminal checkpoint, no final partial window) instead of
 //!   draining it;
 //! * the coordinator streams to each shard through the one send loop
-//!   ([`spoofwatch_ixp::live::send_loop`]), declares a silent shard dead
-//!   after [`ShardConfig::liveness_timeout_ms`] and respawns it with
+//!   ([`spoofwatch_ixp::live::send_loop`]), declares a shard dead after
+//!   2 s of silence (`LIVENESS_TIMEOUT_MS`) and respawns it with
 //!   seeded-jitter bounded exponential backoff (mirroring
 //!   `RibFreshness`);
 //! * a respawned worker resumes idempotently from its last checkpoint —
@@ -99,10 +99,22 @@ const SHARD_WINDOW: u64 = 16;
 /// Silence from the coordinator, while chunks are owed, after which a
 /// worker gives the link up (and aborts, to be respawned). A serving
 /// coordinator resends within one beacon or `Resume` nudge (≤ 1 s by
-/// default); at 2.5 × the default `liveness_timeout_ms` the coordinator
-/// sees a link dead both ways first, so this only ends a coordinator
-/// that stopped sending but still reads the beacon (DESIGN.md §15).
+/// default); at 2.5 × `LIVENESS_TIMEOUT_MS` the coordinator sees a
+/// link dead both ways first, so this only ends a coordinator that
+/// stopped sending but still reads the beacon (DESIGN.md §15).
 const SHARD_STALL_MS: u64 = 5_000;
+
+/// Silence from a shard the coordinator waits on after which it is
+/// declared dead, in milliseconds (the send loop's silence bound).
+const LIVENESS_TIMEOUT_MS: u64 = 2_000;
+
+/// How long the coordinator's connection router waits for a `Hello`
+/// frame, milliseconds.
+const ROUTER_HANDSHAKE_MS: u64 = 1_000;
+
+/// How long a worker waits for `Welcome` after sending `Hello`,
+/// milliseconds.
+const WORKER_HANDSHAKE_MS: u64 = 2_000;
 
 /// How the trace is partitioned: `shards` workers, flows assigned by a
 /// salted hash of the member/flow key. The plan is part of the study's
@@ -203,11 +215,6 @@ pub struct ShardConfig {
     /// Records per trace chunk (must match the single-node run being
     /// reproduced for bit-identity).
     pub chunk_records: usize,
-    /// Silence from a shard the coordinator waits on after which it is
-    /// declared dead, in milliseconds (the send loop's silence bound).
-    pub liveness_timeout_ms: u64,
-    /// How long the connection router waits for a `Hello` frame.
-    pub handshake_timeout_ms: u64,
     /// Base reconnect backoff, milliseconds (doubles per consecutive
     /// death, jittered, capped at `backoff_max_ms`).
     pub backoff_base_ms: u64,
@@ -221,14 +228,12 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// Defaults sized for same-host shards: 2 s liveness, 1 s
-    /// handshake, 50 ms → 1 s backoff, 3 respawns.
+    /// Defaults sized for same-host shards: 50 ms → 1 s backoff, 3
+    /// respawns.
     pub fn new(plan: ShardPlan, chunk_records: usize) -> ShardConfig {
         ShardConfig {
             plan,
             chunk_records,
-            liveness_timeout_ms: 2_000,
-            handshake_timeout_ms: 1_000,
             backoff_base_ms: 50,
             backoff_max_ms: 1_000,
             retry_budget: 3,
@@ -250,7 +255,8 @@ pub struct ShardStatus {
     pub deaths: u32,
     /// Deaths by silence: send loops that gave the shard up
     /// ([`live::SendEnd::Silent`]) because no frame from it, its
-    /// `Credit` beacon included, arrived within `liveness_timeout_ms`.
+    /// `Credit` beacon included, arrived within the coordinator's 2 s
+    /// liveness bound.
     /// There is no heartbeat message; the name stays because reports,
     /// `/metrics` and the benchmark read it.
     pub heartbeat_misses: u64,
@@ -599,7 +605,7 @@ impl<'a> ShardCoordinator<'a> {
 
         let outcomes: Vec<ShardOutcome> = thread::scope(|s| {
             let gate = &gate;
-            let handshake = Duration::from_millis(self.cfg.handshake_timeout_ms.max(1));
+            let handshake = Duration::from_millis(ROUTER_HANDSHAKE_MS);
             let router = s.spawn(move || route_connections(endpoint, conn_txs, gate, handshake));
             let _ = gate.router.set(router.thread().clone());
             let handles: Vec<_> = conn_rxs
@@ -664,9 +670,7 @@ impl<'a> ShardCoordinator<'a> {
             }
             router.set(&router.wanted[shard_id as usize], true);
             spawn(shard_id);
-            let wait = Duration::from_millis(
-                self.cfg.liveness_timeout_ms + self.cfg.handshake_timeout_ms,
-            );
+            let wait = Duration::from_millis(LIVENESS_TIMEOUT_MS + ROUTER_HANDSHAKE_MS);
             let mut conn = match conn_rx.recv_timeout(wait) {
                 Ok(c) => c,
                 Err(_) => {
@@ -740,7 +744,7 @@ impl<'a> ShardCoordinator<'a> {
 
     /// Serve one live connection until it reports, dies, or proves
     /// fatally misconfigured: the bound `Welcome`, then the one send loop
-    /// with `liveness_timeout_ms` as its silence bound, each chunk cut to
+    /// with `LIVENESS_TIMEOUT_MS` as its silence bound, each chunk cut to
     /// the shard's partition, `Resume` traced, the lag gauge set, and the
     /// report read from the payloads that are no link message.
     fn serve_conn(
@@ -762,7 +766,7 @@ impl<'a> ShardCoordinator<'a> {
         let plan = SendPlan {
             data: self.bytes,
             chunk_records: self.cfg.chunk_records,
-            silence_ms: self.cfg.liveness_timeout_ms,
+            silence_ms: LIVENESS_TIMEOUT_MS,
             ..SendPlan::default()
         };
         let cut = |chunk| {
@@ -996,8 +1000,6 @@ pub struct ShardWorkerConfig {
     /// Heartbeat period, milliseconds: how often the standing credit
     /// grant is re-sent as a liveness beacon on an idle link.
     pub heartbeat_ms: u64,
-    /// How long to wait for `Welcome` after sending `Hello`.
-    pub handshake_timeout_ms: u64,
     /// Minimum spacing between go-back-N `Resume` requests,
     /// milliseconds; data-plane silence past twice this while chunks are
     /// owed re-requests the stream position (retransmission).
@@ -1015,7 +1017,6 @@ impl ShardWorkerConfig {
             rollup: None,
             obs: RunnerObs::disabled(),
             heartbeat_ms: 100,
-            handshake_timeout_ms: 2_000,
             chunk_timeout_ms: 500,
             die_at: None,
         }
@@ -1079,7 +1080,7 @@ pub fn serve_shard(
     if cfg.die_at == Some(DeathPoint::BeforeHello) {
         return Err(ShardWorkerError::Died("before_hello"));
     }
-    let handshake = Duration::from_millis(cfg.handshake_timeout_ms.max(1));
+    let handshake = Duration::from_millis(WORKER_HANDSHAKE_MS);
     let (fingerprint, _, _) = live::open_stream(&mut transport, cfg.shard_id, handshake)
         .map_err(|e| ShardWorkerError::Handshake(e.to_string()))?;
     if cfg.die_at == Some(DeathPoint::AfterHello) {

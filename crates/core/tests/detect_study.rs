@@ -315,9 +315,7 @@ fn incident_set_is_identical_across_file_resume_shard_and_live() {
         let spawn_c = Arc::clone(&c);
         let ckpts: Vec<PathBuf> = (0..shards).map(|k| sub.path(&format!("s{k}-ckpt"))).collect();
         let rings: Vec<PathBuf> = (0..shards).map(|k| sub.path(&format!("s{k}-ring"))).collect();
-        let mut cfg = ShardConfig::new(ShardPlan::new(shards, 0x5eed), CHUNK);
-        cfg.liveness_timeout_ms = 2_000;
-        cfg.handshake_timeout_ms = 1_000;
+        let cfg = ShardConfig::new(ShardPlan::new(shards, 0x5eed), CHUNK);
         let merged = ShardCoordinator::new(&w.bytes, cfg)
             .run(hub.as_ref(), &move |k| {
                 let transport = spawn_hub.connect().expect("hub connect");

@@ -18,8 +18,8 @@
 
 use spoofwatch_bgp::{Announcement, AsPath};
 use spoofwatch_core::{
-    Classifier, CheckpointStore, ChunkSource, EpochClassifier, EpochSwap, FreshnessConfig,
-    RibFreshness, RunnerConfig, StudyRunner,
+    CheckpointStore, ChunkSource, Classifier, EpochClassifier, EpochSwap, RibFreshness,
+    RunnerConfig, StudyRunner,
 };
 use spoofwatch_asgraph::As2Org;
 use spoofwatch_ixp::chunked::FlowChunk;
@@ -270,7 +270,7 @@ fn refresh_protocol_rebuilds_off_thread_and_coalesces() {
     );
 
     // Freshness gating: no snapshot newer than built_at → not due.
-    let mut freshness = RibFreshness::new(FreshnessConfig::default());
+    let mut freshness = RibFreshness::new();
     freshness.register("rrc00");
     freshness.record_snapshot("rrc00", 900);
     assert!(!epoch.refresh_due(&freshness, 5_000));

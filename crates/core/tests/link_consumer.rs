@@ -88,8 +88,6 @@ fn runner_config() -> RunnerConfig {
 
 fn shard_config(shards: u32) -> ShardConfig {
     let mut cfg = ShardConfig::new(ShardPlan::new(shards, 0x5eed), CHUNK);
-    cfg.liveness_timeout_ms = 2_000;
-    cfg.handshake_timeout_ms = 1_000;
     cfg.backoff_base_ms = 5;
     cfg.backoff_max_ms = 40;
     cfg.retry_budget = 3;

@@ -443,17 +443,9 @@ fn live_chaos_soak() {
         thread::sleep(Duration::from_millis(5));
         c.classify_trace(flows, InferenceMethod::FullCone, OrgMode::OrgAdjusted)
     };
-    // A hair-trigger ladder: the runner's own queue absorbs the first
-    // few chunks, so the admission buffer needs only two buffered
-    // chunks to count as overload for the soak.
-    let hot_ladder = LiveLadder {
-        pressure_enter: 1,
-        pressure_exit: 0,
-        shed_enter: 2,
-        shed_exit: 1,
-        refuse_enter: 4,
-        refuse_exit: 2,
-    };
+    // Both sessions run with window 4 and the ladder it derives
+    // (`ladder: None`): Pressure at 2 buffered chunks, Shed at 3,
+    // Refuse at 4.
 
     // Session 1: corrupted link, overload, killed after 10 commits.
     let (consumer, producer) = mangled_pair(0xC0FFEE);
@@ -472,7 +464,6 @@ fn live_chaos_soak() {
     });
     cfg.rollup = Some(RollupConfig::new(&ring, WINDOW_CHUNKS));
     cfg.window = 4;
-    cfg.ladder = Some(hot_ladder.clone());
     cfg.producer_stall_ms = 5_000;
     cfg.resume_throttle_ms = 50;
     match serve_live_with(&c, &cfg, &store, consumer, slow_classify) {
@@ -505,7 +496,6 @@ fn live_chaos_soak() {
     });
     cfg.rollup = Some(RollupConfig::new(&ring, WINDOW_CHUNKS));
     cfg.window = 4;
-    cfg.ladder = Some(hot_ladder);
     cfg.producer_stall_ms = 5_000;
     cfg.resume_throttle_ms = 20;
     cfg.stop_after_chunks = Some(16);

@@ -189,8 +189,6 @@ impl WorkerWorld {
 
 fn shard_config(shards: u32) -> ShardConfig {
     let mut cfg = ShardConfig::new(ShardPlan::new(shards, 0x5eed), CHUNK);
-    cfg.liveness_timeout_ms = 2_000;
-    cfg.handshake_timeout_ms = 1_000;
     cfg.backoff_base_ms = 5;
     cfg.backoff_max_ms = 40;
     cfg.retry_budget = 3;
@@ -369,7 +367,6 @@ fn chaos_deaths_at_every_protocol_state_recover_bit_identically() {
 
     let mut cfg = shard_config(shards);
     cfg.retry_budget = 8;
-    cfg.liveness_timeout_ms = 1_000;
     let reg = MetricsRegistry::new();
     let tracer = Tracer::with_capacity(4_096);
     let obs = RunnerObs::new(reg.clone(), tracer.clone());

@@ -269,20 +269,15 @@ fn watchdog_stall_detection_is_deterministic_under_manual_clock() {
 
 #[test]
 fn rib_freshness_exports_dropout_gauges() {
-    use spoofwatch_core::{FreshnessConfig, RibFreshness};
+    use spoofwatch_core::RibFreshness;
     let reg = MetricsRegistry::new();
-    let cfg = FreshnessConfig {
-        fresh_secs: 100,
-        stale_secs: 200,
-        retry_base_secs: 10,
-        retry_max_secs: 40,
-        max_retries: 2,
-    };
-    let mut rib = RibFreshness::new(cfg);
+    let mut rib = RibFreshness::new();
     rib.record_snapshot("rrc00", 1_000);
-    rib.record_gap("rrc01", 1_000);
-    rib.record_gap("rrc01", 1_050);
-    rib.export_metrics(&reg, 1_150);
+    // Eight consecutive failed fetches drop rrc01 out.
+    for i in 0..8 {
+        rib.record_gap("rrc01", 1_000 + i * 4_000);
+    }
+    rib.export_metrics(&reg, 73_000);
 
     let snap = reg.snapshot();
     assert_eq!(snap.gauge("spoofwatch_rib_collectors", &[]), Some(2));
@@ -291,18 +286,24 @@ fn rib_freshness_exports_dropout_gauges() {
         Some(1),
         "rrc01 hit max_retries and dropped out"
     );
-    assert_eq!(snap.gauge("spoofwatch_rib_best_age_seconds", &[]), Some(150));
+    assert_eq!(
+        snap.gauge("spoofwatch_rib_best_age_seconds", &[]),
+        Some(72_000)
+    );
     assert_eq!(
         snap.gauge("spoofwatch_rib_confidence", &[]),
         Some(1),
-        "150 s old with fresh=100/stale=200 grades degraded"
+        "20 h old with fresh=16 h/stale=24 h grades degraded"
     );
 
     // Degradation to stale moves the gauge on re-export.
-    rib.export_metrics(&reg, 2_000);
+    rib.export_metrics(&reg, 101_000);
     let snap = reg.snapshot();
     assert_eq!(snap.gauge("spoofwatch_rib_confidence", &[]), Some(2));
-    assert_eq!(snap.gauge("spoofwatch_rib_best_age_seconds", &[]), Some(1_000));
+    assert_eq!(
+        snap.gauge("spoofwatch_rib_best_age_seconds", &[]),
+        Some(100_000)
+    );
 }
 
 #[test]

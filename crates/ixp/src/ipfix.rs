@@ -263,7 +263,7 @@ pub fn decode_resilient(data: &[u8]) -> (Vec<FlowRecord>, IngestHealth) {
 }
 
 /// [`decode_resilient`] straight into a structure-of-arrays
-/// [`FlowBatch`] — the columnar ingest half of the batched classify
+/// [`FlowBatch`](spoofwatch_net::FlowBatch) — the columnar ingest half of the batched classify
 /// path.
 ///
 /// `batch` is cleared and refilled; its column capacities survive, so

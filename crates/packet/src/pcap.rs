@@ -247,7 +247,7 @@ impl RecordFormat for Capture {
 ///
 /// Bad spans are quarantined and the walk resynchronizes by scanning for
 /// the next offset that satisfies the chained next-packet-header
-/// heuristic (see [`record_plausible_at`]). The returned
+/// heuristic (see `record_plausible_at`). The returned
 /// [`IngestHealth`] accounts for every input byte:
 /// `ok_bytes + quarantined_bytes == data.len()`.
 ///

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use spoofwatch_analysis::report::{IngestSummary, StudyReport};
 use spoofwatch_bgp::mrt;
-use spoofwatch_core::{DegradedStats, FreshnessConfig, RibFreshness};
+use spoofwatch_core::{DegradedStats, RibFreshness};
 use spoofwatch_ixp::ipfix;
 use spoofwatch_net::{FaultInjector, InferenceMethod, OrgMode};
 use spoofwatch_packet::{pcap, PcapPacket, PcapWriter};
@@ -86,7 +86,7 @@ fn main() {
 
     // ---- 2. Collector freshness under dropout -------------------------
 
-    let mut fresh = RibFreshness::new(FreshnessConfig::default());
+    let mut fresh = RibFreshness::new();
     let hour = 3600u64;
     for c in ["rrc01", "rrc03", "route-views2"] {
         fresh.register(c);

@@ -12,7 +12,7 @@ mod common;
 use common::World;
 use rand::SeedableRng;
 use spoofwatch::analysis;
-use spoofwatch::core::fphunt::{hunt, HuntConfig};
+use spoofwatch::core::fphunt::hunt;
 use spoofwatch::core::stray::StrayReport;
 use spoofwatch::core::MemberBreakdown;
 use spoofwatch::internet::traceroute;
@@ -69,7 +69,6 @@ fn main() {
         &classes,
         &net.whois,
         &net.looking_glass_links,
-        &HuntConfig::default(),
     );
     println!(
         "\nfalse-positive hunt: {} missing links ({} WHOIS-org, {} ACL, {} looking glass), \

@@ -22,7 +22,6 @@ use spoofwatch::core::{CheckpointStore, RunnerConfig, RunnerObs, StudyRunner};
 use spoofwatch::ixp::chunked::ChunkedIpfixReader;
 use spoofwatch::net::{InferenceMethod, OrgMode};
 use spoofwatch::obs;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn main() {
@@ -57,14 +56,18 @@ fn main() {
     )
     .with_obs(RunnerObs::new(Arc::clone(&registry), Arc::clone(&tracer)));
 
-    let panics = AtomicU64::new(0);
+    // The fault is keyed to chunk 1's first record, not to whichever
+    // chunk a worker happens to take first, so every run quarantines
+    // the same chunk and prints the same tallies.
     let mut source = ChunkedIpfixReader::new(&w.bytes, 200);
+    let doomed = {
+        let mut peek = ChunkedIpfixReader::new(&w.bytes, 200);
+        peek.next_chunk();
+        peek.next_chunk().and_then(|c| c.flows.first().copied())
+    };
     let report = runner
         .run_with(&mut source, &store, |flows| {
-            if panics
-                .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
+            if flows.first().copied() == doomed {
                 panic!("injected fault: classifier died mid-chunk");
             }
             w.classifier

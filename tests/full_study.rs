@@ -2,7 +2,7 @@
 //! world, with quality gates on every stage.
 
 use spoofwatch::analysis;
-use spoofwatch::core::fphunt::{hunt, HuntConfig};
+use spoofwatch::core::fphunt::hunt;
 use spoofwatch::core::{Classifier, MemberBreakdown, Table1};
 use spoofwatch::internet::{Internet, InternetConfig};
 use spoofwatch::ixp::{Trace, TrafficConfig};
@@ -69,7 +69,6 @@ fn hunt_never_increases_invalid_and_never_touches_other_classes() {
         &classes,
         &net.whois,
         &net.looking_glass_links,
-        &HuntConfig::default(),
     );
     assert_eq!(corrected.len(), classes.len());
     for (before, after) in classes.iter().zip(&corrected) {
@@ -92,7 +91,6 @@ fn hunt_finds_planted_evidence() {
         &classes,
         &net.whois,
         &net.looking_glass_links,
-        &HuntConfig::default(),
     );
     // The generator plants hidden org groups whose traffic the WHOIS
     // registry can reveal; the hunt must find at least one of something.
