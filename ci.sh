@@ -231,13 +231,18 @@ echo "==> contract floors (release-mode timing floors, each against an in-test r
 # sliced CRC-32 and a frame round trip >= 4x the byte-wise path,
 # disabled metric updates < 20 ns, frozen LPM >= 2x the trie and the
 # fused classify faster than two walks, the compiled table <= 8 MB on
-# the default world, batch classify >= 3x per-flow, detect payload
-# accumulation < 250 ns/record and < 5% on the serial commit path, and
-# the interned classifier build >= 2x the per-announcement reference
-# build (12 floors). One test thread: two at
-# once on a 2-core host distort the absolute ceilings.
+# the default world (nominal: the frozen table's arrays and the info
+# arena's RouteInfo headers, not the vectors behind them), batch
+# classify >= 3x per-flow, detect payload accumulation < 250 ns/record
+# and < 5% on the serial commit path, the interned classifier build
+# >= 2x the per-announcement reference build, and the classifier's live
+# heap <= 16 MB on the default world (13 floors; the last is a test
+# binary of its own, as its counting allocator sees the whole process).
+# One test thread: two at once on a 2-core host distort the absolute
+# ceilings.
 cargo test -q --release -p spoofwatch-net -p spoofwatch-obs -p spoofwatch-ixp \
     -p spoofwatch-core --lib -- --ignored floor_ --test-threads=1
+cargo test -q --release -p spoofwatch-core --test classifier_footprint -- --ignored
 
 echo "==> one ruler (benchmark/ measures, *_floor_* tests gate; no criterion benches)"
 if grep -n 'criterion' Cargo.lock; then

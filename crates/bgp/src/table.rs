@@ -4,10 +4,11 @@ use crate::{Announcement, InternedPaths, PathCheck, SanityFilter};
 use spoofwatch_net::{Asn, Ipv4Prefix};
 use spoofwatch_trie::PrefixTrie;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Per-prefix routing knowledge accumulated across all collectors and all
 /// snapshots/updates of the measurement window.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct RouteInfo {
     /// Origin ASes observed for this prefix (usually one; more indicates
     /// MOAS — multiple-origin AS — announcements).
@@ -41,12 +42,42 @@ impl RouteInfo {
     }
 }
 
+/// Builds the info arena: each distinct `RouteInfo` gets one index, in
+/// the order it is first interned.
+#[derive(Default)]
+struct Interner {
+    index: HashMap<RouteInfo, u32>,
+}
+
+impl Interner {
+    /// The arena index of `info`, a new one if no equal info came before.
+    fn intern(&mut self, info: RouteInfo) -> u32 {
+        let next = u32::try_from(self.index.len()).expect("< 2^32 route infos");
+        *self.index.entry(info).or_insert(next)
+    }
+
+    fn into_arena(self) -> Arc<[RouteInfo]> {
+        let mut arena = vec![RouteInfo::default(); self.index.len()];
+        for (info, idx) in self.index {
+            arena[idx as usize] = info;
+        }
+        arena.into()
+    }
+}
+
 /// The global routed table: the union of everything every collector saw
 /// during the window, after sanity filtering. "Routed" in the paper's
 /// sense — an address not covered here is *unrouted*.
+///
+/// Many prefixes share one origin/on-path set (one AS originating many
+/// prefixes), so the rows are interned: the trie maps each prefix to an
+/// index into one arena holding every distinct `RouteInfo` once. The
+/// arena is an `Arc`, so the compiled classify lookup shares it instead
+/// of keeping a copy.
 #[derive(Debug, Clone)]
 pub struct RoutedTable {
-    trie: PrefixTrie<RouteInfo>,
+    trie: PrefixTrie<u32>,
+    infos: Arc<[RouteInfo]>,
     edges: HashSet<(Asn, Asn)>,
     ases: BTreeSet<Asn>,
     /// Filter statistics from ingestion.
@@ -65,11 +96,12 @@ impl RoutedTable {
     }
 
     /// [`build`](Self::build) over announcements whose paths `paths`
-    /// interned, in the same order. The path checks, `ases` and `edges`
-    /// cost once per distinct path; the filter's statistics and each
-    /// prefix's row still reflect every announcement. The result equals
+    /// interned, in the same order. The path checks and `edges` cost
+    /// once per distinct path, and each prefix's row once per distinct
+    /// set of paths; the filter's statistics and each prefix's row still
+    /// reflect every announcement. The result equals
     /// [`build_reference`](Self::build_reference)'s, trie insertion
-    /// order included.
+    /// order and arena order included.
     pub fn from_interned<'a, I: IntoIterator<Item = &'a Announcement>>(
         announcements: I,
         paths: &InternedPaths,
@@ -111,37 +143,56 @@ impl RoutedTable {
         );
 
         // Fold each prefix's distinct paths into its row, inserting rows
-        // in first-accepted order as the reference does.
+        // in first-accepted order as the reference does. A row is a
+        // function of its sorted path ids, so a group of ids seen before
+        // reuses its arena index; a new group builds its row once and
+        // the interner deduplicates it by content.
         pairs.sort_unstable();
         pairs.dedup();
-        let mut trie: PrefixTrie<RouteInfo> = PrefixTrie::new();
-        let mut ases = Vec::new();
-        let (mut origins, mut on_path) = (Vec::new(), Vec::new());
+        let mut trie: PrefixTrie<u32> = PrefixTrie::new();
+        let mut interner = Interner::default();
+        let mut by_paths: HashMap<Box<[u32]>, u32> = HashMap::new();
+        let (mut ids, mut origins, mut on_path) = (Vec::new(), Vec::new(), Vec::new());
         for group in pairs.chunk_by(|a, b| a >> 32 == b >> 32) {
-            origins.clear();
-            on_path.clear();
-            for &pair in group {
-                let hops = paths.hops(pair as u32);
-                origins.extend(hops.last());
-                on_path.extend_from_slice(hops);
-            }
-            for set in [&mut origins, &mut on_path] {
-                set.sort_unstable();
-                set.dedup();
-            }
-            // Every hop of an accepted path is on its prefix's row.
-            ases.extend_from_slice(&on_path);
-            // `to_vec` allocates exactly: the rows outlive the build.
-            let info = RouteInfo {
-                origins: origins.to_vec(),
-                on_path: on_path.to_vec(),
+            ids.clear();
+            ids.extend(group.iter().map(|&pair| pair as u32));
+            let idx = match by_paths.get(ids.as_slice()) {
+                Some(&idx) => idx,
+                None => {
+                    origins.clear();
+                    on_path.clear();
+                    for &id in &ids {
+                        let hops = paths.hops(id);
+                        origins.extend(hops.last());
+                        on_path.extend_from_slice(hops);
+                    }
+                    for set in [&mut origins, &mut on_path] {
+                        set.sort_unstable();
+                        set.dedup();
+                    }
+                    // `to_vec` allocates exactly, so an arena entry holds
+                    // no spare capacity.
+                    let idx = interner.intern(RouteInfo {
+                        origins: origins.to_vec(),
+                        on_path: on_path.to_vec(),
+                    });
+                    by_paths.insert(ids.as_slice().into(), idx);
+                    idx
+                }
             };
-            trie.insert(prefixes[(group[0] >> 32) as usize], info);
+            trie.insert(prefixes[(group[0] >> 32) as usize], idx);
         }
+        let infos = interner.into_arena();
+        // Every hop of an accepted path is on its prefix's row.
+        let mut ases: Vec<Asn> = infos
+            .iter()
+            .flat_map(|info| info.on_path.iter().copied())
+            .collect();
         ases.sort_unstable();
         ases.dedup();
         RoutedTable {
             trie,
+            infos,
             edges,
             ases: ases.into_iter().collect(),
             filter_stats: filter.stats,
@@ -149,12 +200,15 @@ impl RoutedTable {
     }
 
     /// The reference build, one announcement at a time: every path
-    /// check, hop and adjacency is redone for every announcement. Kept
-    /// as the oracle that [`from_interned`](Self::from_interned) is
-    /// tested and timed against.
+    /// check, hop and adjacency is redone for every announcement, and
+    /// the finished rows are interned at the end. Kept as the oracle
+    /// that [`from_interned`](Self::from_interned) is tested and timed
+    /// against.
     pub fn build_reference<'a, I: IntoIterator<Item = &'a Announcement>>(announcements: I) -> Self {
         let mut filter = SanityFilter::new();
-        let mut trie: PrefixTrie<RouteInfo> = PrefixTrie::new();
+        // Rows in order of their prefix's first accepted announcement.
+        let mut rows: Vec<(Ipv4Prefix, RouteInfo)> = Vec::new();
+        let mut row_of: HashMap<Ipv4Prefix, usize> = HashMap::new();
         let mut edges = HashSet::new();
         let mut ases = BTreeSet::new();
         for a in announcements {
@@ -162,10 +216,11 @@ impl RoutedTable {
                 continue;
             }
             let origin = a.path.origin().expect("filter rejects empty paths");
-            if trie.get(&a.prefix).is_none() {
-                trie.insert(a.prefix, RouteInfo::default());
-            }
-            let info = trie.get_mut(&a.prefix).expect("just inserted");
+            let row = *row_of.entry(a.prefix).or_insert_with(|| {
+                rows.push((a.prefix, RouteInfo::default()));
+                rows.len() - 1
+            });
+            let info = &mut rows[row].1;
             info.add_origin(origin);
             for hop in a.path.dedup_hops() {
                 info.add_on_path(hop);
@@ -175,8 +230,14 @@ impl RoutedTable {
                 edges.insert(edge);
             }
         }
+        let mut trie: PrefixTrie<u32> = PrefixTrie::new();
+        let mut interner = Interner::default();
+        for (prefix, info) in rows {
+            trie.insert(prefix, interner.intern(info));
+        }
         RoutedTable {
             trie,
+            infos: interner.into_arena(),
             edges,
             ases,
             filter_stats: filter.stats,
@@ -185,7 +246,8 @@ impl RoutedTable {
 
     /// Longest-prefix match against the routed table.
     pub fn lookup(&self, addr: u32) -> Option<(Ipv4Prefix, &RouteInfo)> {
-        self.trie.lookup(addr)
+        let (prefix, &idx) = self.trie.lookup(addr)?;
+        Some((prefix, &self.infos[idx as usize]))
     }
 
     /// Whether any routed prefix covers the address.
@@ -195,7 +257,7 @@ impl RoutedTable {
 
     /// Routing info for an exact prefix.
     pub fn info(&self, prefix: &Ipv4Prefix) -> Option<&RouteInfo> {
-        self.trie.get(prefix)
+        self.trie.get(prefix).map(|&idx| &self.infos[idx as usize])
     }
 
     /// Number of routed prefixes.
@@ -210,7 +272,21 @@ impl RoutedTable {
 
     /// Iterate `(prefix, info)` in ascending prefix order.
     pub fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &RouteInfo)> {
-        self.trie.iter()
+        self.iter_indexed()
+            .map(|(prefix, idx)| (prefix, &self.infos[idx as usize]))
+    }
+
+    /// Iterate `(prefix, arena index)` in ascending prefix order: the
+    /// prefix's row is `self.arena()[index]`.
+    pub fn iter_indexed(&self) -> impl Iterator<Item = (Ipv4Prefix, u32)> + '_ {
+        self.trie.iter().map(|(prefix, &idx)| (prefix, idx))
+    }
+
+    /// The interned rows: every distinct `RouteInfo` once, in order of
+    /// the first accepted announcement of the first prefix that has it.
+    /// Clone the `Arc` to share it.
+    pub fn arena(&self) -> &Arc<[RouteInfo]> {
+        &self.infos
     }
 
     /// The directed AS adjacency set: `(left, right)` for every adjacent

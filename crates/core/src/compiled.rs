@@ -5,9 +5,9 @@
 //! the bogon list, one against the routed table. [`CompiledClassifier`]
 //! fuses both into a **single** [`FrozenLpm`] lookup: the bogon set and
 //! the routed table are merged into one prefix map whose entries carry
-//! either the matched bogon range or an index into a flat `RouteInfo`
-//! arena, so one memory walk answers "which rule fires and with what
-//! evidence".
+//! either the matched bogon range or an index into the routed table's
+//! interned `RouteInfo` arena (shared, not copied), so one memory walk
+//! answers "which rule fires and with what evidence".
 //!
 //! ## Why the merge is exact
 //!
@@ -54,8 +54,6 @@ use spoofwatch_bgp::{RouteInfo, RoutedTable};
 use spoofwatch_net::Ipv4Prefix;
 use spoofwatch_obs::MetricsRegistry;
 use spoofwatch_trie::{FrozenLpm, PrefixSet, PrefixTrie};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -116,40 +114,27 @@ pub enum CompiledLookup<'a> {
 #[derive(Debug)]
 pub struct CompiledClassifier {
     lpm: FrozenLpm<CompiledEntry>,
-    /// Deduplicated (interned) route infos: many prefixes share one
-    /// origin/on-path set, and `Routed` entries index into this arena.
-    infos: Vec<RouteInfo>,
+    /// The routed table's interned info arena, shared rather than
+    /// copied: `Routed` entries carry the table's own arena indices.
+    infos: Arc<[RouteInfo]>,
     /// `leaf code → batch code`: index 0 is the LPM miss
     /// ([`BATCH_UNROUTED`]), index `c ≥ 1` resolves leaf `c` to either
     /// [`BATCH_BOGON`] or its info-arena index.
     code_map: Vec<u32>,
 }
 
-/// Content fingerprint of a [`RouteInfo`] for the interning table
-/// (`RouteInfo` itself does not implement `Hash`; equality is still
-/// decided by `PartialEq` on the candidates, the hash only buckets).
-fn info_fingerprint(info: &RouteInfo) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    info.origins.hash(&mut h);
-    info.on_path.hash(&mut h);
-    h.finish()
-}
-
 impl CompiledClassifier {
     /// Merge `bogons` and `table` into one compiled lookup structure.
     ///
-    /// Route infos are **interned**: prefixes with identical
-    /// origin/on-path sets (the common case — one AS originating many
-    /// prefixes) share a single arena entry, so each epoch rebuild
-    /// clones each distinct info once instead of once per prefix, and
-    /// the batch path's verdict memo keys on a small dense index space.
+    /// Route infos come from the table's interned arena: prefixes with
+    /// identical origin/on-path sets (the common case — one AS
+    /// originating many prefixes) share one entry, the compiled table
+    /// holds a reference to the arena and no copy of any info, and the
+    /// batch path's verdict memo keys on a small dense index space.
     pub fn compile(bogons: &PrefixSet, table: &RoutedTable) -> CompiledClassifier {
-        let mut infos: Vec<RouteInfo> = Vec::new();
-        // fingerprint → candidate arena indices (collisions resolved by
-        // PartialEq below).
-        let mut interned: HashMap<u64, Vec<u32>> = HashMap::new();
+        let infos = Arc::clone(table.arena());
         let mut merged: PrefixTrie<CompiledEntry> = PrefixTrie::new();
-        for (prefix, info) in table.iter() {
+        for (prefix, info) in table.iter_indexed() {
             // A routed prefix entirely inside a bogon range can never
             // produce a routed verdict (the bogon rule fires first), so
             // it is stored pre-resolved — see the module docs for why
@@ -157,22 +142,7 @@ impl CompiledClassifier {
             // would report.
             let entry = match bogons.covering(&prefix) {
                 Some(range) => CompiledEntry::Bogon { range },
-                None => {
-                    let candidates = interned.entry(info_fingerprint(info)).or_default();
-                    let idx = match candidates
-                        .iter()
-                        .find(|&&c| infos[c as usize] == *info)
-                    {
-                        Some(&c) => c,
-                        None => {
-                            let idx = infos.len() as u32;
-                            infos.push(info.clone());
-                            candidates.push(idx);
-                            idx
-                        }
-                    };
-                    CompiledEntry::Routed { info: idx }
-                }
+                None => CompiledEntry::Routed { info },
             };
             merged.insert(prefix, entry);
         }
@@ -251,9 +221,16 @@ impl CompiledClassifier {
         self.lpm.is_empty()
     }
 
-    /// Nominal heap footprint of the compiled structures in bytes.
+    /// Nominal size of the compiled structures in bytes: the frozen
+    /// table's arrays ([`FrozenLpm::memory_bytes`]) plus one
+    /// `RouteInfo` header (two `Vec`s) per info-arena entry. Not
+    /// counted: the `origins` / `on_path` vectors those headers point
+    /// to, and the leaf-code map (4 B per entry). The arena, vectors
+    /// included, is the routed table's, shared by reference. So this is
+    /// a lower bound on the heap a classifier holds for its compiled
+    /// lookup, not the resident size.
     pub fn memory_bytes(&self) -> usize {
-        self.lpm.memory_bytes() + self.infos.capacity() * std::mem::size_of::<RouteInfo>()
+        self.lpm.memory_bytes() + self.infos.len() * std::mem::size_of::<RouteInfo>()
     }
 }
 
@@ -471,7 +448,7 @@ mod tests {
         /// panics on its arena index (nothing else in the classify
         /// path can be made to panic from outside).
         pub(crate) fn clear_infos(&mut self) {
-            self.infos.clear();
+            self.infos = Arc::new([]);
         }
     }
 
@@ -639,8 +616,12 @@ mod tests {
 
     /// Release-mode floor, which `ci.sh` runs with `--ignored`: the
     /// compiled table of the default synthetic Internet (≈11 K entries)
-    /// takes at most 8 MB. Every slot of the table is written by its
-    /// build, so this nominal size is also its resident size.
+    /// takes at most 8 MB, as [`CompiledClassifier::memory_bytes`]
+    /// counts it: the frozen table's arrays, which its build writes in
+    /// full, and the arena's `RouteInfo` headers. The vectors behind
+    /// those headers and the leaf-code map are not counted, so the live
+    /// heap is larger; `tests/classifier_footprint.rs` bounds the
+    /// classifier's whole live heap.
     #[test]
     #[ignore = "release-mode floor; ci.sh runs it with --ignored"]
     fn compiled_memory_floor_under_8mb() {

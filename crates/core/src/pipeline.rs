@@ -54,7 +54,8 @@ pub struct Classifier {
     table: RoutedTable,
     /// The bogon set and routed table fused into one frozen LPM — the
     /// hot path's single memory walk. The tries above stay
-    /// authoritative; this is recompiled from them on every build.
+    /// authoritative; this is recompiled from them on every build, and
+    /// shares the table's `RouteInfo` arena instead of copying it.
     compiled: CompiledClassifier,
     cones: ConeSet,
     relationships: Relationships,

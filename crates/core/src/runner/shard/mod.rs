@@ -541,6 +541,8 @@ enum ShardOutcome {
     Completed(Box<ShardReport>, ShardStatus),
     Lost(ShardStatus),
     Failed(ShardError),
+    /// Stopped waiting because another shard failed the study.
+    Stopped,
 }
 
 /// The fan-out/fan-in coordinator: owns the trace, streams partitioned
@@ -593,6 +595,7 @@ impl<'a> ShardCoordinator<'a> {
         let gate = RouterGate {
             wanted: (0..shards).map(|_| AtomicBool::new(false)).collect(),
             done: AtomicBool::new(false),
+            failed: AtomicBool::new(false),
             router: OnceLock::new(),
         };
         self.obs.tracer.event(
@@ -649,6 +652,9 @@ impl<'a> ShardCoordinator<'a> {
         };
         let mut attempt: u32 = 0;
         loop {
+            if router.failed.load(Ordering::SeqCst) {
+                return ShardOutcome::Stopped;
+            }
             if attempt > 0 {
                 let delay = backoff_delay_ms(
                     self.cfg.seed,
@@ -673,6 +679,8 @@ impl<'a> ShardCoordinator<'a> {
             let wait = Duration::from_millis(LIVENESS_TIMEOUT_MS + ROUTER_HANDSHAKE_MS);
             let mut conn = match conn_rx.recv_timeout(wait) {
                 Ok(c) => c,
+                // The router dropped every sender: another shard failed.
+                Err(_) if router.failed.load(Ordering::SeqCst) => return ShardOutcome::Stopped,
                 Err(_) => {
                     router.set(&router.wanted[shard_id as usize], false);
                     status.deaths += 1;
@@ -707,7 +715,12 @@ impl<'a> ShardCoordinator<'a> {
                     );
                     return ShardOutcome::Completed(report, status);
                 }
-                ConnOutcome::Fatal(e) => return ShardOutcome::Failed(e),
+                ConnOutcome::Fatal(e) => {
+                    // No other shard's result can change the outcome:
+                    // stop the supervisors still waiting for a worker.
+                    router.set(&router.failed, true);
+                    return ShardOutcome::Failed(e);
+                }
                 ConnOutcome::Dead => {
                     status.deaths += 1;
                     self.obs.tracer.event(
@@ -839,6 +852,7 @@ impl<'a> ShardCoordinator<'a> {
     fn aggregate(&self, outcomes: Vec<ShardOutcome>) -> Result<ShardStudyReport, ShardError> {
         let mut completed: Vec<ShardReport> = Vec::new();
         let mut shards: Vec<ShardStatus> = Vec::new();
+        let mut failure = None;
         for outcome in outcomes {
             match outcome {
                 ShardOutcome::Completed(report, status) => {
@@ -846,8 +860,14 @@ impl<'a> ShardCoordinator<'a> {
                     completed.push(*report);
                 }
                 ShardOutcome::Lost(status) => shards.push(status),
-                ShardOutcome::Failed(e) => return Err(e),
+                ShardOutcome::Failed(e) => {
+                    failure.get_or_insert(e);
+                }
+                ShardOutcome::Stopped => {}
             }
+        }
+        if let Some(e) = failure {
+            return Err(e);
         }
         shards.sort_by_key(|s| s.shard_id);
 
@@ -924,6 +944,10 @@ struct RouterGate {
     /// waiting for its connection.
     wanted: Vec<AtomicBool>,
     done: AtomicBool,
+    /// A supervisor failed the study (a worker rejected the plan). The
+    /// router returns and drops its senders, so every supervisor still
+    /// waiting for a connection wakes at once and stops.
+    failed: AtomicBool,
     /// The router's thread, set before any supervisor starts.
     router: OnceLock<Thread>,
 }
@@ -940,14 +964,16 @@ impl RouterGate {
 
 /// Accept inbound connections, read each one's `Hello`, and hand it to
 /// the right shard supervisor. Connections with no valid `Hello`
-/// within the handshake timeout are dropped.
+/// within the handshake timeout are dropped. Returns, dropping the
+/// senders, when the run is over, a supervisor failed it, or the
+/// endpoint closed.
 fn route_connections(
     endpoint: &dyn ShardEndpoint,
     conn_txs: Vec<mpsc::Sender<ShardTransport>>,
     gate: &RouterGate,
     handshake: Duration,
 ) {
-    while !gate.done.load(Ordering::SeqCst) {
+    while !gate.done.load(Ordering::SeqCst) && !gate.failed.load(Ordering::SeqCst) {
         if !gate.wanted.iter().any(|w| w.load(Ordering::SeqCst)) {
             // `unpark` after a flag flips makes this return at once.
             thread::park();

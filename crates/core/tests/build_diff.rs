@@ -6,14 +6,17 @@
 //! references (`RoutedTable::build_reference`,
 //! `Relationships::infer_reference`) exactly: every prefix's origins
 //! and on-path set, the edge and AS sets, the filter statistics, and the
-//! p2c and p2p sets. Generated worlds cover the realistic mix; the
-//! hand-built corpora cover what interning could get wrong.
+//! p2c and p2p sets. Both builds hold each distinct row once in the
+//! table's arena, and the compiled lookup hands out that same entry.
+//! Generated worlds cover the realistic mix; the hand-built corpora
+//! cover what interning could get wrong.
 
 use spoofwatch_bgp::{Announcement, AsPath, RouteInfo, RoutedTable};
 use spoofwatch_core::relinfer::Relationships;
-use spoofwatch_core::Classifier;
-use spoofwatch_internet::{Internet, InternetConfig};
+use spoofwatch_core::{Classifier, CompiledLookup};
+use spoofwatch_internet::{bogon, Internet, InternetConfig};
 use spoofwatch_net::{Asn, Ipv4Prefix};
+use std::collections::HashSet;
 
 fn ann(prefix: &str, path: &[u32]) -> Announcement {
     Announcement::new(prefix.parse().expect("prefix"), AsPath::from(path.to_vec()))
@@ -23,7 +26,21 @@ fn rows(table: &RoutedTable) -> Vec<(Ipv4Prefix, RouteInfo)> {
     table.iter().map(|(p, info)| (p, info.clone())).collect()
 }
 
+/// The arena holds every distinct row once, and nothing else.
+fn assert_one_entry_per_distinct_info(table: &RoutedTable) {
+    let arena: HashSet<&RouteInfo> = table.arena().iter().collect();
+    assert_eq!(
+        arena.len(),
+        table.arena().len(),
+        "an info twice in the arena"
+    );
+    let distinct: HashSet<&RouteInfo> = table.iter().map(|(_, info)| info).collect();
+    assert_eq!(arena, distinct, "arena entries against distinct rows");
+}
+
 fn assert_same_table(built: &RoutedTable, reference: &RoutedTable) {
+    assert_one_entry_per_distinct_info(built);
+    assert_one_entry_per_distinct_info(reference);
     assert_eq!(rows(built), rows(reference), "per-prefix rows");
     assert_eq!(built.edges(), reference.edges(), "edges");
     assert!(built.ases().eq(reference.ases()), "ases");
@@ -57,6 +74,64 @@ fn classifier_build_matches_the_references_on_generated_worlds() {
             "seed {seed}"
         );
         assert!(c.table().num_prefixes() > 0, "seed {seed}");
+    }
+}
+
+/// An address of `rows[i]`'s prefix that no more specific routed
+/// prefix covers, if one is left: the rows are in ascending prefix
+/// order, so its more specifics follow it, in address order.
+fn own_address(rows: &[(Ipv4Prefix, &RouteInfo)], i: usize) -> Option<u32> {
+    let prefix = rows[i].0;
+    let mut next = u64::from(prefix.first());
+    for (inner, _) in rows[i + 1..].iter().take_while(|(q, _)| prefix.covers(q)) {
+        if u64::from(inner.first()) > next {
+            break;
+        }
+        next = next.max(u64::from(inner.last()) + 1);
+    }
+    u32::try_from(next)
+        .ok()
+        .filter(|&addr| prefix.contains(addr))
+}
+
+/// Every routed prefix outside bogon space that some address resolves
+/// to reaches one `RouteInfo` through the table and through the
+/// compiled lookup: the same entry, not an equal copy.
+#[test]
+fn the_compiled_lookup_hands_out_the_tables_arena_entries() {
+    let bogons = bogon::bogon_set();
+    for seed in 1..=6 {
+        let net = Internet::generate(InternetConfig::tiny(seed));
+        let c = Classifier::build(&net.announcements, &net.orgs_dataset);
+        let table = c.table();
+        let rows: Vec<(Ipv4Prefix, &RouteInfo)> = table.iter().collect();
+        let mut shared = 0;
+        for (i, &(prefix, _)) in rows.iter().enumerate() {
+            let Some(addr) = own_address(&rows, i) else {
+                continue;
+            };
+            assert_eq!(table.lookup(addr).map(|(p, _)| p), Some(prefix));
+            match c.compiled().lookup(addr) {
+                CompiledLookup::Routed {
+                    prefix: matched,
+                    info: compiled,
+                } => {
+                    assert_eq!(matched, prefix, "seed {seed}");
+                    assert!(bogons.covering(&prefix).is_none(), "seed {seed}: {prefix}");
+                    let by_info = table.info(&prefix).expect("routed");
+                    assert!(
+                        std::ptr::eq(compiled, by_info),
+                        "seed {seed}: {prefix} copied"
+                    );
+                    shared += 1;
+                }
+                CompiledLookup::Bogon { .. } => {
+                    assert!(bogons.contains_addr(addr), "seed {seed}: {prefix}");
+                }
+                CompiledLookup::Unrouted => panic!("seed {seed}: {prefix} unrouted"),
+            }
+        }
+        assert!(shared > 0, "seed {seed}");
     }
 }
 

@@ -170,7 +170,7 @@ impl<'a> ChunkedIpfixReader<'a> {
     /// Decode the next chunk; `None` once the input is exhausted (or
     /// after an unrecoverable header fault has been reported).
     pub fn next_chunk(&mut self) -> Option<FlowChunk> {
-        let mut flows = Vec::new();
+        let mut flows = Vec::with_capacity(self.chunk_bound());
         let span = self.next_span(|f| flows.push(f))?;
         Some(FlowChunk {
             seq: span.seq,
@@ -192,6 +192,23 @@ impl<'a> ChunkedIpfixReader<'a> {
     pub fn next_batch(&mut self, batch: &mut FlowBatch) -> Option<ChunkSpan> {
         batch.clear();
         self.next_span(|f| batch.push(&f))
+    }
+
+    /// At most how many records the next chunk holds: `chunk_records`,
+    /// or fewer when the bytes left cannot hold that many records (each
+    /// recovered record takes one stride of the input). Before the
+    /// header is checked the header counts as input, which only loosens
+    /// the bound; an undecodable header yields no record.
+    fn chunk_bound(&self) -> usize {
+        let stride = match self.layout {
+            Some(layout) => layout.record_len,
+            None => match Layout::parse(self.data) {
+                Ok(layout) => layout.record_len,
+                Err(_) => return 0,
+            },
+        };
+        let remaining = self.data.len().saturating_sub(self.pos);
+        self.chunk_records.min(remaining / stride.max(1) + 1)
     }
 
     /// The chunk step behind [`ChunkedIpfixReader::next_chunk`] and
@@ -281,6 +298,27 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// `next_chunk` sizes each record vector once: a full chunk of a
+    /// clean trace gets exactly `chunk_records` slots, and no chunk
+    /// gets more than the bytes it starts before can hold.
+    #[test]
+    fn next_chunk_reserves_its_bound_up_front() {
+        let bytes = encode(&plausible_sample(5_500));
+        for chunk_records in [1, 7, 2_000, 10_000] {
+            let chunks = ChunkedIpfixReader::new(&bytes, chunk_records).collect_chunks();
+            for c in &chunks {
+                let remaining = bytes.len() - c.byte_start as usize;
+                let bound = chunk_records.min(remaining / RECORD_LEN + 1);
+                let capacity = c.flows.capacity();
+                assert!(capacity <= bound, "chunk {}: {capacity} > {bound}", c.seq);
+                if c.flows.len() == chunk_records {
+                    assert_eq!(c.flows.capacity(), chunk_records, "chunk {}", c.seq);
+                }
+            }
+            assert_eq!(chunks.iter().map(|c| c.flows.len()).sum::<usize>(), 5_500);
+        }
     }
 
     /// Concatenated chunks must equal the one-shot resilient decode —
