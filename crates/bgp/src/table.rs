@@ -100,8 +100,8 @@ impl RoutedTable {
     /// once per distinct path, and each prefix's row once per distinct
     /// set of paths; the filter's statistics and each prefix's row still
     /// reflect every announcement. The result equals
-    /// [`build_reference`](Self::build_reference)'s, trie insertion
-    /// order and arena order included.
+    /// [`build_reference`](Self::build_reference)'s, arena order
+    /// included.
     pub fn from_interned<'a, I: IntoIterator<Item = &'a Announcement>>(
         announcements: I,
         paths: &InternedPaths,
@@ -146,7 +146,8 @@ impl RoutedTable {
         // in first-accepted order as the reference does. A row is a
         // function of its sorted path ids, so a group of ids seen before
         // reuses its arena index; a new group builds its row once and
-        // the interner deduplicates it by content.
+        // the interner deduplicates it by content. (On the default
+        // worlds about four prefixes in five repeat a group.)
         pairs.sort_unstable();
         pairs.dedup();
         let mut trie: PrefixTrie<u32> = PrefixTrie::new();

@@ -652,9 +652,6 @@ impl<'a> ShardCoordinator<'a> {
         };
         let mut attempt: u32 = 0;
         loop {
-            if router.failed.load(Ordering::SeqCst) {
-                return ShardOutcome::Stopped;
-            }
             if attempt > 0 {
                 let delay = backoff_delay_ms(
                     self.cfg.seed,
@@ -673,6 +670,11 @@ impl<'a> ShardCoordinator<'a> {
                 );
                 g.reconnects.inc();
                 self.obs.clock.sleep(Duration::from_millis(delay));
+            }
+            // Another shard failed the study: launch no worker the
+            // router, gone, would never accept.
+            if router.failed.load(Ordering::SeqCst) {
+                return ShardOutcome::Stopped;
             }
             router.set(&router.wanted[shard_id as usize], true);
             spawn(shard_id);
@@ -852,7 +854,6 @@ impl<'a> ShardCoordinator<'a> {
     fn aggregate(&self, outcomes: Vec<ShardOutcome>) -> Result<ShardStudyReport, ShardError> {
         let mut completed: Vec<ShardReport> = Vec::new();
         let mut shards: Vec<ShardStatus> = Vec::new();
-        let mut failure = None;
         for outcome in outcomes {
             match outcome {
                 ShardOutcome::Completed(report, status) => {
@@ -860,14 +861,9 @@ impl<'a> ShardCoordinator<'a> {
                     completed.push(*report);
                 }
                 ShardOutcome::Lost(status) => shards.push(status),
-                ShardOutcome::Failed(e) => {
-                    failure.get_or_insert(e);
-                }
+                ShardOutcome::Failed(e) => return Err(e),
                 ShardOutcome::Stopped => {}
             }
-        }
-        if let Some(e) = failure {
-            return Err(e);
         }
         shards.sort_by_key(|s| s.shard_id);
 

@@ -7,7 +7,8 @@
 //! `Relationships::infer_reference`) exactly: every prefix's origins
 //! and on-path set, the edge and AS sets, the filter statistics, and the
 //! p2c and p2p sets. Both builds hold each distinct row once in the
-//! table's arena, and the compiled lookup hands out that same entry.
+//! table's arena, in the same order, and the compiled lookup hands out
+//! that same entry.
 //! Generated worlds cover the realistic mix; the hand-built corpora
 //! cover what interning could get wrong.
 
@@ -41,6 +42,7 @@ fn assert_one_entry_per_distinct_info(table: &RoutedTable) {
 fn assert_same_table(built: &RoutedTable, reference: &RoutedTable) {
     assert_one_entry_per_distinct_info(built);
     assert_one_entry_per_distinct_info(reference);
+    assert_eq!(built.arena()[..], reference.arena()[..], "arena order");
     assert_eq!(rows(built), rows(reference), "per-prefix rows");
     assert_eq!(built.edges(), reference.edges(), "edges");
     assert!(built.ases().eq(reference.ases()), "ases");
